@@ -1,7 +1,7 @@
 """Targeted random projection for compressed Bayesian regression.
 
 The pipeline screens predictors by their marginal response correlation,
-draws sparse random (or partial-SVD) projections over the selected columns,
+draws three-point random (or partial-SVD) projections over the selected columns,
 fits exact conjugate posteriors in the compressed space, and aggregates
 predictions over many projection draws.
 """
@@ -30,7 +30,6 @@ from .metrics import (
     RegressionReport,
     evaluate_classification,
     evaluate_regression,
-    frequentist_interval,
 )
 from .model_io import load_model, save_model
 from .posterior import (
@@ -56,7 +55,6 @@ from .projection import (
 )
 from .screening import (
     InclusionVector,
-    ScreeningProfile,
     default_delta,
     inclusion_probabilities,
     marginal_correlations,
@@ -73,7 +71,6 @@ __all__ = [
     "split",
     "standardize",
     "InclusionVector",
-    "ScreeningProfile",
     "default_delta",
     "inclusion_probabilities",
     "marginal_correlations",
@@ -108,7 +105,6 @@ __all__ = [
     "RegressionReport",
     "evaluate_classification",
     "evaluate_regression",
-    "frequentist_interval",
     "SchemeSpec",
     "generate",
 ]

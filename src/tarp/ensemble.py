@@ -28,7 +28,6 @@ from .posterior import (
     LaplacePosterior,
     fit_bernoulli_laplace,
     fit_gaussian,
-    point_predict,
     predict_prob,
     predictive,
 )
@@ -334,18 +333,17 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
         return TarpPrediction(response_kind="binary", probability=probs)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    dfs, locs, scales, points = [], [], [], []
+    dfs, locs, scales = [], [], []
     for rep in model.replicates:
-        Z_new = compress(Xs, rep.projection)
-        pred = predictive(rep.posterior, Z_new)
-        points.append(point_predict(rep.posterior, Z_new))
+        pred = predictive(rep.posterior, compress(Xs, rep.projection))
         dfs.append(pred.df)
         locs.append(pred.location)
         scales.append(pred.scale_diag)
     dfs = np.asarray(dfs)
     locs = np.asarray(locs)
     scales = np.asarray(scales)
-    point = model.standardization.inverse_response(np.mean(points, axis=0))
+    # the predictive location is the posterior-mean point prediction
+    point = model.standardization.inverse_response(np.mean(locs, axis=0))
     lower = mixture_t_quantile(dfs, locs, scales, 0.5 * (1.0 - level))
     upper = mixture_t_quantile(dfs, locs, scales, 0.5 * (1.0 + level))
     return TarpPrediction(

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.stats import rankdata
-from scipy.stats import t as t_dist
 
 
 @dataclass(frozen=True)
@@ -138,21 +137,3 @@ def evaluate_classification(
         msd_calibration=calibration_msd(prob, y_true),
     )
 
-
-def frequentist_interval(
-    residual_mse: float, leverage: float, df: int, level: float
-) -> float:
-    """Half-width t_{df,(1+level)/2} * sqrt(mse * (1 + leverage)).
-
-    The plug-in interval used by non-Bayesian baselines around a point
-    prediction.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if leverage < 0.0:
-        raise ValueError(f"leverage must be >= 0, got {leverage}")
-    return float(
-        t_dist.ppf(0.5 * (1.0 + level), df) * np.sqrt(residual_mse * (1.0 + leverage))
-    )

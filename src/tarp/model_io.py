@@ -3,8 +3,9 @@
 A fitted ensemble is stored as JSON with float arrays embedded as base64 of
 their little-endian bytes, so round trips are bit-exact and files are
 byte-identical for identical fits (no timestamps, no compression headers).
-Random projections are stored as (seed, gamma, tuning) and re-materialized
-on load; partial-SVD blocks are stored densely.
+Random projections are stored as (seed, gamma, tuning), which is also their
+in-memory form; partial-SVD blocks are stored densely. Every decode failure
+raises DataError.
 """
 
 from __future__ import annotations
@@ -78,26 +79,35 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
     return out
 
 
-def _decode_projection(obj: dict) -> ProjectionMatrix:
+def _decode_projection(obj: dict, p: int) -> ProjectionMatrix:
     gamma = InclusionVector(_decode_bits(obj["gamma"]))
+    if gamma.gamma.size != p:
+        raise ValueError(f"gamma has length {gamma.gamma.size}, expected {p}")
     variant = obj["variant"]
+    m = int(obj["m"])
     if variant == RIS_PCR:
         block = _decode_array(obj["block"])
+        if m < 1 or block.shape != (m, gamma.count):
+            raise ValueError(
+                f"block shape {block.shape} does not match m={m}, "
+                f"p_gamma={gamma.count}"
+            )
         return ProjectionMatrix(
             variant=RIS_PCR,
-            m=int(obj["m"]),
-            p=gamma.gamma.size,
+            m=m,
+            p=p,
             gamma=gamma,
             dense_block=block,
             requested_m=int(obj["requested_m"]),
         )
+    # the samplers check m, psi / kappa and the seed
     if variant == RIS_RP:
-        return sample_ris_rp(gamma, int(obj["m"]), float(obj["psi"]), obj["seed"])
+        return sample_ris_rp(gamma, m, float(obj["psi"]), obj["seed"])
     if variant == SPARSE_VARIANT:
         return sample_sparse_variant(
-            gamma, int(obj["m"]), float(obj["kappa"]), int(obj["n_obs"]), obj["seed"]
+            gamma, m, float(obj["kappa"]), int(obj["n_obs"]), obj["seed"]
         )
-    raise DataError(f"unknown projection variant {variant!r} in model file")
+    raise ValueError(f"unknown projection variant {variant!r}")
 
 
 def _encode_posterior(post) -> dict:
@@ -123,10 +133,11 @@ def _encode_posterior(post) -> dict:
     raise TypeError(f"cannot serialize posterior of type {type(post)!r}")
 
 
-def _decode_posterior(obj: dict):
+def _decode_posterior(obj: dict, m: int):
     if obj["kind"] == "gaussian":
         location = _decode_array(obj["location"])
         precision_inverse = _decode_array(obj["precision_inverse"])
+        _check_shapes(m, location, precision_inverse)
         residual_quadratic = float(obj["residual_quadratic"])
         a_sigma = float(obj["a_sigma"])
         b_sigma = float(obj["b_sigma"])
@@ -147,14 +158,24 @@ def _decode_posterior(obj: dict):
             n_obs=n,
         )
     if obj["kind"] == "laplace":
+        mode = _decode_array(obj["mode"])
+        hessian = _decode_array(obj["hessian_at_mode"])
+        _check_shapes(m, mode, hessian)
         return LaplacePosterior(
-            mode=_decode_array(obj["mode"]),
-            hessian_at_mode=_decode_array(obj["hessian_at_mode"]),
+            mode=mode,
+            hessian_at_mode=hessian,
             prior_variance=float(obj["prior_variance"]),
             grad_norm=float(obj["grad_norm"]),
             n_iter=int(obj["n_iter"]),
         )
-    raise DataError(f"unknown posterior kind {obj['kind']!r} in model file")
+    raise ValueError(f"unknown posterior kind {obj['kind']!r}")
+
+
+def _check_shapes(m: int, vector: np.ndarray, matrix: np.ndarray) -> None:
+    if vector.shape != (m,) or matrix.shape != (m, m):
+        raise ValueError(
+            f"posterior shapes {vector.shape}, {matrix.shape} do not match m={m}"
+        )
 
 
 def _encode_config(cfg: TarpConfig) -> dict:
@@ -219,10 +240,22 @@ def load_model(path) -> tuple[TarpModel, dict]:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid model file ({exc})") from exc
-    if doc.get("format") != FORMAT_TAG:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise DataError(f"{path}: not a {FORMAT_TAG} file")
     if doc.get("version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported model version {doc.get('version')}")
+    try:
+        model = _decode_model(doc)
+    except KeyError as exc:
+        raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file ({exc})") from exc
+    return model, doc.get("extra", {})
+
+
+def _decode_model(doc: dict) -> TarpModel:
+    column_names = list(doc["column_names"])
+    p = len(column_names)
     std_doc = doc["standardization"]
     params = StandardizationParams(
         column_means=_decode_array(std_doc["column_means"]),
@@ -230,23 +263,27 @@ def load_model(path) -> tuple[TarpModel, dict]:
         constant_mask=_decode_bits(std_doc["constant_mask"]),
         response_mean=std_doc["response_mean"],
     )
-    replicates = [
-        Replicate(
-            config=_decode_config(rep["config"]),
-            projection=_decode_projection(rep["projection"]),
-            posterior=_decode_posterior(rep["posterior"]),
+    for name in ("column_means", "column_scales", "constant_mask"):
+        if getattr(params, name).shape != (p,):
+            raise ValueError(f"{name} does not have {p} entries")
+    replicates = []
+    for rep in doc["replicates"]:
+        projection = _decode_projection(rep["projection"], p)
+        replicates.append(
+            Replicate(
+                config=_decode_config(rep["config"]),
+                projection=projection,
+                posterior=_decode_posterior(rep["posterior"], projection.m),
+            )
         )
-        for rep in doc["replicates"]
-    ]
-    model = TarpModel(
+    return TarpModel(
         replicates=replicates,
         standardization=params,
         response_kind=doc["response_kind"],
         master_seed=int(doc["master_seed"]),
-        column_names=list(doc["column_names"]),
+        column_names=column_names,
         train_data_hash=doc["train_data_hash"],
         a_sigma=float(doc["a_sigma"]),
         b_sigma=float(doc["b_sigma"]),
         sigma_theta2=float(doc["sigma_theta2"]),
     )
-    return model, doc.get("extra", {})

@@ -11,7 +11,6 @@ responses use a ridge-penalized logistic fit with the curvature at the mode
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -60,7 +59,6 @@ class PredictiveT:
     df: float
     location: np.ndarray
     scale_diag: np.ndarray
-    scale_matrix: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -119,19 +117,6 @@ def fit_gaussian(
     )
 
 
-def location_via_gram_inverse(X: np.ndarray, R: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Alternate route to the posterior location: (R X'X R' + I)^-1 (X R')' y.
-
-    Algebraically identical to the fit in :func:`fit_gaussian`; kept as an
-    independent cross-check of the assembly order.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    R = R.toarray() if hasattr(R, "toarray") else np.asarray(R, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    gram = R @ (X.T @ X) @ R.T + np.eye(R.shape[0])
-    return np.linalg.inv(gram) @ ((X @ R.T).T @ y)
-
-
 def point_predict(post: GaussianPosterior, Z_new: np.ndarray) -> np.ndarray:
     """Posterior-mean prediction Z_new @ location (squared-error optimal)."""
     Z_new = np.asarray(Z_new, dtype=np.float64)
@@ -140,9 +125,7 @@ def point_predict(post: GaussianPosterior, Z_new: np.ndarray) -> np.ndarray:
     return Z_new @ post.location
 
 
-def predictive(
-    post: GaussianPosterior, Z_new: np.ndarray, full_cov: bool = False
-) -> PredictiveT:
+def predictive(post: GaussianPosterior, Z_new: np.ndarray) -> PredictiveT:
     """Predictive t distribution at compressed points Z_new.
 
     Marginal scale for point i is s2 * (1 + z_i' (Z'Z+I)^-1 z_i) with
@@ -157,12 +140,7 @@ def predictive(
     proj = Z_new @ post.precision_inverse
     quad = np.einsum("ij,ij->i", proj, Z_new)
     scale_diag = s2 * (1.0 + np.maximum(quad, 0.0))
-    scale_matrix = None
-    if full_cov:
-        scale_matrix = s2 * (np.eye(Z_new.shape[0]) + proj @ Z_new.T)
-    return PredictiveT(
-        df=post.df, location=location, scale_diag=scale_diag, scale_matrix=scale_matrix
-    )
+    return PredictiveT(df=post.df, location=location, scale_diag=scale_diag)
 
 
 def central_interval(

@@ -1,14 +1,15 @@
 """Construction of the m x p compression maps.
 
-Three variants: a sparse three-point random matrix (entries +-1/sqrt(2*psi)
-with probability psi each, else 0), an ultra-sparse variant with entries
+Three variants: a three-point random matrix (entries +-1/sqrt(2*psi) with
+probability psi each, else 0), an ultra-sparse variant with entries
 +-n^(kappa/2)/sqrt(m) appearing with probability 1/(2 n^kappa), and a
 deterministic partial-SVD map whose rows are the top right singular vectors
 of the selected columns. Columns excluded by the inclusion vector are
 identically zero in every variant.
 
-Random variants are materialized from an explicit seed (uniform draws only)
-so a saved model can rebuild the matrix bit-exactly.
+A random variant is stored only as its seed and tuning; its dense block over
+the selected columns is rebuilt from uniform draws each time it is used, so
+a saved model rebuilds the matrix bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .screening import InclusionVector
 
@@ -31,18 +31,16 @@ RIS_PCR = "ris_pcr"
 class ProjectionMatrix:
     """Immutable m x p compression map with its inclusion vector.
 
-    Sparse variants keep a CSC matrix over all p columns plus the seed that
-    generated it; the partial-SVD variant keeps the dense m x p_gamma block
-    and the active column indices. ``m`` is the effective row count, which
-    for the SVD variant may be below ``requested_m`` when the selected
-    columns are rank deficient.
+    Random variants keep the seed and tuning (psi, or kappa and n_obs) that
+    generate their m x p_gamma block; the partial-SVD variant keeps the block
+    itself. ``m`` is the effective row count, which for the SVD variant may
+    be below ``requested_m`` when the selected columns are rank deficient.
     """
 
     variant: str
     m: int
     p: int
     gamma: InclusionVector
-    sparse: Optional[sp.csc_matrix] = None
     dense_block: Optional[np.ndarray] = None
     seed: Optional[tuple[int, ...]] = None
     psi: Optional[float] = None
@@ -50,23 +48,29 @@ class ProjectionMatrix:
     n_obs: Optional[int] = None
     requested_m: Optional[int] = None
 
+    def _block(self) -> np.ndarray:
+        # m x p_gamma block over the selected columns
+        if self.dense_block is not None:
+            return self.dense_block
+        rng = np.random.default_rng(self.seed)
+        if self.variant == RIS_RP:
+            magnitude, prob = 1.0 / math.sqrt(2.0 * self.psi), self.psi
+        else:
+            n_kappa = float(self.n_obs) ** self.kappa
+            magnitude, prob = math.sqrt(n_kappa / self.m), 1.0 / (2.0 * n_kappa)
+        return _three_point_values((self.m, self.gamma.count), magnitude, prob, rng)
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Compress rows of X: returns X @ R.T with shape (n, m)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.p:
             raise ValueError(f"X has shape {X.shape}, expected (n, {self.p})")
-        if self.sparse is not None:
-            # sparse @ dense touches only the nonzeros: O(n * nnz)
-            return np.ascontiguousarray((self.sparse @ X.T).T)
-        block = self.dense_block
-        return X[:, self.gamma.indices] @ block.T
+        return X[:, self.gamma.indices] @ self._block().T
 
     def toarray(self) -> np.ndarray:
-        """Full dense m x p matrix (tests and serialization only)."""
-        if self.sparse is not None:
-            return self.sparse.toarray()
+        """Full dense m x p matrix (tests and inspection only)."""
         full = np.zeros((self.m, self.p))
-        full[:, self.gamma.indices] = self.dense_block
+        full[:, self.gamma.indices] = self._block()
         return full
 
 
@@ -79,16 +83,6 @@ def _three_point_values(
     return magnitude * ((u < prob).astype(np.float64) - (u >= 1.0 - prob))
 
 
-def _sparse_from_active(values: np.ndarray, gamma: InclusionVector, p: int):
-    m = values.shape[0]
-    active = gamma.indices
-    block = sp.csc_matrix(values)
-    col_nnz = np.zeros(p, dtype=np.int64)
-    col_nnz[active] = np.diff(block.indptr)
-    indptr = np.concatenate([[0], np.cumsum(col_nnz)])
-    return sp.csc_matrix((block.data, block.indices, indptr), shape=(m, p))
-
-
 def sample_ris_rp(
     gamma: InclusionVector, m: int, psi: float, seed
 ) -> ProjectionMatrix:
@@ -97,17 +91,12 @@ def sample_ris_rp(
         raise ValueError(f"psi must lie in (0, 0.5), got {psi}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    seed = _normalize_seed(seed)
-    rng = np.random.default_rng(seed)
-    magnitude = 1.0 / math.sqrt(2.0 * psi)
-    values = _three_point_values((m, gamma.count), magnitude, psi, rng)
     return ProjectionMatrix(
         variant=RIS_RP,
         m=m,
         p=gamma.gamma.size,
         gamma=gamma,
-        sparse=_sparse_from_active(values, gamma, gamma.gamma.size),
-        seed=seed,
+        seed=_normalize_seed(seed),
         psi=psi,
         requested_m=m,
     )
@@ -124,22 +113,16 @@ def sample_sparse_variant(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n_kappa = float(n) ** kappa
-    if n_kappa < 1.0:
+    if not n_kappa >= 1.0:
         raise ValueError(
             f"n^kappa = {n_kappa:.4g} < 1 gives a nonzero-probability above 1"
         )
-    seed = _normalize_seed(seed)
-    rng = np.random.default_rng(seed)
-    magnitude = math.sqrt(n_kappa / m)
-    prob = 1.0 / (2.0 * n_kappa)
-    values = _three_point_values((m, gamma.count), magnitude, prob, rng)
     return ProjectionMatrix(
         variant=SPARSE_VARIANT,
         m=m,
         p=gamma.gamma.size,
         gamma=gamma,
-        sparse=_sparse_from_active(values, gamma, gamma.gamma.size),
-        seed=seed,
+        seed=_normalize_seed(seed),
         kappa=kappa,
         n_obs=n,
         requested_m=m,
@@ -194,6 +177,10 @@ def compress(X: np.ndarray, R: ProjectionMatrix) -> np.ndarray:
 
 
 def _normalize_seed(seed) -> tuple[int, ...]:
+    # checked here because the generator is only built when R is used
     if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+        seed = (seed,)
+    seed = tuple(int(s) for s in seed)
+    if min(seed, default=0) < 0:
+        raise ValueError(f"seed entries must be non-negative, got {seed}")
+    return seed

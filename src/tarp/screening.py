@@ -17,23 +17,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ScreeningProfile:
-    correlations: np.ndarray
-    probabilities: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        r = np.asarray(self.correlations, dtype=np.float64)
-        q = np.asarray(self.probabilities, dtype=np.float64)
-        if r.shape != q.shape or r.ndim != 1:
-            raise ValueError("correlations/probabilities must be equal-length vectors")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        object.__setattr__(self, "correlations", r)
-        object.__setattr__(self, "probabilities", q)
-
-
-@dataclass(frozen=True)
 class InclusionVector:
     """Bit vector of selected predictors with its popcount."""
 
@@ -142,13 +125,3 @@ def default_delta(n: int, p: int) -> float:
         raise ValueError("n and p must be positive")
     return max(0.0, 0.5 * (1.0 + math.log(p / n)))
 
-
-def build_profile(
-    X: np.ndarray,
-    y: np.ndarray,
-    delta: float,
-    constant_mask: np.ndarray | None = None,
-) -> ScreeningProfile:
-    r = marginal_correlations(X, y, constant_mask=constant_mask)
-    q = inclusion_probabilities(r, delta)
-    return ScreeningProfile(correlations=r, probabilities=q, delta=delta)

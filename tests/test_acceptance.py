@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. The full-scale reproduction (criterion 7) takes 1-2 hours and only
-runs when TARP_RUN_FULL_SCALE=1; everything else is desk scale.
+lines. The full-scale reproduction (criterion 7) takes ~100 s on two cores
+and only runs when TARP_RUN_FULL_SCALE=1; everything else is desk scale.
 """
 
 import os
@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import location_via_gram_inverse
 from scipy.linalg import cholesky
 
 from tarp.cli import _derive_seed, main
@@ -23,7 +24,6 @@ from tarp.metrics import evaluate_classification, evaluate_regression
 from tarp.posterior import (
     central_interval,
     fit_gaussian,
-    location_via_gram_inverse,
     predictive,
 )
 from tarp.projection import (
@@ -259,8 +259,8 @@ def test_criterion_6_targeted_beats_untargeted():
 
 @pytest.mark.skipif(
     os.environ.get("TARP_RUN_FULL_SCALE") != "1",
-    reason="long benchmark (~1-2h); set TARP_RUN_FULL_SCALE=1 or use "
-    "scripts/full_scale_rank3.py",
+    reason="long benchmark (~100 s on 2 cores); set TARP_RUN_FULL_SCALE=1 "
+    "or use scripts/full_scale_rank3.py",
 )
 def test_criterion_7_full_scale_rank3(tmp_path):
     """Paper-scale Scheme III: ECP 0.494 +- 0.06 and width 1.351 +- 0.20."""

@@ -198,6 +198,39 @@ class TestExitCodes:
         assert "point,lo,hi" in out and "probability" in out
 
 
+def _drop_psi(doc):
+    del doc["replicates"][0]["projection"]["psi"]
+
+
+def _halve_gamma(doc):
+    doc["replicates"][0]["projection"]["gamma"]["length"] = 40
+
+
+def _psi_out_of_range(doc):
+    doc["replicates"][0]["projection"]["psi"] = 0.7
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize(
+        "corrupt", [_drop_psi, _halve_gamma, _psi_out_of_range],
+        ids=["missing_psi", "gamma_length", "psi_range"],
+    )
+    def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt):
+        run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
+            "--seed", "4", "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "2",
+                   "--out", "model.json") == 0
+        doc = json.loads((workdir / "model.json").read_text())
+        corrupt(doc)
+        (workdir / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "preds.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "preds.csv").exists()
+
+
 class TestPartialOutputs:
     def test_failed_run_removes_partial_files(self, workdir):
         # truth sidecar path is unwritable: the already-written CSV must go

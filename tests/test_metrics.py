@@ -8,7 +8,6 @@ from tarp.metrics import (
     calibration_msd,
     evaluate_classification,
     evaluate_regression,
-    frequentist_interval,
 )
 
 
@@ -138,33 +137,6 @@ class TestEvaluateClassification:
     def test_regression_report_csv_row(self):
         report = evaluate_regression([0.0], [(0.0, 1.0)], [0.5])
         assert report.to_csv_row() == "0.25,1.0,1.0"
-
-
-class TestFrequentistInterval:
-    def test_normal_limit(self):
-        half = frequentist_interval(4.0, leverage=0.0, df=10**6, level=0.5)
-        assert half == pytest.approx(0.6744897501960817 * 2.0, rel=1e-4)
-
-    def test_mse_scaling(self):
-        a = frequentist_interval(1.0, 0.3, 25, 0.5)
-        b = frequentist_interval(2.0, 0.3, 25, 0.5)
-        assert b == pytest.approx(np.sqrt(2.0) * a)
-
-    def test_width_diverges_as_level_approaches_one(self):
-        widths = [
-            frequentist_interval(1.0, 0.0, 10, level)
-            for level in (0.5, 0.99, 0.999999, 1 - 1e-12)
-        ]
-        assert all(a < b for a, b in zip(widths, widths[1:]))
-        assert widths[-1] > 40.0
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            frequentist_interval(1.0, 0.0, 10, 1.5)
-        with pytest.raises(ValueError):
-            frequentist_interval(1.0, -0.1, 10, 0.5)
-        with pytest.raises(ValueError):
-            frequentist_interval(1.0, 0.0, 0, 0.5)
 
 
 class TestEcpMonotonicity:

@@ -54,7 +54,7 @@ def test_sparse_variant_roundtrip(tmp_path):
     gamma = InclusionVector(np.random.default_rng(0).random(30) < 0.6)
     proj = sample_sparse_variant(gamma, m=4, kappa=0.5, n=64, seed=(1, 2))
     back = _decode_projection(
-        json.loads(json.dumps(_encode_projection(proj)))
+        json.loads(json.dumps(_encode_projection(proj))), p=30
     )
     np.testing.assert_array_equal(proj.toarray(), back.toarray())
 

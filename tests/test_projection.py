@@ -61,7 +61,7 @@ class TestRisRp:
         gamma = gamma_of(rng.random(p) < 0.6)
         target = float(np.sum(x[gamma.gamma] ** 2))
         proj = sample_ris_rp(gamma, m=100_000, psi=0.2, seed=4)
-        rows_sq = (proj.sparse @ x) ** 2
+        rows_sq = compress(x[None, :], proj)[0] ** 2
         assert rows_sq.mean() == pytest.approx(target, rel=0.01)
 
 
@@ -101,13 +101,43 @@ class TestSparseVariant:
         draws = 4000
         for i in range(draws):
             proj = sample_sparse_variant(gamma, m=5, kappa=0.5, n=64, seed=(6, i))
-            total += float(np.sum((proj.sparse @ x) ** 2))
+            total += float(np.sum(compress(x[None, :], proj)[0] ** 2))
         assert total / draws == pytest.approx(target, rel=0.05)
 
     def test_invalid_kappa(self):
         gamma = InclusionVector.all_ones(5)
         with pytest.raises(ValueError):
             sample_sparse_variant(gamma, m=2, kappa=-1.0, n=100, seed=0)
+
+
+class TestStoredSeedsRebuildSameMatrix:
+    # Literals captured from the library before random maps were stored as
+    # seeds only; model files keep seeds, so these must never change.
+    GAMMA = [True, False, True, True, False, True, True, False]
+
+    def test_ris_rp_literal(self):
+        psi = 0.25
+        signs = np.array([
+            [1, 0, -1, -1, 0, 0, -1, 0],
+            [-1, 0, 0, -1, 0, -1, 0, 0],
+            [-1, 0, -1, -1, 0, 1, 1, 0],
+        ])
+        proj = sample_ris_rp(gamma_of(self.GAMMA), m=3, psi=psi, seed=(11, 1))
+        expected = signs * (1.0 / math.sqrt(2.0 * psi))
+        np.testing.assert_array_equal(proj.toarray(), expected)
+
+    def test_sparse_variant_literal(self):
+        # n^kappa = 4, m = 4: magnitude exactly 1, nonzero probability 1/8
+        expected = np.array([
+            [-1, 0, 0, 0, 0, 0, -1, 0],
+            [0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 0],
+        ], dtype=float)
+        proj = sample_sparse_variant(
+            gamma_of(self.GAMMA), m=4, kappa=0.5, n=16, seed=(11, 2)
+        )
+        np.testing.assert_array_equal(proj.toarray(), expected)
 
 
 class TestRisPcr:
