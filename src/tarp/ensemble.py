@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr, stdtrit
 
 from .data import Dataset, StandardizationParams, standardize
 from .posterior import (
@@ -285,15 +285,15 @@ def mixture_t_quantile(
     dfs = np.asarray(dfs, dtype=np.float64)
     locations = np.atleast_2d(np.asarray(locations, dtype=np.float64))
     widths = np.sqrt(np.atleast_2d(np.asarray(scale_diags, dtype=np.float64)))
-    component_q = locations + t_dist.ppf(prob, dfs)[:, None] * widths
+    component_q = locations + stdtrit(dfs, prob)[:, None] * widths
     lo = component_q.min(axis=0)
     hi = component_q.max(axis=0)
     out = 0.5 * (lo + hi)
     active = np.arange(out.size)
     for _ in range(max_iter):
         mid = 0.5 * (lo[active] + hi[active])
-        cdf = t_dist.cdf(
-            (mid[None, :] - locations[:, active]) / widths[:, active], dfs[:, None]
+        cdf = stdtr(
+            dfs[:, None], (mid[None, :] - locations[:, active]) / widths[:, active]
         ).mean(axis=0)
         out[active] = mid
         done = np.abs(cdf - prob) <= tol

@@ -8,12 +8,10 @@ midpoints over the nonempty of ten equal probability bins.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -23,16 +21,8 @@ class RegressionReport:
     mean_width: float
     residuals: np.ndarray
 
-    csv_header = "mspe,ecp,width"
-
     def to_dict(self) -> dict:
         return {"mspe": self.mspe, "ecp": self.ecp, "mean_width": self.mean_width}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        return f"{self.mspe!r},{self.ecp!r},{self.mean_width!r}"
 
 
 @dataclass(frozen=True)
@@ -40,8 +30,6 @@ class ClassificationReport:
     misclassification_rate: float
     auc: Optional[float]
     msd_calibration: float
-
-    csv_header = "misclassification,auc,msd"
 
     @property
     def auc_defined(self) -> bool:
@@ -53,13 +41,6 @@ class ClassificationReport:
             "auc": self.auc,
             "msd_calibration": self.msd_calibration,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        auc = "" if self.auc is None else repr(self.auc)
-        return f"{self.misclassification_rate!r},{auc},{self.msd_calibration!r}"
 
 
 def evaluate_regression(pred, intervals, y_true) -> RegressionReport:
@@ -89,6 +70,10 @@ def evaluate_regression(pred, intervals, y_true) -> RegressionReport:
 
 def auc_score(prob, y_true) -> Optional[float]:
     """Rank-based AUC with half credit for ties; None if one class is absent."""
+    # imported here: scipy.stats takes about a second to import and only
+    # evaluation needs it, so the CLI's predict path does not load it
+    from scipy.stats import rankdata
+
     prob = np.asarray(prob, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
     n_pos = int(np.sum(y_true == 1.0))

@@ -92,13 +92,16 @@ def _decode_projection(obj: dict, p: int) -> ProjectionMatrix:
                 f"block shape {block.shape} does not match m={m}, "
                 f"p_gamma={gamma.count}"
             )
+        requested_m = int(obj["requested_m"])
+        if requested_m < m:
+            raise ValueError(f"requested_m={requested_m} is below m={m}")
         return ProjectionMatrix(
             variant=RIS_PCR,
             m=m,
             p=p,
             gamma=gamma,
             dense_block=block,
-            requested_m=int(obj["requested_m"]),
+            requested_m=requested_m,
         )
     # the samplers check m, psi / kappa and the seed
     if variant == RIS_RP:

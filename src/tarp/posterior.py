@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
-from scipy.stats import t as t_dist
+from scipy.special import expit, stdtrit
 
 
 class ConvergenceError(RuntimeError):
@@ -149,7 +148,7 @@ def central_interval(
     """Symmetric central interval, location +- t-quantile * sqrt(scale)."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    half = t_dist.ppf(0.5 * (1.0 + level), pred.df) * np.sqrt(pred.scale_diag)
+    half = stdtrit(pred.df, 0.5 * (1.0 + level)) * np.sqrt(pred.scale_diag)
     return pred.location - half, pred.location + half
 
 

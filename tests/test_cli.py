@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tarp
 from tarp.cli import main
 from tarp.data import load_csv
 from tarp.ensemble import fit_tarp, predict_tarp, sample_config_grid
@@ -210,16 +213,27 @@ def _psi_out_of_range(doc):
     doc["replicates"][0]["projection"]["psi"] = 0.7
 
 
+def _requested_m_below_m(doc):
+    projection = doc["replicates"][0]["projection"]
+    projection["requested_m"] = projection["m"] - 1
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize(
-        "corrupt", [_drop_psi, _halve_gamma, _psi_out_of_range],
-        ids=["missing_psi", "gamma_length", "psi_range"],
+        "corrupt, variant",
+        [
+            (_drop_psi, "ris_rp"),
+            (_halve_gamma, "ris_rp"),
+            (_psi_out_of_range, "ris_rp"),
+            (_requested_m_below_m, "ris_pcr"),
+        ],
+        ids=["missing_psi", "gamma_length", "psi_range", "pcr_requested_m"],
     )
-    def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt):
+    def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
         run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
             "--seed", "4", "--out", "data.csv")
         assert run("fit", "--data", "data.csv", "--replicates", "2",
-                   "--out", "model.json") == 0
+                   "--variant", variant, "--out", "model.json") == 0
         doc = json.loads((workdir / "model.json").read_text())
         corrupt(doc)
         (workdir / "model.json").write_text(json.dumps(doc))
@@ -229,6 +243,19 @@ class TestCorruptModel:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (workdir / "preds.csv").exists()
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_stats(self):
+        # scipy.stats costs about a second of start-up; only evaluation uses it
+        src = os.path.dirname(os.path.dirname(tarp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, tarp.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestPartialOutputs:

@@ -131,12 +131,6 @@ class TestEvaluateClassification:
         report = evaluate_classification([0.1, 0.9], [0.0, 1.0])
         payload = report.to_dict()
         assert set(payload) == {"misclassification_rate", "auc", "msd_calibration"}
-        assert "auc" in report.to_json()
-        assert report.to_csv_row().count(",") == 2
-
-    def test_regression_report_csv_row(self):
-        report = evaluate_regression([0.0], [(0.0, 1.0)], [0.5])
-        assert report.to_csv_row() == "0.25,1.0,1.0"
 
 
 class TestEcpMonotonicity:

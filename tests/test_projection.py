@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ris_pcr_block_via_svd
+from tarp.data import standardize
 from tarp.projection import (
     compress,
     compute_ris_pcr,
@@ -10,6 +12,7 @@ from tarp.projection import (
     sample_sparse_variant,
 )
 from tarp.screening import InclusionVector
+from tarp.simgen import SchemeSpec, generate
 
 
 def gamma_of(bits):
@@ -149,12 +152,51 @@ class TestRisPcr:
         np.testing.assert_allclose(proj.toarray(), [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_rows_orthonormal(self):
+        # p_gamma <= n uses X_gamma' X_gamma, p_gamma > n uses X_gamma X_gamma'
         rng = np.random.default_rng(0)
-        X = rng.standard_normal((40, 25))
-        gamma = gamma_of(rng.random(25) < 0.8)
-        proj = compute_ris_pcr(X, gamma, m=10)
+        for n, p in ((40, 25), (30, 120)):
+            X = rng.standard_normal((n, p))
+            gamma = gamma_of(rng.random(p) < 0.8)
+            proj = compute_ris_pcr(X, gamma, m=10)
+            R = proj.toarray()
+            assert proj.m == 10
+            np.testing.assert_allclose(R @ R.T, np.eye(proj.m), atol=1e-8)
+
+    def test_matches_svd_oracle_wide_scheme_iii(self):
+        data, _ = generate(SchemeSpec(scheme="III", n=60, p=400, seed=7))
+        X = standardize(data)[0].design
+        gamma = gamma_of(np.random.default_rng(5).random(400) < 0.5)
+        assert gamma.count > X.shape[0]
+        for m in (2, 3, 20):
+            proj = compute_ris_pcr(X, gamma, m=m)
+            reference = ris_pcr_block_via_svd(X, gamma.indices, m)
+            assert proj.m == reference.shape[0] == min(m, 3)
+            np.testing.assert_allclose(proj.dense_block, reference, rtol=0, atol=1e-10)
+
+    def test_graded_spectrum_down_to_1e_3(self):
+        # singular values from s_0 = 1 down to 1e-3: every direction is kept
+        # and the rows mapped back from the n x n Gram stay orthonormal
+        rng = np.random.default_rng(6)
+        n, p, k = 60, 300, 40
+        left = np.linalg.qr(rng.standard_normal((n, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((p, k)))[0]
+        X = (left * np.logspace(0.0, -3.0, k)) @ right.T
+        proj = compute_ris_pcr(X, InclusionVector.all_ones(p), m=k)
         R = proj.toarray()
-        np.testing.assert_allclose(R @ R.T, np.eye(proj.m), atol=1e-8)
+        assert proj.m == k
+        assert np.abs(R @ R.T - np.eye(k)).max() < 1e-8
+        reference = ris_pcr_block_via_svd(X, np.arange(p), k)
+        np.testing.assert_allclose(R, reference, rtol=0, atol=1e-8)
+
+    def test_direction_below_cutoff_truncated(self):
+        # s = 1e-6 s_0 lies below the rank cutoff s_i > 1e-4 s_0
+        rng = np.random.default_rng(8)
+        n, p = 20, 50
+        left = np.linalg.qr(rng.standard_normal((n, 4)))[0]
+        right = np.linalg.qr(rng.standard_normal((p, 4)))[0]
+        X = (left * [1.0, 0.5, 0.2, 1e-6]) @ right.T
+        proj = compute_ris_pcr(X, InclusionVector.all_ones(p), m=4)
+        assert proj.m == 3 and proj.requested_m == 4
 
     def test_projection_contraction(self):
         # ||R x|| <= ||x_gamma|| for every training row
