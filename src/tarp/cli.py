@@ -354,7 +354,10 @@ def _cmd_predict(options: dict, outputs: list) -> int:
     if options["data"] is None:
         raise _UsageError("predict requires --data")
     model, extra = load_model(options["model"])
-    target_hint = extra.get("options", {}).get("target")
+    fit_options = extra.get("options", {})
+    if not isinstance(fit_options, dict):
+        raise DataError(f"{options['model']}: malformed model file (bad extra options)")
+    target_hint = fit_options.get("target")
     X_new = _load_design_for_model(options["data"], model, target_hint)
     prediction = predict_tarp(model, X_new, level=options["level"])
     out = Path(options["out"])

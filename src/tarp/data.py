@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,14 +115,47 @@ class StandardizationParams:
 def load_table(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV with a header row into (column names, matrix).
 
-    Any cell that does not parse as a finite real number is reported with its
-    row number and column name.
+    The header is read with ``csv.reader`` and the body with numpy's C parser
+    (``np.loadtxt``). When that parser raises, finds no rows, a wrong column
+    count or a non-finite value, the file is re-read cell by cell with
+    Python's ``float()``: that scan accepts what ``float()`` accepts and
+    numpy does not (whitespace-only lines, ``1_000``) and otherwise reports
+    the first bad cell with its row number and column name.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     with fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported by the scan below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                    dtype=np.float64,
+                )
+        except ValueError:
+            table = None
+    if (
+        table is None
+        or table.shape[0] == 0
+        or table.shape[1] != len(header)
+        or not np.isfinite(table).all()
+    ):
+        return _scan_table(path)
+    return header, table
+
+
+def _scan_table(path) -> tuple[list[str], np.ndarray]:
+    # one float() per cell: the parser of record for every input that the
+    # C parser rejects, and the source of every row/column error message
+    with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

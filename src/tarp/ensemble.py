@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
+from scipy.special import gammaln, stdtr, stdtrit
 
 from .data import Dataset, StandardizationParams, standardize
 from .posterior import (
@@ -228,13 +228,15 @@ def fit_tarp(
     correlations = marginal_correlations(
         std_train.design, std_train.response, constant_mask=params.constant_mask
     )
+    # column-major, so each replicate's X[:, gamma] gather copies whole columns
+    design = np.asfortranarray(std_train.design)
 
     def build(indexed):
         index, cfg = indexed
         try:
             return _fit_replicate(
                 cfg,
-                std_train.design,
+                design,
                 std_train.response,
                 correlations,
                 train.response_kind,
@@ -272,41 +274,57 @@ def mixture_t_quantile(
     tol: float = 1e-8,
     max_iter: int = 400,
 ) -> np.ndarray:
-    """Quantiles of an equal-weight mixture of t distributions, by bisection.
+    """Quantiles of an equal-weight mixture of t distributions.
 
     ``locations`` and ``scale_diags`` have shape (N, k): component i of the
     mixture at point j is t(dfs[i], locations[i, j], scale_diags[i, j]).
-    Bisection runs until the mixture CDF at the returned point is within
-    ``tol`` of ``prob``; the bracket starts at the min/max of the component
-    quantiles, which always enclose the mixture quantile.
+    A safeguarded Newton solves mixture CDF = ``prob`` at each point. It
+    starts at the mean of the component quantiles and steps by the CDF
+    residual over the closed-form mixture pdf. The min/max of the component
+    quantiles always enclose the mixture quantile; that bracket shrinks
+    with every evaluation, and a step that leaves it or is not finite (the
+    pdf underflows in a gap between far-apart components) is replaced by
+    bisection. A point is done when its mixture CDF is within ``tol`` of
+    ``prob`` or its bracket has collapsed to rounding width.
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must be in (0,1), got {prob}")
-    dfs = np.asarray(dfs, dtype=np.float64)
+    dfs = np.asarray(dfs, dtype=np.float64)[:, None]
     locations = np.atleast_2d(np.asarray(locations, dtype=np.float64))
     widths = np.sqrt(np.atleast_2d(np.asarray(scale_diags, dtype=np.float64)))
-    component_q = locations + stdtrit(dfs, prob)[:, None] * widths
+    component_q = locations + stdtrit(dfs, prob) * widths
     lo = component_q.min(axis=0)
     hi = component_q.max(axis=0)
-    out = 0.5 * (lo + hi)
-    active = np.arange(out.size)
+    x = component_q.mean(axis=0)
+    # t density: exp(log_norm - half_df1 * log1p(u^2 / df)) / width
+    half_df1 = 0.5 * (dfs + 1.0)
+    log_norm = gammaln(half_df1) - gammaln(0.5 * dfs) - 0.5 * np.log(np.pi * dfs)
+    out = np.empty_like(x)
+    points = np.arange(x.size)
     for _ in range(max_iter):
-        mid = 0.5 * (lo[active] + hi[active])
-        cdf = stdtr(
-            dfs[:, None], (mid[None, :] - locations[:, active]) / widths[:, active]
-        ).mean(axis=0)
-        out[active] = mid
+        u = (x - locations) / widths
+        cdf = stdtr(dfs, u).mean(axis=0)
+        below = cdf < prob
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
         done = np.abs(cdf - prob) <= tol
         # collapse of the bracket to rounding width also counts as converged
-        done |= (hi[active] - lo[active]) <= 1e-13 * (1.0 + np.abs(mid))
-        below = cdf < prob
-        lo[active[below]] = mid[below]
-        hi[active[~below]] = mid[~below]
-        active = active[~done]
-        if active.size == 0:
+        done |= (hi - lo) <= 1e-13 * (1.0 + np.abs(x))
+        out[points[done]] = x[done]
+        if done.all():
             return out
+        if done.any():
+            keep = ~done
+            points, x, lo, hi = points[keep], x[keep], lo[keep], hi[keep]
+            cdf, u = cdf[keep], u[:, keep]
+            locations, widths = locations[:, keep], widths[:, keep]
+        with np.errstate(all="ignore"):
+            density = np.exp(log_norm - half_df1 * np.log1p(u * u / dfs)) / widths
+            newton = x + (prob - cdf) / density.mean(axis=0)
+        inside = (newton > lo) & (newton < hi)  # false for inf and nan
+        x = np.where(inside, newton, 0.5 * (lo + hi))
     raise ConvergenceError(
-        f"mixture quantile bisection left {active.size} points unconverged"
+        f"mixture quantile search left {points.size} points unconverged"
     )
 
 
@@ -321,7 +339,8 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.p:
         raise ValueError(f"X_new has shape {X_new.shape}, expected (*, {model.p})")
-    Xs = model.standardization.transform_design(X_new)
+    # column-major, so each replicate's X[:, gamma] gather copies whole columns
+    Xs = np.asfortranarray(model.standardization.transform_design(X_new))
     if model.response_kind == "binary":
         probs = np.mean(
             [

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 
 import numpy as np
 
-from .data import DataError, StandardizationParams
-from .ensemble import Replicate, TarpConfig, TarpModel
+from .data import RESPONSE_KINDS, DataError, StandardizationParams
+from .ensemble import PLAIN_RP_BASELINE, Replicate, TarpConfig, TarpModel
 from .posterior import GaussianPosterior, LaplacePosterior
 from .projection import (
     RIS_PCR,
@@ -30,6 +31,9 @@ from .screening import InclusionVector
 
 FORMAT_TAG = "tarp-model"
 FORMAT_VERSION = 1
+
+# the posterior kind fitted for each response kind
+_POSTERIOR_KINDS = {"continuous": "gaussian", "binary": "laplace"}
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -145,6 +149,8 @@ def _decode_posterior(obj: dict, m: int):
         a_sigma = float(obj["a_sigma"])
         b_sigma = float(obj["b_sigma"])
         n = int(obj["n_obs"])
+        if n < 1:
+            raise ValueError(f"n_obs must be >= 1, got {n}")
         df = n + 2.0 * a_sigma
         # same expression as the fit, so the reconstruction is bit-exact
         scale = (residual_quadratic + 2.0 * b_sigma) / df * precision_inverse
@@ -179,6 +185,39 @@ def _check_shapes(m: int, vector: np.ndarray, matrix: np.ndarray) -> None:
         raise ValueError(
             f"posterior shapes {vector.shape}, {matrix.shape} do not match m={m}"
         )
+
+
+def _check_config(cfg: TarpConfig, projection: ProjectionMatrix) -> None:
+    # the baseline projects every column with a ris_rp map
+    baseline = cfg.variant == PLAIN_RP_BASELINE
+    expected = RIS_RP if baseline else cfg.variant
+    if projection.variant != expected or (
+        baseline and projection.gamma.count != projection.p
+    ):
+        raise ValueError(
+            f"config variant {cfg.variant!r} does not match its "
+            f"{projection.variant!r} projection"
+        )
+    if cfg.m != projection.requested_m:
+        raise ValueError(
+            f"config m={cfg.m} does not match the projection's "
+            f"requested_m={projection.requested_m}"
+        )
+    if cfg.psi != projection.psi:
+        raise ValueError(
+            f"config psi={cfg.psi} does not match the projection's psi={projection.psi}"
+        )
+
+
+def _decode_response_mean(value, response_kind: str):
+    if response_kind == "binary":
+        if value is not None:
+            raise ValueError("a binary model has no response_mean")
+        return None
+    finite = isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"response_mean must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _encode_config(cfg: TarpConfig) -> dict:
@@ -253,28 +292,41 @@ def load_model(path) -> tuple[TarpModel, dict]:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
-    return model, doc.get("extra", {})
+    extra = doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"{path}: malformed model file (extra is not an object)")
+    return model, extra
 
 
 def _decode_model(doc: dict) -> TarpModel:
     column_names = list(doc["column_names"])
     p = len(column_names)
+    response_kind = doc["response_kind"]
+    if response_kind not in RESPONSE_KINDS:
+        raise ValueError(f"unknown response_kind {response_kind!r}")
     std_doc = doc["standardization"]
     params = StandardizationParams(
         column_means=_decode_array(std_doc["column_means"]),
         column_scales=_decode_array(std_doc["column_scales"]),
         constant_mask=_decode_bits(std_doc["constant_mask"]),
-        response_mean=std_doc["response_mean"],
+        response_mean=_decode_response_mean(std_doc["response_mean"], response_kind),
     )
     for name in ("column_means", "column_scales", "constant_mask"):
         if getattr(params, name).shape != (p,):
             raise ValueError(f"{name} does not have {p} entries")
+    if not doc["replicates"]:
+        raise ValueError("model has no replicates")
     replicates = []
     for rep in doc["replicates"]:
         projection = _decode_projection(rep["projection"], p)
+        config = _decode_config(rep["config"])
+        _check_config(config, projection)
+        kind = rep["posterior"]["kind"]
+        if kind != _POSTERIOR_KINDS[response_kind]:
+            raise ValueError(f"{kind!r} posterior in a {response_kind} model")
         replicates.append(
             Replicate(
-                config=_decode_config(rep["config"]),
+                config=config,
                 projection=projection,
                 posterior=_decode_posterior(rep["posterior"], projection.m),
             )
@@ -282,7 +334,7 @@ def _decode_model(doc: dict) -> TarpModel:
     return TarpModel(
         replicates=replicates,
         standardization=params,
-        response_kind=doc["response_kind"],
+        response_kind=response_kind,
         master_seed=int(doc["master_seed"]),
         column_names=column_names,
         train_data_hash=doc["train_data_hash"],

@@ -1,6 +1,7 @@
 """Independent reference computations used as test oracles."""
 
 import numpy as np
+from scipy.special import stdtr, stdtrit
 
 
 def location_via_gram_inverse(X: np.ndarray, R: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -34,3 +35,43 @@ def ris_pcr_block_via_svd(
         if row[pivot] < 0.0:
             row *= -1.0
     return block
+
+
+def mixture_t_quantile_via_bisection(
+    dfs: np.ndarray,
+    locations: np.ndarray,
+    scale_diags: np.ndarray,
+    prob: float,
+    tol: float = 1e-8,
+    max_iter: int = 400,
+) -> np.ndarray:
+    """Reference t-mixture quantiles by plain bisection on the mixture CDF.
+
+    Same inputs and stopping rule as ``tarp.ensemble.mixture_t_quantile``:
+    the bracket starts at the min/max of the component quantiles and each
+    point stops when its CDF is within ``tol`` of ``prob`` or its bracket
+    has collapsed to rounding width.
+    """
+    dfs = np.asarray(dfs, dtype=np.float64)
+    locations = np.atleast_2d(np.asarray(locations, dtype=np.float64))
+    widths = np.sqrt(np.atleast_2d(np.asarray(scale_diags, dtype=np.float64)))
+    component_q = locations + stdtrit(dfs, prob)[:, None] * widths
+    lo = component_q.min(axis=0)
+    hi = component_q.max(axis=0)
+    out = 0.5 * (lo + hi)
+    active = np.arange(out.size)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo[active] + hi[active])
+        cdf = stdtr(
+            dfs[:, None], (mid[None, :] - locations[:, active]) / widths[:, active]
+        ).mean(axis=0)
+        out[active] = mid
+        done = np.abs(cdf - prob) <= tol
+        done |= (hi[active] - lo[active]) <= 1e-13 * (1.0 + np.abs(mid))
+        below = cdf < prob
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[~done]
+        if active.size == 0:
+            return out
+    raise RuntimeError(f"bisection left {active.size} points unconverged")

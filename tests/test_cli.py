@@ -218,6 +218,18 @@ def _requested_m_below_m(doc):
     projection["requested_m"] = projection["m"] - 1
 
 
+def _set(*keys, value):
+    def corrupt(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return corrupt
+
+
+def _config_m_off_by_one(doc):
+    doc["replicates"][0]["config"]["m"] += 1
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize(
         "corrupt, variant",
@@ -226,8 +238,27 @@ class TestCorruptModel:
             (_halve_gamma, "ris_rp"),
             (_psi_out_of_range, "ris_rp"),
             (_requested_m_below_m, "ris_pcr"),
+            (_set("response_kind", value="binary"), "ris_rp"),
+            (_set("response_kind", value="bogus"), "ris_rp"),
+            (_set("replicates", value=[]), "ris_rp"),
+            (_set("standardization", "response_mean", value="abc"), "ris_rp"),
+            (_set("extra", value=[1]), "ris_rp"),
+            (_set("extra", "options", value=[1]), "ris_rp"),
+            (_config_m_off_by_one, "ris_rp"),
+            (_set("replicates", 0, "config", "psi", value=0.3), "ris_rp"),
+            # a baseline config needs an all-ones gamma; this one is screened
+            (_set("replicates", 0, "config", "variant", value="plain_rp_baseline"),
+             "ris_rp"),
+            (_set("replicates", 0, "config", "variant", value="ris_pcr"), "ris_rp"),
+            (_set("replicates", 0, "posterior", "n_obs", value=-100), "ris_rp"),
         ],
-        ids=["missing_psi", "gamma_length", "psi_range", "pcr_requested_m"],
+        ids=[
+            "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
+            "kind_binary_on_continuous", "kind_bogus", "no_replicates",
+            "response_mean_text", "extra_list", "extra_options_list",
+            "config_m", "config_psi", "config_variant_baseline",
+            "config_variant_pcr", "negative_n_obs",
+        ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
         run("simulate", "--scheme", "I", "--n", "40", "--p", "80",

@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tarp.data
 from tarp.data import (
     DataError,
     Dataset,
+    _scan_table,
     load_csv,
+    load_table,
     split,
     standardize,
+    write_csv,
 )
 
 
@@ -55,6 +59,75 @@ class TestLoadCsv:
     def test_binary_response_detected(self, tmp_path):
         path = write(tmp_path, "a,y\n1,0\n2,1\n3,1\n")
         assert load_csv(path, "y").response_kind == "binary"
+
+
+def write_bytes(tmp_path, text, name="data.csv"):
+    # bytes, so CRLF line endings reach the parser unchanged
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestLoadTable:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('a,b\n"1.5","2"\n"3",4\n', [[1.5, 2.0], [3.0, 4.0]]),
+            ("a,b\n 1.5 , 2\n3 ,  4\n", [[1.5, 2.0], [3.0, 4.0]]),
+            ("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("a,b\n1,2\n3,4\n\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("a,b\n1,2\n   \n3,4\n  \n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("a,b\n1_000,2\n3,4\n", [[1000.0, 2.0], [3.0, 4.0]]),
+            ("a,b,c\n1,2,3\n", [[1.0, 2.0, 3.0]]),
+            ("a\n1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+        ],
+        ids=[
+            "quoted", "spaces", "crlf", "trailing_blank", "whitespace_blank",
+            "underscore", "single_row", "single_column",
+        ],
+    )
+    def test_same_matrix_as_scan(self, tmp_path, text, expected):
+        path = write_bytes(tmp_path, text)
+        header, table = load_table(path)
+        scan_header, scan_table = _scan_table(path)
+        assert header == scan_header
+        assert table.dtype == np.float64 and table.shape == scan_table.shape
+        np.testing.assert_array_equal(table, scan_table)
+        np.testing.assert_array_equal(table, expected)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,nan\n3,4\n", "row 2, column 'b': non-finite value 'nan'"),
+            ("a,b\n1,2\n-inf,4\n", "row 3, column 'a': non-finite value '-inf'"),
+            ("a,b\n1,2\n3\n4,5\n", "row 3 has 1 cells, expected 2"),
+            ("a,b\n", "no data rows"),
+            ("", "file is empty"),
+            ("a,b\n1,2\n3,x\n", "row 3, column 'b': cannot parse 'x' as a number"),
+        ],
+        ids=["nan", "inf", "ragged", "header_only", "empty", "bad_last_cell"],
+    )
+    def test_error_messages(self, tmp_path, text, message):
+        path = write_bytes(tmp_path, text)
+        with pytest.raises(DataError) as excinfo:
+            load_table(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_written_file_parses_bit_for_bit_without_the_scan(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(8)
+        design = rng.standard_normal((40, 25)) * np.logspace(-300, 300, 25)
+        write_csv(Dataset(design, rng.standard_normal(40)), tmp_path / "d.csv")
+        _, expected = _scan_table(tmp_path / "d.csv")
+
+        def no_scan(path):
+            raise AssertionError("a clean file fell back to the per-cell scan")
+
+        monkeypatch.setattr(tarp.data, "_scan_table", no_scan)
+        _, table = load_table(tmp_path / "d.csv")
+        np.testing.assert_array_equal(table, expected)
+        np.testing.assert_array_equal(table[:, :-1], design)
 
 
 class TestDatasetValidation:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
+from oracles import mixture_t_quantile_via_bisection
 from tarp.data import Dataset
 from tarp.ensemble import (
     PLAIN_RP_BASELINE,
@@ -197,6 +198,67 @@ class TestMixtureQuantile:
     def test_invalid_prob(self):
         with pytest.raises(ValueError):
             mixture_t_quantile(np.ones(1), np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+
+
+def mixture_cdf(dfs, locs, scales, q):
+    return t_dist.cdf((q[None, :] - locs) / np.sqrt(scales), dfs[:, None]).mean(axis=0)
+
+
+def mixture_pdf(dfs, locs, scales, q):
+    widths = np.sqrt(scales)
+    density = t_dist.pdf((q[None, :] - locs) / widths, dfs[:, None]) / widths
+    return density.mean(axis=0)
+
+
+class TestNewtonMatchesBisection:
+    """The Newton solver against plain bisection, each within its CDF tol."""
+
+    def check(self, dfs, locs, scales, prob, tol=1e-8):
+        newton = mixture_t_quantile(dfs, locs, scales, prob, tol=tol)
+        oracle = mixture_t_quantile_via_bisection(dfs, locs, scales, prob, tol=tol)
+        for q in (newton, oracle):
+            np.testing.assert_allclose(
+                mixture_cdf(dfs, locs, scales, q), prob, rtol=0, atol=tol * (1 + 1e-6)
+            )
+        # two points whose CDFs both lie within tol of prob are 2 tol / pdf apart
+        bound = 2 * tol / mixture_pdf(dfs, locs, scales, newton)
+        assert np.all(np.abs(newton - oracle) <= 1.01 * bound)
+
+    def test_serving_sized_mixture(self):
+        rng = np.random.default_rng(3)
+        N, k = 100, 1000
+        dfs = rng.uniform(195.0, 205.0, N)
+        locs = rng.normal(0.0, 3.0, k) + 0.5 * rng.standard_normal((N, k))
+        scales = rng.uniform(0.5, 2.0, (N, k))
+        for prob in (0.25, 0.75):
+            self.check(dfs, locs, scales, prob)
+
+    def test_all_cauchy(self):
+        rng = np.random.default_rng(4)
+        locs = rng.normal(0.0, 5.0, (20, 50))
+        scales = rng.uniform(0.1, 3.0, (20, 50))
+        for prob in (0.1, 0.5, 0.9):
+            self.check(np.ones(20), locs, scales, prob)
+
+    @pytest.mark.parametrize("prob", [0.005, 0.995])
+    def test_extreme_probabilities(self, prob):
+        rng = np.random.default_rng(5)
+        dfs = rng.uniform(3.0, 60.0, 30)
+        locs = rng.standard_normal((30, 200))
+        scales = rng.uniform(0.2, 4.0, (30, 200))
+        self.check(dfs, locs, scales, prob)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("prob", [0.005, 0.25, 0.75, 0.995])
+    def test_bimodal_pdf_underflows_at_midpoint(self, prob):
+        # near-normal components at -50 and +50: the mixture pdf is 0.0 in
+        # floating point at the bracket midpoint, so Newton must bisect there
+        dfs = np.full(2, 1e6)
+        shift = np.linspace(-1.0, 1.0, 5)
+        locs = np.stack([shift - 50.0, shift + 50.0])
+        scales = np.ones((2, 5))
+        assert np.all(mixture_pdf(dfs, locs, scales, shift) == 0.0)
+        self.check(dfs, locs, scales, prob)
 
 
 class TestPredictTarp:
