@@ -212,15 +212,17 @@ def load_csv(path, target: str) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path, target: str = "y") -> None:
-    """Write a Dataset back to CSV with the response as column ``target``."""
+    """Write a Dataset back to CSV with the response as column ``target``.
+
+    Cells are the shortest round-trip ``repr`` of each float. The header
+    goes through ``csv.writer`` (names may need quoting); float reprs never
+    do, so the body is joined directly with the writer's ``\\r\\n`` ending.
+    """
+    table = np.column_stack([dataset.design, dataset.response])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*dataset.column_names, target])
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.design[i]]
-                + [repr(float(dataset.response[i]))]
-            )
+        csv.writer(fh).writerow([*dataset.column_names, target])
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationParams]:

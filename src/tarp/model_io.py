@@ -4,8 +4,10 @@ A fitted ensemble is stored as JSON with float arrays embedded as base64 of
 their little-endian bytes, so round trips are bit-exact and files are
 byte-identical for identical fits (no timestamps, no compression headers).
 Random projections are stored as (seed, gamma, tuning), which is also their
-in-memory form; partial-SVD blocks are stored densely. Every decode failure
-raises DataError.
+in-memory form; partial-SVD blocks are stored densely. The symmetric m x m
+posterior matrices are stored as their lower triangle (format version 2);
+version 1 files, which store them in full, still load. Every decode failure,
+including a non-finite or out-of-range number, raises DataError.
 """
 
 from __future__ import annotations
@@ -30,24 +32,76 @@ from .projection import (
 from .screening import InclusionVector
 
 FORMAT_TAG = "tarp-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 # the posterior kind fitted for each response kind
 _POSTERIOR_KINDS = {"continuous": "gaussian", "binary": "laplace"}
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-    }
+def _encode_floats(arr: np.ndarray) -> str:
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
+def _decode_floats(data: str, name: str) -> np.ndarray:
+    raw = base64.b64decode(data)
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(obj["shape"])
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds non-finite values")
+    return arr
+
+
+def _encode_array(arr: np.ndarray) -> dict:
+    arr = np.asarray(arr, dtype=np.float64)
+    return {"shape": list(arr.shape), "data": _encode_floats(arr)}
+
+
+def _decode_array(obj: dict, name: str) -> np.ndarray:
+    return _decode_floats(obj["data"], name).reshape(obj["shape"])
+
+
+def _encode_triangle(matrix: np.ndarray) -> dict:
+    """A symmetric matrix as its lower triangle, row by row."""
+    order = matrix.shape[0]
+    return {"order": int(order), "data": _encode_floats(matrix[np.tril_indices(order)])}
+
+
+def _decode_triangle(obj: dict, m: int, name: str) -> np.ndarray:
+    order = obj["order"]
+    if order != m:
+        raise ValueError(f"{name} has order {order!r}, expected m={m}")
+    packed = _decode_floats(obj["data"], name)
+    if packed.size != m * (m + 1) // 2:
+        raise ValueError(
+            f"{name} holds {packed.size} values, expected {m * (m + 1) // 2}"
+        )
+    rows, cols = np.tril_indices(m)
+    full = np.empty((m, m))
+    full[rows, cols] = packed
+    full[cols, rows] = packed
+    return full
+
+
+def _decode_symmetric(obj: dict, m: int, version: int, name: str) -> np.ndarray:
+    # version 1 stored the full matrix; its shape is checked by the caller
+    if version == 1:
+        return _decode_array(obj, name)
+    return _decode_triangle(obj, m, name)
+
+
+def _positive(value, name: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _nonnegative(value, name: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
 
 
 def _encode_bits(mask: np.ndarray) -> dict:
@@ -59,9 +113,13 @@ def _encode_bits(mask: np.ndarray) -> dict:
     }
 
 
-def _decode_bits(obj: dict) -> np.ndarray:
+def _decode_bits(obj: dict, name: str) -> np.ndarray:
+    length = int(obj["length"])
     packed = np.frombuffer(base64.b64decode(obj["data"]), dtype=np.uint8)
-    return np.unpackbits(packed, count=obj["length"]).astype(bool)
+    # unpackbits zero-pads a short buffer, so check the byte count first
+    if length < 0 or packed.size != (length + 7) // 8:
+        raise ValueError(f"{name} packs {packed.size} bytes for {length} bits")
+    return np.unpackbits(packed, count=length).astype(bool)
 
 
 def _encode_projection(proj: ProjectionMatrix) -> dict:
@@ -84,13 +142,13 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
 
 
 def _decode_projection(obj: dict, p: int) -> ProjectionMatrix:
-    gamma = InclusionVector(_decode_bits(obj["gamma"]))
+    gamma = InclusionVector(_decode_bits(obj["gamma"], "gamma"))
     if gamma.gamma.size != p:
         raise ValueError(f"gamma has length {gamma.gamma.size}, expected {p}")
     variant = obj["variant"]
     m = int(obj["m"])
     if variant == RIS_PCR:
-        block = _decode_array(obj["block"])
+        block = _decode_array(obj["block"], "block")
         if m < 1 or block.shape != (m, gamma.count):
             raise ValueError(
                 f"block shape {block.shape} does not match m={m}, "
@@ -122,7 +180,7 @@ def _encode_posterior(post) -> dict:
         return {
             "kind": "gaussian",
             "location": _encode_array(post.location),
-            "precision_inverse": _encode_array(post.precision_inverse),
+            "precision_inverse": _encode_triangle(post.precision_inverse),
             "residual_quadratic": float(post.residual_quadratic),
             "a_sigma": float(post.a_sigma),
             "b_sigma": float(post.b_sigma),
@@ -132,7 +190,7 @@ def _encode_posterior(post) -> dict:
         return {
             "kind": "laplace",
             "mode": _encode_array(post.mode),
-            "hessian_at_mode": _encode_array(post.hessian_at_mode),
+            "hessian_at_mode": _encode_triangle(post.hessian_at_mode),
             "prior_variance": float(post.prior_variance),
             "grad_norm": float(post.grad_norm),
             "n_iter": int(post.n_iter),
@@ -140,41 +198,37 @@ def _encode_posterior(post) -> dict:
     raise TypeError(f"cannot serialize posterior of type {type(post)!r}")
 
 
-def _decode_posterior(obj: dict, m: int):
+def _decode_posterior(obj: dict, m: int, version: int):
     if obj["kind"] == "gaussian":
-        location = _decode_array(obj["location"])
-        precision_inverse = _decode_array(obj["precision_inverse"])
+        location = _decode_array(obj["location"], "location")
+        precision_inverse = _decode_symmetric(
+            obj["precision_inverse"], m, version, "precision_inverse"
+        )
         _check_shapes(m, location, precision_inverse)
-        residual_quadratic = float(obj["residual_quadratic"])
-        a_sigma = float(obj["a_sigma"])
-        b_sigma = float(obj["b_sigma"])
         n = int(obj["n_obs"])
         if n < 1:
             raise ValueError(f"n_obs must be >= 1, got {n}")
-        df = n + 2.0 * a_sigma
-        # same expression as the fit, so the reconstruction is bit-exact
-        scale = (residual_quadratic + 2.0 * b_sigma) / df * precision_inverse
         return GaussianPosterior(
             location=location,
             precision_inverse=precision_inverse,
-            scale=scale,
-            df=df,
-            ig_shape=a_sigma + 0.5 * n,
-            ig_rate=b_sigma + 0.5 * residual_quadratic,
-            residual_quadratic=residual_quadratic,
-            a_sigma=a_sigma,
-            b_sigma=b_sigma,
+            residual_quadratic=_nonnegative(
+                obj["residual_quadratic"], "residual_quadratic"
+            ),
+            a_sigma=_positive(obj["a_sigma"], "a_sigma"),
+            b_sigma=_positive(obj["b_sigma"], "b_sigma"),
             n_obs=n,
         )
     if obj["kind"] == "laplace":
-        mode = _decode_array(obj["mode"])
-        hessian = _decode_array(obj["hessian_at_mode"])
+        mode = _decode_array(obj["mode"], "mode")
+        hessian = _decode_symmetric(
+            obj["hessian_at_mode"], m, version, "hessian_at_mode"
+        )
         _check_shapes(m, mode, hessian)
         return LaplacePosterior(
             mode=mode,
             hessian_at_mode=hessian,
-            prior_variance=float(obj["prior_variance"]),
-            grad_norm=float(obj["grad_norm"]),
+            prior_variance=_positive(obj["prior_variance"], "prior_variance"),
+            grad_norm=_nonnegative(obj["grad_norm"], "grad_norm"),
             n_iter=int(obj["n_iter"]),
         )
     raise ValueError(f"unknown posterior kind {obj['kind']!r}")
@@ -284,10 +338,11 @@ def load_model(path) -> tuple[TarpModel, dict]:
         raise DataError(f"{path}: not a valid model file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise DataError(f"{path}: not a {FORMAT_TAG} file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported model version {doc.get('version')}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version not in READABLE_VERSIONS:
+        raise DataError(f"{path}: unsupported model version {version}")
     try:
-        model = _decode_model(doc)
+        model = _decode_model(doc, int(version))
     except KeyError as exc:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
     except (TypeError, ValueError) as exc:
@@ -298,7 +353,7 @@ def load_model(path) -> tuple[TarpModel, dict]:
     return model, extra
 
 
-def _decode_model(doc: dict) -> TarpModel:
+def _decode_model(doc: dict, version: int) -> TarpModel:
     column_names = list(doc["column_names"])
     p = len(column_names)
     response_kind = doc["response_kind"]
@@ -306,14 +361,16 @@ def _decode_model(doc: dict) -> TarpModel:
         raise ValueError(f"unknown response_kind {response_kind!r}")
     std_doc = doc["standardization"]
     params = StandardizationParams(
-        column_means=_decode_array(std_doc["column_means"]),
-        column_scales=_decode_array(std_doc["column_scales"]),
-        constant_mask=_decode_bits(std_doc["constant_mask"]),
+        column_means=_decode_array(std_doc["column_means"], "column_means"),
+        column_scales=_decode_array(std_doc["column_scales"], "column_scales"),
+        constant_mask=_decode_bits(std_doc["constant_mask"], "constant_mask"),
         response_mean=_decode_response_mean(std_doc["response_mean"], response_kind),
     )
     for name in ("column_means", "column_scales", "constant_mask"):
         if getattr(params, name).shape != (p,):
             raise ValueError(f"{name} does not have {p} entries")
+    if not (params.column_scales > 0.0).all():
+        raise ValueError("column_scales must be positive")
     if not doc["replicates"]:
         raise ValueError("model has no replicates")
     replicates = []
@@ -328,7 +385,7 @@ def _decode_model(doc: dict) -> TarpModel:
             Replicate(
                 config=config,
                 projection=projection,
-                posterior=_decode_posterior(rep["posterior"], projection.m),
+                posterior=_decode_posterior(rep["posterior"], projection.m, version),
             )
         )
     return TarpModel(
@@ -338,7 +395,7 @@ def _decode_model(doc: dict) -> TarpModel:
         master_seed=int(doc["master_seed"]),
         column_names=column_names,
         train_data_hash=doc["train_data_hash"],
-        a_sigma=float(doc["a_sigma"]),
-        b_sigma=float(doc["b_sigma"]),
-        sigma_theta2=float(doc["sigma_theta2"]),
+        a_sigma=_positive(doc["a_sigma"], "a_sigma"),
+        b_sigma=_positive(doc["b_sigma"], "b_sigma"),
+        sigma_theta2=_positive(doc["sigma_theta2"], "sigma_theta2"),
     )

@@ -27,15 +27,12 @@ class GaussianPosterior:
 
     ``precision_inverse`` is (Z'Z + I)^-1 for the compressed design Z; the
     coefficient posterior is multivariate t(df, location, scale) and sigma^2
-    is inverse-gamma(ig_shape, ig_rate).
+    is inverse-gamma(ig_shape, ig_rate). Only the sufficient fields are
+    stored; the rest are derived on access.
     """
 
     location: np.ndarray
     precision_inverse: np.ndarray
-    scale: np.ndarray
-    df: float
-    ig_shape: float
-    ig_rate: float
     residual_quadratic: float
     a_sigma: float
     b_sigma: float
@@ -46,9 +43,26 @@ class GaussianPosterior:
         return self.location.shape[0]
 
     @property
+    def df(self) -> float:
+        return self.n_obs + 2.0 * self.a_sigma
+
+    @property
+    def ig_shape(self) -> float:
+        return self.a_sigma + 0.5 * self.n_obs
+
+    @property
+    def ig_rate(self) -> float:
+        return self.b_sigma + 0.5 * self.residual_quadratic
+
+    @property
     def noise_scale2(self) -> float:
         """Predictive noise scale (residual_quadratic + 2 b) / df."""
         return (self.residual_quadratic + 2.0 * self.b_sigma) / self.df
+
+    @property
+    def scale(self) -> np.ndarray:
+        """Scale matrix of the coefficient t posterior."""
+        return self.noise_scale2 * self.precision_inverse
 
 
 @dataclass(frozen=True)
@@ -100,15 +114,9 @@ def fit_gaussian(
     precision_inverse = 0.5 * (precision_inverse + precision_inverse.T)
     residual_quadratic = float(y @ y - location @ zy)
     residual_quadratic = max(residual_quadratic, 0.0)
-    df = n + 2.0 * a_sigma
-    scale = (residual_quadratic + 2.0 * b_sigma) / df * precision_inverse
     return GaussianPosterior(
         location=location,
         precision_inverse=precision_inverse,
-        scale=scale,
-        df=df,
-        ig_shape=a_sigma + 0.5 * n,
-        ig_rate=b_sigma + 0.5 * residual_quadratic,
         residual_quadratic=residual_quadratic,
         a_sigma=a_sigma,
         b_sigma=b_sigma,
@@ -190,7 +198,8 @@ def fit_bernoulli_laplace(
             hessian = _logistic_hessian(Z, prob, sigma_theta2)
             return LaplacePosterior(
                 mode=theta,
-                hessian_at_mode=hessian,
+                # exactly symmetric, so the model file stores one triangle
+                hessian_at_mode=0.5 * (hessian + hessian.T),
                 prior_variance=sigma_theta2,
                 grad_norm=grad_norm,
                 n_iter=iteration - 1,
@@ -205,10 +214,12 @@ def fit_bernoulli_laplace(
             candidate = theta + damping * step
             cand_obj = _logistic_objective(candidate, Z, y, sigma_theta2)
             if cand_obj >= obj - slack:
+                theta, obj = candidate, cand_obj
                 break
             damping *= 0.5
-        theta = theta + damping * step
-        obj = _logistic_objective(theta, Z, y, sigma_theta2)
+        else:
+            theta = theta + damping * step
+            obj = _logistic_objective(theta, Z, y, sigma_theta2)
     raise ConvergenceError(
         f"logistic mode search did not converge in {max_iter} iterations "
         f"(gradient norm {grad_norm:.3e})"

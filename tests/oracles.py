@@ -1,5 +1,7 @@
 """Independent reference computations used as test oracles."""
 
+import csv
+
 import numpy as np
 from scipy.special import stdtr, stdtrit
 
@@ -75,3 +77,18 @@ def mixture_t_quantile_via_bisection(
         if active.size == 0:
             return out
     raise RuntimeError(f"bisection left {active.size} points unconverged")
+
+
+def write_csv_via_csv_writer(dataset, path, target: str = "y") -> None:
+    """Cell-by-cell CSV writer: ``repr(float(v))`` per cell through csv.writer.
+
+    The bytes ``tarp.data.write_csv`` must reproduce.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*dataset.column_names, target])
+        for i in range(dataset.n):
+            writer.writerow(
+                [repr(float(v)) for v in dataset.design[i]]
+                + [repr(float(dataset.response[i]))]
+            )

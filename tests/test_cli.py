@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -230,6 +231,34 @@ def _config_m_off_by_one(doc):
     doc["replicates"][0]["config"]["m"] += 1
 
 
+def _at(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _set_float(*keys, index=0, value):
+    # one entry of a base64 float array
+    def corrupt(doc):
+        obj = _at(doc, keys)
+        values = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8").copy()
+        values[index] = value
+        obj["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+    return corrupt
+
+
+def _truncate(*keys, nbytes):
+    # cut a base64 payload to raw[:nbytes]; a negative count drops bytes
+    def corrupt(doc):
+        obj = _at(doc, keys)
+        raw = base64.b64decode(obj["data"])[:nbytes]
+        obj["data"] = base64.b64encode(raw).decode("ascii")
+    return corrupt
+
+
+_POSTERIOR = ("replicates", 0, "posterior")
+
+
 class TestCorruptModel:
     @pytest.mark.parametrize(
         "corrupt, variant",
@@ -251,13 +280,35 @@ class TestCorruptModel:
              "ris_rp"),
             (_set("replicates", 0, "config", "variant", value="ris_pcr"), "ris_rp"),
             (_set("replicates", 0, "posterior", "n_obs", value=-100), "ris_rp"),
+            (_truncate("replicates", 0, "projection", "gamma", nbytes=1), "ris_rp"),
+            (_truncate("standardization", "constant_mask", nbytes=1), "ris_rp"),
+            (_set_float(*_POSTERIOR, "location", value=float("nan")), "ris_rp"),
+            (_set_float("standardization", "column_scales", index=3, value=0.0),
+             "ris_rp"),
+            (_set_float("standardization", "column_means", value=float("inf")),
+             "ris_rp"),
+            (_set(*_POSTERIOR, "residual_quadratic", value=-5), "ris_rp"),
+            (_set(*_POSTERIOR, "a_sigma", value=0.0), "ris_rp"),
+            (_set(*_POSTERIOR, "b_sigma", value=-1.0), "ris_rp"),
+            (_set("sigma_theta2", value=0.0), "ris_rp"),
+            (_truncate(*_POSTERIOR, "precision_inverse", nbytes=-8), "ris_rp"),
+            (_set(*_POSTERIOR, "precision_inverse", "order", value=3), "ris_rp"),
+            (_set_float(*_POSTERIOR, "precision_inverse", value=float("inf")),
+             "ris_rp"),
+            (_set_float("replicates", 0, "projection", "block", value=float("nan")),
+             "ris_pcr"),
+            (_set("version", value=3), "ris_rp"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
             "kind_binary_on_continuous", "kind_bogus", "no_replicates",
             "response_mean_text", "extra_list", "extra_options_list",
             "config_m", "config_psi", "config_variant_baseline",
-            "config_variant_pcr", "negative_n_obs",
+            "config_variant_pcr", "negative_n_obs", "gamma_truncated",
+            "constant_mask_truncated", "location_nan", "column_scale_zero",
+            "column_mean_inf", "residual_quadratic_negative", "a_sigma_zero",
+            "b_sigma_negative", "sigma_theta2_zero", "triangle_short",
+            "triangle_order", "triangle_inf", "pcr_block_nan", "version_3",
         ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):

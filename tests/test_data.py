@@ -15,6 +15,8 @@ from tarp.data import (
     write_csv,
 )
 
+from oracles import write_csv_via_csv_writer
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -112,6 +114,19 @@ class TestLoadTable:
         with pytest.raises(DataError) as excinfo:
             load_table(path)
         assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_writer_bytes_match_the_csv_writer_oracle(self, tmp_path):
+        rng = np.random.default_rng(9)
+        design = rng.standard_normal((30, 6)) * np.logspace(-300, 300, 6)
+        design[0] = [-0.0, 0.0, 1e-300, 1e300, 3.0, -7.0]
+        design[1] = [5e-324, -1.7976931348623157e308, 0.1, 1e16, 1e22, 2.0**60]
+        names = ["a,b", 'say "hi"', "plain", "x y", "", "tab\tname"]
+        ds = Dataset(design, np.arange(30.0) - 4.0, column_names=names)
+        write_csv(ds, tmp_path / "fast.csv", target="y,target")
+        write_csv_via_csv_writer(ds, tmp_path / "oracle.csv", target="y,target")
+        assert (tmp_path / "fast.csv").read_bytes() == (
+            tmp_path / "oracle.csv"
+        ).read_bytes()
 
     def test_written_file_parses_bit_for_bit_without_the_scan(
         self, tmp_path, monkeypatch

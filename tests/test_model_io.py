@@ -1,13 +1,22 @@
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tarp.cli import main
 from tarp.data import DataError, Dataset
-from tarp.ensemble import fit_tarp, predict_tarp, sample_config_grid
-from tarp.model_io import load_model, save_model
+from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
+from tarp.model_io import FORMAT_VERSION, load_model, save_model
 from tarp.projection import sample_sparse_variant
 from tarp.screening import InclusionVector
+
+# version 1 model files (p=20, 3 replicates) and the prediction CSVs written
+# for their training rows while version 1 was the current format
+DATA = Path(__file__).parent / "data"
 
 
 def fitted_model(variant="ris_rp", seed=0, binary=False):
@@ -94,3 +103,99 @@ def test_rejects_corrupt_file(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot open"):
         load_model(tmp_path / "absent.json")
+
+
+def assert_same_predictions(a, b):
+    for name in ("point", "lower", "upper", "probability"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_v1_fixture_predicts_byte_identically(tmp_path, kind):
+    assert json.loads((DATA / f"v1_{kind}.json").read_text())["version"] == 1
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(DATA / f"v1_{kind}.json"),
+                 "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"v1_{kind}_pred.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_v1_resaved_as_v2_round_trips(tmp_path, kind):
+    model, extra = load_model(DATA / f"v1_{kind}.json")
+    first, second = tmp_path / "v2.json", tmp_path / "again.json"
+    save_model(model, first, extra=extra)
+    assert json.loads(first.read_text())["version"] == FORMAT_VERSION == 2
+    assert first.stat().st_size < (DATA / f"v1_{kind}.json").stat().st_size
+    loaded, extra_back = load_model(first)
+    save_model(loaded, second, extra=extra_back)
+    assert first.read_bytes() == second.read_bytes()
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(first),
+                 "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"v1_{kind}_pred.csv").read_bytes()
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
+    _, model = fitted_model("ris_rp", seed=8, binary=binary)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    name = "hessian_at_mode" if binary else "precision_inverse"
+    for rep, stored in zip(model.replicates, doc["replicates"]):
+        m = stored["projection"]["m"]
+        triangle = stored["posterior"][name]
+        assert set(triangle) == {"order", "data"} and triangle["order"] == m
+        values = np.frombuffer(base64.b64decode(triangle["data"]), dtype="<f8")
+        assert values.size == m * (m + 1) // 2
+        full = getattr(rep.posterior, name)
+        np.testing.assert_array_equal(values, full[np.tril_indices(m)])
+
+
+def test_laplace_prior_variance_must_be_positive(tmp_path):
+    _, model = fitted_model(seed=5, binary=True)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["replicates"][1]["posterior"]["prior_variance"] = 0.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="prior_variance must be a positive"):
+        load_model(path)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n=st.integers(8, 40),
+    p=st.integers(2, 30),
+    count=st.integers(1, 4),
+    variant=st.sampled_from(VARIANTS),
+    binary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_property(tmp_path, n, p, count, variant, binary, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    signal = X[:, 0] + 0.5 * rng.standard_normal(n)
+    if binary:
+        y = (signal > 0).astype(float)
+        y[:2] = [0.0, 1.0]
+        ds = Dataset(X, y, response_kind="binary")
+    else:
+        ds = Dataset(X, signal)
+    configs = sample_config_grid(n, p, count, variant=variant, master_seed=seed)
+    model = fit_tarp(ds, configs, master_seed=seed)
+    first, second = tmp_path / "model.json", tmp_path / "again.json"
+    save_model(model, first)
+    loaded, _ = load_model(first)
+    save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert_same_predictions(
+        predict_tarp(model, X[:5], level=0.8), predict_tarp(loaded, X[:5], level=0.8)
+    )

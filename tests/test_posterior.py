@@ -224,6 +224,13 @@ class TestBernoulliLaplace:
         post = fit_bernoulli_laplace(Z, y)
         assert np.all(np.linalg.eigvalsh(post.hessian_at_mode) > 0)
 
+    def test_hessian_exactly_symmetric(self):
+        rng = np.random.default_rng(14)
+        Z = rng.standard_normal((60, 7))
+        y = (rng.random(60) < 0.5).astype(float)
+        H = fit_bernoulli_laplace(Z, y).hessian_at_mode
+        np.testing.assert_array_equal(H, H.T)
+
     def test_nonconvergence_reports_gradient(self):
         rng = np.random.default_rng(12)
         Z = rng.standard_normal((20, 2))
