@@ -37,10 +37,8 @@ from .posterior import (
     GaussianPosterior,
     LaplacePosterior,
     PredictiveT,
-    central_interval,
     fit_bernoulli_laplace,
     fit_gaussian,
-    point_predict,
     predict_prob,
     predictive,
 )
@@ -86,10 +84,8 @@ __all__ = [
     "GaussianPosterior",
     "LaplacePosterior",
     "PredictiveT",
-    "central_interval",
     "fit_bernoulli_laplace",
     "fit_gaussian",
-    "point_predict",
     "predict_prob",
     "predictive",
     "PLAIN_RP_BASELINE",

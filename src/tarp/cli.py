@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -189,7 +191,8 @@ _TYPES = {
 }
 
 
-def _read_config_file(path) -> dict:
+def _read_config_file(path, known) -> dict:
+    """``key = value`` lines; a key outside ``known`` is a usage error."""
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -204,6 +207,8 @@ def _read_config_file(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
+        if key not in known:
+            raise _UsageError(f"{path}:{lineno}: unknown option {key!r}")
         if key in _TYPES:
             try:
                 value = _TYPES[key](value)
@@ -218,7 +223,7 @@ def _read_config_file(path) -> dict:
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over built-in defaults."""
     defaults = _DEFAULTS[args.command]
-    config = _read_config_file(args.config) if args.config else {}
+    config = _read_config_file(args.config, defaults) if args.config else {}
     options = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -444,10 +449,9 @@ def _cmd_bench(options: dict, outputs: list) -> int:
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()
     reps = range(options["replicates"])
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(reps))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda r: _bench_one(options, r), reps))
     else:
         rows = [_bench_one(options, r) for r in reps]
@@ -540,8 +544,10 @@ def main(argv=None) -> int:
     # error removes exactly the files whose content may be partial
     outputs: list[Path] = []
     try:
-        options = _resolve_options(args)
-        return _COMMANDS[args.command](options, outputs)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            options = _resolve_options(args)
+            return _COMMANDS[args.command](options, outputs)
     except _UsageError as exc:
         _remove_partial(outputs)
         print(f"error: {exc}", file=sys.stderr)
@@ -551,6 +557,11 @@ def main(argv=None) -> int:
         code = _classify_error(exc)  # unknown errors re-raise with traceback
         print(f"error: {exc}", file=sys.stderr)
         return code
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # one line per library warning, without the source line Python echoes
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _remove_partial(outputs):

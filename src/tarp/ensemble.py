@@ -28,6 +28,7 @@ from .posterior import (
     LaplacePosterior,
     fit_bernoulli_laplace,
     fit_gaussian,
+    positive_finite,
     predict_prob,
     predictive,
 )
@@ -219,11 +220,14 @@ def fit_tarp(
     """Standardize, screen once, and fit every replicate.
 
     Marginal correlations are computed a single time and shared across the
-    grid. ``threads`` only controls the worker pool; outputs are identical
-    for any value.
+    grid. All three priors are checked for either response kind, so the
+    model loads. ``threads`` caps the worker pool; outputs never change.
     """
     if not configs:
         raise ValueError("need at least one configuration")
+    a_sigma = positive_finite(a_sigma, "a_sigma")
+    b_sigma = positive_finite(b_sigma, "b_sigma")
+    sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
     std_train, params = standardize(train)
     correlations = marginal_correlations(
         std_train.design, std_train.response, constant_mask=params.constant_mask
@@ -248,8 +252,9 @@ def fit_tarp(
             raise ReplicateError(index, exc) from exc
 
     jobs = list(enumerate(configs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             replicates = list(pool.map(build, jobs))
     else:
         replicates = [build(job) for job in jobs]

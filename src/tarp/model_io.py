@@ -5,9 +5,10 @@ their little-endian bytes, so round trips are bit-exact and files are
 byte-identical for identical fits (no timestamps, no compression headers).
 Random projections are stored as (seed, gamma, tuning), which is also their
 in-memory form; partial-SVD blocks are stored densely. The symmetric m x m
-posterior matrices are stored as their lower triangle (format version 2);
-version 1 files, which store them in full, still load. Every decode failure,
-including a non-finite or out-of-range number, raises DataError.
+posterior matrices are stored as their lower triangle (version 1: in full).
+Version 3 stores no binary Hessian; from older files it is checked, then
+dropped. Every decode failure, including a non-finite or out-of-range
+number, raises DataError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import RESPONSE_KINDS, DataError, StandardizationParams
 from .ensemble import PLAIN_RP_BASELINE, Replicate, TarpConfig, TarpModel
-from .posterior import GaussianPosterior, LaplacePosterior
+from .posterior import GaussianPosterior, LaplacePosterior, positive_finite
 from .projection import (
     RIS_PCR,
     RIS_RP,
@@ -32,8 +33,8 @@ from .projection import (
 from .screening import InclusionVector
 
 FORMAT_TAG = "tarp-model"
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 
 # the posterior kind fitted for each response kind
 _POSTERIOR_KINDS = {"continuous": "gaussian", "binary": "laplace"}
@@ -88,13 +89,6 @@ def _decode_symmetric(obj: dict, m: int, version: int, name: str) -> np.ndarray:
     if version == 1:
         return _decode_array(obj, name)
     return _decode_triangle(obj, m, name)
-
-
-def _positive(value, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return value
 
 
 def _nonnegative(value, name: str) -> float:
@@ -190,7 +184,6 @@ def _encode_posterior(post) -> dict:
         return {
             "kind": "laplace",
             "mode": _encode_array(post.mode),
-            "hessian_at_mode": _encode_triangle(post.hessian_at_mode),
             "prior_variance": float(post.prior_variance),
             "grad_norm": float(post.grad_norm),
             "n_iter": int(post.n_iter),
@@ -214,20 +207,23 @@ def _decode_posterior(obj: dict, m: int, version: int):
             residual_quadratic=_nonnegative(
                 obj["residual_quadratic"], "residual_quadratic"
             ),
-            a_sigma=_positive(obj["a_sigma"], "a_sigma"),
-            b_sigma=_positive(obj["b_sigma"], "b_sigma"),
+            a_sigma=positive_finite(obj["a_sigma"], "a_sigma"),
+            b_sigma=positive_finite(obj["b_sigma"], "b_sigma"),
             n_obs=n,
         )
     if obj["kind"] == "laplace":
         mode = _decode_array(obj["mode"], "mode")
-        hessian = _decode_symmetric(
-            obj["hessian_at_mode"], m, version, "hessian_at_mode"
-        )
-        _check_shapes(m, mode, hessian)
+        # versions 1 and 2 also stored the Hessian at the mode; nothing reads it
+        if version < 3:
+            hessian = _decode_symmetric(
+                obj["hessian_at_mode"], m, version, "hessian_at_mode"
+            )
+            _check_shapes(m, mode, hessian)
+        elif mode.shape != (m,):
+            raise ValueError(f"mode has shape {mode.shape}, expected ({m},)")
         return LaplacePosterior(
             mode=mode,
-            hessian_at_mode=hessian,
-            prior_variance=_positive(obj["prior_variance"], "prior_variance"),
+            prior_variance=positive_finite(obj["prior_variance"], "prior_variance"),
             grad_norm=_nonnegative(obj["grad_norm"], "grad_norm"),
             n_iter=int(obj["n_iter"]),
         )
@@ -395,7 +391,7 @@ def _decode_model(doc: dict, version: int) -> TarpModel:
         master_seed=int(doc["master_seed"]),
         column_names=column_names,
         train_data_hash=doc["train_data_hash"],
-        a_sigma=_positive(doc["a_sigma"], "a_sigma"),
-        b_sigma=_positive(doc["b_sigma"], "b_sigma"),
-        sigma_theta2=_positive(doc["sigma_theta2"], "sigma_theta2"),
+        a_sigma=positive_finite(doc["a_sigma"], "a_sigma"),
+        b_sigma=positive_finite(doc["b_sigma"], "b_sigma"),
+        sigma_theta2=positive_finite(doc["sigma_theta2"], "sigma_theta2"),
     )

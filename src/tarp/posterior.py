@@ -4,21 +4,30 @@ With a N(0, sigma^2 I) prior on the compressed coefficients and an
 inverse-gamma prior on sigma^2, the Gaussian likelihood gives closed forms:
 the coefficient posterior is a scaled multivariate t and held-out responses
 follow a multivariate t whose scale adds an identity noise term. Binary
-responses use a ridge-penalized logistic fit with the curvature at the mode
-(Laplace approximation); probabilities are plug-in at the mode.
+responses use the mode of a ridge-penalized logistic fit (the centre of its
+Laplace approximation); probabilities are plug-in at the mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, stdtrit
+from scipy.special import expit
 
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative fit fails to reach its tolerance."""
+
+
+def positive_finite(value, name: str) -> float:
+    """The prior-parameter rule shared by fit and load: finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -76,8 +85,9 @@ class PredictiveT:
 
 @dataclass(frozen=True)
 class LaplacePosterior:
+    """Mode of the ridge-penalized logistic log-posterior and how it was found."""
+
     mode: np.ndarray
-    hessian_at_mode: np.ndarray
     prior_variance: float
     grad_norm: float
     n_iter: int
@@ -103,8 +113,8 @@ def fit_gaussian(
         )
     if not (np.all(np.isfinite(Z_design)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in compressed design or response")
-    if a_sigma <= 0.0 or b_sigma <= 0.0:
-        raise ValueError("inverse-gamma hyperparameters must be positive")
+    a_sigma = positive_finite(a_sigma, "a_sigma")
+    b_sigma = positive_finite(b_sigma, "b_sigma")
     n, m = Z_design.shape
     gram = Z_design.T @ Z_design + np.eye(m)
     chol = cho_factor(gram, lower=True)
@@ -122,14 +132,6 @@ def fit_gaussian(
         b_sigma=b_sigma,
         n_obs=n,
     )
-
-
-def point_predict(post: GaussianPosterior, Z_new: np.ndarray) -> np.ndarray:
-    """Posterior-mean prediction Z_new @ location (squared-error optimal)."""
-    Z_new = np.asarray(Z_new, dtype=np.float64)
-    if Z_new.ndim != 2 or Z_new.shape[1] != post.m:
-        raise ValueError(f"Z_new has shape {Z_new.shape}, expected (*, {post.m})")
-    return Z_new @ post.location
 
 
 def predictive(post: GaussianPosterior, Z_new: np.ndarray) -> PredictiveT:
@@ -150,16 +152,6 @@ def predictive(post: GaussianPosterior, Z_new: np.ndarray) -> PredictiveT:
     return PredictiveT(df=post.df, location=location, scale_diag=scale_diag)
 
 
-def central_interval(
-    pred: PredictiveT, level: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric central interval, location +- t-quantile * sqrt(scale)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
-    half = stdtrit(pred.df, 0.5 * (1.0 + level)) * np.sqrt(pred.scale_diag)
-    return pred.location - half, pred.location + half
-
-
 def _logistic_objective(theta, Z, y, sigma_theta2):
     h = Z @ theta
     return float(y @ h - np.logaddexp(0.0, h).sum() - theta @ theta / (2.0 * sigma_theta2))
@@ -172,11 +164,13 @@ def fit_bernoulli_laplace(
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> LaplacePosterior:
-    """Mode and curvature of the ridge-penalized logistic log-posterior.
+    """Mode of the ridge-penalized logistic log-posterior.
 
     Damped Newton iterations until the gradient norm falls below ``tol``.
     The prior keeps the mode finite even for separable data, and makes the
-    negative Hessian positive definite everywhere.
+    negative Hessian positive definite everywhere, so every Newton step is
+    a Cholesky solve. The Hessian at the mode is not formed: plug-in
+    prediction reads only the mode.
     """
     Z = np.asarray(Z_design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -184,8 +178,7 @@ def fit_bernoulli_laplace(
         raise ValueError(f"incompatible shapes: design {Z.shape}, response {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("binary response must only contain 0 and 1")
-    if sigma_theta2 <= 0.0:
-        raise ValueError("prior variance must be positive")
+    sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
     n, m = Z.shape
     theta = np.zeros(m)
     obj = _logistic_objective(theta, Z, y, sigma_theta2)
@@ -195,17 +188,14 @@ def fit_bernoulli_laplace(
         grad = Z.T @ (y - prob) - theta / sigma_theta2
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < tol:
-            hessian = _logistic_hessian(Z, prob, sigma_theta2)
             return LaplacePosterior(
                 mode=theta,
-                # exactly symmetric, so the model file stores one triangle
-                hessian_at_mode=0.5 * (hessian + hessian.T),
                 prior_variance=sigma_theta2,
                 grad_norm=grad_norm,
                 n_iter=iteration - 1,
             )
-        hessian = _logistic_hessian(Z, prob, sigma_theta2)
-        step = cho_solve(cho_factor(hessian, lower=True), grad)
+        curvature = _logistic_curvature(Z, prob, sigma_theta2)
+        step = cho_solve(cho_factor(curvature, lower=True), grad)
         damping = 1.0
         # accept flat moves within rounding: near the mode the objective
         # change underflows while the Newton step still sharpens the gradient
@@ -226,7 +216,8 @@ def fit_bernoulli_laplace(
     )
 
 
-def _logistic_hessian(Z, prob, sigma_theta2):
+def _logistic_curvature(Z, prob, sigma_theta2):
+    # the negative Hessian of the log-posterior, Z' diag(w) Z + I / sigma_theta2
     w = prob * (1.0 - prob)
     return Z.T @ (w[:, None] * Z) + np.eye(Z.shape[1]) / sigma_theta2
 

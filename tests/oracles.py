@@ -79,6 +79,18 @@ def mixture_t_quantile_via_bisection(
     raise RuntimeError(f"bisection left {active.size} points unconverged")
 
 
+def central_interval(pred, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric central interval of one replicate's predictive t.
+
+    ``location +- t-quantile * sqrt(scale)``: the one-replicate case of the
+    mixture interval in ``tarp.ensemble.predict_tarp``.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0,1), got {level}")
+    half = stdtrit(pred.df, 0.5 * (1.0 + level)) * np.sqrt(pred.scale_diag)
+    return pred.location - half, pred.location + half
+
+
 def write_csv_via_csv_writer(dataset, path, target: str = "y") -> None:
     """Cell-by-cell CSV writer: ``repr(float(v))`` per cell through csv.writer.
 

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import location_via_gram_inverse
+from oracles import central_interval, location_via_gram_inverse
 from scipy.linalg import cholesky
 
 from tarp.cli import _derive_seed, main
@@ -22,7 +22,6 @@ from tarp.ensemble import (
 )
 from tarp.metrics import evaluate_classification, evaluate_regression
 from tarp.posterior import (
-    central_interval,
     fit_gaussian,
     predictive,
 )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tarp
+import tarp.cli
 from tarp.cli import main
 from tarp.data import load_csv
 from tarp.ensemble import fit_tarp, predict_tarp, sample_config_grid
@@ -23,6 +24,15 @@ def run(*argv):
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return tmp_path
+
+
+def write_binary_csv(path, n=60, p=8, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    y = (X[:, 0] > 0).astype(int)
+    header = ",".join([f"x{i+1}" for i in range(p)] + ["y"])
+    rows = [",".join(repr(float(v)) for v in X[i]) + f",{y[i]}" for i in range(n)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
 class TestSimulate:
@@ -100,14 +110,7 @@ class TestFitPredict:
                    "--out", "preds.csv") == 0
 
     def test_binary_pipeline(self, workdir):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((60, 8))
-        y = (X[:, 0] > 0).astype(int)
-        header = ",".join([f"x{i+1}" for i in range(8)] + ["y"])
-        rows = [
-            ",".join(repr(float(v)) for v in X[i]) + f",{y[i]}" for i in range(60)
-        ]
-        (workdir / "bin.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+        write_binary_csv(workdir / "bin.csv")
         assert run("fit", "--data", "bin.csv", "--replicates", "3",
                    "--out", "model.json") == 0
         assert run("predict", "--model", "model.json", "--data", "bin.csv",
@@ -149,6 +152,15 @@ class TestBench:
             workdir / "t4_metrics.csv"
         ).read_bytes()
 
+    def test_pool_capped_at_replicate_count(self, workdir, record_pool):
+        sizes = record_pool(tarp.cli)
+        assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
+                   "--p", "40", "--replicates", "3", "--ensemble-size", "2",
+                   "--threads", "8", "--out-prefix", "cap") == 0
+        assert sizes == [3]
+        meta = json.loads((workdir / "cap_meta.json").read_text())
+        assert meta["threads"] == 8  # the resolved option is still recorded
+
 
 class TestConfigPrecedence:
     def test_flags_beat_config_beats_defaults(self, workdir):
@@ -164,6 +176,20 @@ class TestConfigPrecedence:
     def test_bad_config_line_is_usage_error(self, workdir, capsys):
         (workdir / "cfg.txt").write_text("this is not a pair\n")
         assert run("simulate", "--scheme", "I", "--config", "cfg.txt") == 1
+
+    def test_unknown_config_key_is_usage_error(self, workdir, capsys):
+        (workdir / "cfg.txt").write_text("# tuning\np = 35\nreplicatez = 5\n")
+        assert run("simulate", "--scheme", "I", "--config", "cfg.txt",
+                   "--out", "d.csv") == 1
+        err = capsys.readouterr().err
+        assert err == "error: cfg.txt:3: unknown option 'replicatez'\n"
+        assert not (workdir / "d.csv").exists()
+
+    def test_option_of_another_command_is_unknown(self, workdir, capsys):
+        # `level` is a predict option, not a simulate one
+        (workdir / "cfg.txt").write_text("level = 0.8\n")
+        assert run("simulate", "--scheme", "I", "--config", "cfg.txt") == 1
+        assert "cfg.txt:1: unknown option 'level'" in capsys.readouterr().err
 
     def test_comments_and_blanks_ignored(self, workdir):
         (workdir / "cfg.txt").write_text("# comment\n\np = 35\n")
@@ -193,6 +219,39 @@ class TestExitCodes:
         assert _classify_error(ConvergenceError("x")) == EXIT_NUMERIC
         assert _classify_error(ReplicateError(3, ConvergenceError("x"))) == EXIT_NUMERIC
         assert _classify_error(np.linalg.LinAlgError("x")) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--a-sigma", "nan"), ("--b-sigma", "inf"), ("--sigma-theta2", "inf")],
+    )
+    def test_invalid_prior_fails_at_fit(self, workdir, capsys, binary, flag, value):
+        if binary:
+            write_binary_csv(workdir / "data.csv")
+        else:
+            run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
+                "--out", "data.csv")
+        capsys.readouterr()
+        assert run("fit", "--data", "data.csv", "--replicates", "2",
+                   flag, value, "--out", "model.json") == 1
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert err.startswith(f"error: {name} must be a positive finite number")
+        assert err.count("\n") == 1
+        assert not (workdir / "model.json").exists()
+
+    def test_library_warning_is_one_line(self, workdir, capsys):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((30, 6))
+        rows = [",".join(repr(float(v)) for v in row) + ",2.5" for row in X]
+        header = ",".join([f"x{i}" for i in range(6)] + ["y"])
+        (workdir / "const.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+        assert run("fit", "--data", "const.csv", "--replicates", "2",
+                   "--out", "model.json") == 0
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: response is constant; all marginal correlations set to 0\n"
+        )
 
     def test_help_documents_output_columns(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -297,7 +356,7 @@ class TestCorruptModel:
              "ris_rp"),
             (_set_float("replicates", 0, "projection", "block", value=float("nan")),
              "ris_pcr"),
-            (_set("version", value=3), "ris_rp"),
+            (_set("version", value=4), "ris_rp"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -308,7 +367,7 @@ class TestCorruptModel:
             "constant_mask_truncated", "location_nan", "column_scale_zero",
             "column_mean_inf", "residual_quadratic_negative", "a_sigma_zero",
             "b_sigma_negative", "sigma_theta2_zero", "triangle_short",
-            "triangle_order", "triangle_inf", "pcr_block_nan", "version_3",
+            "triangle_order", "triangle_inf", "pcr_block_nan", "version_4",
         ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import t as t_dist
 
-from oracles import mixture_t_quantile_via_bisection
+import tarp.ensemble
+from oracles import central_interval, mixture_t_quantile_via_bisection
 from tarp.data import Dataset
 from tarp.ensemble import (
     PLAIN_RP_BASELINE,
@@ -17,7 +18,7 @@ from tarp.ensemble import (
     predict_tarp,
     sample_config_grid,
 )
-from tarp.posterior import central_interval, predictive
+from tarp.posterior import predictive
 from tarp.projection import compress
 
 
@@ -107,6 +108,25 @@ class TestFitTarp:
             np.testing.assert_array_equal(
                 r1.posterior.location, r4.posterior.location
             )
+
+    def test_pool_capped_at_config_count(self, record_pool):
+        sizes = record_pool(tarp.ensemble)
+        ds = toy_dataset()
+        configs = sample_config_grid(ds.n, ds.p, 3, master_seed=8)
+        fit_tarp(ds, configs, threads=8)
+        fit_tarp(ds, configs[:1], threads=8)  # one config runs inline
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("prior", ["a_sigma", "b_sigma", "sigma_theta2"])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_every_prior_checked_for_both_kinds(self, prior, binary):
+        ds = toy_dataset()
+        if binary:
+            ds = Dataset(ds.design, (ds.response > 0).astype(float),
+                         response_kind="binary")
+        configs = sample_config_grid(ds.n, ds.p, 2, master_seed=9)
+        with pytest.raises(ValueError, match=f"{prior} must be a positive finite"):
+            fit_tarp(ds, configs, **{prior: float("nan")})
 
     def test_replicate_error_carries_index(self):
         ds = toy_dataset()

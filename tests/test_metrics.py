@@ -136,7 +136,8 @@ class TestEvaluateClassification:
 class TestEcpMonotonicity:
     def test_nested_central_intervals(self):
         # nested intervals from one predictive family: coverage is monotone
-        from tarp.posterior import PredictiveT, central_interval
+        from oracles import central_interval
+        from tarp.posterior import PredictiveT
 
         rng = np.random.default_rng(1)
         pred = PredictiveT(

@@ -15,7 +15,8 @@ from tarp.projection import sample_sparse_variant
 from tarp.screening import InclusionVector
 
 # version 1 model files (p=20, 3 replicates) and the prediction CSVs written
-# for their training rows while version 1 was the current format
+# for their training rows while version 1 was the current format; the
+# version 2 files are the same models re-saved while version 2 was current
 DATA = Path(__file__).parent / "data"
 
 
@@ -122,13 +123,13 @@ def test_v1_fixture_predicts_byte_identically(tmp_path, kind):
     assert out.read_bytes() == (DATA / f"v1_{kind}_pred.csv").read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v1_resaved_as_v2_round_trips(tmp_path, kind):
-    model, extra = load_model(DATA / f"v1_{kind}.json")
-    first, second = tmp_path / "v2.json", tmp_path / "again.json"
+def resave_round_trips(tmp_path, old, kind):
+    """Re-save ``old`` in the current format; it must reload to the same
+    bytes and predict the committed CSV. Returns the re-saved path."""
+    model, extra = load_model(old)
+    first, second = tmp_path / "current.json", tmp_path / "again.json"
     save_model(model, first, extra=extra)
-    assert json.loads(first.read_text())["version"] == FORMAT_VERSION == 2
-    assert first.stat().st_size < (DATA / f"v1_{kind}.json").stat().st_size
+    assert json.loads(first.read_text())["version"] == FORMAT_VERSION == 3
     loaded, extra_back = load_model(first)
     save_model(loaded, second, extra=extra_back)
     assert first.read_bytes() == second.read_bytes()
@@ -136,6 +137,56 @@ def test_v1_resaved_as_v2_round_trips(tmp_path, kind):
     assert main(["predict", "--model", str(first),
                  "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"v1_{kind}_pred.csv").read_bytes()
+    return first
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_v1_resaved_as_v2_round_trips(tmp_path, kind):
+    old = DATA / f"v1_{kind}.json"
+    assert resave_round_trips(tmp_path, old, kind).stat().st_size < old.stat().st_size
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_v2_fixture_predicts_byte_identically(tmp_path, kind):
+    assert json.loads((DATA / f"v2_{kind}.json").read_text())["version"] == 2
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(DATA / f"v2_{kind}.json"),
+                 "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"v1_{kind}_pred.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_v2_resaved_as_v3_round_trips(tmp_path, kind):
+    old = DATA / f"v2_{kind}.json"
+    new = json.loads(resave_round_trips(tmp_path, old, kind).read_text())
+    doc = json.loads(old.read_text())
+    # version 3 only drops the binary Hessians
+    for rep in doc["replicates"]:
+        rep["posterior"].pop("hessian_at_mode", None)
+    doc["version"] = 3
+    assert new == doc
+
+
+def test_v2_hessian_is_still_checked(tmp_path):
+    doc = json.loads((DATA / "v2_binary.json").read_text())
+    doc["replicates"][0]["posterior"]["hessian_at_mode"]["order"] += 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="hessian_at_mode has order"):
+        load_model(path)
+
+
+def test_v3_mode_shape_is_checked(tmp_path):
+    _, model = fitted_model(seed=5, binary=True)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    mode = doc["replicates"][0]["posterior"]["mode"]
+    mode["shape"] = [mode["shape"][0] - 1]
+    mode["data"] = base64.b64encode(base64.b64decode(mode["data"])[:-8]).decode()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="mode has shape"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -144,14 +195,20 @@ def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    name = "hessian_at_mode" if binary else "precision_inverse"
     for rep, stored in zip(model.replicates, doc["replicates"]):
+        if binary:
+            # a binary replicate stores its mode and no matrix at all
+            assert "hessian_at_mode" not in stored["posterior"]
+            assert set(stored["posterior"]) == {
+                "kind", "mode", "prior_variance", "grad_norm", "n_iter"
+            }
+            continue
         m = stored["projection"]["m"]
-        triangle = stored["posterior"][name]
+        triangle = stored["posterior"]["precision_inverse"]
         assert set(triangle) == {"order", "data"} and triangle["order"] == m
         values = np.frombuffer(base64.b64decode(triangle["data"]), dtype="<f8")
         assert values.size == m * (m + 1) // 2
-        full = getattr(rep.posterior, name)
+        full = rep.posterior.precision_inverse
         np.testing.assert_array_equal(values, full[np.tril_indices(m)])
 
 

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from oracles import location_via_gram_inverse
+from oracles import central_interval, location_via_gram_inverse
 from scipy.linalg import cholesky
 
 from tarp.posterior import (
     ConvergenceError,
-    central_interval,
     fit_bernoulli_laplace,
     fit_gaussian,
-    point_predict,
     predict_prob,
     predictive,
 )
@@ -89,11 +87,19 @@ class TestFitGaussian:
         with pytest.raises(ValueError):
             fit_gaussian(np.zeros((3, 1)), np.zeros(3), a_sigma=0.0)
 
+    @pytest.mark.parametrize("name", ["a_sigma", "b_sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_prior(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a positive finite"):
+            fit_gaussian(np.zeros((3, 1)), np.zeros(3), **{name: value})
+
 
 class TestPointPredict:
+    # the posterior-mean point prediction is the predictive location
     def test_zero_design_predicts_zero(self):
         post = fit_gaussian(np.ones((4, 2)), np.ones(4))
-        np.testing.assert_array_equal(point_predict(post, np.zeros((3, 2))), 0.0)
+        pred = predictive(post, np.zeros((3, 2))).location
+        np.testing.assert_array_equal(pred, 0.0)
 
     def test_ridge_shrinks_toward_zero(self):
         # m=1 noiseless data: |prediction| <= |OLS fit| on the training row
@@ -101,13 +107,13 @@ class TestPointPredict:
         y = 2.0 * z[:, 0]
         post = fit_gaussian(z, y)
         ols = float(np.linalg.lstsq(z, y, rcond=None)[0][0])
-        pred = point_predict(post, z)
+        pred = predictive(post, z).location
         assert np.all(np.abs(pred) <= np.abs(z[:, 0] * ols) + 1e-12)
 
     def test_dimension_mismatch(self):
         post = fit_gaussian(np.ones((4, 2)), np.ones(4))
         with pytest.raises(ValueError):
-            point_predict(post, np.zeros((3, 5)))
+            predictive(post, np.zeros((3, 5)))
 
 
 class TestPredictive:
@@ -217,20 +223,6 @@ class TestBernoulliLaplace:
         post = fit_bernoulli_laplace(Z, y)
         assert post.grad_norm < 1e-8
 
-    def test_hessian_positive_definite(self):
-        rng = np.random.default_rng(11)
-        Z = rng.standard_normal((25, 3))
-        y = (rng.random(25) < 0.5).astype(float)
-        post = fit_bernoulli_laplace(Z, y)
-        assert np.all(np.linalg.eigvalsh(post.hessian_at_mode) > 0)
-
-    def test_hessian_exactly_symmetric(self):
-        rng = np.random.default_rng(14)
-        Z = rng.standard_normal((60, 7))
-        y = (rng.random(60) < 0.5).astype(float)
-        H = fit_bernoulli_laplace(Z, y).hessian_at_mode
-        np.testing.assert_array_equal(H, H.T)
-
     def test_nonconvergence_reports_gradient(self):
         rng = np.random.default_rng(12)
         Z = rng.standard_normal((20, 2))
@@ -241,6 +233,12 @@ class TestBernoulliLaplace:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             fit_bernoulli_laplace(np.zeros((3, 1)), np.array([0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_prior_variance(self, value):
+        y = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="sigma_theta2 must be a positive finite"):
+            fit_bernoulli_laplace(np.zeros((3, 1)), y, sigma_theta2=value)
 
 
 class TestPredictProb:
