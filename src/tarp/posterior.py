@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 
@@ -37,7 +37,9 @@ class GaussianPosterior:
     ``precision_inverse`` is (Z'Z + I)^-1 for the compressed design Z; the
     coefficient posterior is multivariate t(df, location, scale) and sigma^2
     is inverse-gamma(ig_shape, ig_rate). Only the sufficient fields are
-    stored; the rest are derived on access.
+    stored; the rest are derived on access. Construction rejects priors so
+    large that df or the predictive noise scale overflows, so neither a fit
+    nor a loaded model can carry a predictive t that prediction cannot use.
     """
 
     location: np.ndarray
@@ -46,6 +48,14 @@ class GaussianPosterior:
     a_sigma: float
     b_sigma: float
     n_obs: int
+
+    def __post_init__(self):
+        for name, value in (("df", self.df), ("noise scale", self.noise_scale2)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"priors a_sigma={self.a_sigma!r}, b_sigma={self.b_sigma!r} "
+                    f"give a predictive {name} of {value!r}; it must be finite and > 0"
+                )
 
     @property
     def m(self) -> int:
@@ -103,7 +113,8 @@ def fit_gaussian(
 
     The response is assumed centered. All m x m solves go through one
     Cholesky factorization of Z'Z + I, which is positive definite by
-    construction.
+    construction. Priors that overflow the predictive t raise ValueError
+    (see ``GaussianPosterior``).
     """
     Z_design = np.asarray(Z_design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -117,10 +128,8 @@ def fit_gaussian(
     b_sigma = positive_finite(b_sigma, "b_sigma")
     n, m = Z_design.shape
     gram = Z_design.T @ Z_design + np.eye(m)
-    chol = cho_factor(gram, lower=True)
     zy = Z_design.T @ y
-    location = cho_solve(chol, zy)
-    precision_inverse = cho_solve(chol, np.eye(m))
+    location, precision_inverse = _spd_solve(gram, zy, np.eye(m))
     precision_inverse = 0.5 * (precision_inverse + precision_inverse.T)
     residual_quadratic = float(y @ y - location @ zy)
     residual_quadratic = max(residual_quadratic, 0.0)
@@ -152,8 +161,33 @@ def predictive(post: GaussianPosterior, Z_new: np.ndarray) -> PredictiveT:
     return PredictiveT(df=post.df, location=location, scale_diag=scale_diag)
 
 
+def _spd_solve(matrix, *rhs):
+    """Solve ``matrix @ x = b`` for each b through one lower Cholesky factor.
+
+    Calls LAPACK ``dpotrf`` / ``dpotrs`` as scipy's ``cho_factor`` /
+    ``cho_solve`` do underneath, without their per-call finiteness checks:
+    callers check their inputs once. Failure raises ``LinAlgError``.
+    """
+    if matrix.shape[0] == 0:  # f2py rejects an empty right-hand side
+        return [np.array(b, dtype=np.float64) for b in rhs]
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
+    solutions = []
+    for b in rhs:
+        x, info = dpotrs(factor, b, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+        solutions.append(x)
+    return solutions
+
+
 def _logistic_objective(theta, Z, y, sigma_theta2):
-    h = Z @ theta
+    return _log_posterior(Z @ theta, theta, y, sigma_theta2)
+
+
+def _log_posterior(h, theta, y, sigma_theta2):
+    # the objective at theta, given its linear predictor h = Z @ theta
     return float(y @ h - np.logaddexp(0.0, h).sum() - theta @ theta / (2.0 * sigma_theta2))
 
 
@@ -168,23 +202,28 @@ def fit_bernoulli_laplace(
 
     Damped Newton iterations until the gradient norm falls below ``tol``.
     The prior keeps the mode finite even for separable data, and makes the
-    negative Hessian positive definite everywhere, so every Newton step is
-    a Cholesky solve. The Hessian at the mode is not formed: plug-in
-    prediction reads only the mode.
+    negative Hessian Z' diag(w) Z + I / sigma_theta2 positive definite
+    everywhere, so every Newton step is one LAPACK Cholesky solve. The design
+    is checked for finite values once, at entry; each iteration reuses the
+    linear predictor Z theta of the accepted line-search point. The Hessian
+    at the mode is not formed: plug-in prediction reads only the mode.
     """
     Z = np.asarray(Z_design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if Z.ndim != 2 or y.shape != (Z.shape[0],):
         raise ValueError(f"incompatible shapes: design {Z.shape}, response {y.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("non-finite values in compressed design")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("binary response must only contain 0 and 1")
     sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
-    n, m = Z.shape
+    m = Z.shape[1]
     theta = np.zeros(m)
-    obj = _logistic_objective(theta, Z, y, sigma_theta2)
+    h = Z @ theta
+    obj = _log_posterior(h, theta, y, sigma_theta2)
     grad_norm = np.inf
     for iteration in range(1, max_iter + 1):
-        prob = expit(Z @ theta)
+        prob = expit(h)
         grad = Z.T @ (y - prob) - theta / sigma_theta2
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < tol:
@@ -194,32 +233,31 @@ def fit_bernoulli_laplace(
                 grad_norm=grad_norm,
                 n_iter=iteration - 1,
             )
-        curvature = _logistic_curvature(Z, prob, sigma_theta2)
-        step = cho_solve(cho_factor(curvature, lower=True), grad)
+        # Zs' Zs with Zs = sqrt(w) Z is one syrk; the ridge goes on in place
+        Zs = np.sqrt(prob * (1.0 - prob))[:, None] * Z
+        curvature = Zs.T @ Zs
+        curvature.flat[:: m + 1] += 1.0 / sigma_theta2
+        (step,) = _spd_solve(curvature, grad)
         damping = 1.0
         # accept flat moves within rounding: near the mode the objective
         # change underflows while the Newton step still sharpens the gradient
         slack = 1e-12 * (1.0 + abs(obj))
         for _ in range(40):
             candidate = theta + damping * step
-            cand_obj = _logistic_objective(candidate, Z, y, sigma_theta2)
+            cand_h = Z @ candidate
+            cand_obj = _log_posterior(cand_h, candidate, y, sigma_theta2)
             if cand_obj >= obj - slack:
-                theta, obj = candidate, cand_obj
+                theta, h, obj = candidate, cand_h, cand_obj
                 break
             damping *= 0.5
         else:
             theta = theta + damping * step
-            obj = _logistic_objective(theta, Z, y, sigma_theta2)
+            h = Z @ theta
+            obj = _log_posterior(h, theta, y, sigma_theta2)
     raise ConvergenceError(
         f"logistic mode search did not converge in {max_iter} iterations "
         f"(gradient norm {grad_norm:.3e})"
     )
-
-
-def _logistic_curvature(Z, prob, sigma_theta2):
-    # the negative Hessian of the log-posterior, Z' diag(w) Z + I / sigma_theta2
-    w = prob * (1.0 - prob)
-    return Z.T @ (w[:, None] * Z) + np.eye(Z.shape[1]) / sigma_theta2
 
 
 def predict_prob(post: LaplacePosterior, Z_new: np.ndarray) -> np.ndarray:

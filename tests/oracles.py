@@ -3,7 +3,8 @@
 import csv
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit, stdtr, stdtrit
 
 
 def location_via_gram_inverse(X: np.ndarray, R: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -104,3 +105,55 @@ def write_csv_via_csv_writer(dataset, path, target: str = "y") -> None:
                 [repr(float(v)) for v in dataset.design[i]]
                 + [repr(float(dataset.response[i]))]
             )
+
+
+def fit_bernoulli_laplace_via_cho_factor(
+    Z: np.ndarray,
+    y: np.ndarray,
+    sigma_theta2: float = 1.0,
+    tol: float = 1e-8,
+    max_iter: int = 100,
+) -> tuple[np.ndarray, float, int]:
+    """Reference logistic mode: the plain damped Newton loop, returning
+    ``(mode, grad_norm, n_iter)``.
+
+    Same algorithm and stopping rule as ``tarp.posterior.fit_bernoulli_laplace``,
+    written the direct way: the curvature as ``Z' (w * Z) + I / sigma_theta2``,
+    each step through scipy's checked ``cho_factor`` / ``cho_solve``, and the
+    linear predictor recomputed from theta wherever it is needed.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m = Z.shape[1]
+
+    def objective(theta):
+        h = Z @ theta
+        return float(
+            y @ h - np.logaddexp(0.0, h).sum() - theta @ theta / (2.0 * sigma_theta2)
+        )
+
+    theta = np.zeros(m)
+    obj = objective(theta)
+    grad_norm = np.inf
+    for iteration in range(1, max_iter + 1):
+        prob = expit(Z @ theta)
+        grad = Z.T @ (y - prob) - theta / sigma_theta2
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < tol:
+            return theta, grad_norm, iteration - 1
+        w = prob * (1.0 - prob)
+        curvature = Z.T @ (w[:, None] * Z) + np.eye(m) / sigma_theta2
+        step = cho_solve(cho_factor(curvature, lower=True), grad)
+        damping = 1.0
+        slack = 1e-12 * (1.0 + abs(obj))
+        for _ in range(40):
+            candidate = theta + damping * step
+            cand_obj = objective(candidate)
+            if cand_obj >= obj - slack:
+                theta, obj = candidate, cand_obj
+                break
+            damping *= 0.5
+        else:
+            theta = theta + damping * step
+            obj = objective(theta)
+    raise RuntimeError(f"no convergence in {max_iter} iterations ({grad_norm:.3e})")

@@ -240,6 +240,26 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (workdir / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, quantity",
+        [("--a-sigma", "df"), ("--b-sigma", "noise scale")],
+        ids=["a_sigma", "b_sigma"],
+    )
+    def test_prior_overflowing_predictive_fails_at_fit(
+        self, workdir, capsys, flag, quantity
+    ):
+        # finite, so accepted as a prior, but df = n + 2a or the noise scale
+        # (r + 2b) / df overflows: predict could not use the model
+        run("simulate", "--scheme", "I", "--n", "60", "--p", "50",
+            "--out", "data.csv")
+        capsys.readouterr()
+        assert run("fit", "--data", "data.csv", "--replicates", "4",
+                   flag, "1e308", "--out", "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"predictive {quantity} of" in err
+        assert not (workdir / "model.json").exists()
+
     def test_library_warning_is_one_line(self, workdir, capsys):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))
@@ -349,6 +369,7 @@ class TestCorruptModel:
             (_set(*_POSTERIOR, "residual_quadratic", value=-5), "ris_rp"),
             (_set(*_POSTERIOR, "a_sigma", value=0.0), "ris_rp"),
             (_set(*_POSTERIOR, "b_sigma", value=-1.0), "ris_rp"),
+            (_set(*_POSTERIOR, "b_sigma", value=1e308), "ris_rp"),
             (_set("sigma_theta2", value=0.0), "ris_rp"),
             (_truncate(*_POSTERIOR, "precision_inverse", nbytes=-8), "ris_rp"),
             (_set(*_POSTERIOR, "precision_inverse", "order", value=3), "ris_rp"),
@@ -366,8 +387,9 @@ class TestCorruptModel:
             "config_variant_pcr", "negative_n_obs", "gamma_truncated",
             "constant_mask_truncated", "location_nan", "column_scale_zero",
             "column_mean_inf", "residual_quadratic_negative", "a_sigma_zero",
-            "b_sigma_negative", "sigma_theta2_zero", "triangle_short",
-            "triangle_order", "triangle_inf", "pcr_block_nan", "version_4",
+            "b_sigma_negative", "b_sigma_overflows", "sigma_theta2_zero",
+            "triangle_short", "triangle_order", "triangle_inf", "pcr_block_nan",
+            "version_4",
         ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):

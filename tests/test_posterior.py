@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from oracles import central_interval, location_via_gram_inverse
+from oracles import (
+    central_interval,
+    fit_bernoulli_laplace_via_cho_factor,
+    location_via_gram_inverse,
+)
 from scipy.linalg import cholesky
 
 from tarp.posterior import (
@@ -92,6 +96,22 @@ class TestFitGaussian:
     def test_rejects_nonfinite_prior(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be a positive finite"):
             fit_gaussian(np.zeros((3, 1)), np.zeros(3), **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, quantity",
+        [("a_sigma", "df"), ("b_sigma", "noise scale")],
+        ids=["a_sigma", "b_sigma"],
+    )
+    def test_rejects_prior_overflowing_predictive(self, name, quantity):
+        # finite priors whose df = n + 2a or noise scale (r + 2b) / df overflow
+        with pytest.raises(ValueError, match=f"predictive {quantity} of"):
+            fit_gaussian(np.ones((3, 1)), np.zeros(3), **{name: 1e308})
+
+    def test_zero_width_design(self):
+        post = fit_gaussian(np.zeros((4, 0)), np.ones(4))
+        assert post.location.shape == (0,)
+        assert post.precision_inverse.shape == (0, 0)
+        assert post.residual_quadratic == 4.0
 
 
 class TestPointPredict:
@@ -234,11 +254,48 @@ class TestBernoulliLaplace:
         with pytest.raises(ValueError):
             fit_bernoulli_laplace(np.zeros((3, 1)), np.array([0.0, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_design(self, value):
+        Z = np.zeros((3, 2))
+        Z[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_bernoulli_laplace(Z, np.array([0.0, 1.0, 0.0]))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
     def test_rejects_bad_prior_variance(self, value):
         y = np.array([0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="sigma_theta2 must be a positive finite"):
             fit_bernoulli_laplace(np.zeros((3, 1)), y, sigma_theta2=value)
+
+
+def _oracle_problems():
+    # fit_logit's shape (m close to n), separable data, both memory layouts
+    # and three prior variances, over small and large designs
+    rng = np.random.default_rng(2024)
+    shapes = [(200, 150), (200, 190), (40, 39), (30, 60)]
+    shapes += [(int(rng.integers(20, 251)), int(rng.integers(1, 121))) for _ in range(44)]
+    for k, (n, m) in enumerate(shapes):
+        Z = rng.standard_normal((n, m)) * (0.3, 1.0, 3.0)[k % 3]
+        if k % 2:
+            Z = np.asfortranarray(Z)
+        if k % 4 == 0:
+            y = (Z[:, 0] > 0).astype(float)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-Z[:, 0]))).astype(float)
+        yield Z, y, (0.1, 1.0, 10.0)[k % 3]
+
+
+def test_newton_matches_cho_factor_oracle():
+    # the lean Newton step changes only the summation order of the curvature
+    n_separable = 0
+    for Z, y, sigma_theta2 in _oracle_problems():
+        post = fit_bernoulli_laplace(Z, y, sigma_theta2=sigma_theta2)
+        mode, _, n_iter = fit_bernoulli_laplace_via_cho_factor(Z, y, sigma_theta2)
+        assert post.n_iter == n_iter
+        assert post.grad_norm < 1e-8
+        np.testing.assert_allclose(post.mode, mode, rtol=0, atol=1e-12 * np.abs(mode).max())
+        n_separable += bool(np.all((Z[:, 0] > 0) == (y == 1.0)))
+    assert n_separable >= 12
 
 
 class TestPredictProb:
