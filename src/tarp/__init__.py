@@ -39,7 +39,6 @@ from .posterior import (
     PredictiveT,
     fit_bernoulli_laplace,
     fit_gaussian,
-    predict_prob,
     predictive,
 )
 from .projection import (
@@ -86,7 +85,6 @@ __all__ = [
     "PredictiveT",
     "fit_bernoulli_laplace",
     "fit_gaussian",
-    "predict_prob",
     "predictive",
     "PLAIN_RP_BASELINE",
     "TarpConfig",

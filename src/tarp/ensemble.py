@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln, stdtr, stdtrit
+from scipy.special import expit, gammaln, stdtr, stdtrit
 
 from .data import Dataset, StandardizationParams, standardize
 from .posterior import (
@@ -29,15 +29,14 @@ from .posterior import (
     fit_bernoulli_laplace,
     fit_gaussian,
     positive_finite,
-    predict_prob,
     predictive,
 )
 from .projection import (
     RIS_PCR,
     RIS_RP,
     ProjectionMatrix,
+    _ris_pcr_with_scores,
     compress,
-    compute_ris_pcr,
     sample_ris_rp,
 )
 from .screening import (
@@ -197,10 +196,11 @@ def _fit_replicate(
         q = inclusion_probabilities(correlations, cfg.delta)
         gamma = sample_inclusion(q, np.random.default_rng([cfg.seed, _GAMMA_STREAM]))
     if cfg.variant == RIS_PCR:
-        projection = compute_ris_pcr(design, gamma, cfg.m)
+        # the eigendecomposition already holds the compressed training rows
+        projection, Z = _ris_pcr_with_scores(design, gamma, cfg.m)
     else:
         projection = sample_ris_rp(gamma, cfg.m, cfg.psi, seed=[cfg.seed, _ENTRY_STREAM])
-    Z = compress(design, projection)
+        Z = compress(design, projection)
     if response_kind == "continuous":
         post = fit_gaussian(Z, response, a_sigma=a_sigma, b_sigma=b_sigma)
     else:
@@ -303,7 +303,10 @@ def mixture_t_quantile(
     x = component_q.mean(axis=0)
     # t density: exp(log_norm - half_df1 * log1p(u^2 / df)) / width
     half_df1 = 0.5 * (dfs + 1.0)
-    log_norm = gammaln(half_df1) - gammaln(0.5 * dfs) - 0.5 * np.log(np.pi * dfs)
+    with np.errstate(invalid="ignore"):
+        log_norm = gammaln(half_df1) - gammaln(0.5 * dfs) - 0.5 * np.log(np.pi * dfs)
+    # both gammaln terms overflow for df past ~5e305: use the Gaussian limit
+    log_norm[~np.isfinite(log_norm)] = -0.5 * math.log(2.0 * math.pi)
     out = np.empty_like(x)
     points = np.arange(x.size)
     for _ in range(max_iter):
@@ -339,24 +342,26 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
     Continuous responses: the point prediction is the mean of the replicate
     posterior-mean predictions, and [lower, upper] is the central interval of
     the equal-weight mixture of replicate predictive t distributions. Binary
-    responses: mean of the replicate plug-in probabilities.
+    responses: mean of the replicate plug-in probabilities
+    expit(x_gamma' R_i' theta_i), summed in replicate order. Each logit is
+    linear in x, so every replicate's comes from one product X W' with row i
+    of W the mapped-back mode R_i' theta_i; no replicate compresses X.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.p:
         raise ValueError(f"X_new has shape {X_new.shape}, expected (*, {model.p})")
-    # column-major, so each replicate's X[:, gamma] gather copies whole columns
-    Xs = np.asfortranarray(model.standardization.transform_design(X_new))
+    Xs = model.standardization.transform_design(X_new)
     if model.response_kind == "binary":
-        probs = np.mean(
-            [
-                predict_prob(rep.posterior, compress(Xs, rep.projection))
-                for rep in model.replicates
-            ],
-            axis=0,
+        W = np.array(
+            [rep.projection.adjoint(rep.posterior.mode) for rep in model.replicates]
         )
+        # (N, n): the mean over axis 0 adds the replicates in order
+        probs = expit(W @ Xs.T).mean(axis=0)
         return TarpPrediction(response_kind="binary", probability=probs)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
+    # column-major, so each replicate's X[:, gamma] gather copies whole columns
+    Xs = np.asfortranarray(Xs)
     dfs, locs, scales = [], [], []
     for rep in model.replicates:
         pred = predictive(rep.posterior, compress(Xs, rep.projection))

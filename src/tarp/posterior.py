@@ -259,11 +259,3 @@ def fit_bernoulli_laplace(
         f"(gradient norm {grad_norm:.3e})"
     )
 
-
-def predict_prob(post: LaplacePosterior, Z_new: np.ndarray) -> np.ndarray:
-    """Plug-in class-1 probabilities logistic(Z_new @ mode)."""
-    Z_new = np.asarray(Z_new, dtype=np.float64)
-    m = post.mode.shape[0]
-    if Z_new.ndim != 2 or Z_new.shape[1] != m:
-        raise ValueError(f"Z_new has shape {Z_new.shape}, expected (*, {m})")
-    return expit(Z_new @ post.mode)

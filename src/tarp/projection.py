@@ -71,6 +71,19 @@ class ProjectionMatrix:
             raise ValueError(f"X has shape {X.shape}, expected (n, {self.p})")
         return X[:, self.gamma.indices] @ self._block().T
 
+    def adjoint(self, theta: np.ndarray) -> np.ndarray:
+        """Map compressed coefficients back: returns R' theta with shape (p,).
+
+        Zero outside the selected columns, so ``X @ R.adjoint(theta)`` is
+        ``R.apply(X) @ theta`` up to rounding.
+        """
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.m,):
+            raise ValueError(f"theta has shape {theta.shape}, expected ({self.m},)")
+        full = np.zeros(self.p)
+        full[self.gamma.indices] = theta @ self._block()
+        return full
+
     def toarray(self) -> np.ndarray:
         """Full dense m x p matrix (tests and inspection only)."""
         full = np.zeros((self.m, self.p))
@@ -151,7 +164,21 @@ def compute_ris_pcr(X: np.ndarray, gamma: InclusionVector, m: int) -> Projection
     1.5e-8 at 3e-5 s_0. The cutoff sits between the noise floor and the
     point where that error would pass 1e-8. Row signs are canonical
     (largest-magnitude entry positive) so the result does not depend on the
-    eigensolver backend.
+    eigensolver backend. The compressed training rows X R' come with the
+    same decomposition; see ``_ris_pcr_with_scores``.
+    """
+    return _ris_pcr_with_scores(X, gamma, m)[0]
+
+
+def _ris_pcr_with_scores(
+    X: np.ndarray, gamma: InclusionVector, m: int
+) -> tuple[ProjectionMatrix, np.ndarray]:
+    """``compute_ris_pcr`` plus the compressed rows Z = X R' of the same X.
+
+    For p_gamma > n, Z = X_gamma V_k' = U_k diag(s_k) needs no product with
+    X; otherwise Z = X_gamma R_gamma' reuses the gather of the selected
+    columns. Z's columns carry the rows' canonical signs, so Z matches
+    ``compress(X, R)`` to rounding (exactly, for p_gamma <= n).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -170,14 +197,15 @@ def compute_ris_pcr(X: np.ndarray, gamma: InclusionVector, m: int) -> Projection
     m_eff = min(m, rank)
     top = eigvecs[:, :m_eff]
     if wide:
-        block = (top.T @ X_act) / np.sqrt(eigvals[:m_eff])[:, None]
+        s = np.sqrt(eigvals[:m_eff])
+        block = (top.T @ X_act) / s[:, None]
     else:
         block = np.ascontiguousarray(top.T)
-    for row in block:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0.0:
-            row *= -1.0
-    return ProjectionMatrix(
+    pivots = np.abs(block).argmax(axis=1)
+    signs = np.where(block[np.arange(m_eff), pivots] < 0.0, -1.0, 1.0)
+    block *= signs[:, None]
+    Z = top * (s * signs) if wide else X_act @ block.T
+    projection = ProjectionMatrix(
         variant=RIS_PCR,
         m=m_eff,
         p=gamma.gamma.size,
@@ -185,6 +213,7 @@ def compute_ris_pcr(X: np.ndarray, gamma: InclusionVector, m: int) -> Projection
         dense_block=block,
         requested_m=m,
     )
+    return projection, Z
 
 
 def compress(X: np.ndarray, R: ProjectionMatrix) -> np.ndarray:

@@ -80,6 +80,33 @@ def mixture_t_quantile_via_bisection(
     raise RuntimeError(f"bisection left {active.size} points unconverged")
 
 
+def predict_prob(post, Z_new: np.ndarray) -> np.ndarray:
+    """Plug-in class-1 probabilities logistic(Z_new @ mode) of one
+    ``LaplacePosterior`` at compressed rows ``Z_new``."""
+    Z_new = np.asarray(Z_new, dtype=np.float64)
+    m = post.mode.shape[0]
+    if Z_new.ndim != 2 or Z_new.shape[1] != m:
+        raise ValueError(f"Z_new has shape {Z_new.shape}, expected (*, {m})")
+    return expit(Z_new @ post.mode)
+
+
+def binary_probability_per_replicate(model, X_new: np.ndarray) -> np.ndarray:
+    """Reference binary prediction: compress X once per replicate.
+
+    The mean over replicates, in order, of ``predict_prob`` on each
+    replicate's compressed rows ``X_gamma R_i'``; ``tarp.ensemble.predict_tarp``
+    forms the same logits as one product with the mapped-back modes.
+    """
+    Xs = np.asfortranarray(model.standardization.transform_design(X_new))
+    return np.mean(
+        [
+            predict_prob(rep.posterior, rep.projection.apply(Xs))
+            for rep in model.replicates
+        ],
+        axis=0,
+    )
+
+
 def central_interval(pred, level: float) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric central interval of one replicate's predictive t.
 

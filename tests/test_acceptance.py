@@ -14,7 +14,7 @@ from oracles import central_interval, location_via_gram_inverse
 from scipy.linalg import cholesky
 
 from tarp.cli import _derive_seed, main
-from tarp.data import Dataset
+from tarp.data import Dataset, load_csv, write_csv
 from tarp.ensemble import (
     fit_tarp,
     predict_tarp,
@@ -302,26 +302,39 @@ def test_criterion_8_classification_sanity():
 
 
 def test_criterion_9_determinism_across_thread_counts(tmp_path, monkeypatch):
-    """Identical master seed: byte-identical model files and prediction CSVs."""
+    """Identical master seed: byte-identical model files and prediction CSVs,
+    for a continuous and a binary response and for ris_rp and ris_pcr."""
     monkeypatch.chdir(tmp_path)
     code = main(["simulate", "--scheme", "I", "--n", "80", "--p", "120",
                  "--seed", "13", "--out", "data.csv"])
     assert code == 0
-    blobs = {}
-    for threads in (1, 2, 8):
-        # identical command lines except --threads: outputs go to sibling
-        # directories so the recorded option sets match byte for byte
-        subdir = tmp_path / f"t{threads}"
-        subdir.mkdir()
-        monkeypatch.chdir(subdir)
-        assert main(["fit", "--data", "../data.csv", "--replicates", "8",
-                     "--seed", "21", "--threads", str(threads),
-                     "--out", "model.json"]) == 0
-        assert main(["predict", "--model", "model.json", "--data", "../data.csv",
-                     "--out", "pred.csv"]) == 0
-        blobs[threads] = (
-            (subdir / "model.json").read_bytes(),
-            (subdir / "pred.csv").read_bytes(),
-        )
-    assert blobs[1] == blobs[2] == blobs[8]
-    report(9, "byte-identical model and predictions at threads 1, 2, 8")
+    data = load_csv(tmp_path / "data.csv", target="y")
+    binary = (data.response > np.median(data.response)).astype(float)
+    write_csv(Dataset(data.design, binary, response_kind="binary",
+                      column_names=data.column_names), tmp_path / "binary.csv")
+    cases = {
+        "continuous": ("data.csv", []),
+        "binary": ("binary.csv", []),
+        "ris_pcr": ("data.csv", ["--variant", "ris_pcr"]),
+    }
+    for case, (csv_name, options) in cases.items():
+        csv_path = str(tmp_path / csv_name)
+        blobs = {}
+        for threads in (1, 2, 8):
+            # identical command lines except --threads: outputs go to sibling
+            # directories so the recorded option sets match byte for byte
+            subdir = tmp_path / case / f"t{threads}"
+            subdir.mkdir(parents=True)
+            monkeypatch.chdir(subdir)
+            assert main(["fit", "--data", csv_path, *options, "--replicates", "8",
+                         "--seed", "21", "--threads", str(threads),
+                         "--out", "model.json"]) == 0
+            assert main(["predict", "--model", "model.json", "--data", csv_path,
+                         "--out", "pred.csv"]) == 0
+            blobs[threads] = (
+                (subdir / "model.json").read_bytes(),
+                (subdir / "pred.csv").read_bytes(),
+            )
+        assert blobs[1] == blobs[2] == blobs[8], case
+    report(9, "byte-identical models and predictions at threads 1, 2, 8 "
+              "(continuous, binary, ris_pcr)")

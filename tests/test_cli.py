@@ -260,6 +260,19 @@ class TestExitCodes:
         assert f"predictive {quantity} of" in err
         assert not (workdir / "model.json").exists()
 
+    def test_df_past_gammaln_overflow_predicts_cleanly(self, workdir, capsys):
+        # df = n + 2a = 2e307 is finite, so the model fits; its t density
+        # normaliser takes the Gaussian limit instead of inf - inf
+        run("simulate", "--scheme", "I", "--n", "60", "--p", "50",
+            "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "4",
+                   "--a-sigma", "1e307", "--out", "model.json") == 0
+        capsys.readouterr()
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "pred.csv") == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert (workdir / "pred.csv").read_text().count("\n") == 61
+
     def test_library_warning_is_one_line(self, workdir, capsys):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))

@@ -6,7 +6,11 @@ import pytest
 from scipy.stats import t as t_dist
 
 import tarp.ensemble
-from oracles import central_interval, mixture_t_quantile_via_bisection
+from oracles import (
+    binary_probability_per_replicate,
+    central_interval,
+    mixture_t_quantile_via_bisection,
+)
 from tarp.data import Dataset
 from tarp.ensemble import (
     PLAIN_RP_BASELINE,
@@ -20,6 +24,7 @@ from tarp.ensemble import (
 )
 from tarp.posterior import predictive
 from tarp.projection import compress
+from tarp.simgen import SchemeSpec, generate
 
 
 def toy_dataset(seed=0, n=60, p=25, informative=4):
@@ -279,6 +284,86 @@ class TestNewtonMatchesBisection:
         scales = np.ones((2, 5))
         assert np.all(mixture_pdf(dfs, locs, scales, shift) == 0.0)
         self.check(dfs, locs, scales, prob)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("prob", [0.25, 0.75])
+    def test_df_whose_gammaln_overflows(self, prob):
+        # gammaln(df / 2) is inf past df ~5e305, so that component's density
+        # normaliser is the Gaussian limit instead of inf - inf
+        rng = np.random.default_rng(6)
+        dfs = np.array([1e307, 200.0])
+        locs = rng.standard_normal((2, 40))
+        scales = rng.uniform(0.5, 2.0, (2, 40))
+        self.check(dfs, locs, scales, prob)
+
+
+def binary_dataset(seed, n, p):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    y = (X[:, 0] + 0.5 * rng.standard_normal(n) > 0).astype(float)
+    return Dataset(X, y, response_kind="binary")
+
+
+def fit_logit_shaped(seed):
+    """Training set and held-out rows of the benchmark's binary shape:
+    scheme I, 200 + 100 rows, p = 2000, 100 ris_rp replicates."""
+    data, _ = generate(SchemeSpec(scheme="I", n=300, p=2000, seed=seed))
+    y = (data.response > np.median(data.response[:200])).astype(float)
+    train = Dataset(data.design[:200], y[:200], response_kind="binary")
+    configs = sample_config_grid(200, 2000, 100, master_seed=seed)
+    return fit_tarp(train, configs, master_seed=seed), data.design[200:]
+
+
+class TestBinaryPrediction:
+    """One product X W' against compressing X once per replicate."""
+
+    # 2 ulp at 1.0: the logits differ only by the order of their roundings
+    TOL = 4.5e-16
+
+    def test_fit_logit_shape_matches_per_replicate_oracle(self):
+        model, X_new = fit_logit_shaped(seed=31)
+        probs = predict_tarp(model, X_new).probability
+        oracle = binary_probability_per_replicate(model, X_new)
+        assert np.abs(probs - oracle).max() <= self.TOL
+
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr"])
+    def test_random_models_match_per_replicate_oracle(self, variant):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n, p = int(rng.integers(20, 120)), int(rng.integers(5, 400))
+            ds = binary_dataset(seed, n + 40, p)
+            train = Dataset(ds.design[:n], ds.response[:n], response_kind="binary")
+            configs = sample_config_grid(n, p, 10, variant=variant, master_seed=seed)
+            model = fit_tarp(train, configs, master_seed=seed)
+            probs = predict_tarp(model, ds.design[n:]).probability
+            oracle = binary_probability_per_replicate(model, ds.design[n:])
+            assert np.abs(probs - oracle).max() <= self.TOL
+
+    def test_unscreened_models_match_to_logit_rounding(self):
+        # plain_rp_baseline keeps every column: logits reach |h| ~ 200 and
+        # their roundings differ by a few ulp of h, up to ~1.4e-15 here
+        for seed in range(6):
+            ds = binary_dataset(seed, 140, 300)
+            train = Dataset(ds.design[:100], ds.response[:100], response_kind="binary")
+            configs = sample_config_grid(100, 300, 10, variant="plain_rp_baseline",
+                                         master_seed=seed)
+            model = fit_tarp(train, configs, master_seed=seed)
+            probs = predict_tarp(model, ds.design[100:]).probability
+            oracle = binary_probability_per_replicate(model, ds.design[100:])
+            assert np.abs(probs - oracle).max() <= 8 * np.finfo(float).eps
+
+    def test_predict_and_ris_pcr_fit_compress_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            tarp.ensemble, "compress", lambda X, R: calls.append(R) or compress(X, R)
+        )
+        ds = binary_dataset(5, 60, 40)
+        rp = fit_tarp(ds, sample_config_grid(60, 40, 4, master_seed=5))
+        assert len(calls) == 4  # the training rows of each ris_rp replicate
+        predict_tarp(rp, ds.design[:7])
+        configs = sample_config_grid(60, 40, 4, variant="ris_pcr", master_seed=5)
+        predict_tarp(fit_tarp(ds, configs), ds.design[:7])
+        assert len(calls) == 4
 
 
 class TestPredictTarp:

@@ -4,6 +4,7 @@ from oracles import (
     central_interval,
     fit_bernoulli_laplace_via_cho_factor,
     location_via_gram_inverse,
+    predict_prob,
 )
 from scipy.linalg import cholesky
 
@@ -11,7 +12,6 @@ from tarp.posterior import (
     ConvergenceError,
     fit_bernoulli_laplace,
     fit_gaussian,
-    predict_prob,
     predictive,
 )
 
@@ -299,6 +299,8 @@ def test_newton_matches_cho_factor_oracle():
 
 
 class TestPredictProb:
+    # the plug-in probability at the mode; the per-replicate oracle that
+    # tarp.ensemble.predict_tarp's binary path is checked against
     def test_zero_maps_to_half(self):
         post = fit_bernoulli_laplace(
             np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])

@@ -6,6 +6,7 @@ import pytest
 from oracles import ris_pcr_block_via_svd
 from tarp.data import standardize
 from tarp.projection import (
+    _ris_pcr_with_scores,
     compress,
     compute_ris_pcr,
     sample_ris_rp,
@@ -232,6 +233,66 @@ class TestRisPcr:
         gamma = gamma_of([True, True, False, True, False, True])
         dense = compute_ris_pcr(X, gamma, m=3).toarray()
         np.testing.assert_array_equal(dense[:, [2, 4]], 0.0)
+
+
+def _rank3_wide():
+    rng = np.random.default_rng(21)
+    return rng.standard_normal((40, 3)) @ rng.standard_normal((3, 150))
+
+
+class TestRisPcrScores:
+    """The training rows taken from the eigendecomposition equal compress."""
+
+    @pytest.mark.parametrize(
+        "make, m",
+        [
+            (_rank3_wide, 10),
+            (lambda: np.random.default_rng(22).standard_normal((90, 400)), 84),
+            (lambda: np.random.default_rng(23).standard_normal((120, 30)), 12),
+        ],
+        ids=["wide_rank3", "wide_full_rank", "tall"],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plain", "negated"])
+    def test_scores_match_compress(self, make, m, sign):
+        X = sign * make()
+        gamma = gamma_of(np.random.default_rng(24).random(X.shape[1]) < 0.9)
+        proj, Z = _ris_pcr_with_scores(X, gamma, m)
+        reference = compress(X, proj)
+        assert Z.shape == reference.shape == (X.shape[0], proj.m)
+        np.testing.assert_allclose(Z, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+        np.testing.assert_array_equal(proj.dense_block, compute_ris_pcr(X, gamma, m).dense_block)
+
+    def test_tall_scores_are_exactly_compress(self):
+        rng = np.random.default_rng(25)
+        X = np.asfortranarray(rng.standard_normal((60, 25)))
+        gamma = gamma_of(rng.random(25) < 0.8)
+        proj, Z = _ris_pcr_with_scores(X, gamma, 9)
+        np.testing.assert_array_equal(Z, compress(X, proj))
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("variant", ["ris_rp", "sparse_variant", "ris_pcr"])
+    def test_logits_match_compressed_product(self, variant):
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((20, 60))
+        gamma = gamma_of(rng.random(60) < 0.5)
+        if variant == "ris_rp":
+            proj = sample_ris_rp(gamma, m=7, psi=0.2, seed=3)
+        elif variant == "sparse_variant":
+            proj = sample_sparse_variant(gamma, m=7, kappa=0.5, n=20, seed=3)
+        else:
+            proj = compute_ris_pcr(X, gamma, m=7)
+        theta = rng.standard_normal(proj.m)
+        w = proj.adjoint(theta)
+        assert w.shape == (60,)
+        np.testing.assert_array_equal(w[~gamma.gamma], 0.0)
+        np.testing.assert_allclose(w, proj.toarray().T @ theta, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(X @ w, compress(X, proj) @ theta, rtol=0, atol=1e-12)
+
+    def test_rejects_wrong_length(self):
+        proj = sample_ris_rp(InclusionVector.all_ones(4), m=2, psi=0.3, seed=0)
+        with pytest.raises(ValueError, match="theta has shape"):
+            proj.adjoint(np.zeros(3))
 
 
 class TestCompress:
