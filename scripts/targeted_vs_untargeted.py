@@ -1,53 +1,25 @@
 #!/usr/bin/env python3
 """Compare targeted projections against the untargeted baseline on one scheme.
 
-Runs repeated train/test experiments for ris_rp, ris_pcr and the
-plain_rp_baseline (no screening), writes one combined long-format CSV
-(replicate, method, metric, value) ready for box plots, and prints median
-MSPE per method. With the defaults this takes a few minutes.
+Runs `tarp bench` for ris_rp, ris_pcr and the plain_rp_baseline (no
+screening) on the same train/test splits, joins their long-format CSVs into
+one (replicate, method, metric, value) file ready for box plots, and prints
+median MSPE per method. Each variant's bench outputs are kept next to --out as
+<out stem>_<variant>_metrics.csv, _long.csv and _meta.json. With the defaults
+this takes a few minutes.
 
 Usage:
     python scripts/targeted_vs_untargeted.py --scheme I --replicates 20 --out compare.csv
 """
 
 import argparse
+import statistics
 import sys
-import time
+from pathlib import Path
 
-import numpy as np
-
-from tarp.cli import _derive_seed
-from tarp.data import Dataset
-from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
-from tarp.metrics import evaluate_regression
-from tarp.simgen import SCHEMES, SchemeSpec, generate
-
-
-def run_variant(args, variant):
-    reports = []
-    for rep in range(args.replicates):
-        spec = SchemeSpec(
-            scheme=args.scheme,
-            n=args.n + args.test_size,
-            p=args.p,
-            seed=_derive_seed(args.seed, rep, 0),
-        )
-        data, _ = generate(spec)
-        train = Dataset(data.design[: args.n], data.response[: args.n])
-        master = _derive_seed(args.seed, rep, 1)
-        configs = sample_config_grid(
-            args.n, args.p, args.ensemble_size, variant=variant, master_seed=master
-        )
-        model = fit_tarp(train, configs, master_seed=master, threads=args.threads)
-        pred = predict_tarp(model, data.design[args.n:], level=0.5)
-        reports.append(
-            evaluate_regression(
-                pred.point,
-                np.column_stack([pred.lower, pred.upper]),
-                data.response[args.n:],
-            )
-        )
-    return reports
+from tarp.cli import main as tarp_main
+from tarp.ensemble import VARIANTS
+from tarp.simgen import SCHEMES
 
 
 def main() -> int:
@@ -63,25 +35,31 @@ def main() -> int:
     parser.add_argument("--out", default="targeted_vs_untargeted.csv")
     args = parser.parse_args()
 
+    out = Path(args.out)
     lines = ["replicate,method,metric,value"]
     medians = {}
     for variant in VARIANTS:
-        start = time.perf_counter()
-        reports = run_variant(args, variant)
-        medians[variant] = float(np.median([r.mspe for r in reports]))
-        for rep, report in enumerate(reports):
-            for metric, value in (
-                ("mspe", report.mspe),
-                ("ecp", report.ecp),
-                ("width", report.mean_width),
-            ):
-                lines.append(f"{rep},{variant},{metric},{value!r}")
-        print(f"{variant}: median mspe {medians[variant]:.3f} "
-              f"({time.perf_counter() - start:.0f}s)")
+        prefix = out.with_name(f"{out.stem}_{variant}")
+        code = tarp_main([
+            "bench", "--scheme", args.scheme, "--n", str(args.n),
+            "--test-size", str(args.test_size), "--p", str(args.p),
+            "--replicates", str(args.replicates),
+            "--ensemble-size", str(args.ensemble_size), "--variant", variant,
+            "--seed", str(args.seed), "--threads", str(args.threads),
+            "--out-prefix", str(prefix),
+        ])
+        if code != 0:
+            return code
+        body = Path(f"{prefix}_long.csv").read_text(encoding="utf-8").splitlines()[1:]
+        lines += body
+        rows = [line.split(",") for line in body]
+        medians[variant] = statistics.median(
+            float(value) for _, _, metric, value in rows if metric == "mspe"
+        )
+        print(f"{variant}: median mspe {medians[variant]:.3f}")
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {args.out}")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
 
     baseline = medians["plain_rp_baseline"]
     for variant in ("ris_rp", "ris_pcr"):

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .data import DataError, Dataset, load_csv, load_table, write_csv
 from .ensemble import (
+    RIS_RP,
     ReplicateError,
     TarpModel,
     VARIANTS,
@@ -34,7 +35,6 @@ from .ensemble import (
 from .metrics import evaluate_regression
 from .model_io import load_model, save_model
 from .posterior import ConvergenceError
-from .screening import default_delta
 from .simgen import SCHEMES, SchemeSpec, generate, write_truth_json
 
 THREADS_ENV_VAR = "TARP_THREADS"
@@ -55,7 +55,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The ``tarp`` parser and its subcommand parsers by name.
+
+    Each flag is the only declaration of its option's type, default and
+    choices; config-file values are parsed through the same flag.
+    """
     parser = _Parser(
         prog="tarp",
         description=(
@@ -79,42 +84,43 @@ def _build_parser() -> _Parser:
         parents=[common],
         help="generate a synthetic benchmark dataset (CSV + truth JSON)",
     )
-    sim.add_argument("--scheme", choices=SCHEMES, default=None,
+    sim.add_argument("--scheme", choices=SCHEMES,
                      help="covariate design (I: AR(1), II: blocks, III: rank-3, "
                           "IV: bridge paths)")
-    sim.add_argument("--n", type=int, default=None, help="number of rows [200]")
-    sim.add_argument("--p", type=int, default=None, help="number of predictors [2000]")
-    sim.add_argument("--noise-sd", type=float, default=None,
-                     help="response noise standard deviation [1.0]")
-    sim.add_argument("--seed", type=int, default=None, help="RNG seed [0]")
-    sim.add_argument("--out", default=None, help="dataset CSV path [tarp_data.csv]")
-    sim.add_argument("--truth-out", default=None,
-                     help="truth JSON path [<out stem>_truth.json]")
+    sim.add_argument("--n", type=int, default=200, help="number of rows [%(default)s]")
+    sim.add_argument("--p", type=int, default=2000,
+                     help="number of predictors [%(default)s]")
+    sim.add_argument("--noise-sd", type=float, default=1.0,
+                     help="response noise standard deviation [%(default)s]")
+    sim.add_argument("--seed", type=int, default=0, help="RNG seed [%(default)s]")
+    sim.add_argument("--out", default="tarp_data.csv",
+                     help="dataset CSV path [%(default)s]")
+    sim.add_argument("--truth-out", help="truth JSON path [<out stem>_truth.json]")
 
     fit = sub.add_parser(
         "fit",
         parents=[common],
         help="fit a projection ensemble from a training CSV",
     )
-    fit.add_argument("--data", default=None, help="training CSV (required)")
-    fit.add_argument("--target", default=None, help="response column name [y]")
-    fit.add_argument("--variant", choices=VARIANTS, default=None,
-                     help="projection variant [ris_rp]")
-    fit.add_argument("--replicates", type=int, default=None,
-                     help="ensemble size N [100]")
-    fit.add_argument("--delta", type=float, default=None,
+    fit.add_argument("--data", help="training CSV (required)")
+    fit.add_argument("--target", default="y", help="response column name [%(default)s]")
+    fit.add_argument("--variant", choices=VARIANTS, default=RIS_RP,
+                     help="projection variant [%(default)s]")
+    fit.add_argument("--replicates", type=int, default=100,
+                     help="ensemble size N [%(default)s]")
+    fit.add_argument("--delta", type=float,
                      help="screening exponent [max{0,(1+ln(p/n))/2}]")
-    fit.add_argument("--a-sigma", type=float, default=None,
-                     help="noise-variance prior shape [0.02]")
-    fit.add_argument("--b-sigma", type=float, default=None,
-                     help="noise-variance prior rate [0.02]")
-    fit.add_argument("--sigma-theta2", type=float, default=None,
-                     help="coefficient prior variance for binary fits [1.0]")
-    fit.add_argument("--seed", type=int, default=None, help="master seed [0]")
-    fit.add_argument("--threads", type=int, default=None,
+    fit.add_argument("--a-sigma", type=float, default=0.02,
+                     help="noise-variance prior shape [%(default)s]")
+    fit.add_argument("--b-sigma", type=float, default=0.02,
+                     help="noise-variance prior rate [%(default)s]")
+    fit.add_argument("--sigma-theta2", type=float, default=1.0,
+                     help="coefficient prior variance for binary fits [%(default)s]")
+    fit.add_argument("--seed", type=int, default=0, help="master seed [%(default)s]")
+    fit.add_argument("--threads", type=int,
                      help=f"worker threads [${THREADS_ENV_VAR} or 1]; "
                           "never changes outputs")
-    fit.add_argument("--out", default=None, help="model file [tarp_model.json]")
+    fit.add_argument("--out", default="tarp_model.json", help="model file [%(default)s]")
 
     pred = sub.add_parser(
         "predict",
@@ -125,12 +131,12 @@ def _build_parser() -> _Parser:
             "probability (binary response), one row per input row"
         ),
     )
-    pred.add_argument("--model", default=None, help="model file (required)")
-    pred.add_argument("--data", default=None,
-                      help="CSV of new rows; a stray response column is dropped")
-    pred.add_argument("--level", type=float, default=None,
-                      help="central interval level [0.5]")
-    pred.add_argument("--out", default=None, help="prediction CSV [tarp_pred.csv]")
+    pred.add_argument("--model", help="model file (required)")
+    pred.add_argument("--data", help="CSV of new rows; a stray response column is dropped")
+    pred.add_argument("--level", type=float, default=0.5,
+                      help="central interval level [%(default)s]")
+    pred.add_argument("--out", default="tarp_pred.csv",
+                      help="prediction CSV [%(default)s]")
 
     bench = sub.add_parser(
         "bench",
@@ -143,56 +149,42 @@ def _build_parser() -> _Parser:
             "<prefix>_meta.json with the resolved options and seed"
         ),
     )
-    bench.add_argument("--scheme", choices=SCHEMES, default=None)
-    bench.add_argument("--n", type=int, default=None, help="training rows [200]")
-    bench.add_argument("--test-size", type=int, default=None, help="test rows [100]")
-    bench.add_argument("--p", type=int, default=None, help="predictors [2000]")
-    bench.add_argument("--replicates", type=int, default=None,
-                       help="train/test experiment replicates [30]")
-    bench.add_argument("--ensemble-size", type=int, default=None,
-                       help="projection draws per fit [50]")
-    bench.add_argument("--variant", choices=VARIANTS, default=None)
-    bench.add_argument("--delta", type=float, default=None)
-    bench.add_argument("--noise-sd", type=float, default=None)
-    bench.add_argument("--level", type=float, default=None,
-                       help="prediction interval level [0.5]")
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--threads", type=int, default=None,
+    bench.add_argument("--scheme", choices=SCHEMES, help="covariate design")
+    bench.add_argument("--n", type=int, default=200, help="training rows [%(default)s]")
+    bench.add_argument("--test-size", type=int, default=100,
+                       help="test rows [%(default)s]")
+    bench.add_argument("--p", type=int, default=2000, help="predictors [%(default)s]")
+    bench.add_argument("--replicates", type=int, default=30,
+                       help="train/test experiment replicates [%(default)s]")
+    bench.add_argument("--ensemble-size", type=int, default=50,
+                       help="projection draws per fit [%(default)s]")
+    bench.add_argument("--variant", choices=VARIANTS, default=RIS_RP,
+                       help="projection variant [%(default)s]")
+    bench.add_argument("--delta", type=float,
+                       help="screening exponent [max{0,(1+ln(p/n))/2}]")
+    bench.add_argument("--noise-sd", type=float, default=1.0,
+                       help="response noise standard deviation [%(default)s]")
+    bench.add_argument("--level", type=float, default=0.5,
+                       help="prediction interval level [%(default)s]")
+    bench.add_argument("--seed", type=int, default=0, help="master seed [%(default)s]")
+    bench.add_argument("--threads", type=int,
                        help=f"parallel experiment replicates [${THREADS_ENV_VAR} or 1]")
-    bench.add_argument("--out-prefix", default=None,
-                       help="output prefix [tarp_bench]")
-    return parser
+    bench.add_argument("--out-prefix", default="tarp_bench",
+                       help="output prefix [%(default)s]")
+    return parser, sub.choices
 
 
-_DEFAULTS = {
-    "simulate": {
-        "n": 200, "p": 2000, "noise_sd": 1.0, "seed": 0,
-        "out": "tarp_data.csv", "truth_out": None, "scheme": None,
-    },
-    "fit": {
-        "data": None, "target": "y", "variant": "ris_rp", "replicates": 100,
-        "delta": None, "a_sigma": 0.02, "b_sigma": 0.02, "sigma_theta2": 1.0,
-        "seed": 0, "threads": None, "out": "tarp_model.json",
-    },
-    "predict": {
-        "model": None, "data": None, "level": 0.5, "out": "tarp_pred.csv",
-    },
-    "bench": {
-        "scheme": None, "n": 200, "test_size": 100, "p": 2000, "replicates": 30,
-        "ensemble_size": 50, "variant": "ris_rp", "delta": None, "noise_sd": 1.0,
-        "level": 0.5, "seed": 0, "threads": None, "out_prefix": "tarp_bench",
-    },
-}
-
-_TYPES = {
-    "n": int, "p": int, "seed": int, "replicates": int, "ensemble_size": int,
-    "test_size": int, "threads": int, "noise_sd": float, "delta": float,
-    "a_sigma": float, "b_sigma": float, "sigma_theta2": float, "level": float,
-}
+def _options(args: argparse.Namespace) -> dict:
+    """The command's resolved options: every flag's value, by option name."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
 
-def _read_config_file(path, known) -> dict:
-    """``key = value`` lines; a key outside ``known`` is a usage error."""
+def _read_config_file(path, parser: _Parser, known) -> dict:
+    """``key = value`` lines, each value parsed by the command's own flag.
+
+    A key outside ``known`` or a value its flag rejects is a usage error
+    naming ``path:line``.
+    """
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -206,34 +198,16 @@ def _read_config_file(path, known) -> dict:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
         if key not in known:
             raise _UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        if key in _TYPES:
-            try:
-                value = _TYPES[key](value)
-            except ValueError:
-                raise _UsageError(
-                    f"{path}:{lineno}: cannot parse {value!r} for {key}"
-                ) from None
-        values[key] = value
+        # '--flag=value' keeps a value such as '-x' or '--help' a value
+        flag = "--" + key.replace("_", "-")
+        try:
+            parsed = parser.parse_args([f"{flag}={value.strip()}"])
+        except _UsageError as exc:
+            raise _UsageError(f"{path}:{lineno}: {exc}") from None
+        values[key] = getattr(parsed, key)
     return values
-
-
-def _resolve_options(args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values over built-in defaults."""
-    defaults = _DEFAULTS[args.command]
-    config = _read_config_file(args.config, defaults) if args.config else {}
-    options = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            options[key] = flag
-        elif key in config:
-            options[key] = config[key]
-        else:
-            options[key] = default
-    return options
 
 
 def _resolve_threads(value) -> int:
@@ -296,16 +270,13 @@ def _cmd_fit(options: dict, outputs: list) -> int:
         raise _UsageError("fit requires --data")
     threads = _resolve_threads(options["threads"])
     train = load_csv(options["data"], options["target"])
-    delta = options["delta"]
-    if delta is None:
-        delta = default_delta(train.n, train.p)
     started = time.perf_counter()
     configs = sample_config_grid(
         train.n,
         train.p,
         options["replicates"],
         variant=options["variant"],
-        delta=delta,
+        delta=options["delta"],
         master_seed=options["seed"],
     )
     model = fit_tarp(
@@ -320,14 +291,16 @@ def _cmd_fit(options: dict, outputs: list) -> int:
     elapsed = time.perf_counter() - started
     out = Path(options["out"])
     outputs.append(out)
+    # the worker count is wall-time only, never model content; delta is the
+    # value the grid used, so a default one is recorded too
     resolved = {k: v for k, v in sorted(options.items()) if k != "threads"}
-    resolved["delta"] = delta  # worker count is wall-time only, never model content
+    resolved["delta"] = configs[0].delta
     save_model(model, out, extra={"command": "fit", "options": resolved})
     ms = [rep.config.m for rep in model.replicates]
     print(
         f"fitted {model.n_replicates} replicates "
         f"(variant={options['variant']}, m in [{min(ms)}, {max(ms)}], "
-        f"delta={delta:.4g}) in {elapsed:.2f}s"
+        f"delta={configs[0].delta:.4g}) in {elapsed:.2f}s"
     )
     print(f"wrote model to {out}")
     return EXIT_OK
@@ -415,15 +388,12 @@ def _bench_one(options: dict, rep: int) -> dict:
         column_names=dataset.column_names,
     )
     master_seed = _derive_seed(options["seed"], rep, 1)
-    delta = options["delta"]
-    if delta is None:
-        delta = default_delta(train.n, train.p)
     configs = sample_config_grid(
         train.n,
         train.p,
         options["ensemble_size"],
         variant=options["variant"],
-        delta=delta,
+        delta=options["delta"],
         master_seed=master_seed,
     )
     model = fit_tarp(train, configs, master_seed=master_seed, threads=1)
@@ -531,22 +501,23 @@ def _classify_error(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
+    parser, commands = _build_parser()
     # paths are registered in `outputs` just before each write starts, so an
     # error removes exactly the files whose content may be partial
     outputs: list[Path] = []
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_USAGE
+        options = _options(args)
+        if args.config:
+            # config values become the command's defaults: flags > config > built-in
+            command = commands[args.command]
+            command.set_defaults(**_read_config_file(args.config, command, options))
+            options = _options(parser.parse_args(argv))
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            options = _resolve_options(args)
             return _COMMANDS[args.command](options, outputs)
     except _UsageError as exc:
         _remove_partial(outputs)

@@ -305,8 +305,10 @@ def mixture_t_quantile(
     half_df1 = 0.5 * (dfs + 1.0)
     with np.errstate(invalid="ignore"):
         log_norm = gammaln(half_df1) - gammaln(0.5 * dfs) - 0.5 * np.log(np.pi * dfs)
-    # both gammaln terms overflow for df past ~5e305: use the Gaussian limit
-    log_norm[~np.isfinite(log_norm)] = -0.5 * math.log(2.0 * math.pi)
+    # the gammaln difference loses ~eps (df/2) ln(df/2) to cancellation, and
+    # the Gaussian limit is off by ~1/(4 df); the two cross near df = 1e7.
+    # Past that, and past ~5e305 where both gammaln terms overflow, use the limit
+    log_norm[~np.isfinite(log_norm) | (dfs > 1e7)] = -0.5 * math.log(2.0 * math.pi)
     out = np.empty_like(x)
     points = np.arange(x.size)
     for _ in range(max_iter):

@@ -22,14 +22,7 @@ import numpy as np
 from .data import RESPONSE_KINDS, DataError, StandardizationParams
 from .ensemble import PLAIN_RP_BASELINE, Replicate, TarpConfig, TarpModel
 from .posterior import GaussianPosterior, LaplacePosterior, positive_finite
-from .projection import (
-    RIS_PCR,
-    RIS_RP,
-    SPARSE_VARIANT,
-    ProjectionMatrix,
-    sample_ris_rp,
-    sample_sparse_variant,
-)
+from .projection import RIS_PCR, RIS_RP, ProjectionMatrix, sample_ris_rp
 from .screening import InclusionVector
 
 FORMAT_TAG = "tarp-model"
@@ -127,11 +120,7 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
         out["block"] = _encode_array(proj.dense_block)
     else:
         out["seed"] = list(proj.seed)
-        if proj.variant == RIS_RP:
-            out["psi"] = float(proj.psi)
-        else:
-            out["kappa"] = float(proj.kappa)
-            out["n_obs"] = int(proj.n_obs)
+        out["psi"] = float(proj.psi)
     return out
 
 
@@ -159,13 +148,9 @@ def _decode_projection(obj: dict, p: int) -> ProjectionMatrix:
             dense_block=block,
             requested_m=requested_m,
         )
-    # the samplers check m, psi / kappa and the seed
+    # the sampler checks m, psi and the seed
     if variant == RIS_RP:
         return sample_ris_rp(gamma, m, float(obj["psi"]), obj["seed"])
-    if variant == SPARSE_VARIANT:
-        return sample_sparse_variant(
-            gamma, m, float(obj["kappa"]), int(obj["n_obs"]), obj["seed"]
-        )
     raise ValueError(f"unknown projection variant {variant!r}")
 
 

@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tarp
 import tarp.cli
@@ -197,6 +200,58 @@ class TestConfigPrecedence:
             "--n", "40", "--out", "d.csv")
         assert load_csv("d.csv", "y").p == 35
 
+    def test_bad_config_choice_fails_before_the_data_file(self, workdir, capsys):
+        # the value goes through the --variant flag's own choice check, so a
+        # missing data file is never opened
+        (workdir / "cfg.txt").write_text("variant = bogus\n")
+        assert run("fit", "--data", "missing.csv", "--config", "cfg.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: cfg.txt:1: argument --variant: invalid choice: 'bogus'"
+        )
+        assert err.count("\n") == 1
+
+    def test_bad_config_number_names_its_line(self, workdir, capsys):
+        (workdir / "cfg.txt").write_text("# sizes\nn = abc\n")
+        assert run("simulate", "--scheme", "I", "--config", "cfg.txt") == 1
+        assert capsys.readouterr().err == (
+            "error: cfg.txt:2: argument --n: invalid int value: 'abc'\n"
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_each_option_resolves_flag_then_config_then_default(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            values = {
+                "scheme": st.sampled_from(["I", "III", "IV"]),
+                "n": st.integers(2, 20),
+                "p": st.integers(30, 40),
+                "noise_sd": st.floats(0.0, 10.0),
+                "seed": st.integers(0, 2**32),
+                "out": st.sampled_from([os.path.join(tmp, f"{s}.csv") for s in "ab"]),
+                "truth_out": st.just(os.path.join(tmp, "truth.json")),
+            }
+            expected = {"noise_sd": 1.0, "seed": 0, "truth_out": None}
+            flags, lines = ["simulate"], []
+            for key, strategy in values.items():
+                in_config = data.draw(st.booleans(), label=f"{key} in config")
+                in_flags = data.draw(st.booleans(), label=f"{key} as flag")
+                if key not in expected:  # no usable default: give it somewhere
+                    in_flags = in_flags or not in_config
+                if in_config:
+                    expected[key] = data.draw(strategy, label=f"config {key}")
+                    lines.append(f"{key} = {expected[key]}")
+                if in_flags:
+                    expected[key] = data.draw(strategy, label=f"flag {key}")
+                    flags += [f"--{key.replace('_', '-')}", str(expected[key])]
+            config = os.path.join(tmp, "cfg.txt")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            assert main(flags + ["--config", config]) == 0
+            truth_out = expected["truth_out"] or expected["out"][:-4] + "_truth.json"
+            with open(truth_out, encoding="utf-8") as fh:
+                assert json.load(fh)["options"] == expected
+
 
 class TestExitCodes:
     def test_usage_errors(self, workdir):
@@ -285,6 +340,18 @@ class TestExitCodes:
         assert err == (
             "warning: response is constant; all marginal correlations set to 0\n"
         )
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "predict", "bench"])
+    def test_help_shows_every_fixed_default(self, command, capsys):
+        # a bad %(default)s in a help string only fails once help is printed
+        _, commands = tarp.cli._build_parser()
+        defaults = vars(commands[command].parse_args([]))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for value in defaults.values():
+            assert value is None or f"[{value}]" in out
 
     def test_help_documents_output_columns(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -391,6 +458,9 @@ class TestCorruptModel:
             (_set_float("replicates", 0, "projection", "block", value=float("nan")),
              "ris_pcr"),
             (_set("version", value=4), "ris_rp"),
+            # no TarpConfig variant uses the library's sparse_variant sampler
+            (_set("replicates", 0, "projection", "variant", value="sparse_variant"),
+             "ris_rp"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -402,7 +472,7 @@ class TestCorruptModel:
             "column_mean_inf", "residual_quadratic_negative", "a_sigma_zero",
             "b_sigma_negative", "b_sigma_overflows", "sigma_theta2_zero",
             "triangle_short", "triangle_order", "triangle_inf", "pcr_block_nan",
-            "version_4",
+            "version_4", "projection_variant_sparse",
         ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):

@@ -296,6 +296,26 @@ class TestNewtonMatchesBisection:
         scales = rng.uniform(0.5, 2.0, (2, 40))
         self.check(dfs, locs, scales, prob)
 
+    def test_huge_finite_df_takes_few_cdf_evaluations(self, monkeypatch):
+        # at df 1e15 the gammaln difference cancels to noise, which sent
+        # Newton to bisection; the Gaussian-limit normaliser keeps it exact
+        evaluations = []
+        stdtr = tarp.ensemble.stdtr
+
+        def counted(*args):
+            evaluations.append(1)
+            return stdtr(*args)
+
+        rng = np.random.default_rng(7)
+        dfs = np.full(20, 1e15)
+        locs = rng.standard_normal((20, 500))
+        scales = rng.uniform(0.5, 2.0, (20, 500))
+        monkeypatch.setattr(tarp.ensemble, "stdtr", counted)
+        mixture_t_quantile(dfs, locs, scales, 0.25)
+        assert len(evaluations) <= 10
+        monkeypatch.undo()
+        self.check(dfs, locs, scales, 0.25)
+
 
 def binary_dataset(seed, n, p):
     rng = np.random.default_rng(seed)

@@ -11,8 +11,6 @@ from tarp.cli import main
 from tarp.data import DataError, Dataset
 from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import FORMAT_VERSION, load_model, save_model
-from tarp.projection import sample_sparse_variant
-from tarp.screening import InclusionVector
 
 # version 1 model files (p=20, 3 replicates) and the prediction CSVs written
 # for their training rows while version 1 was the current format; the
@@ -75,17 +73,6 @@ def test_projection_rematerializes_exactly(tmp_path):
         np.testing.assert_array_equal(
             orig.projection.toarray(), back.projection.toarray()
         )
-
-
-def test_sparse_variant_roundtrip(tmp_path):
-    from tarp.model_io import _decode_projection, _encode_projection
-
-    gamma = InclusionVector(np.random.default_rng(0).random(30) < 0.6)
-    proj = sample_sparse_variant(gamma, m=4, kappa=0.5, n=64, seed=(1, 2))
-    back = _decode_projection(
-        json.loads(json.dumps(_encode_projection(proj))), p=30
-    )
-    np.testing.assert_array_equal(proj.toarray(), back.toarray())
 
 
 def test_binary_model_roundtrip(tmp_path):
