@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, Dataset, load_csv, load_table, write_csv
+from .data import DataError, Dataset, load_csv, load_table, not_utf8, write_csv
 from .ensemble import (
     RIS_RP,
     ReplicateError,
@@ -190,6 +190,8 @@ def _read_config_file(path, parser: _Parser, known) -> dict:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(not_utf8(f"config file {path}", exc)) from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -21,6 +21,18 @@ class DataError(ValueError):
 
 RESPONSE_KINDS = ("continuous", "binary")
 
+# a leading byte-order mark is dropped, not read as part of the first name
+_CSV_ENCODING = "utf-8-sig"
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """One-line message for a file that does not decode as UTF-8.
+
+    The decoder counts its position from the start of a buffered chunk, not
+    of the file, so the message names only the offending byte.
+    """
+    return f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -91,13 +103,21 @@ class StandardizationParams:
     response_mean: float | None
 
     def transform_design(self, X: np.ndarray) -> np.ndarray:
+        """(X - means) / scales as a new column-major array.
+
+        Column-major, so each replicate's X[:, gamma] gather copies whole
+        columns; both steps run in place on the one copy.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.column_means.shape[0]:
             raise DataError(
                 f"matrix has {X.shape[1]} columns, params expect "
                 f"{self.column_means.shape[0]}"
             )
-        return (X - self.column_means) / self.column_scales
+        out = np.array(X, order="F")
+        out -= self.column_means
+        out /= self.column_scales
+        return out
 
     def transform_response(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
@@ -120,42 +140,46 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
     count or a non-finite value, the file is re-read cell by cell with
     Python's ``float()``: that scan accepts what ``float()`` accepts and
     numpy does not (whitespace-only lines, ``1_000``) and otherwise reports
-    the first bad cell with its row number and column name.
+    the first bad cell with its row number and column name. The text is
+    UTF-8, with or without a byte-order mark.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding=_CSV_ENCODING)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    with fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported by the scan below
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(
-                    fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                    dtype=np.float64,
-                )
-        except ValueError:
-            table = None
-    if (
-        table is None
-        or table.shape[0] == 0
-        or table.shape[1] != len(header)
-        or not np.isfinite(table).all()
-    ):
-        return _scan_table(path)
+    try:
+        with fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported by the scan below
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(
+                        fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                        dtype=np.float64,
+                    )
+            except ValueError:
+                table = None
+        if (
+            table is None
+            or table.shape[0] == 0
+            or table.shape[1] != len(header)
+            or not np.isfinite(table).all()
+        ):
+            header, table = _scan_table(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(not_utf8(path, exc)) from None
     return header, table
 
 
 def _scan_table(path) -> tuple[list[str], np.ndarray]:
     # one float() per cell: the parser of record for every input that the
     # C parser rejects, and the source of every row/column error message
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding=_CSV_ENCODING) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

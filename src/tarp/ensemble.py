@@ -362,8 +362,6 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
         return TarpPrediction(response_kind="binary", probability=probs)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    # column-major, so each replicate's X[:, gamma] gather copies whole columns
-    Xs = np.asfortranarray(Xs)
     dfs, locs, scales = [], [], []
     for rep in model.replicates:
         pred = predictive(rep.posterior, compress(Xs, rep.projection))

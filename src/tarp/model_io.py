@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .data import RESPONSE_KINDS, DataError, StandardizationParams
+from .data import RESPONSE_KINDS, DataError, StandardizationParams, not_utf8
 from .ensemble import PLAIN_RP_BASELINE, Replicate, TarpConfig, TarpModel
 from .posterior import GaussianPosterior, LaplacePosterior, positive_finite
 from .projection import RIS_PCR, RIS_RP, ProjectionMatrix, sample_ris_rp
@@ -315,6 +315,8 @@ def load_model(path) -> tuple[TarpModel, dict]:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(not_utf8(path, exc)) from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid model file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:

@@ -97,7 +97,7 @@ def binary_probability_per_replicate(model, X_new: np.ndarray) -> np.ndarray:
     replicate's compressed rows ``X_gamma R_i'``; ``tarp.ensemble.predict_tarp``
     forms the same logits as one product with the mapped-back modes.
     """
-    Xs = np.asfortranarray(model.standardization.transform_design(X_new))
+    Xs = model.standardization.transform_design(X_new)
     return np.mean(
         [
             predict_prob(rep.posterior, rep.projection.apply(Xs))

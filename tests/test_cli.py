@@ -112,6 +112,23 @@ class TestFitPredict:
         assert run("predict", "--model", "model.json", "--data", "data.csv",
                    "--out", "preds.csv") == 0
 
+    def test_byte_order_mark_is_ignored(self, workdir, monkeypatch):
+        # the mark would otherwise stick to the first name, here the target
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((40, 6))
+        text = "y,x1,x2,x3,x4,x5\n" + "".join(
+            ",".join(map(repr, row.tolist())) + "\n" for row in table
+        )
+        models = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (workdir / name).mkdir()
+            monkeypatch.chdir(workdir / name)
+            (workdir / name / "data.csv").write_bytes(prefix + text.encode())
+            assert run("fit", "--data", "data.csv", "--target", "y",
+                       "--replicates", "3", "--out", "model.json") == 0
+            models.append((workdir / name / "model.json").read_bytes())
+        assert models[0] == models[1]
+
     def test_binary_pipeline(self, workdir):
         write_binary_csv(workdir / "bin.csv")
         assert run("fit", "--data", "bin.csv", "--replicates", "3",
@@ -265,6 +282,25 @@ class TestExitCodes:
     def test_malformed_csv_is_data_error(self, workdir):
         (workdir / "bad.csv").write_text("a,y\n1,2\nfoo,3\n")
         assert run("fit", "--data", "bad.csv") == 2
+
+    @pytest.mark.parametrize(
+        "argv, path, code",
+        [
+            (["fit", "--data", "bad.csv"], "bad.csv", 2),
+            (["predict", "--model", "bad.json", "--data", "bad.csv"], "bad.json", 2),
+            (["simulate", "--scheme", "I", "--config", "cfg.txt"],
+             "config file cfg.txt", 1),
+        ],
+        ids=["data", "model", "config"],
+    )
+    def test_non_utf8_file_is_named(self, workdir, capsys, argv, path, code):
+        (workdir / "bad.csv").write_bytes(b"x1,y\n1.0,2.0\n\xff\xfe,3\n4,5\n")
+        (workdir / "bad.json").write_bytes(b"\xff{}")
+        (workdir / "cfg.txt").write_bytes(b"n = 5\n\xff\n")
+        assert run(*argv) == code
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (byte 0xff: invalid start byte)\n"
+        )
 
     def test_numeric_error_classification(self):
         from tarp.cli import EXIT_NUMERIC, _classify_error

@@ -203,6 +203,20 @@ class TestStandardize:
         assert np.all(np.abs(transformed.mean(axis=0)) > 0.5)
 
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_transform_design_is_a_column_major_copy(self, order):
+        rng = np.random.default_rng(3)
+        train = Dataset(rng.standard_normal((30, 5)) * 4.0 + 2.0, rng.standard_normal(30))
+        _, params = standardize(train)
+        X = np.asarray(rng.standard_normal((12, 5)) * 3.0, order=order)
+        before = X.copy()
+        out = params.transform_design(X)
+        assert out.flags.f_contiguous
+        expected = (X - params.column_means) / params.column_scales
+        assert out.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(X, before)
+
+
 class TestSplit:
     def test_sizes_and_partition(self):
         rng = np.random.default_rng(2)

@@ -22,6 +22,13 @@ DATA = Path(__file__).parent / "data"
 # differ by 2 ulp at 1.0; continuous CSVs must match byte for byte
 BINARY_FIXTURE_TOL = 4.5e-16
 
+# a version 3 ris_pcr model (p=20, 3 replicates, stored dense blocks) and the
+# predictions written for its training rows when it was fitted. A change to
+# how the compression GEMM is ordered may move them by rounding (at most
+# ~5e-16 relative on the benchmark's ris_pcr fits), so they are compared
+# relative to the largest value, not byte for byte
+RIS_PCR_FIXTURE_RTOL = 1e-13
+
 
 def assert_predicts_committed_csv(out, kind):
     committed = DATA / f"v1_{kind}_pred.csv"
@@ -188,6 +195,20 @@ def test_every_binary_fixture_version_predicts_the_same_bytes(tmp_path):
         outputs.append(out.read_bytes())
     assert len(set(outputs)) == 1
     assert_predicts_committed_csv(tmp_path / "pred0.csv", "binary")
+
+
+def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
+    model = json.loads((DATA / "v3_ris_pcr.json").read_text())
+    assert model["version"] == 3
+    assert {rep["projection"]["variant"] for rep in model["replicates"]} == {"ris_pcr"}
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(DATA / "v3_ris_pcr.json"),
+                 "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
+    committed = DATA / "v3_ris_pcr_pred.csv"
+    assert out.read_text().splitlines()[0] == committed.read_text().splitlines()[0]
+    new, old = (np.loadtxt(f, delimiter=",", skiprows=1) for f in (out, committed))
+    assert new.shape == old.shape == (40, 3)
+    assert np.abs(new - old).max() <= RIS_PCR_FIXTURE_RTOL * np.abs(old).max()
 
 
 def test_v2_hessian_is_still_checked(tmp_path):

@@ -313,6 +313,34 @@ class TestCompress:
             compress(X, proj), X @ proj.toarray().T, atol=1e-12
         )
 
+    # compress forms block @ X_gamma' and transposes it; at (100, 40, 3) and
+    # (90, 400, 84) that rounds differently from X_gamma @ block.T, so the
+    # grid checks the product to a relative tolerance, not bit for bit
+    @pytest.mark.parametrize(
+        "n, p_gamma, m",
+        [(100, 40, 3), (1000, 40, 3), (1, 30, 4), (30, 1, 1), (200, 200, 83),
+         (90, 400, 84), (200, 2462, 83)],
+    )
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_dense_product_over_shapes(self, n, p_gamma, m, variant, order):
+        rng = np.random.default_rng([n, p_gamma, m])
+        p = p_gamma + 7
+        X = np.asarray(rng.standard_normal((n, p)), order=order)
+        bits = np.zeros(p, dtype=bool)
+        bits[rng.choice(p, p_gamma, replace=False)] = True
+        gamma = gamma_of(bits)
+        if variant == "ris_rp":
+            proj = sample_ris_rp(gamma, m=m, psi=0.3, seed=n)
+        else:
+            proj = compute_ris_pcr(X, gamma, m=m)
+        Z = compress(X, proj)
+        reference = X @ proj.toarray().T
+        assert Z.shape == (n, proj.m) and Z.flags.c_contiguous
+        np.testing.assert_allclose(
+            Z, reference, rtol=0, atol=1e-12 * np.abs(reference).max()
+        )
+
     def test_dimension_mismatch(self):
         proj = sample_ris_rp(InclusionVector.all_ones(4), m=2, psi=0.3, seed=0)
         with pytest.raises(ValueError):
