@@ -15,19 +15,22 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import DataError, Dataset, load_csv, load_table, not_utf8, write_csv
+from .data import (
+    TEXT_ENCODING, DataError, Dataset, load_csv, load_table, not_utf8, write_csv,
+)
 from .ensemble import (
     RIS_RP,
     ReplicateError,
     TarpModel,
     VARIANTS,
+    _map_ordered,
     fit_tarp,
     predict_tarp,
     sample_config_grid,
@@ -187,7 +190,7 @@ def _read_config_file(path, parser: _Parser, known) -> dict:
     """
     values = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding=TEXT_ENCODING).splitlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -418,15 +421,11 @@ def _cmd_bench(options: dict, outputs: list) -> int:
         raise _UsageError("bench requires --scheme")
     if options["replicates"] < 1:
         raise _UsageError("bench needs at least one replicate")
+    if options["ensemble_size"] < 1:
+        raise _UsageError("bench needs an ensemble size of at least 1")
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()
-    reps = range(options["replicates"])
-    workers = min(threads, len(reps))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda r: _bench_one(options, r), reps))
-    else:
-        rows = [_bench_one(options, r) for r in reps]
+    rows = _map_ordered(partial(_bench_one, options), range(options["replicates"]), threads)
     elapsed = time.perf_counter() - started
 
     prefix = options["out_prefix"]

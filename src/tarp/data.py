@@ -21,8 +21,9 @@ class DataError(ValueError):
 
 RESPONSE_KINDS = ("continuous", "binary")
 
-# a leading byte-order mark is dropped, not read as part of the first name
-_CSV_ENCODING = "utf-8-sig"
+# every text input (CSV or config) is UTF-8; a leading byte-order mark is
+# dropped, not read as part of the first name or key
+TEXT_ENCODING = "utf-8-sig"
 
 
 def not_utf8(path, exc: UnicodeDecodeError) -> str:
@@ -39,7 +40,8 @@ class Dataset:
     """An (n x p) design matrix with an n-vector response.
 
     ``response_kind`` is "continuous" or "binary"; binary responses must be
-    coded 0/1. All entries must be finite.
+    coded 0/1. All entries must be finite. A float64 design is kept as
+    given, in either memory layout, without a copy.
     """
 
     design: np.ndarray
@@ -48,7 +50,7 @@ class Dataset:
     column_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        design = np.ascontiguousarray(np.asarray(self.design, dtype=np.float64))
+        design = np.asarray(self.design, dtype=np.float64)
         response = np.ascontiguousarray(np.asarray(self.response, dtype=np.float64))
         if design.ndim != 2:
             raise DataError(f"design must be 2-dimensional, got shape {design.shape}")
@@ -144,7 +146,7 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
     UTF-8, with or without a byte-order mark.
     """
     try:
-        fh = open(path, "r", newline="", encoding=_CSV_ENCODING)
+        fh = open(path, "r", newline="", encoding=TEXT_ENCODING)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
     try:
@@ -179,7 +181,7 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
 def _scan_table(path) -> tuple[list[str], np.ndarray]:
     # one float() per cell: the parser of record for every input that the
     # C parser rejects, and the source of every row/column error message
-    with open(path, "r", newline="", encoding=_CSV_ENCODING) as fh:
+    with open(path, "r", newline="", encoding=TEXT_ENCODING) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -254,9 +256,11 @@ def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationParams]:
 
     Constant columns are centered only and flagged (scale recorded as 1).
     A continuous response is centered by its mean; binary responses are left
-    untouched.
+    untouched. The standardized design is the column-major array of
+    ``transform_design``.
     """
-    X = dataset.design
+    # the column sums round differently by layout: take them row-major
+    X = np.ascontiguousarray(dataset.design)
     means = X.mean(axis=0)
     scales = X.std(axis=0, ddof=1)
     constant = scales == 0.0

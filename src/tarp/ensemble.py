@@ -16,6 +16,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -63,6 +64,30 @@ class ReplicateError(RuntimeError):
         super().__init__(f"replicate {index}: {original}")
         self.index = index
         self.original = original
+
+
+def _map_ordered(fn, jobs, threads: int) -> list:
+    """``[fn(job) for job in jobs]`` on at most ``threads`` worker threads.
+
+    Results come back in job order whatever order the jobs finish in, so the
+    thread count never changes an output; with one worker the jobs run
+    inline. A failure of job i is raised as ``ReplicateError(i, exc)``; when
+    several jobs fail, the first in job order is raised.
+    """
+
+    def run(indexed):
+        index, job = indexed
+        try:
+            return fn(job)
+        except Exception as exc:
+            raise ReplicateError(index, exc) from exc
+
+    jobs = list(enumerate(jobs))
+    workers = min(threads, len(jobs))
+    if workers <= 1:
+        return [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, jobs))
 
 
 @dataclass(frozen=True)
@@ -180,7 +205,6 @@ def _dataset_hash(dataset: Dataset) -> str:
 
 
 def _fit_replicate(
-    cfg: TarpConfig,
     design: np.ndarray,
     response: np.ndarray,
     correlations: np.ndarray,
@@ -188,6 +212,7 @@ def _fit_replicate(
     a_sigma: float,
     b_sigma: float,
     sigma_theta2: float,
+    cfg: TarpConfig,
 ) -> Replicate:
     p = design.shape[1]
     if cfg.variant == PLAIN_RP_BASELINE:
@@ -229,35 +254,17 @@ def fit_tarp(
     b_sigma = positive_finite(b_sigma, "b_sigma")
     sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
     std_train, params = standardize(train)
+    # the correlations' column means round differently by layout, and q must
+    # not move: screen a row-major temporary, fit on the column-major design
     correlations = marginal_correlations(
-        std_train.design, std_train.response, constant_mask=params.constant_mask
+        np.ascontiguousarray(std_train.design), std_train.response,
+        constant_mask=params.constant_mask,
     )
-    # column-major, so each replicate's X[:, gamma] gather copies whole columns
-    design = np.asfortranarray(std_train.design)
-
-    def build(indexed):
-        index, cfg = indexed
-        try:
-            return _fit_replicate(
-                cfg,
-                design,
-                std_train.response,
-                correlations,
-                train.response_kind,
-                a_sigma,
-                b_sigma,
-                sigma_theta2,
-            )
-        except Exception as exc:
-            raise ReplicateError(index, exc) from exc
-
-    jobs = list(enumerate(configs))
-    workers = min(threads, len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            replicates = list(pool.map(build, jobs))
-    else:
-        replicates = [build(job) for job in jobs]
+    fit_one = partial(
+        _fit_replicate, std_train.design, std_train.response, correlations,
+        train.response_kind, a_sigma, b_sigma, sigma_theta2,
+    )
+    replicates = _map_ordered(fit_one, configs, threads)
     return TarpModel(
         replicates=replicates,
         standardization=params,

@@ -21,26 +21,12 @@ class RegressionReport:
     mean_width: float
     residuals: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {"mspe": self.mspe, "ecp": self.ecp, "mean_width": self.mean_width}
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
     misclassification_rate: float
     auc: Optional[float]
     msd_calibration: float
-
-    @property
-    def auc_defined(self) -> bool:
-        return self.auc is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "misclassification_rate": self.misclassification_rate,
-            "auc": self.auc,
-            "msd_calibration": self.msd_calibration,
-        }
 
 
 def evaluate_regression(pred, intervals, y_true) -> RegressionReport:

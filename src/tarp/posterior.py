@@ -182,10 +182,6 @@ def _spd_solve(matrix, *rhs):
     return solutions
 
 
-def _logistic_objective(theta, Z, y, sigma_theta2):
-    return _log_posterior(Z @ theta, theta, y, sigma_theta2)
-
-
 def _log_posterior(h, theta, y, sigma_theta2):
     # the objective at theta, given its linear predictor h = Z @ theta
     return float(y @ h - np.logaddexp(0.0, h).sum() - theta @ theta / (2.0 * sigma_theta2))

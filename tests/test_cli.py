@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import tarp
 import tarp.cli
+import tarp.ensemble
 from tarp.cli import main
 from tarp.data import load_csv
 from tarp.ensemble import fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import load_model
+from tarp.posterior import ConvergenceError
 from tarp.screening import default_delta
 
 
@@ -173,13 +175,43 @@ class TestBench:
         ).read_bytes()
 
     def test_pool_capped_at_replicate_count(self, workdir, record_pool):
-        sizes = record_pool(tarp.cli)
+        sizes = record_pool(tarp.ensemble)
         assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
                    "--p", "40", "--replicates", "3", "--ensemble-size", "2",
                    "--threads", "8", "--out-prefix", "cap") == 0
         assert sizes == [3]
         meta = json.loads((workdir / "cap_meta.json").read_text())
         assert meta["threads"] == 8  # the resolved option is still recorded
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_failing_experiment_is_named(self, workdir, capsys, monkeypatch, threads):
+        # experiment 1 of 3 fails to converge: exit 3, one line naming it
+        failing_seed = tarp.cli._derive_seed(5, 1, 1)
+
+        def fit_or_fail(train, configs, master_seed, threads):
+            if master_seed == failing_seed:
+                raise ConvergenceError("no mode")
+            return fit_tarp(train, configs, master_seed=master_seed, threads=threads)
+
+        monkeypatch.setattr(tarp.cli, "fit_tarp", fit_or_fail)
+        assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
+                   "--p", "40", "--replicates", "3", "--ensemble-size", "2",
+                   "--seed", "5", "--threads", threads, "--out-prefix", "f") == 3
+        assert capsys.readouterr().err == "error: replicate 1: no mode\n"
+        assert not list(workdir.iterdir())
+
+    def test_empty_ensemble_rejected_before_any_experiment(
+        self, workdir, capsys, monkeypatch
+    ):
+        def no_data(spec):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(tarp.cli, "generate", no_data)
+        assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
+                   "--p", "40", "--replicates", "2", "--ensemble-size", "0") == 1
+        assert capsys.readouterr().err == (
+            "error: bench needs an ensemble size of at least 1\n"
+        )
 
 
 class TestConfigPrecedence:
@@ -210,6 +242,19 @@ class TestConfigPrecedence:
         (workdir / "cfg.txt").write_text("level = 0.8\n")
         assert run("simulate", "--scheme", "I", "--config", "cfg.txt") == 1
         assert "cfg.txt:1: unknown option 'level'" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_ignored(self, workdir):
+        config = "n = 40\n# tuning\np = 35\nseed = 4\n"
+        (workdir / "plain.txt").write_text(config, encoding="utf-8")
+        (workdir / "bom.txt").write_text(config, encoding="utf-8-sig")
+        assert (workdir / "bom.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for name in ("plain", "bom"):
+            assert run("simulate", "--scheme", "I", "--config", f"{name}.txt",
+                       "--out", "d.csv") == 0
+            outputs.append([(workdir / f).read_bytes() for f in ("d.csv", "d_truth.json")])
+        assert outputs[0] == outputs[1]
+        assert load_csv("d.csv", "y").p == 35
 
     def test_comments_and_blanks_ignored(self, workdir):
         (workdir / "cfg.txt").write_text("# comment\n\np = 35\n")

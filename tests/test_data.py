@@ -158,6 +158,11 @@ class TestDatasetValidation:
         ds = Dataset(np.eye(3), np.zeros(3))
         assert ds.column_names == ["x1", "x2", "x3"]
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_float64_design_kept_without_copy(self, order):
+        X = np.asarray(np.arange(12.0).reshape(4, 3), order=order)
+        assert np.shares_memory(Dataset(X, np.zeros(4)).design, X)
+
 
 class TestStandardize:
     def test_simple_column(self):

@@ -1,4 +1,5 @@
 import gc
+import threading
 import time
 
 import numpy as np
@@ -16,12 +17,14 @@ from tarp.ensemble import (
     PLAIN_RP_BASELINE,
     ReplicateError,
     TarpConfig,
+    _map_ordered,
     fit_tarp,
     m_range,
     mixture_t_quantile,
     predict_tarp,
     sample_config_grid,
 )
+from tarp.model_io import save_model
 from tarp.posterior import predictive
 from tarp.projection import compress
 from tarp.simgen import SchemeSpec, generate
@@ -34,6 +37,39 @@ def toy_dataset(seed=0, n=60, p=25, informative=4):
     beta[:informative] = 1.5
     y = X @ beta + rng.standard_normal(n)
     return Dataset(X, y)
+
+
+class TestMapOrdered:
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_results_in_job_order_despite_completion_order(self, threads):
+        finished = []
+        last_done = threading.Event()
+
+        def job(j):
+            if j == 0 and threads > 1:
+                # job 0 finishes last: it waits for the final job
+                assert last_done.wait(timeout=30)
+            finished.append(j)
+            if j == 5:
+                last_done.set()
+            return j * j
+
+        assert _map_ordered(job, range(6), threads) == [j * j for j in range(6)]
+        assert sorted(finished) == list(range(6))
+        if threads > 1:
+            assert finished[-1] == 0
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failure_carries_job_index(self, threads):
+        def job(j):
+            if j == 2:
+                raise ValueError("bad job")
+            return j
+
+        with pytest.raises(ReplicateError, match="replicate 2: bad job") as info:
+            _map_ordered(job, range(5), threads)
+        assert info.value.index == 2
+        assert isinstance(info.value.original, ValueError)
 
 
 class TestConfigGrid:
@@ -140,6 +176,32 @@ class TestFitTarp:
         object.__setattr__(bad, "m", -3)  # corrupt after validation
         with pytest.raises(ReplicateError, match="replicate 2"):
             fit_tarp(ds, [*good, bad])
+
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr"])
+    def test_design_layout_does_not_change_the_model(self, tmp_path, variant):
+        ds = toy_dataset(n=80, p=300)
+        configs = sample_config_grid(ds.n, ds.p, 4, variant=variant, master_seed=12)
+        files = []
+        for order in ("C", "F"):
+            train = Dataset(np.asarray(ds.design, order=order), ds.response)
+            files.append(tmp_path / f"{order}.json")
+            save_model(fit_tarp(train, configs, master_seed=12), files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+    def test_screens_a_row_major_design(self, monkeypatch):
+        # the correlations' column means round differently by layout, and a
+        # moved q can flip an inclusion draw: screening stays row-major
+        layouts = []
+        screen = tarp.ensemble.marginal_correlations
+
+        def recording(X, *args, **kwargs):
+            layouts.append(X.flags.c_contiguous)
+            return screen(X, *args, **kwargs)
+
+        monkeypatch.setattr(tarp.ensemble, "marginal_correlations", recording)
+        ds = toy_dataset()
+        fit_tarp(ds, sample_config_grid(ds.n, ds.p, 2, master_seed=1))
+        assert layouts == [True]
 
     def test_empty_config_list_rejected(self):
         with pytest.raises(ValueError):

@@ -220,7 +220,7 @@ class TestBernoulliLaplace:
         assert np.all(np.diff(probs) > 0)
 
     def test_gradient_matches_finite_differences(self):
-        from tarp.posterior import _logistic_objective
+        from tarp.posterior import _log_posterior
 
         rng = np.random.default_rng(9)
         Z = rng.standard_normal((30, 3))
@@ -230,8 +230,10 @@ class TestBernoulliLaplace:
         for j in range(3):
             step = np.zeros(3)
             step[j] = eps
-            plus = _logistic_objective(post.mode + step, Z, y, 0.7)
-            minus = _logistic_objective(post.mode - step, Z, y, 0.7)
+            plus, minus = (
+                _log_posterior(Z @ theta, theta, y, 0.7)
+                for theta in (post.mode + step, post.mode - step)
+            )
             fd = (plus - minus) / (2 * eps)
             # mode: analytic gradient < 1e-8, so FD gradient is ~0 too
             assert abs(fd) < 1e-5 * max(1.0, abs(plus))
