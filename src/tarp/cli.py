@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -416,13 +417,42 @@ def _bench_one(options: dict, rep: int) -> dict:
     }
 
 
-def _cmd_bench(options: dict, outputs: list) -> int:
+def _check_bench_options(options: dict) -> None:
+    """Reject each bad numeric option, naming its flag, before any experiment.
+
+    The bounds are the ones the experiment's own validators would apply
+    later: ``Dataset`` needs two rows in each split, ``TarpConfig`` a delta
+    >= 0, ``predict_tarp`` a level in (0, 1), and ``SchemeSpec`` a noise sd
+    >= 0 and a p its scheme can hold.
+    """
     if options["scheme"] is None:
         raise _UsageError("bench requires --scheme")
     if options["replicates"] < 1:
         raise _UsageError("bench needs at least one replicate")
     if options["ensemble_size"] < 1:
         raise _UsageError("bench needs an ensemble size of at least 1")
+    n, test_size, noise_sd = options["n"], options["test_size"], options["noise_sd"]
+    delta, level = options["delta"], options["level"]
+    for flag, value, valid, bound in (
+        ("--n", n, n >= 2, ">= 2"),
+        ("--test-size", test_size, test_size >= 2, ">= 2"),
+        ("--noise-sd", noise_sd, math.isfinite(noise_sd) and noise_sd >= 0,
+         "finite and >= 0"),
+        ("--delta", delta, delta is None or delta >= 0, ">= 0"),
+        ("--level", level, 0 < level < 1, "in (0, 1)"),
+    ):
+        if not valid:
+            raise _UsageError(f"bench {flag} must be {bound}, got {value}")
+    try:
+        SchemeSpec(scheme=options["scheme"], n=n + test_size, p=options["p"],
+                   noise_sd=noise_sd)
+    except ValueError as exc:
+        # n and noise_sd passed above, so the scheme rejected p
+        raise _UsageError(f"bench --p: {exc}") from None
+
+
+def _cmd_bench(options: dict, outputs: list) -> int:
+    _check_bench_options(options)
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()
     rows = _map_ordered(partial(_bench_one, options), range(options["replicates"]), threads)

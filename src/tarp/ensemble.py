@@ -224,8 +224,11 @@ def _fit_replicate(
         # the eigendecomposition already holds the compressed training rows
         projection, Z = _ris_pcr_with_scores(design, gamma, cfg.m)
     else:
-        projection = sample_ris_rp(gamma, cfg.m, cfg.psi, seed=[cfg.seed, _ENTRY_STREAM])
-        Z = compress(design, projection)
+        # one draw: compress with the dense block, keep only its signs
+        projection, dense = sample_ris_rp(
+            gamma, cfg.m, cfg.psi, seed=[cfg.seed, _ENTRY_STREAM]
+        ).drawn()
+        Z = compress(design, dense)
     if response_kind == "continuous":
         post = fit_gaussian(Z, response, a_sigma=a_sigma, b_sigma=b_sigma)
     else:

@@ -3,8 +3,9 @@
 A fitted ensemble is stored as JSON with float arrays embedded as base64 of
 their little-endian bytes, so round trips are bit-exact and files are
 byte-identical for identical fits (no timestamps, no compression headers).
-Random projections are stored as (seed, gamma, tuning), which is also their
-in-memory form; partial-SVD blocks are stored densely. The symmetric m x m
+Random projections are stored as (seed, gamma, tuning), which is all a
+loaded model holds of them (the signs a fit keeps are not saved);
+partial-SVD blocks are stored densely. The symmetric m x m
 posterior matrices are stored as their lower triangle (version 1: in full).
 Version 3 stores no binary Hessian; from older files it is checked, then
 dropped. Every decode failure, including a non-finite or out-of-range

@@ -8,15 +8,19 @@ of the selected columns, found from the smaller of their two Gram matrices.
 Columns excluded by the inclusion vector are identically zero in every
 variant.
 
-A random variant is stored only as its seed and tuning; its dense block over
-the selected columns is rebuilt from uniform draws each time it is used, so
-a saved model rebuilds the matrix bit-exactly.
+A random variant is defined by its seed and tuning, and a model file stores
+only those. Its entries are drawn as int8 codes in {-1, 0, +1} times one
+magnitude. A fit draws the block once, compresses with it and keeps the
+codes as two packed bit planes (two bits per entry, ~1/32 of the float
+block), from which every later use rebuilds the block. A loaded model keeps
+no codes: it draws its block from the seed each time it is used, bit for
+bit the same block, so loading never allocates one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -37,8 +41,17 @@ class ProjectionMatrix:
 
     Random variants keep the seed and tuning (psi, or kappa and n_obs) that
     generate their m x p_gamma block; the partial-SVD variant keeps the block
-    itself. ``m`` is the effective row count, which for the SVD variant may
-    be below ``requested_m`` when the selected columns are rank deficient.
+    itself as ``dense_block``, which a random map holds only as the second
+    result of :meth:`drawn`. ``m`` is the effective row count, which for the
+    SVD variant may be below ``requested_m`` when the selected columns are
+    rank deficient.
+
+    ``signs`` keeps a random block that :meth:`drawn` has drawn, as a
+    (2, ceil(m * p_gamma / 8)) uint8 array: row 0 packs (``np.packbits``)
+    where the row-major block is positive, row 1 where it is negative. A fit
+    sets it. It only caches what the seed generates, so it takes no part in
+    equality and is never saved; a map without it, such as a loaded one,
+    draws its block from the seed at each use.
     """
 
     variant: str
@@ -51,18 +64,44 @@ class ProjectionMatrix:
     kappa: Optional[float] = None
     n_obs: Optional[int] = None
     requested_m: Optional[int] = None
+    signs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def _three_point(self) -> tuple[float, float]:
+        # (magnitude, prob) of a random variant's entries
+        if self.variant == RIS_RP:
+            return 1.0 / math.sqrt(2.0 * self.psi), self.psi
+        n_kappa = float(self.n_obs) ** self.kappa
+        return math.sqrt(n_kappa / self.m), 1.0 / (2.0 * n_kappa)
+
+    def _codes(self) -> np.ndarray:
+        # m x p_gamma int8 codes of a random block: kept, or drawn from the seed
+        shape = (self.m, self.gamma.count)
+        if self.signs is None:
+            rng = np.random.default_rng(self.seed)
+            return _three_point_codes(shape, self._three_point()[1], rng)
+        positive, negative = np.unpackbits(
+            self.signs, axis=1, count=shape[0] * shape[1]
+        ).view(np.int8)
+        return (positive - negative).reshape(shape)
 
     def _block(self) -> np.ndarray:
         # m x p_gamma block over the selected columns
         if self.dense_block is not None:
             return self.dense_block
-        rng = np.random.default_rng(self.seed)
-        if self.variant == RIS_RP:
-            magnitude, prob = 1.0 / math.sqrt(2.0 * self.psi), self.psi
-        else:
-            n_kappa = float(self.n_obs) ** self.kappa
-            magnitude, prob = math.sqrt(n_kappa / self.m), 1.0 / (2.0 * n_kappa)
-        return _three_point_values((self.m, self.gamma.count), magnitude, prob, rng)
+        return self._three_point()[0] * self._codes()
+
+    def drawn(self) -> tuple[ProjectionMatrix, ProjectionMatrix]:
+        """Draw a random block once, for a fit.
+
+        Returns this map keeping the block's signs, which rebuilds the block
+        bit for bit without drawing again, and this map holding the block
+        itself, to compress the training rows with and then drop.
+        """
+        codes = self._codes()
+        flat = codes.reshape(-1)
+        signs = np.stack((np.packbits(flat > 0), np.packbits(flat < 0)))
+        block = self._three_point()[0] * codes
+        return replace(self, signs=signs), replace(self, dense_block=block)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Compress rows of X: returns X @ R.T with shape (n, m)."""
@@ -106,13 +145,13 @@ def _compress_columns(
     return np.ascontiguousarray((block @ X[:, indices].T).T)
 
 
-def _three_point_values(
-    shape: tuple[int, int], magnitude: float, prob: float, rng: np.random.Generator
+def _three_point_codes(
+    shape: tuple[int, int], prob: float, rng: np.random.Generator
 ) -> np.ndarray:
-    # Only rng.random() is consumed, keeping re-materialization from a stored
-    # seed stable across library versions.
+    # +1 w.p. prob, -1 w.p. prob, else 0, as int8. Only rng.random() is
+    # consumed, keeping the draw from a stored seed stable across versions.
     u = rng.random(shape)
-    return magnitude * ((u < prob).astype(np.float64) - (u >= 1.0 - prob))
+    return (u < prob).astype(np.int8) - (u >= 1.0 - prob)
 
 
 def sample_ris_rp(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tarp.data import load_csv
 from tarp.ensemble import fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import load_model
 from tarp.posterior import ConvergenceError
+from tarp.projection import ProjectionMatrix
 from tarp.screening import default_delta
 
 
@@ -212,6 +214,43 @@ class TestBench:
         assert capsys.readouterr().err == (
             "error: bench needs an ensemble size of at least 1\n"
         )
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "1", "bench --n must be >= 2, got 1"),
+            ("--test-size", "1", "bench --test-size must be >= 2, got 1"),
+            ("--noise-sd", "-0.5", "bench --noise-sd must be finite and >= 0, got -0.5"),
+            ("--noise-sd", "inf", "bench --noise-sd must be finite and >= 0, got inf"),
+            ("--delta", "-1", "bench --delta must be >= 0, got -1.0"),
+            ("--delta", "nan", "bench --delta must be >= 0, got nan"),
+            ("--level", "0", "bench --level must be in (0, 1), got 0.0"),
+            ("--level", "1.5", "bench --level must be in (0, 1), got 1.5"),
+            ("--p", "20",
+             "bench --p: scheme I needs p >= 30 for its 30 active covariates"),
+            ("--p", "0", "bench --p: need p >= 1, got 0"),
+        ],
+    )
+    def test_bad_option_rejected_before_any_experiment(
+        self, workdir, capsys, monkeypatch, flag, value, message
+    ):
+        def no_experiment(options, rep):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(tarp.cli, "_bench_one", no_experiment)
+        assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
+                   "--p", "40", "--replicates", "2", "--ensemble-size", "2",
+                   flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(workdir.iterdir())
+
+    def test_smallest_valid_options_run(self, workdir):
+        # every bound above is attainable: two rows per split, level near 1
+        assert run("bench", "--scheme", "III", "--n", "2", "--test-size", "2",
+                   "--p", "3", "--replicates", "1", "--ensemble-size", "1",
+                   "--noise-sd", "0", "--delta", "0", "--level", "0.999",
+                   "--out-prefix", "tiny") == 0
 
 
 class TestConfigPrecedence:
@@ -569,6 +608,36 @@ class TestCorruptModel:
                    "--out", "preds.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "preds.csv").exists()
+
+
+    def test_huge_m_is_rejected_without_drawing_a_block(
+        self, workdir, capsys, monkeypatch
+    ):
+        # projection, requested_m and config all claim m = 1e9 over a small
+        # posterior: loading must reject the file before drawing any block
+        run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
+            "--seed", "4", "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "2",
+                   "--out", "model.json") == 0
+        doc = json.loads((workdir / "model.json").read_text())
+        rep = doc["replicates"][0]
+        rep["projection"]["m"] = rep["projection"]["requested_m"] = 10**9
+        rep["config"]["m"] = 10**9
+        (workdir / "model.json").write_text(json.dumps(doc))
+
+        def no_draw(self):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(ProjectionMatrix, "_codes", no_draw)
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "preds.csv") == 2
+        assert time.perf_counter() - started < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "m=1000000000" in err
         assert not (workdir / "preds.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import threading
 import time
 
@@ -202,6 +203,17 @@ class TestFitTarp:
         ds = toy_dataset()
         fit_tarp(ds, sample_config_grid(ds.n, ds.p, 2, master_seed=1))
         assert layouts == [True]
+
+    @pytest.mark.parametrize("variant", ["ris_rp", "plain_rp_baseline", "ris_pcr"])
+    def test_replicates_keep_at_most_two_bits_per_entry(self, variant):
+        ds = toy_dataset(seed=9, n=60, p=203)
+        model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 6, variant=variant))
+        for rep in model.replicates:
+            R = rep.projection
+            if variant == "ris_pcr":
+                assert R.signs is None  # the dense block is the model
+            else:
+                assert R.signs.nbytes <= 2 * math.ceil(R.m * R.gamma.count / 8)
 
     def test_empty_config_list_rejected(self):
         with pytest.raises(ValueError):

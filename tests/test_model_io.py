@@ -44,7 +44,7 @@ def assert_predicts_committed_csv(out, kind):
     assert np.abs(new - old).max() <= BINARY_FIXTURE_TOL
 
 
-def fitted_model(variant="ris_rp", seed=0, binary=False):
+def fitted_model(variant="ris_rp", seed=0, binary=False, threads=1):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((50, 20))
     if binary:
@@ -53,7 +53,7 @@ def fitted_model(variant="ris_rp", seed=0, binary=False):
     else:
         ds = Dataset(X, X[:, 0] + rng.standard_normal(50))
     configs = sample_config_grid(ds.n, ds.p, 3, variant=variant, master_seed=seed)
-    return ds, fit_tarp(ds, configs, master_seed=seed)
+    return ds, fit_tarp(ds, configs, master_seed=seed, threads=threads)
 
 
 @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "plain_rp_baseline"])
@@ -80,6 +80,29 @@ def test_projection_rematerializes_exactly(tmp_path):
         np.testing.assert_array_equal(
             orig.projection.toarray(), back.projection.toarray()
         )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "variant, binary",
+    [("ris_rp", False), ("plain_rp_baseline", False), ("ris_rp", True)],
+    ids=["ris_rp", "plain_rp_baseline", "ris_rp_binary"],
+)
+def test_kept_signs_predict_what_the_loaded_seeds_predict(
+    tmp_path, variant, binary, threads
+):
+    # the fitted model rebuilds each block from its kept signs; its saved and
+    # loaded copy keeps none and draws every block from the seed
+    ds, model = fitted_model(variant, seed=6, binary=binary, threads=threads)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded, _ = load_model(path)
+    assert all(rep.projection.signs is not None for rep in model.replicates)
+    assert all(rep.projection.signs is None for rep in loaded.replicates)
+    a = predict_tarp(model, ds.design, level=0.8)
+    b = predict_tarp(loaded, ds.design, level=0.8)
+    for name in ("probability",) if binary else ("point", "lower", "upper"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_binary_model_roundtrip(tmp_path):

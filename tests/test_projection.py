@@ -144,6 +144,45 @@ class TestStoredSeedsRebuildSameMatrix:
         np.testing.assert_array_equal(proj.toarray(), expected)
 
 
+class TestKeptSigns:
+    # a fit keeps a drawn block as packed signs; rebuilt from them it must be
+    # the block the seed draws, bit for bit, down to the sign of every zero
+    GAMMA = np.random.default_rng(0).random(300) < 0.6
+
+    @pytest.mark.parametrize(
+        "make, magnitude, prob",
+        [
+            (lambda g: sample_ris_rp(g, m=37, psi=1e-3, seed=(3, 1)),
+             1.0 / math.sqrt(2e-3), 1e-3),
+            (lambda g: sample_ris_rp(g, m=37, psi=0.4999, seed=(4, 1)),
+             1.0 / math.sqrt(0.9998), 0.4999),
+            # n^kappa = 1: entries +-1/sqrt(m), nonzero with probability 1/2
+            (lambda g: sample_sparse_variant(g, m=37, kappa=0.0, n=50, seed=(5, 1)),
+             1.0 / math.sqrt(37), 0.5),
+        ],
+        ids=["ris_rp_psi_near_0", "ris_rp_psi_near_half", "sparse_kappa_0"],
+    )
+    def test_rebuild_the_seeded_block_bit_for_bit(self, make, magnitude, prob):
+        seeded = make(gamma_of(self.GAMMA))
+        shape = (seeded.m, seeded.gamma.count)
+        assert (shape[0] * shape[1]) % 8 != 0  # the last packed byte is partial
+        u = np.random.default_rng(seeded.seed).random(shape)
+        oracle = magnitude * ((u < prob).astype(np.float64) - (u >= 1.0 - prob))
+        kept, dense = seeded.drawn()
+        assert seeded.signs is None
+        assert kept.signs is not None and kept.dense_block is None
+        for block in (kept._block(), dense.dense_block, seeded._block()):
+            assert block.dtype == np.float64
+            assert block.tobytes() == oracle.tobytes()
+            np.testing.assert_array_equal(np.signbit(block), np.signbit(oracle))
+        np.testing.assert_array_equal(kept.toarray(), seeded.toarray())
+
+    def test_kept_signs_take_no_part_in_equality(self):
+        seeded = sample_ris_rp(gamma_of(self.GAMMA), m=5, psi=0.3, seed=7)
+        kept, _ = seeded.drawn()
+        assert kept == seeded and "signs" not in repr(kept)
+
+
 class TestRisPcr:
     def test_orthogonal_columns_pick_largest(self):
         # X with orthogonal columns of norms 3 > 2 > 1: the single row is the
