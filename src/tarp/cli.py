@@ -317,7 +317,8 @@ def _load_design_for_model(path, model: TarpModel, target_hint: str | None):
     expected = model.column_names
     if names == expected:
         return table
-    extra = [name for name in names if name not in expected]
+    expected_set = set(expected)
+    extra = [name for name in names if name not in expected_set]
     if len(extra) == 1 and [n for n in names if n != extra[0]] == expected:
         drop = names.index(extra[0])
         return np.delete(table, drop, axis=1)
@@ -422,8 +423,9 @@ def _check_bench_options(options: dict) -> None:
 
     The bounds are the ones the experiment's own validators would apply
     later: ``Dataset`` needs two rows in each split, ``TarpConfig`` a delta
-    >= 0, ``predict_tarp`` a level in (0, 1), and ``SchemeSpec`` a noise sd
-    >= 0 and a p its scheme can hold.
+    >= 0, ``predict_tarp`` a level in (0, 1), and ``SchemeSpec`` a finite
+    noise sd >= 0 and a p its scheme can hold. A finite noise sd can still
+    overflow the simulated response; ``generate`` rejects that per experiment.
     """
     if options["scheme"] is None:
         raise _UsageError("bench requires --scheme")

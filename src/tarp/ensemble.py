@@ -36,8 +36,8 @@ from .projection import (
     RIS_PCR,
     RIS_RP,
     ProjectionMatrix,
-    _ris_pcr_with_scores,
     compress,
+    compute_ris_pcr,
     sample_ris_rp,
 )
 from .screening import (
@@ -222,7 +222,7 @@ def _fit_replicate(
         gamma = sample_inclusion(q, np.random.default_rng([cfg.seed, _GAMMA_STREAM]))
     if cfg.variant == RIS_PCR:
         # the eigendecomposition already holds the compressed training rows
-        projection, Z = _ris_pcr_with_scores(design, gamma, cfg.m)
+        projection, Z = compute_ris_pcr(design, gamma, cfg.m)
     else:
         # one draw: compress with the dense block, keep only its signs
         projection, dense = sample_ris_rp(
@@ -362,6 +362,8 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.p:
         raise ValueError(f"X_new has shape {X_new.shape}, expected (*, {model.p})")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0,1), got {level}")
     Xs = model.standardization.transform_design(X_new)
     if model.response_kind == "binary":
         W = np.array(
@@ -370,8 +372,6 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
         # (N, n): the mean over axis 0 adds the replicates in order
         probs = expit(W @ Xs.T).mean(axis=0)
         return TarpPrediction(response_kind="binary", probability=probs)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
     dfs, locs, scales = [], [], []
     for rep in model.replicates:
         pred = predictive(rep.posterior, compress(Xs, rep.projection))

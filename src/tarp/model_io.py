@@ -141,14 +141,8 @@ def _decode_projection(obj: dict, p: int) -> ProjectionMatrix:
         requested_m = int(obj["requested_m"])
         if requested_m < m:
             raise ValueError(f"requested_m={requested_m} is below m={m}")
-        return ProjectionMatrix(
-            variant=RIS_PCR,
-            m=m,
-            p=p,
-            gamma=gamma,
-            dense_block=block,
-            requested_m=requested_m,
-        )
+        return ProjectionMatrix(variant=RIS_PCR, m=m, gamma=gamma, dense_block=block,
+                                requested_m=requested_m)
     # the sampler checks m, psi and the seed
     if variant == RIS_RP:
         return sample_ris_rp(gamma, m, float(obj["psi"]), obj["seed"])

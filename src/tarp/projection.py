@@ -6,7 +6,12 @@ probability psi each, else 0), an ultra-sparse variant with entries
 deterministic partial-SVD map whose rows are the top right singular vectors
 of the selected columns, found from the smaller of their two Gram matrices.
 Columns excluded by the inclusion vector are identically zero in every
-variant.
+variant, and the map's width p is the inclusion vector's length.
+
+Each map is made by one call: ``sample_ris_rp`` or ``sample_sparse_variant``
+for a random map, ``compute_ris_pcr`` for the partial-SVD map together with
+the compressed training rows from the same decomposition. ``compress`` is
+the one way to apply any map to rows.
 
 A random variant is defined by its seed and tuning, and a model file stores
 only those. Its entries are drawn as int8 codes in {-1, 0, +1} times one
@@ -39,7 +44,9 @@ _GRAM_RANK_RTOL = 1e-8
 class ProjectionMatrix:
     """Immutable m x p compression map with its inclusion vector.
 
-    Random variants keep the seed and tuning (psi, or kappa and n_obs) that
+    p is not stored: it is the length of ``gamma``. The map is applied to
+    rows by :func:`compress` and mapped back by :meth:`adjoint`. Random
+    variants keep the seed and tuning (psi, or kappa and n_obs) that
     generate their m x p_gamma block; the partial-SVD variant keeps the block
     itself as ``dense_block``, which a random map holds only as the second
     result of :meth:`drawn`. ``m`` is the effective row count, which for the
@@ -56,7 +63,6 @@ class ProjectionMatrix:
 
     variant: str
     m: int
-    p: int
     gamma: InclusionVector
     dense_block: Optional[np.ndarray] = None
     seed: Optional[tuple[int, ...]] = None
@@ -65,6 +71,10 @@ class ProjectionMatrix:
     n_obs: Optional[int] = None
     requested_m: Optional[int] = None
     signs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    @property
+    def p(self) -> int:
+        return self.gamma.gamma.size
 
     def _three_point(self) -> tuple[float, float]:
         # (magnitude, prob) of a random variant's entries
@@ -103,18 +113,11 @@ class ProjectionMatrix:
         block = self._three_point()[0] * codes
         return replace(self, signs=signs), replace(self, dense_block=block)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Compress rows of X: returns X @ R.T with shape (n, m)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.p:
-            raise ValueError(f"X has shape {X.shape}, expected (n, {self.p})")
-        return _compress_columns(X, self.gamma.indices, self._block())
-
     def adjoint(self, theta: np.ndarray) -> np.ndarray:
         """Map compressed coefficients back: returns R' theta with shape (p,).
 
         Zero outside the selected columns, so ``X @ R.adjoint(theta)`` is
-        ``R.apply(X) @ theta`` up to rounding.
+        ``compress(X, R) @ theta`` up to rounding.
         """
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.m,):
@@ -165,7 +168,6 @@ def sample_ris_rp(
     return ProjectionMatrix(
         variant=RIS_RP,
         m=m,
-        p=gamma.gamma.size,
         gamma=gamma,
         seed=_normalize_seed(seed),
         psi=psi,
@@ -191,7 +193,6 @@ def sample_sparse_variant(
     return ProjectionMatrix(
         variant=SPARSE_VARIANT,
         m=m,
-        p=gamma.gamma.size,
         gamma=gamma,
         seed=_normalize_seed(seed),
         kappa=kappa,
@@ -200,13 +201,19 @@ def sample_sparse_variant(
     )
 
 
-def compute_ris_pcr(X: np.ndarray, gamma: InclusionVector, m: int) -> ProjectionMatrix:
-    """Rows are the top right singular vectors of the selected columns.
+def compute_ris_pcr(
+    X: np.ndarray, gamma: InclusionVector, m: int
+) -> tuple[ProjectionMatrix, np.ndarray]:
+    """Partial-SVD map R and the compressed rows Z = X R' of the same X.
 
-    They come from an eigendecomposition of the smaller Gram matrix of the
-    n x p_gamma block X_gamma: for p_gamma > n, the eigenvectors U of
-    X_gamma X_gamma' map back as diag(1/s) U' X_gamma; otherwise the
-    eigenvectors of X_gamma' X_gamma are the rows themselves.
+    The rows of R are the top right singular vectors of the selected
+    columns. They come from an eigendecomposition of the smaller Gram matrix
+    of the n x p_gamma block X_gamma: for p_gamma > n, the eigenvectors U of
+    X_gamma X_gamma' map back as diag(1/s) U' X_gamma, and Z = X_gamma V_k'
+    = U_k diag(s_k) needs no product with X; otherwise the eigenvectors of
+    X_gamma' X_gamma are the rows themselves, and Z comes from the kernel
+    ``compress`` uses. Either way Z matches ``compress(X, R)`` to rounding
+    (exactly, for p_gamma <= n).
 
     The effective row count is min(m, rank(X_gamma)); rank deficiency is
     handled by truncation and visible as m < requested_m. A direction counts
@@ -218,21 +225,7 @@ def compute_ris_pcr(X: np.ndarray, gamma: InclusionVector, m: int) -> Projection
     1.5e-8 at 3e-5 s_0. The cutoff sits between the noise floor and the
     point where that error would pass 1e-8. Row signs are canonical
     (largest-magnitude entry positive) so the result does not depend on the
-    eigensolver backend. The compressed training rows X R' come with the
-    same decomposition; see ``_ris_pcr_with_scores``.
-    """
-    return _ris_pcr_with_scores(X, gamma, m)[0]
-
-
-def _ris_pcr_with_scores(
-    X: np.ndarray, gamma: InclusionVector, m: int
-) -> tuple[ProjectionMatrix, np.ndarray]:
-    """``compute_ris_pcr`` plus the compressed rows Z = X R' of the same X.
-
-    For p_gamma > n, Z = X_gamma V_k' = U_k diag(s_k) needs no product with
-    X; otherwise Z = X_gamma R_gamma' comes from the kernel ``compress``
-    uses. Z's columns carry the rows' canonical signs, so Z matches
-    ``compress(X, R)`` to rounding (exactly, for p_gamma <= n).
+    eigensolver backend; Z's columns carry the same signs.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -260,19 +253,17 @@ def _ris_pcr_with_scores(
     block *= signs[:, None]
     Z = top * (s * signs) if wide else _compress_columns(X, active, block)
     projection = ProjectionMatrix(
-        variant=RIS_PCR,
-        m=m_eff,
-        p=gamma.gamma.size,
-        gamma=gamma,
-        dense_block=block,
-        requested_m=m,
+        variant=RIS_PCR, m=m_eff, gamma=gamma, dense_block=block, requested_m=m
     )
     return projection, Z
 
 
 def compress(X: np.ndarray, R: ProjectionMatrix) -> np.ndarray:
     """Compressed design Z = X R' (n x m)."""
-    return R.apply(X)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != R.p:
+        raise ValueError(f"X has shape {X.shape}, expected (n, {R.p})")
+    return _compress_columns(X, R.gamma.indices, R._block())
 
 
 def _normalize_seed(seed) -> tuple[int, ...]:

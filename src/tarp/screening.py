@@ -81,13 +81,11 @@ def default_fallback_count(p: int) -> int:
     return min(p, max(1, math.ceil(2.0 * math.log(max(p, 2)))))
 
 
-def inclusion_probabilities(
-    r: np.ndarray, delta: float, fallback_count: int | None = None
-) -> np.ndarray:
+def inclusion_probabilities(r: np.ndarray, delta: float) -> np.ndarray:
     """Inclusion probabilities (|r_j| / max|r|)^delta, so max q is always 1.
 
     If every correlation is zero the probabilities fall back to the uniform
-    value min(1, fallback_count / p).
+    value min(1, default_fallback_count(p) / p).
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -96,8 +94,7 @@ def inclusion_probabilities(
     r_max = abs_r.max() if r.size else 0.0
     if r_max == 0.0:
         p = r.size
-        count = default_fallback_count(p) if fallback_count is None else fallback_count
-        return np.full(p, min(1.0, count / p))
+        return np.full(p, min(1.0, default_fallback_count(p) / p))
     return np.power(abs_r / r_max, delta)
 
 

@@ -36,8 +36,8 @@ class SchemeSpec:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.p < 1:
             raise ValueError(f"need p >= 1, got {self.p}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.scheme == "II" and (self.p % 100 != 0 or self.p < 300):
             raise ValueError("scheme II needs p a multiple of 100 with p >= 300")
         if self.scheme == "III" and self.p < 3:
@@ -63,7 +63,10 @@ def generate(spec: SchemeSpec) -> tuple[Dataset, dict]:
         X, beta, active = _scheme_rank3(spec, rng)
     else:
         X, beta, active = _scheme_bridge(spec, rng)
-    y = X @ beta + spec.noise_sd * rng.standard_normal(spec.n)
+    with np.errstate(over="ignore"):
+        y = X @ beta + spec.noise_sd * rng.standard_normal(spec.n)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"noise_sd={spec.noise_sd} overflows the simulated response")
     dataset = Dataset(X, y, response_kind="continuous")
     truth = {
         "scheme": spec.scheme,

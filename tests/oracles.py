@@ -6,6 +6,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, stdtr, stdtrit
 
+from tarp.projection import compress
+
 
 def location_via_gram_inverse(X: np.ndarray, R: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Alternate route to the posterior location: (R X'X R' + I)^-1 (X R')' y.
@@ -100,7 +102,7 @@ def binary_probability_per_replicate(model, X_new: np.ndarray) -> np.ndarray:
     Xs = model.standardization.transform_design(X_new)
     return np.mean(
         [
-            predict_prob(rep.posterior, rep.projection.apply(Xs))
+            predict_prob(rep.posterior, compress(Xs, rep.projection))
             for rep in model.replicates
         ],
         axis=0,

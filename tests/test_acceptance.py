@@ -136,7 +136,7 @@ def test_criterion_3_projection_moments():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((50, 200))
     gamma = InclusionVector(rng.random(200) < 0.5)
-    proj = compute_ris_pcr(X, gamma, m=20)
+    proj, _ = compute_ris_pcr(X, gamma, m=20)
     R = proj.toarray()
     orth_dev = float(np.abs(R @ R.T - np.eye(proj.m)).max())
     assert orth_dev < 1e-8

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from tarp.model_io import load_model
 from tarp.posterior import ConvergenceError
 from tarp.projection import ProjectionMatrix
 from tarp.screening import default_delta
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -64,6 +69,22 @@ class TestSimulate:
             run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
                 "--seed", "3", "--out", out)
         assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan", "noise_sd must be finite and >= 0, got nan"),
+            ("inf", "noise_sd must be finite and >= 0, got inf"),
+            # finite, so the spec takes it, but the response overflows
+            ("1e308", "noise_sd=1e+308 overflows the simulated response"),
+        ],
+        ids=["nan", "inf", "1e308"],
+    )
+    def test_bad_noise_sd_is_usage_error(self, workdir, capsys, value, message):
+        assert run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
+                   "--noise-sd", value, "--out", "data.csv") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(workdir.iterdir())
 
 
 class TestFitPredict:
@@ -116,6 +137,14 @@ class TestFitPredict:
         assert run("predict", "--model", "model.json", "--data", "data.csv",
                    "--out", "preds.csv") == 0
 
+    @pytest.mark.parametrize("kind", ["continuous", "binary"])
+    def test_bad_level_is_usage_error(self, workdir, capsys, kind):
+        assert run("predict", "--model", str(DATA / f"v2_{kind}.json"),
+                   "--data", str(DATA / f"{kind}.csv"), "--level", "7",
+                   "--out", "preds.csv") == 1
+        assert capsys.readouterr().err == "error: level must be in (0,1), got 7.0\n"
+        assert not list(workdir.iterdir())
+
     def test_byte_order_mark_is_ignored(self, workdir, monkeypatch):
         # the mark would otherwise stick to the first name, here the target
         rng = np.random.default_rng(3)
@@ -143,6 +172,73 @@ class TestFitPredict:
         assert lines[0] == "probability"
         values = np.loadtxt(workdir / "preds.csv", skiprows=1)
         assert np.all((values >= 0) & (values <= 1))
+
+
+class TestPredictColumns:
+    """How ``tarp predict`` lines up a CSV's columns with the model's."""
+
+    @pytest.fixture()
+    def fitted(self, workdir):
+        # x1..x6 plus y; the model is trained on x1..x6 with target y
+        run("simulate", "--scheme", "III", "--n", "30", "--p", "6",
+            "--seed", "2", "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "3",
+                   "--out", "model.json") == 0
+        header, *body = (workdir / "data.csv").read_text().splitlines()
+        names = header.split(",")[:-1]
+        cells = [line.split(",")[:-1] for line in body]
+        return names, cells
+
+    @staticmethod
+    def write(path, names, cells, order):
+        # order lists, per output column, a name index or a stray name
+        lines = [",".join(names[j] if isinstance(j, int) else j for j in order)]
+        lines += [",".join(row[j] if isinstance(j, int) else "0.5" for j in order)
+                  for row in cells]
+        path.write_text("\n".join(lines) + "\n")
+
+    def predict(self, path, out):
+        return run("predict", "--model", "model.json", "--data", str(path),
+                   "--out", out)
+
+    @pytest.mark.parametrize("position", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_one_stray_column_is_dropped(self, workdir, fitted, position):
+        names, cells = fitted
+        self.write(workdir / "exact.csv", names, cells, range(6))
+        order = list(range(6))
+        order.insert(position, "stray")
+        self.write(workdir / "stray.csv", names, cells, order)
+        assert self.predict(workdir / "exact.csv", "exact_pred.csv") == 0
+        assert self.predict(workdir / "stray.csv", "stray_pred.csv") == 0
+        assert (workdir / "stray_pred.csv").read_bytes() == (
+            workdir / "exact_pred.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "order",
+        [[1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 4], [0, 1, "a", 2, 3, 4, 5, "b"]],
+        ids=["reordered", "missing", "two_stray"],
+    )
+    def test_mismatch_is_data_error(self, workdir, capsys, fitted, order):
+        names, cells = fitted
+        self.write(workdir / "new.csv", names, cells, order)
+        capsys.readouterr()
+        assert self.predict(workdir / "new.csv", "pred.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: {workdir / 'new.csv'}: columns do not match the model's "
+            f"training columns ({len(order)} given, 6 expected)\n"
+        )
+        assert not (workdir / "pred.csv").exists()
+
+    def test_wide_header_matches_in_linear_time(self, monkeypatch):
+        expected = [f"x{j}" for j in range(30_000)]
+        names = expected[:15_000] + ["stray"] + expected[15_000:]
+        table = np.arange(30_001.0)[None, :]
+        monkeypatch.setattr(tarp.cli, "load_table", lambda path: (names, table))
+        model = SimpleNamespace(column_names=expected)
+        started = time.perf_counter()
+        design = tarp.cli._load_design_for_model("wide.csv", model, "y")
+        assert time.perf_counter() - started < 2.0
+        np.testing.assert_array_equal(design, np.delete(table, 15_000, axis=1))
 
 
 class TestBench:
@@ -243,6 +339,16 @@ class TestBench:
                    "--p", "40", "--replicates", "2", "--ensemble-size", "2",
                    flag, value) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(workdir.iterdir())
+
+    def test_overflowing_noise_sd_is_usage_error(self, workdir, capsys):
+        # finite, so the option check passes; the first experiment's draw fails
+        assert run("bench", "--scheme", "I", "--n", "30", "--test-size", "5",
+                   "--p", "40", "--replicates", "1", "--ensemble-size", "2",
+                   "--noise-sd", "1e308") == 1
+        assert capsys.readouterr().err == (
+            "error: replicate 0: noise_sd=1e+308 overflows the simulated response\n"
+        )
         assert not list(workdir.iterdir())
 
     def test_smallest_valid_options_run(self, workdir):

@@ -6,7 +6,6 @@ import pytest
 from oracles import ris_pcr_block_via_svd
 from tarp.data import standardize
 from tarp.projection import (
-    _ris_pcr_with_scores,
     compress,
     compute_ris_pcr,
     sample_ris_rp,
@@ -188,7 +187,7 @@ class TestRisPcr:
         # X with orthogonal columns of norms 3 > 2 > 1: the single row is the
         # indicator of the norm-3 column (canonical sign makes it +1)
         X = np.diag([3.0, 2.0, 1.0])
-        proj = compute_ris_pcr(X, InclusionVector.all_ones(3), m=1)
+        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(3), m=1)
         np.testing.assert_allclose(proj.toarray(), [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_rows_orthonormal(self):
@@ -197,7 +196,7 @@ class TestRisPcr:
         for n, p in ((40, 25), (30, 120)):
             X = rng.standard_normal((n, p))
             gamma = gamma_of(rng.random(p) < 0.8)
-            proj = compute_ris_pcr(X, gamma, m=10)
+            proj, _ = compute_ris_pcr(X, gamma, m=10)
             R = proj.toarray()
             assert proj.m == 10
             np.testing.assert_allclose(R @ R.T, np.eye(proj.m), atol=1e-8)
@@ -208,7 +207,7 @@ class TestRisPcr:
         gamma = gamma_of(np.random.default_rng(5).random(400) < 0.5)
         assert gamma.count > X.shape[0]
         for m in (2, 3, 20):
-            proj = compute_ris_pcr(X, gamma, m=m)
+            proj, _ = compute_ris_pcr(X, gamma, m=m)
             reference = ris_pcr_block_via_svd(X, gamma.indices, m)
             assert proj.m == reference.shape[0] == min(m, 3)
             np.testing.assert_allclose(proj.dense_block, reference, rtol=0, atol=1e-10)
@@ -221,7 +220,7 @@ class TestRisPcr:
         left = np.linalg.qr(rng.standard_normal((n, k)))[0]
         right = np.linalg.qr(rng.standard_normal((p, k)))[0]
         X = (left * np.logspace(0.0, -3.0, k)) @ right.T
-        proj = compute_ris_pcr(X, InclusionVector.all_ones(p), m=k)
+        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(p), m=k)
         R = proj.toarray()
         assert proj.m == k
         assert np.abs(R @ R.T - np.eye(k)).max() < 1e-8
@@ -235,7 +234,7 @@ class TestRisPcr:
         left = np.linalg.qr(rng.standard_normal((n, 4)))[0]
         right = np.linalg.qr(rng.standard_normal((p, 4)))[0]
         X = (left * [1.0, 0.5, 0.2, 1e-6]) @ right.T
-        proj = compute_ris_pcr(X, InclusionVector.all_ones(p), m=4)
+        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(p), m=4)
         assert proj.m == 3 and proj.requested_m == 4
 
     def test_projection_contraction(self):
@@ -243,7 +242,7 @@ class TestRisPcr:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 20))
         gamma = gamma_of(rng.random(20) < 0.7)
-        proj = compute_ris_pcr(X, gamma, m=6)
+        proj, _ = compute_ris_pcr(X, gamma, m=6)
         Z = compress(X, proj)
         norms_z = np.linalg.norm(Z, axis=1)
         norms_x = np.linalg.norm(X[:, gamma.indices], axis=1)
@@ -253,15 +252,15 @@ class TestRisPcr:
         rng = np.random.default_rng(2)
         base = rng.standard_normal((20, 3))
         X = base @ rng.standard_normal((3, 10))  # rank 3
-        proj = compute_ris_pcr(X, InclusionVector.all_ones(10), m=7)
+        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(10), m=7)
         assert proj.m == 3 and proj.requested_m == 7
 
     def test_deterministic_with_canonical_sign(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((15, 8))
         gamma = InclusionVector.all_ones(8)
-        a = compute_ris_pcr(X, gamma, m=4).toarray()
-        b = compute_ris_pcr(X, gamma, m=4).toarray()
+        a = compute_ris_pcr(X, gamma, m=4)[0].toarray()
+        b = compute_ris_pcr(X, gamma, m=4)[0].toarray()
         np.testing.assert_array_equal(a, b)
         signs = [row[np.argmax(np.abs(row))] for row in a]
         assert np.all(np.asarray(signs) > 0)
@@ -270,7 +269,7 @@ class TestRisPcr:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((12, 6))
         gamma = gamma_of([True, True, False, True, False, True])
-        dense = compute_ris_pcr(X, gamma, m=3).toarray()
+        dense = compute_ris_pcr(X, gamma, m=3)[0].toarray()
         np.testing.assert_array_equal(dense[:, [2, 4]], 0.0)
 
 
@@ -295,17 +294,16 @@ class TestRisPcrScores:
     def test_scores_match_compress(self, make, m, sign):
         X = sign * make()
         gamma = gamma_of(np.random.default_rng(24).random(X.shape[1]) < 0.9)
-        proj, Z = _ris_pcr_with_scores(X, gamma, m)
+        proj, Z = compute_ris_pcr(X, gamma, m)
         reference = compress(X, proj)
         assert Z.shape == reference.shape == (X.shape[0], proj.m)
         np.testing.assert_allclose(Z, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
-        np.testing.assert_array_equal(proj.dense_block, compute_ris_pcr(X, gamma, m).dense_block)
 
     def test_tall_scores_are_exactly_compress(self):
         rng = np.random.default_rng(25)
         X = np.asfortranarray(rng.standard_normal((60, 25)))
         gamma = gamma_of(rng.random(25) < 0.8)
-        proj, Z = _ris_pcr_with_scores(X, gamma, 9)
+        proj, Z = compute_ris_pcr(X, gamma, 9)
         np.testing.assert_array_equal(Z, compress(X, proj))
 
 
@@ -320,7 +318,7 @@ class TestAdjoint:
         elif variant == "sparse_variant":
             proj = sample_sparse_variant(gamma, m=7, kappa=0.5, n=20, seed=3)
         else:
-            proj = compute_ris_pcr(X, gamma, m=7)
+            proj, _ = compute_ris_pcr(X, gamma, m=7)
         theta = rng.standard_normal(proj.m)
         w = proj.adjoint(theta)
         assert w.shape == (60,)
@@ -339,7 +337,7 @@ class TestCompress:
         # a one-column selection makes the SVD row the indicator e_j
         X = np.arange(12.0).reshape(3, 4) + 1.0
         gamma = gamma_of([False, False, True, False])
-        proj = compute_ris_pcr(X, gamma, m=1)
+        proj, _ = compute_ris_pcr(X, gamma, m=1)
         np.testing.assert_allclose(proj.toarray(), [[0, 0, 1, 0]], atol=1e-12)
         np.testing.assert_allclose(compress(X, proj)[:, 0], X[:, 2], atol=1e-12)
 
@@ -372,7 +370,7 @@ class TestCompress:
         if variant == "ris_rp":
             proj = sample_ris_rp(gamma, m=m, psi=0.3, seed=n)
         else:
-            proj = compute_ris_pcr(X, gamma, m=m)
+            proj, _ = compute_ris_pcr(X, gamma, m=m)
         Z = compress(X, proj)
         reference = X @ proj.toarray().T
         assert Z.shape == (n, proj.m) and Z.flags.c_contiguous
