@@ -13,7 +13,6 @@ from .data import (
     Dataset,
     StandardizationParams,
     load_csv,
-    split,
     standardize,
 )
 from .ensemble import (
@@ -48,7 +47,6 @@ from .projection import (
     compress,
     compute_ris_pcr,
     sample_ris_rp,
-    sample_sparse_variant,
 )
 from .screening import (
     InclusionVector,
@@ -65,7 +63,6 @@ __all__ = [
     "Dataset",
     "StandardizationParams",
     "load_csv",
-    "split",
     "standardize",
     "InclusionVector",
     "default_delta",
@@ -78,7 +75,6 @@ __all__ = [
     "compress",
     "compute_ris_pcr",
     "sample_ris_rp",
-    "sample_sparse_variant",
     "ConvergenceError",
     "GaussianPosterior",
     "LaplacePosterior",

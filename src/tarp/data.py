@@ -1,4 +1,4 @@
-"""Tabular dataset container, CSV loading, standardization and splitting.
+"""Tabular dataset container, CSV loading and standardization.
 
 All transformation parameters are owned by ``StandardizationParams`` so held-out
 data is always mapped with training means/scales and predictions can be
@@ -282,33 +282,3 @@ def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationParams]:
         column_names=list(dataset.column_names),
     )
     return standardized, params
-
-
-def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint train/test row partition, train size ceil(n*(1-f)).
-
-    Deterministic given ``seed``; row order within each part follows the
-    original dataset.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in (0,1), got {test_fraction}")
-    n = dataset.n
-    # small guard keeps ceil stable against float noise in n*(1-f)
-    n_train = math.ceil(n * (1.0 - test_fraction) - 1e-9)
-    if n_train < 2:
-        raise DataError(f"train size {n_train} after split is below 2")
-    if n - n_train < 1:
-        raise DataError("test split is empty")
-    perm = np.random.default_rng(seed).permutation(n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-
-    def take(idx):
-        return Dataset(
-            dataset.design[idx],
-            dataset.response[idx],
-            response_kind=dataset.response_kind,
-            column_names=list(dataset.column_names),
-        )
-
-    return take(train_idx), take(test_idx)

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import expit, gammaln, stdtr, stdtrit
 
-from .data import Dataset, StandardizationParams, standardize
+from .data import DataError, Dataset, StandardizationParams, standardize
 from .posterior import (
     ConvergenceError,
     GaussianPosterior,
@@ -257,6 +257,15 @@ def fit_tarp(
     b_sigma = positive_finite(b_sigma, "b_sigma")
     sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
     std_train, params = standardize(train)
+    if train.response_kind == "continuous":
+        # every Gaussian fit needs y'y of the centred response to be finite
+        with np.errstate(over="ignore"):
+            sum_sq = std_train.response @ std_train.response
+        if not math.isfinite(sum_sq):
+            raise DataError(
+                "response is too large: the sum of squares of the centred "
+                "response overflows"
+            )
     # the correlations' column means round differently by layout, and q must
     # not move: screen a row-major temporary, fit on the column-major design
     correlations = marginal_correlations(

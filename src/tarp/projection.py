@@ -1,20 +1,19 @@
 """Construction of the m x p compression maps.
 
-Three variants: a three-point random matrix (entries +-1/sqrt(2*psi) with
-probability psi each, else 0), an ultra-sparse variant with entries
-+-n^(kappa/2)/sqrt(m) appearing with probability 1/(2 n^kappa), and a
-deterministic partial-SVD map whose rows are the top right singular vectors
-of the selected columns, found from the smaller of their two Gram matrices.
-Columns excluded by the inclusion vector are identically zero in every
-variant, and the map's width p is the inclusion vector's length.
+Two maps: RIS-RP's three-point random matrix (entries +-1/sqrt(2*psi) with
+probability psi each, else 0), and RIS-PCR's deterministic partial-SVD map,
+whose rows are the top right singular vectors of the selected columns, found
+from the smaller of their two Gram matrices. Columns excluded by the
+inclusion vector are identically zero in both, and the map's width p is the
+inclusion vector's length.
 
-Each map is made by one call: ``sample_ris_rp`` or ``sample_sparse_variant``
-for a random map, ``compute_ris_pcr`` for the partial-SVD map together with
-the compressed training rows from the same decomposition. ``compress`` is
-the one way to apply any map to rows.
+Each map is made by one call: ``sample_ris_rp`` for the random map,
+``compute_ris_pcr`` for the partial-SVD map together with the compressed
+training rows from the same decomposition. ``compress`` is the one way to
+apply either map to rows.
 
-A random variant is defined by its seed and tuning, and a model file stores
-only those. Its entries are drawn as int8 codes in {-1, 0, +1} times one
+A random map is defined by its seed and psi, and a model file stores only
+those. Its entries are drawn as int8 codes in {-1, 0, +1} times one
 magnitude. A fit draws the block once, compresses with it and keeps the
 codes as two packed bit planes (two bits per entry, ~1/32 of the float
 block), from which every later use rebuilds the block. A loaded model keeps
@@ -33,7 +32,6 @@ import numpy as np
 from .screening import InclusionVector
 
 RIS_RP = "ris_rp"
-SPARSE_VARIANT = "sparse_variant"
 RIS_PCR = "ris_pcr"
 
 # eigenvalue cutoff of the principal-direction rank, relative to the largest
@@ -45,13 +43,12 @@ class ProjectionMatrix:
     """Immutable m x p compression map with its inclusion vector.
 
     p is not stored: it is the length of ``gamma``. The map is applied to
-    rows by :func:`compress` and mapped back by :meth:`adjoint`. Random
-    variants keep the seed and tuning (psi, or kappa and n_obs) that
-    generate their m x p_gamma block; the partial-SVD variant keeps the block
-    itself as ``dense_block``, which a random map holds only as the second
-    result of :meth:`drawn`. ``m`` is the effective row count, which for the
-    SVD variant may be below ``requested_m`` when the selected columns are
-    rank deficient.
+    rows by :func:`compress` and mapped back by :meth:`adjoint`. A random
+    map keeps the seed and psi that generate its m x p_gamma block; the
+    partial-SVD map keeps the block itself as ``dense_block``, which a random
+    map holds only as the second result of :meth:`drawn`. ``m`` is the
+    effective row count, which for the partial-SVD map may be below
+    ``requested_m`` when the selected columns are rank deficient.
 
     ``signs`` keeps a random block that :meth:`drawn` has drawn, as a
     (2, ceil(m * p_gamma / 8)) uint8 array: row 0 packs (``np.packbits``)
@@ -67,8 +64,6 @@ class ProjectionMatrix:
     dense_block: Optional[np.ndarray] = None
     seed: Optional[tuple[int, ...]] = None
     psi: Optional[float] = None
-    kappa: Optional[float] = None
-    n_obs: Optional[int] = None
     requested_m: Optional[int] = None
     signs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
@@ -76,19 +71,16 @@ class ProjectionMatrix:
     def p(self) -> int:
         return self.gamma.gamma.size
 
-    def _three_point(self) -> tuple[float, float]:
-        # (magnitude, prob) of a random variant's entries
-        if self.variant == RIS_RP:
-            return 1.0 / math.sqrt(2.0 * self.psi), self.psi
-        n_kappa = float(self.n_obs) ** self.kappa
-        return math.sqrt(n_kappa / self.m), 1.0 / (2.0 * n_kappa)
+    def _magnitude(self) -> float:
+        # size of every nonzero entry of a random block
+        return 1.0 / math.sqrt(2.0 * self.psi)
 
     def _codes(self) -> np.ndarray:
         # m x p_gamma int8 codes of a random block: kept, or drawn from the seed
         shape = (self.m, self.gamma.count)
         if self.signs is None:
             rng = np.random.default_rng(self.seed)
-            return _three_point_codes(shape, self._three_point()[1], rng)
+            return _three_point_codes(shape, self.psi, rng)
         positive, negative = np.unpackbits(
             self.signs, axis=1, count=shape[0] * shape[1]
         ).view(np.int8)
@@ -98,7 +90,7 @@ class ProjectionMatrix:
         # m x p_gamma block over the selected columns
         if self.dense_block is not None:
             return self.dense_block
-        return self._three_point()[0] * self._codes()
+        return self._magnitude() * self._codes()
 
     def drawn(self) -> tuple[ProjectionMatrix, ProjectionMatrix]:
         """Draw a random block once, for a fit.
@@ -110,7 +102,7 @@ class ProjectionMatrix:
         codes = self._codes()
         flat = codes.reshape(-1)
         signs = np.stack((np.packbits(flat > 0), np.packbits(flat < 0)))
-        block = self._three_point()[0] * codes
+        block = self._magnitude() * codes
         return replace(self, signs=signs), replace(self, dense_block=block)
 
     def adjoint(self, theta: np.ndarray) -> np.ndarray:
@@ -171,32 +163,6 @@ def sample_ris_rp(
         gamma=gamma,
         seed=_normalize_seed(seed),
         psi=psi,
-        requested_m=m,
-    )
-
-
-def sample_sparse_variant(
-    gamma: InclusionVector, m: int, kappa: float, n: int, seed
-) -> ProjectionMatrix:
-    """Ultra-sparse map: +-n^(kappa/2)/sqrt(m) w.p. 1/(2 n^kappa) each.
-
-    Per-entry second moment is 1/m, so the whole matrix (rather than each
-    row) is normalized. kappa = 0 degenerates to a dense Rademacher/sqrt(m).
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n_kappa = float(n) ** kappa
-    if not n_kappa >= 1.0:
-        raise ValueError(
-            f"n^kappa = {n_kappa:.4g} < 1 gives a nonzero-probability above 1"
-        )
-    return ProjectionMatrix(
-        variant=SPARSE_VARIANT,
-        m=m,
-        gamma=gamma,
-        seed=_normalize_seed(seed),
-        kappa=kappa,
-        n_obs=n,
         requested_m=m,
     )
 

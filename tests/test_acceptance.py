@@ -28,7 +28,6 @@ from tarp.posterior import (
 from tarp.projection import (
     compute_ris_pcr,
     sample_ris_rp,
-    sample_sparse_variant,
 )
 from tarp.screening import (
     InclusionVector,
@@ -113,7 +112,7 @@ def test_criterion_2_well_specified_calibration():
 
 
 def test_criterion_3_projection_moments():
-    """Entry moments of both random maps; orthonormality and contraction of SVD map."""
+    """Entry moments of the three-point map; orthonormality and contraction of SVD map."""
     started = time.perf_counter()
 
     entries = sample_ris_rp(
@@ -124,14 +123,6 @@ def test_criterion_3_projection_moments():
     var_dev = abs(entries.var() - 1.0)
     assert mean_dev < 0.005
     assert var_dev < 0.01
-
-    m = 25
-    variant_entries = sample_sparse_variant(
-        InclusionVector.all_ones(40_000), m=m, kappa=1.0, n=100, seed=2024
-    ).toarray().ravel()
-    assert variant_entries.size == 10**6
-    moment_dev = abs(np.mean(variant_entries**2) * m - 1.0)
-    assert moment_dev < 0.02
 
     rng = np.random.default_rng(1)
     X = rng.standard_normal((50, 200))
@@ -149,7 +140,7 @@ def test_criterion_3_projection_moments():
     report(
         3,
         f"entry mean {mean_dev:.2e}, var dev {var_dev:.2e}, "
-        f"variant moment dev {moment_dev:.2e}, orth dev {orth_dev:.1e}, "
+        f"orth dev {orth_dev:.1e}, "
         f"{elapsed:.1f}s",
     )
 

@@ -229,6 +229,24 @@ class TestPredictColumns:
         )
         assert not (workdir / "pred.csv").exists()
 
+    def test_repeated_target_name_drops_the_fit_target(self, workdir):
+        # only a training header that repeats the target name reaches the
+        # third rule: the fit takes the first y as its response and keeps the
+        # second as a predictor, so predict drops the first
+        run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
+            "--seed", "4", "--out", "data.csv")
+        header, *body = (workdir / "data.csv").read_text().splitlines()
+        lines = ["y," + header] + [line.rsplit(",", 1)[1] + "," + line
+                                   for line in body]
+        (workdir / "twice.csv").write_text("\n".join(lines) + "\n")
+        assert run("fit", "--data", "twice.csv", "--target", "y",
+                   "--replicates", "3", "--out", "model.json") == 0
+        assert load_model("model.json")[0].column_names == header.split(",")
+        assert self.predict(workdir / "twice.csv", "twice_pred.csv") == 0
+        assert self.predict(workdir / "data.csv", "data_pred.csv") == 0
+        assert (workdir / "twice_pred.csv").read_bytes() == (
+            workdir / "data_pred.csv").read_bytes()
+
     def test_wide_header_matches_in_linear_time(self, monkeypatch):
         expected = [f"x{j}" for j in range(30_000)]
         names = expected[:15_000] + ["stray"] + expected[15_000:]
@@ -554,6 +572,33 @@ class TestExitCodes:
         assert "warning:" not in capsys.readouterr().err
         assert (workdir / "pred.csv").read_text().count("\n") == 61
 
+    def test_response_whose_sum_of_squares_overflows_is_data_error(
+        self, workdir, capsys
+    ):
+        # |y| ~ 1e200 is finite, so simulate writes it, but y'y overflows
+        assert run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
+                   "--noise-sd", "1e200", "--out", "data.csv") == 0
+        capsys.readouterr()
+        assert run("fit", "--data", "data.csv", "--replicates", "3",
+                   "--out", "model.json") == 2
+        assert capsys.readouterr().err == (
+            "error: response is too large: the sum of squares of the centred "
+            "response overflows\n"
+        )
+        assert not (workdir / "model.json").exists()
+
+    def test_huge_response_whose_sum_of_squares_is_finite_fits(
+        self, workdir, capsys
+    ):
+        run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
+            "--noise-sd", "1e153", "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "3",
+                   "--out", "model.json") == 0
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "pred.csv") == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert (workdir / "pred.csv").read_text().count("\n") == 31
+
     def test_library_warning_is_one_line(self, workdir, capsys):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))
@@ -684,7 +729,7 @@ class TestCorruptModel:
             (_set_float("replicates", 0, "projection", "block", value=float("nan")),
              "ris_pcr"),
             (_set("version", value=4), "ris_rp"),
-            # no TarpConfig variant uses the library's sparse_variant sampler
+            # a projection variant the format does not know
             (_set("replicates", 0, "projection", "variant", value="sparse_variant"),
              "ris_rp"),
         ],

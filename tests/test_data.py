@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import tarp.data
 from tarp.data import (
@@ -10,7 +8,6 @@ from tarp.data import (
     _scan_table,
     load_csv,
     load_table,
-    split,
     standardize,
     write_csv,
 )
@@ -220,45 +217,3 @@ class TestStandardize:
         expected = (X - params.column_means) / params.column_scales
         assert out.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(X, before)
-
-
-class TestSplit:
-    def test_sizes_and_partition(self):
-        rng = np.random.default_rng(2)
-        ds = Dataset(rng.standard_normal((100, 3)), rng.standard_normal(100))
-        train, test = split(ds, 0.2, seed=7)
-        assert train.n == 80 and test.n == 20
-        combined = np.vstack([train.design, test.design])
-        assert sorted(map(tuple, combined)) == sorted(map(tuple, ds.design))
-
-    def test_deterministic_and_seed_sensitive(self):
-        rng = np.random.default_rng(3)
-        ds = Dataset(rng.standard_normal((100, 2)), rng.standard_normal(100))
-        t1, _ = split(ds, 0.2, seed=7)
-        t2, _ = split(ds, 0.2, seed=7)
-        t3, _ = split(ds, 0.2, seed=8)
-        np.testing.assert_array_equal(t1.design, t2.design)
-        assert not np.array_equal(t1.design, t3.design)
-
-    def test_tiny_train_rejected(self):
-        rng = np.random.default_rng(4)
-        ds = Dataset(rng.standard_normal((100, 2)), rng.standard_normal(100))
-        with pytest.raises(DataError):
-            split(ds, 0.99, seed=0)
-
-    def test_bad_fraction(self):
-        ds = Dataset(np.eye(4), np.zeros(4))
-        with pytest.raises(DataError):
-            split(ds, 1.5, seed=0)
-
-    @given(st.integers(5, 60), st.floats(0.05, 0.6), st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_partition_property(self, n, frac, seed):
-        design = np.arange(n, dtype=float).reshape(-1, 1)
-        ds = Dataset(design, np.zeros(n))
-        try:
-            train, test = split(ds, frac, seed)
-        except DataError:
-            return  # degenerate sizes are rejected, not mis-split
-        rows = np.concatenate([train.design[:, 0], test.design[:, 0]])
-        assert sorted(rows.tolist()) == list(range(n))

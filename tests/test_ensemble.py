@@ -13,7 +13,7 @@ from oracles import (
     central_interval,
     mixture_t_quantile_via_bisection,
 )
-from tarp.data import Dataset
+from tarp.data import DataError, Dataset
 from tarp.ensemble import (
     PLAIN_RP_BASELINE,
     ReplicateError,
@@ -218,6 +218,15 @@ class TestFitTarp:
     def test_empty_config_list_rejected(self):
         with pytest.raises(ValueError):
             fit_tarp(toy_dataset(), [])
+
+    def test_response_whose_sum_of_squares_overflows_rejected(self, monkeypatch):
+        # |y| ~ 1e200 is finite, but y'y of the centred response is not;
+        # no replicate may start, or every Gaussian fit gets a NaN noise scale
+        ds = toy_dataset()
+        huge = Dataset(ds.design, ds.response * 1e200)
+        monkeypatch.setattr(tarp.ensemble, "_map_ordered", None)
+        with pytest.raises(DataError, match="sum of squares of the centred response"):
+            fit_tarp(huge, sample_config_grid(ds.n, ds.p, 2, master_seed=3))
 
     def test_runtime_roughly_linear_in_replicates(self):
         # fixed (n, p, m) per replicate: wall time should track the count,

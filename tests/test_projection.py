@@ -9,7 +9,6 @@ from tarp.projection import (
     compress,
     compute_ris_pcr,
     sample_ris_rp,
-    sample_sparse_variant,
 )
 from tarp.screening import InclusionVector
 from tarp.simgen import SchemeSpec, generate
@@ -68,51 +67,6 @@ class TestRisRp:
         assert rows_sq.mean() == pytest.approx(target, rel=0.01)
 
 
-class TestSparseVariant:
-    def test_magnitude_and_sparsity(self):
-        # n=100, kappa=1, m=25: entries +-2 with probability 0.01 total
-        gamma = InclusionVector.all_ones(10_000)
-        proj = sample_sparse_variant(gamma, m=25, kappa=1.0, n=100, seed=0)
-        dense = proj.toarray()
-        nonzero = dense[dense != 0.0]
-        np.testing.assert_allclose(np.abs(nonzero), 2.0)
-        assert nonzero.size / dense.size == pytest.approx(0.01, rel=0.15)
-
-    def test_entry_second_moment_is_one_over_m(self):
-        m = 25
-        gamma = InclusionVector.all_ones(40_000)
-        proj = sample_sparse_variant(gamma, m=m, kappa=1.0, n=100, seed=1)
-        entries = proj.toarray().ravel()
-        assert entries.size == 1_000_000
-        assert np.mean(entries**2) == pytest.approx(1.0 / m, rel=0.02)
-
-    def test_kappa_zero_is_dense_rademacher(self):
-        m = 8
-        gamma = InclusionVector.all_ones(50)
-        proj = sample_sparse_variant(gamma, m=m, kappa=0.0, n=100, seed=2)
-        dense = proj.toarray()
-        np.testing.assert_allclose(np.abs(dense), 1.0 / math.sqrt(m))
-
-    def test_whole_matrix_second_moment(self):
-        # mean of ||R x||^2 over draws equals ||x_gamma||^2 (1/m per-entry variance)
-        rng = np.random.default_rng(5)
-        p = 30
-        x = rng.standard_normal(p)
-        gamma = gamma_of(rng.random(p) < 0.7)
-        target = float(np.sum(x[gamma.gamma] ** 2))
-        total = 0.0
-        draws = 4000
-        for i in range(draws):
-            proj = sample_sparse_variant(gamma, m=5, kappa=0.5, n=64, seed=(6, i))
-            total += float(np.sum(compress(x[None, :], proj)[0] ** 2))
-        assert total / draws == pytest.approx(target, rel=0.05)
-
-    def test_invalid_kappa(self):
-        gamma = InclusionVector.all_ones(5)
-        with pytest.raises(ValueError):
-            sample_sparse_variant(gamma, m=2, kappa=-1.0, n=100, seed=0)
-
-
 class TestStoredSeedsRebuildSameMatrix:
     # Literals captured from the library before random maps were stored as
     # seeds only; model files keep seeds, so these must never change.
@@ -129,19 +83,6 @@ class TestStoredSeedsRebuildSameMatrix:
         expected = signs * (1.0 / math.sqrt(2.0 * psi))
         np.testing.assert_array_equal(proj.toarray(), expected)
 
-    def test_sparse_variant_literal(self):
-        # n^kappa = 4, m = 4: magnitude exactly 1, nonzero probability 1/8
-        expected = np.array([
-            [-1, 0, 0, 0, 0, 0, -1, 0],
-            [0, 0, 0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 0, 0, 1, 0],
-        ], dtype=float)
-        proj = sample_sparse_variant(
-            gamma_of(self.GAMMA), m=4, kappa=0.5, n=16, seed=(11, 2)
-        )
-        np.testing.assert_array_equal(proj.toarray(), expected)
-
 
 class TestKeptSigns:
     # a fit keeps a drawn block as packed signs; rebuilt from them it must be
@@ -155,11 +96,8 @@ class TestKeptSigns:
              1.0 / math.sqrt(2e-3), 1e-3),
             (lambda g: sample_ris_rp(g, m=37, psi=0.4999, seed=(4, 1)),
              1.0 / math.sqrt(0.9998), 0.4999),
-            # n^kappa = 1: entries +-1/sqrt(m), nonzero with probability 1/2
-            (lambda g: sample_sparse_variant(g, m=37, kappa=0.0, n=50, seed=(5, 1)),
-             1.0 / math.sqrt(37), 0.5),
         ],
-        ids=["ris_rp_psi_near_0", "ris_rp_psi_near_half", "sparse_kappa_0"],
+        ids=["ris_rp_psi_near_0", "ris_rp_psi_near_half"],
     )
     def test_rebuild_the_seeded_block_bit_for_bit(self, make, magnitude, prob):
         seeded = make(gamma_of(self.GAMMA))
@@ -308,15 +246,15 @@ class TestRisPcrScores:
 
 
 class TestAdjoint:
-    @pytest.mark.parametrize("variant", ["ris_rp", "sparse_variant", "ris_pcr"])
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_rp_psi_small", "ris_pcr"])
     def test_logits_match_compressed_product(self, variant):
         rng = np.random.default_rng(27)
         X = rng.standard_normal((20, 60))
         gamma = gamma_of(rng.random(60) < 0.5)
         if variant == "ris_rp":
             proj = sample_ris_rp(gamma, m=7, psi=0.2, seed=3)
-        elif variant == "sparse_variant":
-            proj = sample_sparse_variant(gamma, m=7, kappa=0.5, n=20, seed=3)
+        elif variant == "ris_rp_psi_small":
+            proj = sample_ris_rp(gamma, m=7, psi=0.02, seed=3)
         else:
             proj, _ = compute_ris_pcr(X, gamma, m=7)
         theta = rng.standard_normal(proj.m)
