@@ -39,7 +39,7 @@ from .ensemble import (
 from .metrics import evaluate_regression
 from .model_io import load_model, save_model
 from .posterior import ConvergenceError
-from .simgen import SCHEMES, SchemeSpec, generate, write_truth_json
+from .simgen import SCHEMES, SchemeSpec, generate
 
 THREADS_ENV_VAR = "TARP_THREADS"
 
@@ -241,8 +241,26 @@ def _meta(options: dict, command: str) -> dict:
     }
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
+def _output(outputs: list, path) -> Path:
+    """Register ``path`` for removal on error; call just before writing it."""
+    path = Path(path)
+    outputs.append(path)
+    return path
+
+
+def _write_rows(outputs: list, path, header, rows) -> None:
+    """A report CSV: floats as their shortest round-trip repr, ``\\n`` endings."""
+    with open(_output(outputs, path), "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                repr(float(v)) if isinstance(v, float) else str(v) for v in row
+            ) + "\n")
+
+
+def _write_json(outputs: list, path, doc: dict) -> None:
+    with open(_output(outputs, path), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
 
 
 def _cmd_simulate(options: dict, outputs: list) -> int:
@@ -261,11 +279,9 @@ def _cmd_simulate(options: dict, outputs: list) -> int:
         seed=options["seed"],
     )
     dataset, truth = generate(spec)
-    outputs.append(out)
-    write_csv(dataset, out, target="y")
+    write_csv(dataset, _output(outputs, out), target="y")
     truth["options"] = {k: v for k, v in sorted(options.items())}
-    outputs.append(truth_out)
-    write_truth_json(truth, truth_out)
+    _write_json(outputs, truth_out, truth)
     print(f"wrote {dataset.n} x {dataset.p + 1} dataset to {out}")
     print(f"wrote truth sidecar to {truth_out}")
     return EXIT_OK
@@ -295,8 +311,7 @@ def _cmd_fit(options: dict, outputs: list) -> int:
         threads=threads,
     )
     elapsed = time.perf_counter() - started
-    out = Path(options["out"])
-    outputs.append(out)
+    out = _output(outputs, options["out"])
     # the worker count is wall-time only, never model content; delta is the
     # value the grid used, so a default one is recorded too
     resolved = {k: v for k, v in sorted(options.items()) if k != "threads"}
@@ -346,24 +361,13 @@ def _cmd_predict(options: dict, outputs: list) -> int:
     X_new = _load_design_for_model(options["data"], model, target_hint)
     prediction = predict_tarp(model, X_new, level=options["level"])
     out = Path(options["out"])
-    outputs.append(out)
-    with open(out, "w", encoding="utf-8") as fh:
-        if prediction.response_kind == "binary":
-            fh.write("probability\n")
-            for value in prediction.probability:
-                fh.write(_format_float(value) + "\n")
-        else:
-            fh.write("point,lo,hi\n")
-            for point, lo, hi in zip(
-                prediction.point, prediction.lower, prediction.upper
-            ):
-                fh.write(
-                    f"{_format_float(point)},{_format_float(lo)},{_format_float(hi)}\n"
-                )
-    meta_path = Path(str(out) + ".meta.json")
-    outputs.append(meta_path)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(_meta(options, "predict"), fh, sort_keys=True, indent=2)
+    if prediction.response_kind == "binary":
+        _write_rows(outputs, out, ("probability",),
+                    ((value,) for value in prediction.probability))
+    else:
+        _write_rows(outputs, out, ("point", "lo", "hi"),
+                    zip(prediction.point, prediction.lower, prediction.upper))
+    _write_json(outputs, f"{out}.meta.json", _meta(options, "predict"))
     print(f"wrote {X_new.shape[0]} predictions to {out}")
     return EXIT_OK
 
@@ -422,8 +426,8 @@ def _check_bench_options(options: dict) -> None:
     """Reject each bad numeric option, naming its flag, before any experiment.
 
     The bounds are the ones the experiment's own validators would apply
-    later: ``Dataset`` needs two rows in each split, ``TarpConfig`` a delta
-    >= 0, ``predict_tarp`` a level in (0, 1), and ``SchemeSpec`` a finite
+    later: ``Dataset`` needs two rows in each split, ``TarpConfig`` a finite
+    delta >= 0, ``predict_tarp`` a level in (0, 1), and ``SchemeSpec`` a finite
     noise sd >= 0 and a p its scheme can hold. A finite noise sd can still
     overflow the simulated response; ``generate`` rejects that per experiment.
     """
@@ -440,7 +444,8 @@ def _check_bench_options(options: dict) -> None:
         ("--test-size", test_size, test_size >= 2, ">= 2"),
         ("--noise-sd", noise_sd, math.isfinite(noise_sd) and noise_sd >= 0,
          "finite and >= 0"),
-        ("--delta", delta, delta is None or delta >= 0, ">= 0"),
+        ("--delta", delta, delta is None or (math.isfinite(delta) and delta >= 0),
+         "finite and >= 0"),
         ("--level", level, 0 < level < 1, "in (0, 1)"),
     ):
         if not valid:
@@ -466,49 +471,30 @@ def _cmd_bench(options: dict, outputs: list) -> int:
     meta_path = Path(f"{prefix}_meta.json")
 
     names = ("mspe", "ecp", "width")
-    columns = {name: np.array([row[name] for row in rows]) for name in names}
-    outputs.append(metrics_path)
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write("replicate,mspe,ecp,width\n")
-        for row in rows:
-            fh.write(
-                f"{row['replicate']},"
-                + ",".join(_format_float(row[name]) for name in names)
-                + "\n"
-            )
-        fh.write(
-            "mean," + ",".join(_format_float(columns[n].mean()) for n in names) + "\n"
-        )
-        fh.write(
-            "sd,"
-            + ",".join(_format_float(columns[n].std(ddof=1)) if len(rows) > 1
-                       else _format_float(0.0) for n in names)
-            + "\n"
-        )
-    outputs.append(long_path)
-    with open(long_path, "w", encoding="utf-8") as fh:
-        fh.write("replicate,method,metric,value\n")
-        for row in rows:
-            for name in names:
-                fh.write(
-                    f"{row['replicate']},{options['variant']},{name},"
-                    f"{_format_float(row[name])}\n"
-                )
+    columns = [np.array([row[name] for row in rows]) for name in names]
+    mean = [column.mean() for column in columns]
+    sd = [column.std(ddof=1) if len(rows) > 1 else 0.0 for column in columns]
+    _write_rows(
+        outputs, metrics_path, ("replicate", *names),
+        [(row["replicate"], *(row[name] for name in names)) for row in rows]
+        + [("mean", *mean), ("sd", *sd)],
+    )
+    _write_rows(
+        outputs, long_path, ("replicate", "method", "metric", "value"),
+        ((row["replicate"], options["variant"], name, row[name])
+         for row in rows for name in names),
+    )
     meta = _meta(options, "bench")
     meta["elapsed_seconds"] = elapsed
     meta["threads"] = threads
-    outputs.append(meta_path)
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
+    _write_json(outputs, meta_path, meta)
 
     print(
         f"scheme {options['scheme']} ({options['variant']}): "
         f"{options['replicates']} replicates in {elapsed:.1f}s"
     )
-    for name in names:
-        mean = columns[name].mean()
-        sd = columns[name].std(ddof=1) if len(rows) > 1 else 0.0
-        print(f"  {name:>5}: {mean:.4f} ({sd:.4f})")
+    for name, name_mean, name_sd in zip(names, mean, sd):
+        print(f"  {name:>5}: {name_mean:.4f} ({name_sd:.4f})")
     print(f"wrote {metrics_path}, {long_path}, {meta_path}")
     return EXIT_OK
 
@@ -535,7 +521,7 @@ def _classify_error(exc: Exception) -> int:
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    # paths are registered in `outputs` just before each write starts, so an
+    # `_output` registers each path just before its write starts, so an
     # error removes exactly the files whose content may be partial
     outputs: list[Path] = []
     try:

@@ -257,12 +257,20 @@ def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationParams]:
     Constant columns are centered only and flagged (scale recorded as 1).
     A continuous response is centered by its mean; binary responses are left
     untouched. The standardized design is the column-major array of
-    ``transform_design``.
+    ``transform_design``. A column whose mean or standard deviation
+    overflows (|x| ~ 1e200) raises DataError naming it.
     """
     # the column sums round differently by layout: take them row-major
     X = np.ascontiguousarray(dataset.design)
-    means = X.mean(axis=0)
-    scales = X.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        scales = X.std(axis=0, ddof=1)
+    finite = np.isfinite(means) & np.isfinite(scales)
+    if not finite.all():
+        name = dataset.column_names[int(np.argmin(finite))]
+        raise DataError(
+            f"column {name!r} is too large: its mean or standard deviation overflows"
+        )
     constant = scales == 0.0
     scales = np.where(constant, 1.0, scales)
     if dataset.response_kind == "continuous":

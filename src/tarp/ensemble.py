@@ -103,8 +103,8 @@ class TarpConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.variant != RIS_PCR:
             if self.psi is None or not 0.0 < self.psi < 0.5:
                 raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
@@ -147,7 +147,6 @@ class TarpPrediction:
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
     probability: Optional[np.ndarray] = None
-    level: Optional[float] = None
 
 
 def m_range(n: int, p: int) -> tuple[int, int]:
@@ -399,5 +398,4 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
         point=point,
         lower=model.standardization.inverse_response(lower),
         upper=model.standardization.inverse_response(upper),
-        level=level,
     )

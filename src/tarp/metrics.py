@@ -19,7 +19,6 @@ class RegressionReport:
     mspe: float
     ecp: float
     mean_width: float
-    residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ def evaluate_regression(pred, intervals, y_true) -> RegressionReport:
         mspe=float(np.mean(residuals**2)),
         ecp=float(np.mean(covered)),
         mean_width=float(np.mean(bounds[:, 1] - bounds[:, 0])),
-        residuals=residuals,
     )
 
 

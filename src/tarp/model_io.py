@@ -323,7 +323,8 @@ def load_model(path) -> tuple[TarpModel, dict]:
         model = _decode_model(doc, int(version))
     except KeyError as exc:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of a number too large for a float, read as inf
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):

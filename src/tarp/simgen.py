@@ -10,7 +10,6 @@ data for evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -164,8 +163,3 @@ def _scheme_bridge(spec: SchemeSpec, rng: np.random.Generator):
     beta = np.zeros(spec.p)
     beta[active] = rng.uniform(2.0, 2.5, size=20)
     return X, beta, active
-
-
-def write_truth_json(truth: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, sort_keys=True, indent=2)

@@ -337,8 +337,9 @@ class TestBench:
             ("--test-size", "1", "bench --test-size must be >= 2, got 1"),
             ("--noise-sd", "-0.5", "bench --noise-sd must be finite and >= 0, got -0.5"),
             ("--noise-sd", "inf", "bench --noise-sd must be finite and >= 0, got inf"),
-            ("--delta", "-1", "bench --delta must be >= 0, got -1.0"),
-            ("--delta", "nan", "bench --delta must be >= 0, got nan"),
+            ("--delta", "-1", "bench --delta must be finite and >= 0, got -1.0"),
+            ("--delta", "nan", "bench --delta must be finite and >= 0, got nan"),
+            ("--delta", "inf", "bench --delta must be finite and >= 0, got inf"),
             ("--level", "0", "bench --level must be in (0, 1), got 0.0"),
             ("--level", "1.5", "bench --level must be in (0, 1), got 1.5"),
             ("--p", "20",
@@ -599,6 +600,49 @@ class TestExitCodes:
         assert "warning:" not in capsys.readouterr().err
         assert (workdir / "pred.csv").read_text().count("\n") == 31
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_delta_must_be_finite_and_nonnegative(self, workdir, capsys, value):
+        # a NaN delta kept one column per replicate and saved a bare NaN token
+        run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
+            "--out", "data.csv")
+        capsys.readouterr()
+        assert run("fit", "--data", "data.csv", "--replicates", "2",
+                   "--delta", value, "--out", "model.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta must be finite and >= 0, got ")
+        assert err.count("\n") == 1
+        assert not (workdir / "model.json").exists()
+
+    @staticmethod
+    def _write_scaled_column_csv(path, scale):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 5))
+        X[:, 2] *= scale
+        y = X[:, 0] + rng.standard_normal(30)
+        rows = [",".join(repr(float(v)) for v in row) for row in np.column_stack([X, y])]
+        path.write_text("x1,x2,x3,x4,x5,y\n" + "\n".join(rows) + "\n")
+
+    def test_column_whose_variance_overflows_is_data_error(self, workdir, capsys):
+        # each cell is finite, so the CSV loads; the fit used to save a model
+        # with an infinite column scale that predict then refused
+        self._write_scaled_column_csv(workdir / "data.csv", 1e200)
+        assert run("fit", "--data", "data.csv", "--replicates", "3",
+                   "--out", "model.json") == 2
+        assert capsys.readouterr().err == (
+            "error: column 'x3' is too large: its mean or standard deviation "
+            "overflows\n"
+        )
+        assert not (workdir / "model.json").exists()
+
+    def test_huge_column_whose_variance_is_finite_fits(self, workdir, capsys):
+        self._write_scaled_column_csv(workdir / "data.csv", 1e150)
+        assert run("fit", "--data", "data.csv", "--replicates", "3",
+                   "--out", "model.json") == 0
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "pred.csv") == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert (workdir / "pred.csv").read_text().count("\n") == 31
+
     def test_library_warning_is_one_line(self, workdir, capsys):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))
@@ -732,6 +776,9 @@ class TestCorruptModel:
             # a projection variant the format does not know
             (_set("replicates", 0, "projection", "variant", value="sparse_variant"),
              "ris_rp"),
+            # json reads the bare NaN and Infinity tokens a fit once wrote
+            (_set("replicates", 0, "config", "delta", value=float("nan")), "ris_rp"),
+            (_set("replicates", 0, "config", "delta", value=float("inf")), "ris_rp"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -743,7 +790,8 @@ class TestCorruptModel:
             "column_mean_inf", "residual_quadratic_negative", "a_sigma_zero",
             "b_sigma_negative", "b_sigma_overflows", "sigma_theta2_zero",
             "triangle_short", "triangle_order", "triangle_inf", "pcr_block_nan",
-            "version_4", "projection_variant_sparse",
+            "version_4", "projection_variant_sparse", "config_delta_nan",
+            "config_delta_inf",
         ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
@@ -761,6 +809,48 @@ class TestCorruptModel:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (workdir / "preds.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "keys, variant",
+        [
+            (("replicates", 0, "projection", "m"), "ris_rp"),
+            (("replicates", 0, "config", "m"), "ris_rp"),
+            (("replicates", 0, "config", "seed"), "ris_rp"),
+            (("replicates", 0, "projection", "seed", 0), "ris_rp"),
+            (("replicates", 0, "projection", "gamma", "length"), "ris_rp"),
+            (("standardization", "constant_mask", "length"), "ris_rp"),
+            (("replicates", 0, "projection", "requested_m"), "ris_pcr"),
+            ((*_POSTERIOR, "n_obs"), "ris_rp"),
+            ((*_POSTERIOR, "n_iter"), "binary"),
+            (("master_seed",), "ris_rp"),
+        ],
+        ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple)
+        else value,
+    )
+    def test_integer_too_large_for_a_float_is_data_error(
+        self, workdir, capsys, keys, variant
+    ):
+        # json reads 1e999 as inf, and int(inf) raises OverflowError
+        if variant == "binary":
+            write_binary_csv(workdir / "data.csv")
+            variant = "ris_rp"
+        else:
+            run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
+                "--seed", "4", "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "2",
+                   "--variant", variant, "--out", "model.json") == 0
+        doc = json.loads((workdir / "model.json").read_text())
+        _at(doc, keys[:-1])[keys[-1]] = "HUGE"
+        text = json.dumps(doc)
+        assert text.count('"HUGE"') == 1
+        (workdir / "model.json").write_text(text.replace('"HUGE"', "1e999"))
+        capsys.readouterr()
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "preds.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.json: malformed model file (")
+        assert err.count("\n") == 1
+        assert not (workdir / "preds.csv").exists()
 
     def test_huge_m_is_rejected_without_drawing_a_block(
         self, workdir, capsys, monkeypatch
@@ -815,6 +905,31 @@ class TestPartialOutputs:
         )
         assert code != 0
         assert not (workdir / "data.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["fit", "--data", "data.csv", "--replicates", "2",
+              "--out", "no_dir/model.json"], None),
+            (["predict", "--model", "model.json", "--data", "data.csv",
+              "--out", "pred.csv"], "pred.csv.meta.json"),
+            (["bench", "--scheme", "I", "--n", "30", "--test-size", "5",
+              "--p", "40", "--replicates", "1", "--ensemble-size", "2",
+              "--out-prefix", "b"], "b_meta.json"),
+        ],
+        ids=["fit", "predict", "bench"],
+    )
+    def test_failed_output_removes_every_earlier_one(self, workdir, argv, blocked):
+        # the last output cannot be opened (a missing directory, or a
+        # directory in the sidecar's place): the files written before it go
+        run("simulate", "--scheme", "I", "--n", "30", "--p", "40",
+            "--out", "data.csv")
+        run("fit", "--data", "data.csv", "--replicates", "2", "--out", "model.json")
+        if blocked:
+            (workdir / blocked).mkdir()
+        before = set(workdir.iterdir())
+        assert run(*argv) == 1
+        assert set(workdir.iterdir()) == before
 
 
 class TestThreadsEnvVar:

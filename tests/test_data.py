@@ -205,6 +205,39 @@ class TestStandardize:
         assert np.all(np.abs(transformed.mean(axis=0)) > 0.5)
 
 
+    @pytest.mark.parametrize(
+        "scale", [1e200, 1e307], ids=["variance_overflows", "sum_overflows"]
+    )
+    def test_overflowing_column_is_named(self, scale):
+        # every entry is finite, but the squares or the sum of c and d overflow;
+        # the first such column is named, and numpy warns of nothing
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 4))
+        X[:, 2] = scale * rng.uniform(0.5, 1.0, 30)
+        X[:, 3] = X[:, 2]
+        ds = Dataset(X, rng.standard_normal(30), column_names=["a", "b", "c", "d"])
+        with np.errstate(all="raise"), pytest.raises(
+            DataError, match="^column 'c' is too large"
+        ):
+            standardize(ds)
+
+    def test_lone_column_of_opposite_huge_values_is_named(self):
+        # a single column is summed pairwise: partial sums of +inf and -inf
+        # meet, and the NaN mean must not warn either
+        X = np.full((32, 1), 1.7e308)
+        X[1::2] *= -1.0
+        with np.errstate(all="raise"), pytest.raises(DataError, match="^column 'x1'"):
+            standardize(Dataset(X, np.arange(32.0)))
+
+    def test_huge_column_whose_variance_is_finite_standardizes(self):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 4))
+        X[:, 2] *= 1e150
+        with np.errstate(all="raise"):
+            std, params = standardize(Dataset(X, rng.standard_normal(30)))
+        assert np.isfinite(params.column_scales).all()
+        np.testing.assert_allclose(std.design.std(axis=0, ddof=1), 1.0)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_transform_design_is_a_column_major_copy(self, order):
         rng = np.random.default_rng(3)

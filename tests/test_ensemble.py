@@ -118,6 +118,11 @@ class TestConfigGrid:
         with pytest.raises(ValueError):
             TarpConfig(m=3, psi=0.2, delta=1.0, variant="nope", seed=1)
 
+    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            TarpConfig(m=3, psi=0.2, delta=delta, variant="ris_rp", seed=1)
+
 
 class TestFitTarp:
     def test_identical_seeds_identical_posteriors(self):
