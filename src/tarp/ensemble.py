@@ -207,6 +207,7 @@ def _fit_replicate(
     design: np.ndarray,
     response: np.ndarray,
     correlations: np.ndarray,
+    constant_mask: np.ndarray,
     response_kind: str,
     a_sigma: float,
     b_sigma: float,
@@ -217,7 +218,7 @@ def _fit_replicate(
     if cfg.variant == PLAIN_RP_BASELINE:
         gamma = InclusionVector.all_ones(p)
     else:
-        q = inclusion_probabilities(correlations, cfg.delta)
+        q = inclusion_probabilities(correlations, cfg.delta, constant_mask)
         gamma = sample_inclusion(q, np.random.default_rng([cfg.seed, _GAMMA_STREAM]))
     if cfg.variant == RIS_PCR:
         # the eigendecomposition already holds the compressed training rows
@@ -273,7 +274,7 @@ def fit_tarp(
     )
     fit_one = partial(
         _fit_replicate, std_train.design, std_train.response, correlations,
-        train.response_kind, a_sigma, b_sigma, sigma_theta2,
+        params.constant_mask, train.response_kind, a_sigma, b_sigma, sigma_theta2,
     )
     replicates = _map_ordered(fit_one, configs, threads)
     return TarpModel(
@@ -356,6 +357,12 @@ def mixture_t_quantile(
     )
 
 
+def _reject_rows(finite: np.ndarray, what: str) -> None:
+    if not finite.all():
+        row = int(np.argmin(finite)) + 1
+        raise DataError(f"new row {row} is too large: its {what} overflow")
+
+
 def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> TarpPrediction:
     """Aggregate replicate predictions on new rows (original units).
 
@@ -366,13 +373,19 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
     expit(x_gamma' R_i' theta_i), summed in replicate order. Each logit is
     linear in x, so every replicate's comes from one product X W' with row i
     of W the mapped-back mode R_i' theta_i; no replicate compresses X.
+    A new row whose standardized values overflow, or (continuous) whose
+    predictive location or scale does, raises DataError naming the row.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.p:
         raise ValueError(f"X_new has shape {X_new.shape}, expected (*, {model.p})")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    Xs = model.standardization.transform_design(X_new)
+    # a huge finite cell may overflow here or in the predictive scale: such
+    # rows are bad data, rejected by number below instead of failing later
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xs = model.standardization.transform_design(X_new)
+    _reject_rows(np.isfinite(Xs).all(axis=1), "standardized values")
     if model.response_kind == "binary":
         W = np.array(
             [rep.projection.adjoint(rep.posterior.mode) for rep in model.replicates]
@@ -381,14 +394,19 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
         probs = expit(W @ Xs.T).mean(axis=0)
         return TarpPrediction(response_kind="binary", probability=probs)
     dfs, locs, scales = [], [], []
-    for rep in model.replicates:
-        pred = predictive(rep.posterior, compress(Xs, rep.projection))
-        dfs.append(pred.df)
-        locs.append(pred.location)
-        scales.append(pred.scale_diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rep in model.replicates:
+            pred = predictive(rep.posterior, compress(Xs, rep.projection))
+            dfs.append(pred.df)
+            locs.append(pred.location)
+            scales.append(pred.scale_diag)
     dfs = np.asarray(dfs)
     locs = np.asarray(locs)
     scales = np.asarray(scales)
+    _reject_rows(
+        np.isfinite(locs).all(axis=0) & np.isfinite(scales).all(axis=0),
+        "predictive location or scale",
+    )
     # the predictive location is the posterior-mean point prediction
     point = model.standardization.inverse_response(np.mean(locs, axis=0))
     lower = mixture_t_quantile(dfs, locs, scales, 0.5 * (1.0 - level))

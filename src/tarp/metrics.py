@@ -52,19 +52,41 @@ def evaluate_regression(pred, intervals, y_true) -> RegressionReport:
     )
 
 
-def auc_score(prob, y_true) -> Optional[float]:
-    """Rank-based AUC with half credit for ties; None if one class is absent."""
-    # imported here: scipy.stats takes about a second to import and only
-    # evaluation needs it, so the CLI's predict path does not load it
-    from scipy.stats import rankdata
+def _check_probabilities(prob: np.ndarray) -> None:
+    # written so that NaN fails too: every comparison with NaN is false
+    if not np.all((prob >= 0.0) & (prob <= 1.0)):
+        raise ValueError("probabilities must be finite and lie in [0,1]")
 
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, tied values sharing their mean rank.
+
+    A tie group at sorted positions start+1..end gets (start + 1 + end) / 2,
+    an integer or half-integer, so every rank is exact in float64 and equals
+    scipy's ``rankdata(values)`` (method "average") bit for bit.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
+def auc_score(prob, y_true) -> Optional[float]:
+    """Rank-based AUC with half credit for ties; None if one class is absent.
+
+    Scores that are not finite or fall outside [0, 1] raise ValueError.
+    """
     prob = np.asarray(prob, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
+    _check_probabilities(prob)
     n_pos = int(np.sum(y_true == 1.0))
     n_neg = int(np.sum(y_true == 0.0))
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(prob)  # average ranks handle ties
+    ranks = _average_ranks(prob)  # average ranks handle ties
     rank_sum = float(np.sum(ranks[y_true == 1.0]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -73,10 +95,12 @@ def calibration_msd(prob, y_true, n_bins: int = 10) -> float:
     """Mean squared gap between bin positive-fraction and bin midpoint.
 
     Probabilities are binned into ``n_bins`` equal subintervals of [0, 1]
-    (last bin closed at 1); empty bins are skipped.
+    (last bin closed at 1); empty bins are skipped. Probabilities that are
+    not finite or fall outside [0, 1] raise ValueError.
     """
     prob = np.asarray(prob, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
+    _check_probabilities(prob)
     bins = np.minimum((prob * n_bins).astype(int), n_bins - 1)
     gaps = []
     for k in range(n_bins):
@@ -97,8 +121,7 @@ def evaluate_classification(
         raise ValueError(
             f"length mismatch: prob {prob.shape}, y_true {y_true.shape}"
         )
-    if np.any((prob < 0.0) | (prob > 1.0)):
-        raise ValueError("probabilities must lie in [0,1]")
+    _check_probabilities(prob)
     labels = (prob >= threshold).astype(np.float64)
     return ClassificationReport(
         misclassification_rate=float(np.mean(labels != y_true)),

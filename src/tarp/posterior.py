@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 
@@ -167,7 +166,15 @@ def _spd_solve(matrix, *rhs):
     Calls LAPACK ``dpotrf`` / ``dpotrs`` as scipy's ``cho_factor`` /
     ``cho_solve`` do underneath, without their per-call finiteness checks:
     callers check their inputs once. Failure raises ``LinAlgError``.
+
+    LAPACK is imported here, at the first solve, not with the module:
+    ``scipy.linalg`` adds ~6 MiB and ~55 ms to every process that loads
+    tarp, and prediction never solves. A repeat import is a dict lookup
+    (~2 us), and the import lock makes a first call from several fit
+    workers at once safe.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     if matrix.shape[0] == 0:  # f2py rejects an empty right-hand side
         return [np.array(b, dtype=np.float64) for b in rhs]
     factor, info = dpotrf(matrix, lower=1, clean=0)

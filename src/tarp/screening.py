@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError
+
 
 @dataclass(frozen=True)
 class InclusionVector:
@@ -81,11 +83,15 @@ def default_fallback_count(p: int) -> int:
     return min(p, max(1, math.ceil(2.0 * math.log(max(p, 2)))))
 
 
-def inclusion_probabilities(r: np.ndarray, delta: float) -> np.ndarray:
+def inclusion_probabilities(
+    r: np.ndarray, delta: float, constant_mask: np.ndarray | None = None
+) -> np.ndarray:
     """Inclusion probabilities (|r_j| / max|r|)^delta, so max q is always 1.
 
     If every correlation is zero the probabilities fall back to the uniform
-    value min(1, default_fallback_count(p) / p).
+    value min(1, default_fallback_count(k) / k) over the k columns that vary;
+    columns flagged in ``constant_mask`` get q = 0, since standardization
+    makes them all-zero. If no column varies, DataError is raised.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -93,8 +99,13 @@ def inclusion_probabilities(r: np.ndarray, delta: float) -> np.ndarray:
     abs_r = np.abs(r)
     r_max = abs_r.max() if r.size else 0.0
     if r_max == 0.0:
-        p = r.size
-        return np.full(p, min(1.0, default_fallback_count(p) / p))
+        varies = np.ones(r.size, dtype=bool)
+        if constant_mask is not None:
+            varies &= ~np.asarray(constant_mask, dtype=bool)
+        k = int(varies.sum())
+        if k == 0:
+            raise DataError("every design column is constant; there is nothing to fit")
+        return np.where(varies, min(1.0, default_fallback_count(k) / k), 0.0)
     return np.power(abs_r / r_max, delta)
 
 

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, stdtr, stdtrit
+from scipy.stats import rankdata
 
 from tarp.projection import compress
 
@@ -80,6 +81,22 @@ def mixture_t_quantile_via_bisection(
         if active.size == 0:
             return out
     raise RuntimeError(f"bisection left {active.size} points unconverged")
+
+
+def auc_via_rankdata(prob, y_true):
+    """Reference AUC from scipy's average ranks (Mann-Whitney U / n+ n-).
+
+    None when one class is absent, as ``tarp.metrics.auc_score``.
+    """
+    prob = np.asarray(prob, dtype=np.float64)
+    y_true = np.asarray(y_true, dtype=np.float64)
+    positive = y_true == 1.0
+    n_pos = int(np.sum(positive))
+    n_neg = int(np.sum(y_true == 0.0))
+    if n_pos == 0 or n_neg == 0:
+        return None
+    rank_sum = float(np.sum(rankdata(prob)[positive]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def predict_prob(post, Z_new: np.ndarray) -> np.ndarray:

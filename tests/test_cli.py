@@ -643,6 +643,92 @@ class TestExitCodes:
         assert "warning:" not in capsys.readouterr().err
         assert (workdir / "pred.csv").read_text().count("\n") == 31
 
+    @staticmethod
+    def _write_constant_columns_csv(path, y, varying):
+        # 20 rows, 40 columns, all constant but the first `varying`
+        rng = np.random.default_rng(2)
+        X = np.full((20, 40), 2.0)
+        X[:, :varying] = rng.standard_normal((20, varying))
+        rows = [",".join(repr(float(v)) for v in row) for row in np.column_stack([X, y])]
+        header = ",".join([f"x{j + 1}" for j in range(40)] + ["y"])
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "plain_rp_baseline"])
+    def test_constant_response_and_columns_fit(self, workdir, capsys, variant):
+        # every correlation is 0, so screening falls back to uniform q; the
+        # constant columns standardize to zeros and now get q = 0, where
+        # ris_pcr used to draw only zero columns and exit 1
+        self._write_constant_columns_csv(workdir / "data.csv", np.full(20, 3.0), 1)
+        assert run("fit", "--data", "data.csv", "--variant", variant,
+                   "--replicates", "20", "--out", "model.json") == 0
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "pred.csv") == 0
+        assert capsys.readouterr().err == (
+            "warning: response is constant; all marginal correlations set to 0\n"
+        )
+        model, _ = load_model("model.json")
+        if variant != "plain_rp_baseline":
+            for rep in model.replicates:
+                assert rep.projection.gamma.indices.tolist() == [0]
+
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr"])
+    def test_design_without_a_varying_column_is_data_error(
+        self, workdir, capsys, variant
+    ):
+        y = np.random.default_rng(3).standard_normal(20)
+        self._write_constant_columns_csv(workdir / "data.csv", y, 0)
+        assert run("fit", "--data", "data.csv", "--variant", variant,
+                   "--replicates", "20", "--out", "model.json") == 2
+        assert capsys.readouterr().err == (
+            "error: replicate 0: every design column is constant; "
+            "there is nothing to fit\n"
+        )
+        assert not (workdir / "model.json").exists()
+
+    @pytest.mark.parametrize("value", ["1e200", "1e308"])
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr"])
+    def test_new_row_with_huge_cell_is_data_error(
+        self, workdir, capsys, variant, value
+    ):
+        # the cell is finite, so the CSV loads, but the row's predictive
+        # scale overflows: it used to exit 3 from the mixture quantile
+        # search, after overflow warnings at 1e308
+        run("simulate", "--scheme", "I", "--n", "60", "--p", "300",
+            "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--variant", variant,
+                   "--replicates", "10", "--out", "model.json") == 0
+        lines = (workdir / "data.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = value
+        lines[3] = ",".join(cells)
+        (workdir / "new.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--model", "model.json", "--data", "new.csv",
+                   "--out", "pred.csv") == 2
+        assert capsys.readouterr().err == (
+            "error: new row 3 is too large: its predictive location or scale "
+            "overflow\n"
+        )
+        assert not (workdir / "pred.csv").exists()
+
+    def test_new_row_whose_standardized_values_overflow_is_data_error(
+        self, workdir, capsys
+    ):
+        # a binary model has no predictive scale; the standardized row
+        # itself overflows once a cell nears the float64 limit
+        write_binary_csv(workdir / "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "5",
+                   "--out", "model.json") == 0
+        lines = (workdir / "data.csv").read_text().splitlines()
+        lines[2] = ",".join(["1.7976931348623157e308"] * 8 + ["1"])
+        (workdir / "new.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--model", "model.json", "--data", "new.csv",
+                   "--out", "pred.csv") == 2
+        assert capsys.readouterr().err == (
+            "error: new row 2 is too large: its standardized values overflow\n"
+        )
+
     def test_library_warning_is_one_line(self, workdir, capsys):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))
@@ -883,16 +969,41 @@ class TestCorruptModel:
 
 
 class TestStartup:
-    def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats costs about a second of start-up; only evaluation uses it
+    # scipy.stats costs ~0.5 s and ~38 MiB, scipy.linalg ~55 ms and ~6 MiB;
+    # only the fit's Cholesky solves use scipy.linalg, and nothing in the
+    # package uses scipy.stats
+    @staticmethod
+    def _fresh(code: str) -> str:
         src = os.path.dirname(os.path.dirname(tarp.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, tarp.cli; print('scipy.stats' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, check=True, timeout=60,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_skips_scipy_stats(self):
+        code = "import sys, tarp.cli; print('scipy.stats' in sys.modules)"
+        assert self._fresh(code) == "False"
+
+    @pytest.mark.parametrize("kind", ["continuous", "binary"])
+    def test_predict_skips_scipy_stats_and_linalg(self, tmp_path, kind):
+        argv = ["predict", "--model", str(DATA / f"v2_{kind}.json"),
+                "--data", str(DATA / f"{kind}.csv"), "--out", str(tmp_path / "p.csv")]
+        code = (
+            f"import sys, tarp.cli; code = tarp.cli.main({argv!r}); "
+            "print(code, [m for m in ('scipy.stats', 'scipy.linalg') "
+            "if m in sys.modules])"
+        )
+        assert self._fresh(code).splitlines()[-1] == "0 []"
+
+    def test_classification_metrics_skip_scipy_stats(self):
+        code = (
+            "import sys; from tarp.metrics import evaluate_classification; "
+            "report = evaluate_classification([0.2, 0.7, 0.4], [0.0, 1.0, 1.0]); "
+            "print(report.auc, 'scipy.stats' in sys.modules)"
+        )
+        assert self._fresh(code) == "1.0 False"
 
 
 class TestPartialOutputs:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import auc_via_rankdata
 from tarp.metrics import (
     auc_score,
     calibration_msd,
@@ -89,6 +90,19 @@ class TestAuc:
             auc_score(transformed, y), abs=1e-12
         )
 
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_equals_rankdata_oracle_on_ties(self, data):
+        # a few distinct levels, both signed zeros among them, so most
+        # scores tie; the average ranks are exact, so AUC matches bit for bit
+        levels = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+        ) + [0.0, -0.0]
+        n = data.draw(st.integers(1, 60))
+        prob = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        y = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        assert auc_score(prob, y) == auc_via_rankdata(prob, y)
+
 
 class TestCalibrationMsd:
     def test_exact_probabilities_on_balanced_classes(self):
@@ -121,6 +135,19 @@ class TestEvaluateClassification:
     def test_rejects_out_of_range_probabilities(self):
         with pytest.raises(ValueError):
             evaluate_classification([1.2], [1.0])
+
+    @pytest.mark.parametrize(
+        "score", [np.nan, np.inf, -np.inf, -0.1, 1.5], ids=str
+    )
+    @pytest.mark.parametrize(
+        "evaluate", [evaluate_classification, auc_score, calibration_msd],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_rejects_non_finite_or_out_of_range_scores(self, evaluate, score):
+        # NaN fails every comparison, so a range test written as
+        # "prob < 0 or prob > 1" used to let it through
+        with pytest.raises(ValueError, match=r"finite and lie in \[0,1\]"):
+            evaluate([score, 0.5, 0.7], [0.0, 1.0, 1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tarp.data import DataError
 from tarp.screening import (
     InclusionVector,
     default_delta,
@@ -90,6 +91,21 @@ class TestInclusionProbabilities:
         q = inclusion_probabilities(np.zeros(50), delta=2.0)
         expected = min(1.0, default_fallback_count(50) / 50)
         np.testing.assert_allclose(q, np.full(50, expected))
+
+    def test_fallback_gives_constant_columns_zero(self):
+        # standardization makes a constant column all-zero: the uniform
+        # fallback spreads over the 40 columns that vary instead
+        constant = np.zeros(50, dtype=bool)
+        constant[::5] = True
+        q = inclusion_probabilities(np.zeros(50), 2.0, constant_mask=constant)
+        expected = min(1.0, default_fallback_count(40) / 40)
+        np.testing.assert_array_equal(q, np.where(constant, 0.0, expected))
+
+    def test_fallback_without_a_varying_column_is_data_error(self):
+        with pytest.raises(DataError, match="every design column is constant"):
+            inclusion_probabilities(
+                np.zeros(3), 2.0, constant_mask=np.ones(3, dtype=bool)
+            )
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
