@@ -104,6 +104,16 @@ class StandardizationParams:
     constant_mask: np.ndarray
     response_mean: float | None
 
+    def __post_init__(self):
+        means, scales = self.column_means, self.column_scales
+        shapes = {means.shape, scales.shape, self.constant_mask.shape}
+        if len(shapes) != 1 or means.ndim != 1:
+            raise ValueError(f"means, scales and constant mask have shapes {shapes}")
+        if not (np.isfinite(means).all() and np.isfinite(scales).all()):
+            raise ValueError("column means and scales must be finite")
+        if not (scales > 0.0).all():
+            raise ValueError("column_scales must be positive")
+
     def transform_design(self, X: np.ndarray) -> np.ndarray:
         """(X - means) / scales as a new column-major array.
 
@@ -254,11 +264,11 @@ def write_csv(dataset: Dataset, path, target: str = "y") -> None:
 def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationParams]:
     """Center and scale columns to unit sample standard deviation (divisor n-1).
 
-    Constant columns are centered only and flagged (scale recorded as 1).
-    A continuous response is centered by its mean; binary responses are left
-    untouched. The standardized design is the column-major array of
-    ``transform_design``. A column whose mean or standard deviation
-    overflows (|x| ~ 1e200) raises DataError naming it.
+    Constant columns (standard deviation <= 1e-12 |mean|) are centered only
+    and flagged (scale recorded as 1). A continuous response is centered by
+    its mean; binary responses are left untouched. The standardized design
+    is the column-major array of ``transform_design``. A column whose mean
+    or standard deviation overflows (|x| ~ 1e200) raises DataError naming it.
     """
     # the column sums round differently by layout: take them row-major
     X = np.ascontiguousarray(dataset.design)
@@ -271,7 +281,9 @@ def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationParams]:
         raise DataError(
             f"column {name!r} is too large: its mean or standard deviation overflows"
         )
-    constant = scales == 0.0
+    # a constant value not exact in binary leaves a scale of ~1e-16 |mean|,
+    # not 0; tiny values around 0 may truly vary, so not max(1, |mean|)
+    constant = scales <= 1e-12 * np.abs(means)
     scales = np.where(constant, 1.0, scales)
     if dataset.response_kind == "continuous":
         response_mean = float(dataset.response.mean())

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import expit, gammaln, stdtr, stdtrit
 
-from .data import DataError, Dataset, StandardizationParams, standardize
+from .data import RESPONSE_KINDS, DataError, Dataset, StandardizationParams, standardize
 from .posterior import (
     ConvergenceError,
     GaussianPosterior,
@@ -116,6 +116,23 @@ class Replicate:
     projection: ProjectionMatrix
     posterior: Union[GaussianPosterior, LaplacePosterior]
 
+    def __post_init__(self):
+        cfg, proj = self.config, self.projection
+        # the baseline projects every column with a ris_rp map
+        baseline = cfg.variant == PLAIN_RP_BASELINE
+        if proj.variant != (RIS_RP if baseline else cfg.variant) or (
+            baseline and proj.gamma.count != proj.p
+        ):
+            raise ValueError(f"{cfg.variant!r} config on a {proj.variant!r} projection")
+        if cfg.m != proj.requested_m:
+            raise ValueError(f"config m={cfg.m} but requested_m={proj.requested_m}")
+        if cfg.psi != proj.psi:
+            raise ValueError(f"config psi={cfg.psi} but projection psi={proj.psi}")
+        name = "mode" if isinstance(self.posterior, LaplacePosterior) else "location"
+        shape = getattr(self.posterior, name).shape
+        if shape != (proj.m,):
+            raise ValueError(f"{name} has shape {shape}, projection m={proj.m}")
+
 
 @dataclass(frozen=True)
 class TarpModel:
@@ -128,6 +145,26 @@ class TarpModel:
     a_sigma: float = 0.02
     b_sigma: float = 0.02
     sigma_theta2: float = 1.0
+
+    def __post_init__(self):
+        kind, p = self.response_kind, self.p
+        continuous = kind == "continuous"
+        if not self.replicates:
+            raise ValueError("model has no replicates")
+        if kind not in RESPONSE_KINDS:
+            raise ValueError(f"unknown response_kind {kind!r}")
+        mean = self.standardization.response_mean
+        if continuous != (mean is not None and math.isfinite(mean)):
+            raise ValueError(f"response_mean {mean!r} in a {kind} model")
+        if len(self.column_names) != p:
+            raise ValueError(f"{len(self.column_names)} column names for {p} columns")
+        for rep in self.replicates:
+            if isinstance(rep.posterior, GaussianPosterior) != continuous:
+                raise ValueError(f"{type(rep.posterior).__name__} in a {kind} model")
+            if rep.projection.p != p:
+                raise ValueError(f"gamma has length {rep.projection.p}, expected {p}")
+        for name in ("a_sigma", "b_sigma", "sigma_theta2"):
+            positive_finite(getattr(self, name), name)
 
     @property
     def n_replicates(self) -> int:
@@ -179,8 +216,6 @@ def sample_config_grid(
     """
     if count < 1:
         raise ValueError(f"need at least one configuration, got {count}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if delta is None:
         delta = default_delta(n, p)
     lo, hi = m_range(n, p)
@@ -248,15 +283,16 @@ def fit_tarp(
     """Standardize, screen once, and fit every replicate.
 
     Marginal correlations are computed a single time and shared across the
-    grid. All three priors are checked for either response kind, so the
-    model loads. ``threads`` caps the worker pool; outputs never change.
+    grid. All three priors are checked for either response kind, and a
+    design whose every column is constant is rejected, before any replicate
+    runs. ``threads`` caps the worker pool; outputs never change.
     """
-    if not configs:
-        raise ValueError("need at least one configuration")
     a_sigma = positive_finite(a_sigma, "a_sigma")
     b_sigma = positive_finite(b_sigma, "b_sigma")
     sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
     std_train, params = standardize(train)
+    if params.constant_mask.all():
+        raise DataError("every design column is constant; there is nothing to fit")
     if train.response_kind == "continuous":
         # every Gaussian fit needs y'y of the centred response to be finite
         with np.errstate(over="ignore"):

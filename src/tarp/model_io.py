@@ -8,21 +8,21 @@ loaded model holds of them (the signs a fit keeps are not saved);
 partial-SVD blocks are stored densely. The symmetric m x m
 posterior matrices are stored as their lower triangle (version 1: in full).
 Version 3 stores no binary Hessian; from older files it is checked, then
-dropped. Every decode failure, including a non-finite or out-of-range
-number, raises DataError.
+dropped. Loading only decodes JSON into the arguments of the model's
+constructors, which check every invariant, for fit and load alike; a
+decode failure or a constructor's rejection raises DataError.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import math
 
 import numpy as np
 
-from .data import RESPONSE_KINDS, DataError, StandardizationParams, not_utf8
-from .ensemble import PLAIN_RP_BASELINE, Replicate, TarpConfig, TarpModel
-from .posterior import GaussianPosterior, LaplacePosterior, positive_finite
+from .data import DataError, StandardizationParams, not_utf8
+from .ensemble import Replicate, TarpConfig, TarpModel
+from .posterior import GaussianPosterior, LaplacePosterior
 from .projection import RIS_PCR, RIS_RP, ProjectionMatrix, sample_ris_rp
 from .screening import InclusionVector
 
@@ -30,8 +30,19 @@ FORMAT_TAG = "tarp-model"
 FORMAT_VERSION = 3
 READABLE_VERSIONS = (1, 2, 3)
 
-# the posterior kind fitted for each response kind
-_POSTERIOR_KINDS = {"continuous": "gaussian", "binary": "laplace"}
+
+def _integer(value, name: str) -> int:
+    # a JSON integer only: json reads 2.5 and 1e999 as floats, true as a bool
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    # a JSON number, not a bool; float() of a huge integer raises OverflowError
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _encode_floats(arr: np.ndarray) -> str:
@@ -39,12 +50,8 @@ def _encode_floats(arr: np.ndarray) -> str:
     return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode_floats(data: str, name: str) -> np.ndarray:
-    raw = base64.b64decode(data)
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} holds non-finite values")
-    return arr
+def _decode_floats(data: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data), dtype="<f8").astype(np.float64)
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -52,8 +59,8 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": _encode_floats(arr)}
 
 
-def _decode_array(obj: dict, name: str) -> np.ndarray:
-    return _decode_floats(obj["data"], name).reshape(obj["shape"])
+def _decode_array(obj: dict) -> np.ndarray:
+    return _decode_floats(obj["data"]).reshape(obj["shape"])
 
 
 def _encode_triangle(matrix: np.ndarray) -> dict:
@@ -63,10 +70,10 @@ def _encode_triangle(matrix: np.ndarray) -> dict:
 
 
 def _decode_triangle(obj: dict, m: int, name: str) -> np.ndarray:
-    order = obj["order"]
+    order = _integer(obj["order"], "order")
     if order != m:
         raise ValueError(f"{name} has order {order!r}, expected m={m}")
-    packed = _decode_floats(obj["data"], name)
+    packed = _decode_floats(obj["data"])
     if packed.size != m * (m + 1) // 2:
         raise ValueError(
             f"{name} holds {packed.size} values, expected {m * (m + 1) // 2}"
@@ -79,17 +86,10 @@ def _decode_triangle(obj: dict, m: int, name: str) -> np.ndarray:
 
 
 def _decode_symmetric(obj: dict, m: int, version: int, name: str) -> np.ndarray:
-    # version 1 stored the full matrix; its shape is checked by the caller
+    # version 1 stored the full matrix; its shape is checked where it is used
     if version == 1:
-        return _decode_array(obj, name)
+        return _decode_array(obj)
     return _decode_triangle(obj, m, name)
-
-
-def _nonnegative(value, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-    return value
 
 
 def _encode_bits(mask: np.ndarray) -> dict:
@@ -102,7 +102,7 @@ def _encode_bits(mask: np.ndarray) -> dict:
 
 
 def _decode_bits(obj: dict, name: str) -> np.ndarray:
-    length = int(obj["length"])
+    length = _integer(obj["length"], "length")
     packed = np.frombuffer(base64.b64decode(obj["data"]), dtype=np.uint8)
     # unpackbits zero-pads a short buffer, so check the byte count first
     if length < 0 or packed.size != (length + 7) // 8:
@@ -125,28 +125,18 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
     return out
 
 
-def _decode_projection(obj: dict, p: int) -> ProjectionMatrix:
+def _decode_projection(obj: dict) -> ProjectionMatrix:
     gamma = InclusionVector(_decode_bits(obj["gamma"], "gamma"))
-    if gamma.gamma.size != p:
-        raise ValueError(f"gamma has length {gamma.gamma.size}, expected {p}")
-    variant = obj["variant"]
-    m = int(obj["m"])
-    if variant == RIS_PCR:
-        block = _decode_array(obj["block"], "block")
-        if m < 1 or block.shape != (m, gamma.count):
-            raise ValueError(
-                f"block shape {block.shape} does not match m={m}, "
-                f"p_gamma={gamma.count}"
-            )
-        requested_m = int(obj["requested_m"])
-        if requested_m < m:
-            raise ValueError(f"requested_m={requested_m} is below m={m}")
-        return ProjectionMatrix(variant=RIS_PCR, m=m, gamma=gamma, dense_block=block,
-                                requested_m=requested_m)
-    # the sampler checks m, psi and the seed
-    if variant == RIS_RP:
-        return sample_ris_rp(gamma, m, float(obj["psi"]), obj["seed"])
-    raise ValueError(f"unknown projection variant {variant!r}")
+    m = _integer(obj["m"], "m")
+    if obj["variant"] == RIS_PCR:
+        return ProjectionMatrix(
+            variant=RIS_PCR, m=m, gamma=gamma, dense_block=_decode_array(obj["block"]),
+            requested_m=_integer(obj["requested_m"], "requested_m"),
+        )
+    if obj["variant"] == RIS_RP:
+        seed = [_integer(entry, "seed") for entry in obj["seed"]]
+        return sample_ris_rp(gamma, m, _real(obj["psi"], "psi"), seed)
+    raise ValueError(f"unknown projection variant {obj['variant']!r}")
 
 
 def _encode_posterior(post) -> dict:
@@ -173,81 +163,30 @@ def _encode_posterior(post) -> dict:
 
 def _decode_posterior(obj: dict, m: int, version: int):
     if obj["kind"] == "gaussian":
-        location = _decode_array(obj["location"], "location")
-        precision_inverse = _decode_symmetric(
-            obj["precision_inverse"], m, version, "precision_inverse"
-        )
-        _check_shapes(m, location, precision_inverse)
-        n = int(obj["n_obs"])
-        if n < 1:
-            raise ValueError(f"n_obs must be >= 1, got {n}")
         return GaussianPosterior(
-            location=location,
-            precision_inverse=precision_inverse,
-            residual_quadratic=_nonnegative(
-                obj["residual_quadratic"], "residual_quadratic"
+            location=_decode_array(obj["location"]),
+            precision_inverse=_decode_symmetric(
+                obj["precision_inverse"], m, version, "precision_inverse"
             ),
-            a_sigma=positive_finite(obj["a_sigma"], "a_sigma"),
-            b_sigma=positive_finite(obj["b_sigma"], "b_sigma"),
-            n_obs=n,
+            residual_quadratic=_real(obj["residual_quadratic"], "residual_quadratic"),
+            a_sigma=_real(obj["a_sigma"], "a_sigma"),
+            b_sigma=_real(obj["b_sigma"], "b_sigma"),
+            n_obs=_integer(obj["n_obs"], "n_obs"),
         )
     if obj["kind"] == "laplace":
-        mode = _decode_array(obj["mode"], "mode")
         # versions 1 and 2 also stored the Hessian at the mode; nothing reads it
         if version < 3:
-            hessian = _decode_symmetric(
-                obj["hessian_at_mode"], m, version, "hessian_at_mode"
-            )
-            _check_shapes(m, mode, hessian)
-        elif mode.shape != (m,):
-            raise ValueError(f"mode has shape {mode.shape}, expected ({m},)")
+            name = "hessian_at_mode"
+            hessian = _decode_symmetric(obj[name], m, version, name)
+            if hessian.shape != (m, m) or not np.isfinite(hessian).all():
+                raise ValueError(f"{name} is not a finite {m} x {m} matrix")
         return LaplacePosterior(
-            mode=mode,
-            prior_variance=positive_finite(obj["prior_variance"], "prior_variance"),
-            grad_norm=_nonnegative(obj["grad_norm"], "grad_norm"),
-            n_iter=int(obj["n_iter"]),
+            mode=_decode_array(obj["mode"]),
+            prior_variance=_real(obj["prior_variance"], "prior_variance"),
+            grad_norm=_real(obj["grad_norm"], "grad_norm"),
+            n_iter=_integer(obj["n_iter"], "n_iter"),
         )
     raise ValueError(f"unknown posterior kind {obj['kind']!r}")
-
-
-def _check_shapes(m: int, vector: np.ndarray, matrix: np.ndarray) -> None:
-    if vector.shape != (m,) or matrix.shape != (m, m):
-        raise ValueError(
-            f"posterior shapes {vector.shape}, {matrix.shape} do not match m={m}"
-        )
-
-
-def _check_config(cfg: TarpConfig, projection: ProjectionMatrix) -> None:
-    # the baseline projects every column with a ris_rp map
-    baseline = cfg.variant == PLAIN_RP_BASELINE
-    expected = RIS_RP if baseline else cfg.variant
-    if projection.variant != expected or (
-        baseline and projection.gamma.count != projection.p
-    ):
-        raise ValueError(
-            f"config variant {cfg.variant!r} does not match its "
-            f"{projection.variant!r} projection"
-        )
-    if cfg.m != projection.requested_m:
-        raise ValueError(
-            f"config m={cfg.m} does not match the projection's "
-            f"requested_m={projection.requested_m}"
-        )
-    if cfg.psi != projection.psi:
-        raise ValueError(
-            f"config psi={cfg.psi} does not match the projection's psi={projection.psi}"
-        )
-
-
-def _decode_response_mean(value, response_kind: str):
-    if response_kind == "binary":
-        if value is not None:
-            raise ValueError("a binary model has no response_mean")
-        return None
-    finite = isinstance(value, (int, float)) and math.isfinite(value)
-    if isinstance(value, bool) or not finite:
-        raise ValueError(f"response_mean must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _encode_config(cfg: TarpConfig) -> dict:
@@ -262,11 +201,11 @@ def _encode_config(cfg: TarpConfig) -> dict:
 
 def _decode_config(obj: dict) -> TarpConfig:
     return TarpConfig(
-        m=int(obj["m"]),
-        psi=None if obj["psi"] is None else float(obj["psi"]),
-        delta=float(obj["delta"]),
+        m=_integer(obj["m"], "m"),
+        psi=None if obj["psi"] is None else _real(obj["psi"], "psi"),
+        delta=_real(obj["delta"], "delta"),
         variant=obj["variant"],
-        seed=int(obj["seed"]),
+        seed=_integer(obj["seed"], "seed"),
     )
 
 
@@ -324,7 +263,6 @@ def load_model(path) -> tuple[TarpModel, dict]:
     except KeyError as exc:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: int() of a number too large for a float, read as inf
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):
@@ -333,48 +271,31 @@ def load_model(path) -> tuple[TarpModel, dict]:
 
 
 def _decode_model(doc: dict, version: int) -> TarpModel:
-    column_names = list(doc["column_names"])
-    p = len(column_names)
-    response_kind = doc["response_kind"]
-    if response_kind not in RESPONSE_KINDS:
-        raise ValueError(f"unknown response_kind {response_kind!r}")
     std_doc = doc["standardization"]
-    params = StandardizationParams(
-        column_means=_decode_array(std_doc["column_means"], "column_means"),
-        column_scales=_decode_array(std_doc["column_scales"], "column_scales"),
-        constant_mask=_decode_bits(std_doc["constant_mask"], "constant_mask"),
-        response_mean=_decode_response_mean(std_doc["response_mean"], response_kind),
-    )
-    for name in ("column_means", "column_scales", "constant_mask"):
-        if getattr(params, name).shape != (p,):
-            raise ValueError(f"{name} does not have {p} entries")
-    if not (params.column_scales > 0.0).all():
-        raise ValueError("column_scales must be positive")
-    if not doc["replicates"]:
-        raise ValueError("model has no replicates")
+    mean = std_doc["response_mean"]
     replicates = []
     for rep in doc["replicates"]:
-        projection = _decode_projection(rep["projection"], p)
-        config = _decode_config(rep["config"])
-        _check_config(config, projection)
-        kind = rep["posterior"]["kind"]
-        if kind != _POSTERIOR_KINDS[response_kind]:
-            raise ValueError(f"{kind!r} posterior in a {response_kind} model")
+        projection = _decode_projection(rep["projection"])
         replicates.append(
             Replicate(
-                config=config,
+                config=_decode_config(rep["config"]),
                 projection=projection,
                 posterior=_decode_posterior(rep["posterior"], projection.m, version),
             )
         )
     return TarpModel(
         replicates=replicates,
-        standardization=params,
-        response_kind=response_kind,
-        master_seed=int(doc["master_seed"]),
-        column_names=column_names,
+        standardization=StandardizationParams(
+            column_means=_decode_array(std_doc["column_means"]),
+            column_scales=_decode_array(std_doc["column_scales"]),
+            constant_mask=_decode_bits(std_doc["constant_mask"], "constant_mask"),
+            response_mean=None if mean is None else _real(mean, "response_mean"),
+        ),
+        response_kind=doc["response_kind"],
+        master_seed=_integer(doc["master_seed"], "master_seed"),
+        column_names=list(doc["column_names"]),
         train_data_hash=doc["train_data_hash"],
-        a_sigma=positive_finite(doc["a_sigma"], "a_sigma"),
-        b_sigma=positive_finite(doc["b_sigma"], "b_sigma"),
-        sigma_theta2=positive_finite(doc["sigma_theta2"], "sigma_theta2"),
+        a_sigma=_real(doc["a_sigma"], "a_sigma"),
+        b_sigma=_real(doc["b_sigma"], "b_sigma"),
+        sigma_theta2=_real(doc["sigma_theta2"], "sigma_theta2"),
     )

@@ -49,6 +49,17 @@ class GaussianPosterior:
     n_obs: int
 
     def __post_init__(self):
+        location, matrix = self.location, self.precision_inverse
+        if location.ndim != 1 or matrix.shape != location.shape * 2:
+            raise ValueError(f"bad posterior shapes {location.shape}, {matrix.shape}")
+        if not (np.isfinite(location).all() and np.isfinite(matrix).all()):
+            raise ValueError("location or precision_inverse holds non-finite values")
+        if not 0.0 <= self.residual_quadratic < math.inf:
+            raise ValueError("residual_quadratic must be finite and >= 0")
+        if self.n_obs < 1:
+            raise ValueError(f"n_obs must be >= 1, got {self.n_obs}")
+        positive_finite(self.a_sigma, "a_sigma")
+        positive_finite(self.b_sigma, "b_sigma")
         for name, value in (("df", self.df), ("noise scale", self.noise_scale2)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(
@@ -101,6 +112,15 @@ class LaplacePosterior:
     grad_norm: float
     n_iter: int
 
+    def __post_init__(self):
+        if not np.isfinite(self.mode).all():
+            raise ValueError("mode holds non-finite values")
+        positive_finite(self.prior_variance, "prior_variance")
+        if not 0.0 <= self.grad_norm < math.inf:
+            raise ValueError(f"grad_norm {self.grad_norm!r} is not finite and >= 0")
+        if self.n_iter < 0:
+            raise ValueError(f"n_iter must be >= 0, got {self.n_iter}")
+
 
 def fit_gaussian(
     Z_design: np.ndarray,
@@ -123,8 +143,6 @@ def fit_gaussian(
         )
     if not (np.all(np.isfinite(Z_design)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in compressed design or response")
-    a_sigma = positive_finite(a_sigma, "a_sigma")
-    b_sigma = positive_finite(b_sigma, "b_sigma")
     n, m = Z_design.shape
     gram = Z_design.T @ Z_design + np.eye(m)
     zy = Z_design.T @ y

@@ -61,11 +61,26 @@ class ProjectionMatrix:
     variant: str
     m: int
     gamma: InclusionVector
+    requested_m: int
     dense_block: Optional[np.ndarray] = None
     seed: Optional[tuple[int, ...]] = None
     psi: Optional[float] = None
-    requested_m: Optional[int] = None
     signs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.requested_m < self.m:
+            raise ValueError(f"requested_m={self.requested_m} is below m={self.m}")
+        if self.variant == RIS_RP and (self.psi is None or not 0.0 < self.psi < 0.5):
+            raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
+        block = self.dense_block
+        if block is not None:
+            if block.shape != (self.m, self.gamma.count):
+                raise ValueError(f"block shape {block.shape} is not (m, p_gamma)")
+            # a drawn random block, +-1/sqrt(2 psi) or 0, is finite by its psi
+            if self.variant == RIS_PCR and not np.isfinite(block).all():
+                raise ValueError("block holds non-finite values")
 
     @property
     def p(self) -> int:
@@ -153,10 +168,6 @@ def sample_ris_rp(
     gamma: InclusionVector, m: int, psi: float, seed
 ) -> ProjectionMatrix:
     """Three-point random map: +-1/sqrt(2*psi) w.p. psi each, 0 w.p. 1-2*psi."""
-    if not 0.0 < psi < 0.5:
-        raise ValueError(f"psi must lie in (0, 0.5), got {psi}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     return ProjectionMatrix(
         variant=RIS_RP,
         m=m,

@@ -671,17 +671,18 @@ class TestExitCodes:
             for rep in model.replicates:
                 assert rep.projection.gamma.indices.tolist() == [0]
 
-    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr"])
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "plain_rp_baseline"])
     def test_design_without_a_varying_column_is_data_error(
         self, workdir, capsys, variant
     ):
+        # checked once before any replicate runs, so no replicate is blamed;
+        # the baseline, which screens nothing, rejects the file too
         y = np.random.default_rng(3).standard_normal(20)
         self._write_constant_columns_csv(workdir / "data.csv", y, 0)
         assert run("fit", "--data", "data.csv", "--variant", variant,
                    "--replicates", "20", "--out", "model.json") == 2
         assert capsys.readouterr().err == (
-            "error: replicate 0: every design column is constant; "
-            "there is nothing to fit\n"
+            "error: every design column is constant; there is nothing to fit\n"
         )
         assert not (workdir / "model.json").exists()
 
@@ -807,6 +808,31 @@ def _set_float(*keys, index=0, value):
     return corrupt
 
 
+def _add(*keys, delta):
+    # a number plus delta; a float delta makes a JSON integer a float
+    def corrupt(doc):
+        _at(doc, keys[:-1])[keys[-1]] += delta
+    return corrupt
+
+
+def _drop_last(*keys):
+    # the last entry of a base64 float vector, with its shape
+    def corrupt(doc):
+        obj = _at(doc, keys)
+        obj["shape"] = [obj["shape"][0] - 1]
+        obj["data"] = base64.b64encode(base64.b64decode(obj["data"])[:-8]).decode()
+    return corrupt
+
+
+def _drop_column_name(doc):
+    doc["column_names"].pop()
+
+
+def _binary_as_continuous(doc):
+    doc["response_kind"] = "continuous"
+    doc["standardization"]["response_mean"] = 0.5
+
+
 def _truncate(*keys, nbytes):
     # cut a base64 payload to raw[:nbytes]; a negative count drops bytes
     def corrupt(doc):
@@ -817,9 +843,24 @@ def _truncate(*keys, nbytes):
 
 
 _POSTERIOR = ("replicates", 0, "posterior")
+_PROJECTION = ("replicates", 0, "projection")
 
 
 class TestCorruptModel:
+    @staticmethod
+    def _fit(variant):
+        # fits model.json to data.csv in the working directory and returns
+        # the file's JSON; "binary" is ris_rp on a binary response
+        if variant == "binary":
+            write_binary_csv(Path("data.csv"))
+            variant = "ris_rp"
+        else:
+            run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
+                "--seed", "4", "--out", "data.csv")
+        assert run("fit", "--data", "data.csv", "--replicates", "2",
+                   "--variant", variant, "--out", "model.json") == 0
+        return json.loads(Path("model.json").read_text())
+
     @pytest.mark.parametrize(
         "corrupt, variant",
         [
@@ -865,6 +906,23 @@ class TestCorruptModel:
             # json reads the bare NaN and Infinity tokens a fit once wrote
             (_set("replicates", 0, "config", "delta", value=float("nan")), "ris_rp"),
             (_set("replicates", 0, "config", "delta", value=float("inf")), "ris_rp"),
+            # integer fields take JSON integers only: no bool, no float
+            (_set(*_POSTERIOR, "n_obs", value=True), "ris_rp"),
+            (_add(*_PROJECTION, "seed", 0, delta=0.5), "ris_rp"),
+            # one case per invariant that a model's types check on construction
+            (_drop_last("standardization", "column_means"), "ris_rp"),
+            (_set("standardization", "response_mean", value=None), "ris_rp"),
+            (_set("standardization", "response_mean", value=0.5), "binary"),
+            (_drop_column_name, "ris_rp"),
+            (_add(*_PROJECTION, "gamma", "length", delta=-1), "ris_rp"),
+            (_binary_as_continuous, "binary"),
+            (_set(*_PROJECTION, "m", value=0), "ris_rp"),
+            (_add(*_PROJECTION, "m", delta=-1), "ris_pcr"),
+            (_drop_last(*_POSTERIOR, "location"), "ris_rp"),
+            (_drop_last(*_POSTERIOR, "mode"), "binary"),
+            (_set_float(*_POSTERIOR, "mode", value=float("nan")), "binary"),
+            (_set(*_POSTERIOR, "grad_norm", value=-1.0), "binary"),
+            (_set(*_POSTERIOR, "n_iter", value=-1), "binary"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -877,15 +935,15 @@ class TestCorruptModel:
             "b_sigma_negative", "b_sigma_overflows", "sigma_theta2_zero",
             "triangle_short", "triangle_order", "triangle_inf", "pcr_block_nan",
             "version_4", "projection_variant_sparse", "config_delta_nan",
-            "config_delta_inf",
+            "config_delta_inf", "n_obs_true", "seed_fraction",
+            "column_means_short", "response_mean_null", "binary_response_mean",
+            "column_names_short", "gamma_one_short", "kind_continuous_on_binary",
+            "projection_m_zero", "pcr_block_rows", "location_short",
+            "mode_short", "mode_nan", "grad_norm_negative", "n_iter_negative",
         ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
-        run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
-            "--seed", "4", "--out", "data.csv")
-        assert run("fit", "--data", "data.csv", "--replicates", "2",
-                   "--variant", variant, "--out", "model.json") == 0
-        doc = json.loads((workdir / "model.json").read_text())
+        doc = self._fit(variant)
         corrupt(doc)
         (workdir / "model.json").write_text(json.dumps(doc))
         capsys.readouterr()
@@ -916,16 +974,8 @@ class TestCorruptModel:
     def test_integer_too_large_for_a_float_is_data_error(
         self, workdir, capsys, keys, variant
     ):
-        # json reads 1e999 as inf, and int(inf) raises OverflowError
-        if variant == "binary":
-            write_binary_csv(workdir / "data.csv")
-            variant = "ris_rp"
-        else:
-            run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
-                "--seed", "4", "--out", "data.csv")
-        assert run("fit", "--data", "data.csv", "--replicates", "2",
-                   "--variant", variant, "--out", "model.json") == 0
-        doc = json.loads((workdir / "model.json").read_text())
+        # json reads 1e999 as inf, a float, which no integer field takes
+        doc = self._fit(variant)
         _at(doc, keys[:-1])[keys[-1]] = "HUGE"
         text = json.dumps(doc)
         assert text.count('"HUGE"') == 1

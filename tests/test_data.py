@@ -5,6 +5,7 @@ import tarp.data
 from tarp.data import (
     DataError,
     Dataset,
+    StandardizationParams,
     _scan_table,
     load_csv,
     load_table,
@@ -181,6 +182,28 @@ class TestStandardize:
         assert params.constant_mask[0] and not params.constant_mask[1]
         assert params.column_scales[0] == 1.0
 
+    def test_constant_column_not_exact_in_binary_is_flagged(self):
+        # twenty 0.1s: the mean rounds to 0.10000000000000002 and the scale
+        # to ~1.4e-17, which would put a new 0.2 at ~7e15
+        X = np.column_stack([np.full(20, 0.1), np.arange(20.0)])
+        std, params = standardize(Dataset(X, np.arange(20.0)))
+        assert params.constant_mask.tolist() == [True, False]
+        # centred only: rounding-level values, no longer -0.975 in every row
+        np.testing.assert_allclose(std.design[:, 0], 0.0, atol=1e-15)
+        new_row = params.transform_design(np.array([[0.2, 3.0]]))
+        assert np.isfinite(new_row).all() and abs(new_row[0, 0]) < 1.0
+
+    @pytest.mark.parametrize(
+        "centre, spread", [(1.0, 1e-9), (0.0, 1e-100)],
+        ids=["relative_spread_1e-9", "tiny_values_around_0"],
+    )
+    def test_column_that_varies_at_a_tiny_scale_is_not_flagged(self, centre, spread):
+        rng = np.random.default_rng(4)
+        X = centre + spread * rng.standard_normal((20, 2))
+        std, params = standardize(Dataset(X, np.arange(20.0)))
+        assert not params.constant_mask.any()
+        np.testing.assert_allclose(std.design.std(axis=0, ddof=1), 1.0)
+
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.standard_normal((20, 5)), rng.standard_normal(20))
@@ -250,3 +273,30 @@ class TestStandardize:
         expected = (X - params.column_means) / params.column_scales
         assert out.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(X, before)
+
+
+class TestStandardizationParams:
+    @staticmethod
+    def params(**change):
+        fields = dict(column_means=np.zeros(3), column_scales=np.ones(3),
+                      constant_mask=np.zeros(3, dtype=bool), response_mean=0.0)
+        return StandardizationParams(**{**fields, **change})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"column_scales": np.ones(2)}, "have shapes"),
+            ({"constant_mask": np.zeros(4, dtype=bool)}, "have shapes"),
+            ({"column_means": np.zeros((3, 1)), "column_scales": np.ones((3, 1)),
+              "constant_mask": np.zeros((3, 1), dtype=bool)}, "have shapes"),
+            ({"column_means": np.array([0.0, np.inf, 0.0])}, "must be finite"),
+            ({"column_scales": np.array([1.0, np.nan, 1.0])}, "must be finite"),
+            ({"column_scales": np.array([1.0, 0.0, 1.0])}, "must be positive"),
+        ],
+        ids=["scales_short", "mask_long", "not_vectors", "mean_inf", "scale_nan",
+             "scale_zero"],
+    )
+    def test_construction_checks_invariants(self, change, message):
+        self.params()
+        with pytest.raises(ValueError, match=message):
+            self.params(**change)

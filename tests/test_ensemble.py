@@ -2,6 +2,7 @@ import gc
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
     central_interval,
     mixture_t_quantile_via_bisection,
 )
-from tarp.data import DataError, Dataset
+from tarp.data import DataError, Dataset, StandardizationParams
 from tarp.ensemble import (
     PLAIN_RP_BASELINE,
     ReplicateError,
@@ -233,6 +234,17 @@ class TestFitTarp:
         with pytest.raises(DataError, match="sum of squares of the centred response"):
             fit_tarp(huge, sample_config_grid(ds.n, ds.p, 2, master_seed=3))
 
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", PLAIN_RP_BASELINE])
+    def test_design_without_a_varying_column_rejected_before_any_replicate(
+        self, monkeypatch, variant
+    ):
+        # 0.1 is not exact in binary: each column's scale is ~1e-17, not 0
+        ds = toy_dataset()
+        flat = Dataset(np.full_like(ds.design, 0.1), ds.response)
+        monkeypatch.setattr(tarp.ensemble, "_map_ordered", None)
+        with pytest.raises(DataError, match="^every design column is constant"):
+            fit_tarp(flat, sample_config_grid(ds.n, ds.p, 2, variant=variant))
+
     def test_runtime_roughly_linear_in_replicates(self):
         # fixed (n, p, m) per replicate: wall time should track the count,
         # within a factor of 2 of linear; batches are sized so each run is
@@ -255,6 +267,88 @@ class TestFitTarp:
 
         ratio = best_of(large) / best_of(small)
         assert 5 / 2 <= ratio <= 5 * 2
+
+
+def fitted_model(binary=False):
+    ds = toy_dataset()
+    if binary:
+        y = (ds.response > 0).astype(float)
+        ds = Dataset(ds.design, y, response_kind="binary")
+    return fit_tarp(ds, sample_config_grid(ds.n, ds.p, 2, master_seed=3))
+
+
+class TestModelInvariants:
+    # a fitted model's parts rebuilt with one invariant broken: a fit and a
+    # model file build replicates and models through the same constructors
+    @pytest.mark.parametrize(
+        "binary, change, message",
+        [
+            (False, lambda rep: {"config": replace(rep.config, variant="ris_pcr")},
+             "'ris_pcr' config on a 'ris_rp' projection"),
+            (False,
+             lambda rep: {"config": replace(rep.config, variant=PLAIN_RP_BASELINE)},
+             "'plain_rp_baseline' config on a 'ris_rp' projection"),
+            (False, lambda rep: {"config": replace(rep.config, m=rep.config.m + 1)},
+             "config m=.* but requested_m="),
+            (False, lambda rep: {"config": replace(rep.config, psi=rep.config.psi / 2)},
+             "config psi=.* but projection psi="),
+            (False, lambda rep: {"posterior": replace(
+                rep.posterior, location=rep.posterior.location[:-1],
+                precision_inverse=rep.posterior.precision_inverse[:-1, :-1])},
+             "location has shape .*, projection m="),
+            (True, lambda rep: {"posterior": replace(
+                rep.posterior, mode=rep.posterior.mode[:-1])},
+             "mode has shape .*, projection m="),
+        ],
+        ids=["variant", "baseline_screened_gamma", "m", "psi", "location_m", "mode_m"],
+    )
+    def test_replicate(self, binary, change, message):
+        rep = fitted_model(binary).replicates[0]
+        assert rep.projection.gamma.count < rep.projection.p  # screened
+        replace(rep)
+        with pytest.raises(ValueError, match=message):
+            replace(rep, **change(rep))
+
+    @pytest.mark.parametrize(
+        "binary, change, message",
+        [
+            (False, lambda model: {"replicates": []}, "model has no replicates"),
+            (False, lambda model: {"response_kind": "bogus"}, "unknown response_kind"),
+            (False, lambda model: {"response_kind": "binary"},
+             "response_mean .* in a binary model"),
+            (False, lambda model: {"standardization": replace(
+                model.standardization, response_mean=None)},
+             "response_mean None in a continuous model"),
+            (False, lambda model: {"standardization": replace(
+                model.standardization, response_mean=math.inf)},
+             "response_mean inf in a continuous model"),
+            (True, lambda model: {"replicates": fitted_model().replicates},
+             "GaussianPosterior in a binary model"),
+            (False, lambda model: {"column_names": model.column_names[:-1]},
+             "24 column names for 25 columns"),
+            (False, lambda model: {
+                "column_names": model.column_names[:-1],
+                "standardization": StandardizationParams(
+                    model.standardization.column_means[:-1],
+                    model.standardization.column_scales[:-1],
+                    model.standardization.constant_mask[:-1],
+                    model.standardization.response_mean,
+                ),
+            }, "gamma has length 25, expected 24"),
+            (False, lambda model: {"a_sigma": 0.0}, "a_sigma must be a positive"),
+            (False, lambda model: {"b_sigma": math.nan}, "b_sigma must be a positive"),
+            (True, lambda model: {"sigma_theta2": -1.0},
+             "sigma_theta2 must be a positive finite"),
+        ],
+        ids=["no_replicates", "kind_bogus", "binary_with_mean",
+             "continuous_without_mean", "mean_inf", "posterior_kind", "column_names",
+             "gamma_length", "a_sigma", "b_sigma", "sigma_theta2"],
+    )
+    def test_model(self, binary, change, message):
+        model = fitted_model(binary)
+        replace(model)
+        with pytest.raises(ValueError, match=message):
+            replace(model, **change(model))
 
 
 class TestMixtureQuantile:

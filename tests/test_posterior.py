@@ -10,6 +10,8 @@ from scipy.linalg import cholesky
 
 from tarp.posterior import (
     ConvergenceError,
+    GaussianPosterior,
+    LaplacePosterior,
     fit_bernoulli_laplace,
     fit_gaussian,
     predictive,
@@ -327,3 +329,48 @@ class TestPredictProb:
         probs = predict_prob(post, z)
         assert np.all(np.diff(probs) >= 0)
         assert probs[-1] > 0.999
+
+
+class TestPosteriorInvariants:
+    # a fit and a model file build posteriors through the same constructor
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"location": np.zeros(3)}, "bad posterior shapes"),
+            ({"location": np.zeros((2, 1))}, "bad posterior shapes"),
+            ({"location": np.array([0.0, np.nan])}, "holds non-finite"),
+            ({"precision_inverse": np.full((2, 2), np.inf)}, "holds non-finite"),
+            ({"residual_quadratic": -1.0}, "residual_quadratic must be finite"),
+            ({"residual_quadratic": np.inf}, "residual_quadratic must be finite"),
+            ({"n_obs": 0}, "n_obs must be >= 1"),
+            ({"a_sigma": 0.0}, "a_sigma must be a positive finite"),
+            ({"b_sigma": np.nan}, "b_sigma must be a positive finite"),
+        ],
+        ids=["location_long", "location_2d", "location_nan", "precision_inf",
+             "residual_negative", "residual_inf", "n_obs_zero", "a_sigma_zero",
+             "b_sigma_nan"],
+    )
+    def test_gaussian(self, change, message):
+        fields = dict(location=np.zeros(2), precision_inverse=np.eye(2),
+                      residual_quadratic=1.0, a_sigma=0.02, b_sigma=0.02, n_obs=5)
+        GaussianPosterior(**fields)
+        with pytest.raises(ValueError, match=message):
+            GaussianPosterior(**{**fields, **change})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"mode": np.array([np.nan, 0.0])}, "mode holds non-finite"),
+            ({"prior_variance": 0.0}, "prior_variance must be a positive finite"),
+            ({"grad_norm": -1e-9}, "grad_norm .* is not finite and >= 0"),
+            ({"grad_norm": np.inf}, "grad_norm .* is not finite and >= 0"),
+            ({"n_iter": -1}, "n_iter must be >= 0"),
+        ],
+        ids=["mode_nan", "prior_variance_zero", "grad_norm_negative",
+             "grad_norm_inf", "n_iter_negative"],
+    )
+    def test_laplace(self, change, message):
+        fields = dict(mode=np.zeros(2), prior_variance=1.0, grad_norm=0.0, n_iter=0)
+        LaplacePosterior(**fields)
+        with pytest.raises(ValueError, match=message):
+            LaplacePosterior(**{**fields, **change})

@@ -6,6 +6,9 @@ import pytest
 from oracles import ris_pcr_block_via_svd
 from tarp.data import standardize
 from tarp.projection import (
+    RIS_PCR,
+    RIS_RP,
+    ProjectionMatrix,
     compress,
     compute_ris_pcr,
     sample_ris_rp,
@@ -325,3 +328,32 @@ class TestCompress:
         gamma = gamma_of([True, True])
         proj = sample_ris_rp(gamma, m=3, psi=0.3, seed=1)
         np.testing.assert_array_equal(compress(np.zeros((4, 2)), proj), 0.0)
+
+
+class TestProjectionInvariants:
+    # gamma selects 3 of 4 columns; a fit and a model file build maps
+    # through the same constructor
+    RANDOM = dict(variant=RIS_RP, m=2, requested_m=2, seed=(1,), psi=0.3)
+    PCR = dict(variant=RIS_PCR, m=2, requested_m=2, dense_block=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({**RANDOM, "m": 0, "requested_m": 0}, "m must be >= 1"),
+            ({**PCR, "requested_m": 1}, "requested_m=1 is below m=2"),
+            ({**RANDOM, "psi": 0.5}, "psi must lie in"),
+            ({**RANDOM, "psi": None}, "psi must lie in"),
+            ({**PCR, "dense_block": np.zeros((2, 4))},
+             "block shape \\(2, 4\\) is not \\(m, p_gamma\\)"),
+            ({**RANDOM, "dense_block": np.ones((3, 3))}, "block shape"),
+            ({**PCR, "dense_block": np.full((2, 3), np.nan)}, "block holds non-finite"),
+        ],
+        ids=["m_zero", "requested_m_below_m", "psi_half", "psi_missing",
+             "block_columns", "random_block_rows", "block_nan"],
+    )
+    def test_construction_checks_invariants(self, fields, message):
+        gamma = gamma_of([True, False, True, True])
+        for valid in (self.RANDOM, self.PCR):
+            ProjectionMatrix(gamma=gamma, **valid)
+        with pytest.raises(ValueError, match=message):
+            ProjectionMatrix(gamma=gamma, **fields)
