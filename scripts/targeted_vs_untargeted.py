@@ -17,8 +17,8 @@ import statistics
 import sys
 from pathlib import Path
 
+from tarp.cli import CLI_VARIANTS
 from tarp.cli import main as tarp_main
-from tarp.ensemble import VARIANTS
 from tarp.simgen import SCHEMES
 
 
@@ -38,7 +38,7 @@ def main() -> int:
     out = Path(args.out)
     lines = ["replicate,method,metric,value"]
     medians = {}
-    for variant in VARIANTS:
+    for variant in CLI_VARIANTS:
         prefix = out.with_name(f"{out.stem}_{variant}")
         code = tarp_main([
             "bench", "--scheme", args.scheme, "--n", str(args.n),

@@ -16,7 +16,6 @@ from .data import (
     standardize,
 )
 from .ensemble import (
-    PLAIN_RP_BASELINE,
     TarpConfig,
     TarpModel,
     TarpPrediction,
@@ -82,7 +81,6 @@ __all__ = [
     "fit_bernoulli_laplace",
     "fit_gaussian",
     "predictive",
-    "PLAIN_RP_BASELINE",
     "TarpConfig",
     "TarpModel",
     "TarpPrediction",

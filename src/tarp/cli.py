@@ -37,7 +37,7 @@ from .ensemble import (
     sample_config_grid,
 )
 from .metrics import evaluate_regression
-from .model_io import load_model, save_model
+from .model_io import PLAIN_RP_BASELINE, load_model, save_model
 from .posterior import ConvergenceError
 from .simgen import SCHEMES, SchemeSpec, generate
 
@@ -47,6 +47,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# the untargeted baseline is a CLI name for ris_rp at delta 0 (no screening)
+CLI_VARIANTS = (*VARIANTS, PLAIN_RP_BASELINE)
 
 
 class _UsageError(Exception):
@@ -108,8 +111,9 @@ def _build_parser() -> tuple[_Parser, dict]:
     )
     fit.add_argument("--data", help="training CSV (required)")
     fit.add_argument("--target", default="y", help="response column name [%(default)s]")
-    fit.add_argument("--variant", choices=VARIANTS, default=RIS_RP,
-                     help="projection variant [%(default)s]")
+    fit.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
+                     help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
+                          "at delta 0 [%(default)s]")
     fit.add_argument("--replicates", type=int, default=100,
                      help="ensemble size N [%(default)s]")
     fit.add_argument("--delta", type=float,
@@ -162,8 +166,9 @@ def _build_parser() -> tuple[_Parser, dict]:
                        help="train/test experiment replicates [%(default)s]")
     bench.add_argument("--ensemble-size", type=int, default=50,
                        help="projection draws per fit [%(default)s]")
-    bench.add_argument("--variant", choices=VARIANTS, default=RIS_RP,
-                       help="projection variant [%(default)s]")
+    bench.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
+                       help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
+                            "at delta 0 [%(default)s]")
     bench.add_argument("--delta", type=float,
                        help="screening exponent [max{0,(1+ln(p/n))/2}]")
     bench.add_argument("--noise-sd", type=float, default=1.0,
@@ -214,6 +219,19 @@ def _read_config_file(path, parser: _Parser, known) -> dict:
             raise _UsageError(f"{path}:{lineno}: {exc}") from None
         values[key] = getattr(parsed, key)
     return values
+
+
+def _resolve_variant(options: dict) -> tuple[str, float | None]:
+    """The library variant and delta that ``--variant`` and ``--delta`` name."""
+    variant, delta = options["variant"], options["delta"]
+    if variant != PLAIN_RP_BASELINE:
+        return variant, delta
+    if delta is not None and delta != 0:
+        raise _UsageError(
+            f"--delta {delta} cannot be used with --variant {variant}, "
+            f"which is {RIS_RP} at delta 0"
+        )
+    return RIS_RP, 0.0
 
 
 def _resolve_threads(value) -> int:
@@ -290,6 +308,7 @@ def _cmd_simulate(options: dict, outputs: list) -> int:
 def _cmd_fit(options: dict, outputs: list) -> int:
     if options["data"] is None:
         raise _UsageError("fit requires --data")
+    variant, delta = _resolve_variant(options)
     threads = _resolve_threads(options["threads"])
     train = load_csv(options["data"], options["target"])
     started = time.perf_counter()
@@ -297,8 +316,8 @@ def _cmd_fit(options: dict, outputs: list) -> int:
         train.n,
         train.p,
         options["replicates"],
-        variant=options["variant"],
-        delta=options["delta"],
+        variant=variant,
+        delta=delta,
         master_seed=options["seed"],
     )
     model = fit_tarp(
@@ -377,6 +396,7 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _bench_one(options: dict, rep: int) -> dict:
+    # options holds the library variant and delta (see _resolve_variant)
     n_total = options["n"] + options["test_size"]
     spec = SchemeSpec(
         scheme=options["scheme"],
@@ -460,9 +480,13 @@ def _check_bench_options(options: dict) -> None:
 
 def _cmd_bench(options: dict, outputs: list) -> int:
     _check_bench_options(options)
+    variant, delta = _resolve_variant(options)
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()
-    rows = _map_ordered(partial(_bench_one, options), range(options["replicates"]), threads)
+    rows = _map_ordered(
+        partial(_bench_one, dict(options, variant=variant, delta=delta)),
+        range(options["replicates"]), threads,
+    )
     elapsed = time.perf_counter() - started
 
     prefix = options["out_prefix"]

@@ -41,15 +41,13 @@ from .projection import (
     sample_ris_rp,
 )
 from .screening import (
-    InclusionVector,
     default_delta,
     inclusion_probabilities,
     marginal_correlations,
     sample_inclusion,
 )
 
-PLAIN_RP_BASELINE = "plain_rp_baseline"
-VARIANTS = (RIS_RP, RIS_PCR, PLAIN_RP_BASELINE)
+VARIANTS = (RIS_RP, RIS_PCR)
 
 # substream tags hung off each replicate seed
 _GAMMA_STREAM = 0
@@ -118,11 +116,7 @@ class Replicate:
 
     def __post_init__(self):
         cfg, proj = self.config, self.projection
-        # the baseline projects every column with a ris_rp map
-        baseline = cfg.variant == PLAIN_RP_BASELINE
-        if proj.variant != (RIS_RP if baseline else cfg.variant) or (
-            baseline and proj.gamma.count != proj.p
-        ):
+        if proj.variant != cfg.variant:
             raise ValueError(f"{cfg.variant!r} config on a {proj.variant!r} projection")
         if cfg.m != proj.requested_m:
             raise ValueError(f"config m={cfg.m} but requested_m={proj.requested_m}")
@@ -233,7 +227,8 @@ def _dataset_hash(dataset: Dataset) -> str:
     digest = hashlib.sha256()
     digest.update(str(dataset.design.shape).encode())
     digest.update(dataset.response_kind.encode())
-    digest.update(dataset.design.tobytes())
+    # hashing the buffer itself: a C-ordered design is not copied
+    digest.update(np.ascontiguousarray(dataset.design))
     digest.update(dataset.response.tobytes())
     return digest.hexdigest()
 
@@ -249,12 +244,8 @@ def _fit_replicate(
     sigma_theta2: float,
     cfg: TarpConfig,
 ) -> Replicate:
-    p = design.shape[1]
-    if cfg.variant == PLAIN_RP_BASELINE:
-        gamma = InclusionVector.all_ones(p)
-    else:
-        q = inclusion_probabilities(correlations, cfg.delta, constant_mask)
-        gamma = sample_inclusion(q, np.random.default_rng([cfg.seed, _GAMMA_STREAM]))
+    q = inclusion_probabilities(correlations, cfg.delta, constant_mask)
+    gamma = sample_inclusion(q, np.random.default_rng([cfg.seed, _GAMMA_STREAM]))
     if cfg.variant == RIS_PCR:
         # the eigendecomposition already holds the compressed training rows
         projection, Z = compute_ris_pcr(design, gamma, cfg.m)

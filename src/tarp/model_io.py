@@ -8,7 +8,9 @@ loaded model holds of them (the signs a fit keeps are not saved);
 partial-SVD blocks are stored densely. The symmetric m x m
 posterior matrices are stored as their lower triangle (version 1: in full).
 Version 3 stores no binary Hessian; from older files it is checked, then
-dropped. Loading only decodes JSON into the arguments of the model's
+dropped. Older files may name the untargeted baseline as a config variant
+of its own; it is decoded as ris_rp at delta 0, which is what it fitted.
+Loading only decodes JSON into the arguments of the model's
 constructors, which check every invariant, for fit and load alike; a
 decode failure or a constructor's rejection raises DataError.
 """
@@ -29,12 +31,28 @@ from .screening import InclusionVector
 FORMAT_TAG = "tarp-model"
 FORMAT_VERSION = 3
 READABLE_VERSIONS = (1, 2, 3)
+# the untargeted baseline's name: a CLI variant, and the config variant of
+# files fitted before it was resolved to ris_rp at delta 0
+PLAIN_RP_BASELINE = "plain_rp_baseline"
 
 
 def _integer(value, name: str) -> int:
     # a JSON integer only: json reads 2.5 and 1e999 as floats, true as a bool
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string")
+    return value
+
+
+def _strings(value, name: str) -> list[str]:
+    # list() would also take a string's characters, or numbers, as names
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{name} must be a list of strings")
     return value
 
 
@@ -199,12 +217,18 @@ def _encode_config(cfg: TarpConfig) -> dict:
     }
 
 
-def _decode_config(obj: dict) -> TarpConfig:
+def _decode_config(obj: dict, projection: ProjectionMatrix) -> TarpConfig:
+    variant, delta = obj["variant"], _real(obj["delta"], "delta")
+    if variant == PLAIN_RP_BASELINE:
+        # the baseline projected every column and never read its delta
+        if projection.gamma.count != projection.p:
+            raise ValueError(f"{variant!r} config on a screened projection")
+        variant, delta = RIS_RP, 0.0
     return TarpConfig(
         m=_integer(obj["m"], "m"),
         psi=None if obj["psi"] is None else _real(obj["psi"], "psi"),
-        delta=_real(obj["delta"], "delta"),
-        variant=obj["variant"],
+        delta=delta,
+        variant=variant,
         seed=_integer(obj["seed"], "seed"),
     )
 
@@ -278,7 +302,7 @@ def _decode_model(doc: dict, version: int) -> TarpModel:
         projection = _decode_projection(rep["projection"])
         replicates.append(
             Replicate(
-                config=_decode_config(rep["config"]),
+                config=_decode_config(rep["config"], projection),
                 projection=projection,
                 posterior=_decode_posterior(rep["posterior"], projection.m, version),
             )
@@ -293,8 +317,8 @@ def _decode_model(doc: dict, version: int) -> TarpModel:
         ),
         response_kind=doc["response_kind"],
         master_seed=_integer(doc["master_seed"], "master_seed"),
-        column_names=list(doc["column_names"]),
-        train_data_hash=doc["train_data_hash"],
+        column_names=_strings(doc["column_names"], "column_names"),
+        train_data_hash=_string(doc["train_data_hash"], "train_data_hash"),
         a_sigma=_real(doc["a_sigma"], "a_sigma"),
         b_sigma=_real(doc["b_sigma"], "b_sigma"),
         sigma_theta2=_real(doc["sigma_theta2"], "sigma_theta2"),

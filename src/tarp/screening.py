@@ -38,10 +38,6 @@ class InclusionVector:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.gamma)
 
-    @classmethod
-    def all_ones(cls, p: int) -> "InclusionVector":
-        return cls(np.ones(p, dtype=bool))
-
 
 def marginal_correlations(
     X: np.ndarray, y: np.ndarray, constant_mask: np.ndarray | None = None
@@ -88,14 +84,18 @@ def inclusion_probabilities(
 ) -> np.ndarray:
     """Inclusion probabilities (|r_j| / max|r|)^delta, so max q is always 1.
 
-    If every correlation is zero the probabilities fall back to the uniform
-    value min(1, default_fallback_count(k) / k) over the k columns that vary;
+    At delta 0 every q_j is 1, constant columns and all: no screening, which
+    is the paper's untargeted random projection. Otherwise, if every
+    correlation is zero the probabilities fall back to the uniform value
+    min(1, default_fallback_count(k) / k) over the k columns that vary;
     columns flagged in ``constant_mask`` get q = 0, since standardization
     makes them all-zero. If no column varies, DataError is raised.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     r = np.asarray(r, dtype=np.float64)
+    if delta == 0:
+        return np.ones(r.size)
     abs_r = np.abs(r)
     r_max = abs_r.max() if r.size else 0.0
     if r_max == 0.0:

@@ -116,7 +116,7 @@ def test_criterion_3_projection_moments():
     started = time.perf_counter()
 
     entries = sample_ris_rp(
-        InclusionVector.all_ones(1000), m=1000, psi=1 / 6, seed=2024
+        InclusionVector(np.ones(1000, dtype=bool)), m=1000, psi=1 / 6, seed=2024
     ).toarray().ravel()
     assert entries.size == 10**6
     mean_dev = abs(entries.mean())
@@ -214,7 +214,13 @@ def test_criterion_6_targeted_beats_untargeted():
     started = time.perf_counter()
     n, p, n_test, reps, ensemble = 200, 2000, 100, 20, 50
     medians = {}
-    for variant in ("ris_rp", "ris_pcr", "plain_rp_baseline"):
+    # the untargeted baseline is ris_rp at delta 0, which screens nothing
+    methods = {
+        "ris_rp": ("ris_rp", None),
+        "ris_pcr": ("ris_pcr", None),
+        "plain_rp_baseline": ("ris_rp", 0.0),
+    }
+    for method, (variant, delta) in methods.items():
         mspes = []
         for rep in range(reps):
             data, _ = generate(
@@ -224,7 +230,7 @@ def test_criterion_6_targeted_beats_untargeted():
             train = Dataset(data.design[:n], data.response[:n])
             master = _derive_seed(6, rep, 1)
             configs = sample_config_grid(
-                n, p, ensemble, variant=variant, master_seed=master
+                n, p, ensemble, variant=variant, delta=delta, master_seed=master
             )
             model = fit_tarp(train, configs, master_seed=master, threads=2)
             pred = predict_tarp(model, data.design[n:], level=0.5)
@@ -234,7 +240,7 @@ def test_criterion_6_targeted_beats_untargeted():
                 data.response[n:],
             )
             mspes.append(result.mspe)
-        medians[variant] = float(np.median(mspes))
+        medians[method] = float(np.median(mspes))
     elapsed = time.perf_counter() - started
     assert medians["ris_rp"] < medians["plain_rp_baseline"]
     assert medians["ris_pcr"] < medians["plain_rp_baseline"]

@@ -174,6 +174,65 @@ class TestFitPredict:
         assert np.all((values >= 0) & (values <= 1))
 
 
+class TestBaseline:
+    # --variant plain_rp_baseline names ris_rp at delta 0, which screens nothing
+    BENCH = ("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
+             "--p", "60", "--replicates", "2", "--ensemble-size", "3", "--seed", "6")
+
+    def test_fit_is_ris_rp_at_delta_zero(self, workdir):
+        run("simulate", "--scheme", "I", "--n", "60", "--p", "80", "--seed", "3",
+            "--out", "data.csv")
+        for name, flags in (
+            ("baseline", ["--variant", "plain_rp_baseline"]),
+            ("baseline_delta0", ["--variant", "plain_rp_baseline", "--delta", "0"]),
+            ("delta0", ["--delta", "0"]),
+        ):
+            assert run("fit", "--data", "data.csv", "--replicates", "4", *flags,
+                       "--out", f"{name}.json") == 0
+            assert run("predict", "--model", f"{name}.json", "--data", "data.csv",
+                       "--out", f"{name}.csv") == 0
+        doc = json.loads((workdir / "baseline.json").read_text())
+        for rep in doc["replicates"]:
+            assert (rep["config"]["variant"], rep["config"]["delta"]) == ("ris_rp", 0.0)
+        assert doc["extra"]["options"]["variant"] == "plain_rp_baseline"
+        assert doc["extra"]["options"]["delta"] == 0.0
+        model, _ = load_model("baseline.json")
+        assert all(rep.projection.gamma.count == 80 for rep in model.replicates)
+        expected = (workdir / "delta0.csv").read_bytes()
+        assert (workdir / "baseline.csv").read_bytes() == expected
+        assert (workdir / "baseline_delta0.csv").read_bytes() == expected
+
+    def test_bench_keeps_the_method_name(self, workdir):
+        assert run(*self.BENCH, "--variant", "plain_rp_baseline",
+                   "--out-prefix", "baseline") == 0
+        assert run(*self.BENCH, "--delta", "0", "--out-prefix", "delta0") == 0
+        assert (workdir / "baseline_metrics.csv").read_bytes() == (
+            workdir / "delta0_metrics.csv").read_bytes()
+        long_lines = (workdir / "baseline_long.csv").read_text().splitlines()
+        assert all(",plain_rp_baseline," in line for line in long_lines[1:])
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["fit", "bench"])
+    def test_other_delta_is_usage_error(self, workdir, capsys, command, source):
+        # the baseline's delta is 0; any other value used to be ignored, and
+        # recorded in the model's options as if it had been used
+        args = {
+            "fit": ("fit", "--data", "missing.csv", "--out", "model.json"),
+            "bench": (*self.BENCH, "--out-prefix", "b"),
+        }[command]
+        if source == "flag":
+            options = ("--variant", "plain_rp_baseline", "--delta", "1.5")
+        else:
+            (workdir / "cfg.txt").write_text("variant = plain_rp_baseline\ndelta = 1.5\n")
+            options = ("--config", "cfg.txt")
+        assert run(*args, *options) == 1
+        assert capsys.readouterr().err == (
+            "error: --delta 1.5 cannot be used with --variant plain_rp_baseline, "
+            "which is ris_rp at delta 0\n"
+        )
+        assert {path.name for path in workdir.iterdir()} <= {"cfg.txt"}
+
+
 class TestPredictColumns:
     """How ``tarp predict`` lines up a CSV's columns with the model's."""
 
@@ -667,9 +726,10 @@ class TestExitCodes:
             "warning: response is constant; all marginal correlations set to 0\n"
         )
         model, _ = load_model("model.json")
-        if variant != "plain_rp_baseline":
-            for rep in model.replicates:
-                assert rep.projection.gamma.indices.tolist() == [0]
+        # the baseline screens nothing, so it keeps the constant columns too
+        kept = list(range(40)) if variant == "plain_rp_baseline" else [0]
+        for rep in model.replicates:
+            assert rep.projection.gamma.indices.tolist() == kept
 
     @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "plain_rp_baseline"])
     def test_design_without_a_varying_column_is_data_error(
@@ -828,6 +888,12 @@ def _drop_column_name(doc):
     doc["column_names"].pop()
 
 
+def _column_names_as(convert):
+    def corrupt(doc):
+        doc["column_names"] = convert(doc["column_names"])
+    return corrupt
+
+
 def _binary_as_continuous(doc):
     doc["response_kind"] = "continuous"
     doc["standardization"]["response_mean"] = 0.5
@@ -876,7 +942,8 @@ class TestCorruptModel:
             (_set("extra", "options", value=[1]), "ris_rp"),
             (_config_m_off_by_one, "ris_rp"),
             (_set("replicates", 0, "config", "psi", value=0.3), "ris_rp"),
-            # a baseline config needs an all-ones gamma; this one is screened
+            # older files name the baseline as a variant, which decodes as
+            # ris_rp at delta 0 only over an all-ones gamma; this is screened
             (_set("replicates", 0, "config", "variant", value="plain_rp_baseline"),
              "ris_rp"),
             (_set("replicates", 0, "config", "variant", value="ris_pcr"), "ris_rp"),
@@ -923,6 +990,11 @@ class TestCorruptModel:
             (_set_float(*_POSTERIOR, "mode", value=float("nan")), "binary"),
             (_set(*_POSTERIOR, "grad_norm", value=-1.0), "binary"),
             (_set(*_POSTERIOR, "n_iter", value=-1), "binary"),
+            # column_names takes a list of strings, train_data_hash a string
+            (_column_names_as(lambda names: "".join(name[-1] for name in names)),
+             "ris_rp"),
+            (_column_names_as(lambda names: list(range(len(names)))), "ris_rp"),
+            (_set("train_data_hash", value=[1, 2]), "ris_rp"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -940,6 +1012,7 @@ class TestCorruptModel:
             "column_names_short", "gamma_one_short", "kind_continuous_on_binary",
             "projection_m_zero", "pcr_block_rows", "location_short",
             "mode_short", "mode_nan", "grad_norm_negative", "n_iter_negative",
+            "column_names_string", "column_names_integers", "train_data_hash_list",
         ],
     )
     def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
@@ -950,7 +1023,7 @@ class TestCorruptModel:
         assert run("predict", "--model", "model.json", "--data", "data.csv",
                    "--out", "preds.csv") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: model.json: ") and err.count("\n") == 1
         assert not (workdir / "preds.csv").exists()
 
 

@@ -2,6 +2,7 @@ import gc
 import math
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from oracles import (
 )
 from tarp.data import DataError, Dataset, StandardizationParams
 from tarp.ensemble import (
-    PLAIN_RP_BASELINE,
     ReplicateError,
     TarpConfig,
     _map_ordered,
@@ -30,6 +30,10 @@ from tarp.model_io import save_model
 from tarp.posterior import predictive
 from tarp.projection import compress
 from tarp.simgen import SchemeSpec, generate
+
+
+# the untargeted baseline: ris_rp at delta 0, which screens nothing
+UNSCREENED = ("ris_rp", 0.0)
 
 
 def toy_dataset(seed=0, n=60, p=25, informative=4):
@@ -134,18 +138,33 @@ class TestFitTarp:
         for loc in locations[1:]:
             np.testing.assert_array_equal(loc, locations[0])
 
-    def test_baseline_skips_screening(self):
+    def test_delta_zero_keeps_every_column(self):
+        # the untargeted baseline: no screening, even where every correlation
+        # is 0 (a constant response) and some columns are constant
         ds = toy_dataset()
-        cfg = TarpConfig(
-            m=5, psi=0.2, delta=1.0, variant=PLAIN_RP_BASELINE, seed=3
-        )
-        model = fit_tarp(ds, [cfg])
-        assert model.replicates[0].projection.gamma.count == ds.p
+        design = ds.design.copy()
+        design[:, :3] = 2.0
+        for train in (ds, Dataset(design, np.full(ds.n, 3.0))):
+            cfg = TarpConfig(m=5, psi=0.2, delta=0.0, variant="ris_rp", seed=3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                model = fit_tarp(train, [cfg])
+            assert model.replicates[0].projection.gamma.count == ds.p
 
     def test_replicates_share_data_hash(self):
         ds = toy_dataset()
         model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 3, master_seed=5))
         assert len(model.train_data_hash) == 64
+
+    def test_data_hash_is_pinned_for_every_layout(self):
+        # model files record this digest: it must not move with the code
+        # that computes it, nor with the design's memory layout
+        X = np.arange(6.0).reshape(3, 2)
+        y = np.array([1.0, 2.0, 4.0])
+        for design in (X, np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):
+            assert tarp.ensemble._dataset_hash(Dataset(design, y)) == (
+                "8d53df2cb9b9ef4c409065b421e401169cf9946fd948f2ed143cdd3297015881"
+            )
 
     def test_thread_count_does_not_change_results(self):
         ds = toy_dataset()
@@ -210,10 +229,14 @@ class TestFitTarp:
         fit_tarp(ds, sample_config_grid(ds.n, ds.p, 2, master_seed=1))
         assert layouts == [True]
 
-    @pytest.mark.parametrize("variant", ["ris_rp", "plain_rp_baseline", "ris_pcr"])
-    def test_replicates_keep_at_most_two_bits_per_entry(self, variant):
+    @pytest.mark.parametrize(
+        "variant, delta", [("ris_rp", None), UNSCREENED, ("ris_pcr", None)],
+        ids=["ris_rp", "plain_rp_baseline", "ris_pcr"],
+    )
+    def test_replicates_keep_at_most_two_bits_per_entry(self, variant, delta):
         ds = toy_dataset(seed=9, n=60, p=203)
-        model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 6, variant=variant))
+        configs = sample_config_grid(ds.n, ds.p, 6, variant=variant, delta=delta)
+        model = fit_tarp(ds, configs)
         for rep in model.replicates:
             R = rep.projection
             if variant == "ris_pcr":
@@ -234,16 +257,20 @@ class TestFitTarp:
         with pytest.raises(DataError, match="sum of squares of the centred response"):
             fit_tarp(huge, sample_config_grid(ds.n, ds.p, 2, master_seed=3))
 
-    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", PLAIN_RP_BASELINE])
+    @pytest.mark.parametrize(
+        "variant, delta", [("ris_rp", None), ("ris_pcr", None), UNSCREENED],
+        ids=["ris_rp", "ris_pcr", "plain_rp_baseline"],
+    )
     def test_design_without_a_varying_column_rejected_before_any_replicate(
-        self, monkeypatch, variant
+        self, monkeypatch, variant, delta
     ):
         # 0.1 is not exact in binary: each column's scale is ~1e-17, not 0
         ds = toy_dataset()
         flat = Dataset(np.full_like(ds.design, 0.1), ds.response)
         monkeypatch.setattr(tarp.ensemble, "_map_ordered", None)
         with pytest.raises(DataError, match="^every design column is constant"):
-            fit_tarp(flat, sample_config_grid(ds.n, ds.p, 2, variant=variant))
+            fit_tarp(flat, sample_config_grid(ds.n, ds.p, 2, variant=variant,
+                                              delta=delta))
 
     def test_runtime_roughly_linear_in_replicates(self):
         # fixed (n, p, m) per replicate: wall time should track the count,
@@ -251,7 +278,7 @@ class TestFitTarp:
         # hundreds of milliseconds, large enough to swamp timer/GC noise
         ds = toy_dataset(n=300, p=3000)
         small = [
-            TarpConfig(m=200, psi=0.3, delta=1.0, variant=PLAIN_RP_BASELINE, seed=i)
+            TarpConfig(m=200, psi=0.3, delta=0.0, variant="ris_rp", seed=i)
             for i in range(6)
         ]
         large = small * 5
@@ -285,9 +312,6 @@ class TestModelInvariants:
         [
             (False, lambda rep: {"config": replace(rep.config, variant="ris_pcr")},
              "'ris_pcr' config on a 'ris_rp' projection"),
-            (False,
-             lambda rep: {"config": replace(rep.config, variant=PLAIN_RP_BASELINE)},
-             "'plain_rp_baseline' config on a 'ris_rp' projection"),
             (False, lambda rep: {"config": replace(rep.config, m=rep.config.m + 1)},
              "config m=.* but requested_m="),
             (False, lambda rep: {"config": replace(rep.config, psi=rep.config.psi / 2)},
@@ -300,11 +324,10 @@ class TestModelInvariants:
                 rep.posterior, mode=rep.posterior.mode[:-1])},
              "mode has shape .*, projection m="),
         ],
-        ids=["variant", "baseline_screened_gamma", "m", "psi", "location_m", "mode_m"],
+        ids=["variant", "m", "psi", "location_m", "mode_m"],
     )
     def test_replicate(self, binary, change, message):
         rep = fitted_model(binary).replicates[0]
-        assert rep.projection.gamma.count < rep.projection.p  # screened
         replace(rep)
         with pytest.raises(ValueError, match=message):
             replace(rep, **change(rep))
@@ -542,12 +565,12 @@ class TestBinaryPrediction:
             assert np.abs(probs - oracle).max() <= self.TOL
 
     def test_unscreened_models_match_to_logit_rounding(self):
-        # plain_rp_baseline keeps every column: logits reach |h| ~ 200 and
-        # their roundings differ by a few ulp of h, up to ~1.4e-15 here
+        # delta 0 keeps every column: logits reach |h| ~ 200 and their
+        # roundings differ by a few ulp of h, up to ~1.4e-15 here
         for seed in range(6):
             ds = binary_dataset(seed, 140, 300)
             train = Dataset(ds.design[:100], ds.response[:100], response_kind="binary")
-            configs = sample_config_grid(100, 300, 10, variant="plain_rp_baseline",
+            configs = sample_config_grid(100, 300, 10, variant="ris_rp", delta=0.0,
                                          master_seed=seed)
             model = fit_tarp(train, configs, master_seed=seed)
             probs = predict_tarp(model, ds.design[100:]).probability

@@ -29,6 +29,12 @@ BINARY_FIXTURE_TOL = 4.5e-16
 # relative to the largest value, not byte for byte
 RIS_PCR_FIXTURE_RTOL = 1e-13
 
+# a version 3 model fitted with --variant plain_rp_baseline (p=20, 5
+# replicates) while the baseline was a variant of its own, and the
+# predictions written for its training rows then: its configs name that
+# variant and record a delta the fit never used
+BASELINE_FIXTURE = DATA / "v3_plain_rp_baseline.json"
+
 
 def assert_predicts_committed_csv(out, kind):
     committed = DATA / f"v1_{kind}_pred.csv"
@@ -45,6 +51,7 @@ def assert_predicts_committed_csv(out, kind):
 
 
 def fitted_model(variant="ris_rp", seed=0, binary=False, threads=1):
+    # "plain_rp_baseline" is the untargeted baseline: ris_rp at delta 0
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((50, 20))
     if binary:
@@ -52,7 +59,12 @@ def fitted_model(variant="ris_rp", seed=0, binary=False, threads=1):
         ds = Dataset(X, y, response_kind="binary")
     else:
         ds = Dataset(X, X[:, 0] + rng.standard_normal(50))
-    configs = sample_config_grid(ds.n, ds.p, 3, variant=variant, master_seed=seed)
+    delta = None
+    if variant == "plain_rp_baseline":
+        variant, delta = "ris_rp", 0.0
+    configs = sample_config_grid(
+        ds.n, ds.p, 3, variant=variant, delta=delta, master_seed=seed
+    )
     return ds, fit_tarp(ds, configs, master_seed=seed, threads=threads)
 
 
@@ -232,6 +244,22 @@ def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
     new, old = (np.loadtxt(f, delimiter=",", skiprows=1) for f in (out, committed))
     assert new.shape == old.shape == (40, 3)
     assert np.abs(new - old).max() <= RIS_PCR_FIXTURE_RTOL * np.abs(old).max()
+
+
+def test_baseline_fixture_loads_as_ris_rp_at_delta_zero(tmp_path):
+    doc = json.loads(BASELINE_FIXTURE.read_text())
+    assert doc["version"] == 3
+    assert {rep["config"]["variant"] for rep in doc["replicates"]} == {
+        "plain_rp_baseline"
+    }
+    model, _ = load_model(BASELINE_FIXTURE)
+    for rep in model.replicates:
+        assert (rep.config.variant, rep.config.delta) == ("ris_rp", 0.0)
+        assert rep.projection.gamma.count == model.p
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(BASELINE_FIXTURE),
+                 "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "v3_plain_rp_baseline_pred.csv").read_bytes()
 
 
 def test_v2_hessian_is_still_checked(tmp_path):

@@ -21,10 +21,14 @@ def gamma_of(bits):
     return InclusionVector(np.asarray(bits, dtype=bool))
 
 
+def every_column(p):
+    return gamma_of(np.ones(p))
+
+
 class TestRisRp:
     def test_value_set_default_psi(self):
         # psi = 1/6 forces nonzero entries to +-sqrt(3)
-        gamma = InclusionVector.all_ones(200)
+        gamma = every_column(200)
         proj = sample_ris_rp(gamma, m=50, psi=1 / 6, seed=0)
         values = np.unique(proj.toarray())
         expected = {-math.sqrt(3.0), 0.0, math.sqrt(3.0)}
@@ -39,7 +43,7 @@ class TestRisRp:
 
     def test_entry_moments(self):
         # E r = 0 and E r^2 = 2*psi / (2*psi) = 1 over 10^6 draws
-        gamma = InclusionVector.all_ones(1000)
+        gamma = every_column(1000)
         proj = sample_ris_rp(gamma, m=1000, psi=1 / 6, seed=2)
         entries = proj.toarray().ravel()
         assert entries.size == 1_000_000
@@ -47,13 +51,13 @@ class TestRisRp:
         assert abs(entries.var() - 1.0) < 0.01
 
     def test_deterministic_given_seed(self):
-        gamma = InclusionVector.all_ones(30)
+        gamma = every_column(30)
         a = sample_ris_rp(gamma, m=4, psi=0.3, seed=9).toarray()
         b = sample_ris_rp(gamma, m=4, psi=0.3, seed=9).toarray()
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_psi(self):
-        gamma = InclusionVector.all_ones(5)
+        gamma = every_column(5)
         for psi in (0.0, 0.5, -0.1, 0.7):
             with pytest.raises(ValueError):
                 sample_ris_rp(gamma, m=2, psi=psi, seed=0)
@@ -128,7 +132,7 @@ class TestRisPcr:
         # X with orthogonal columns of norms 3 > 2 > 1: the single row is the
         # indicator of the norm-3 column (canonical sign makes it +1)
         X = np.diag([3.0, 2.0, 1.0])
-        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(3), m=1)
+        proj, _ = compute_ris_pcr(X, every_column(3), m=1)
         np.testing.assert_allclose(proj.toarray(), [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_rows_orthonormal(self):
@@ -161,7 +165,7 @@ class TestRisPcr:
         left = np.linalg.qr(rng.standard_normal((n, k)))[0]
         right = np.linalg.qr(rng.standard_normal((p, k)))[0]
         X = (left * np.logspace(0.0, -3.0, k)) @ right.T
-        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(p), m=k)
+        proj, _ = compute_ris_pcr(X, every_column(p), m=k)
         R = proj.toarray()
         assert proj.m == k
         assert np.abs(R @ R.T - np.eye(k)).max() < 1e-8
@@ -175,7 +179,7 @@ class TestRisPcr:
         left = np.linalg.qr(rng.standard_normal((n, 4)))[0]
         right = np.linalg.qr(rng.standard_normal((p, 4)))[0]
         X = (left * [1.0, 0.5, 0.2, 1e-6]) @ right.T
-        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(p), m=4)
+        proj, _ = compute_ris_pcr(X, every_column(p), m=4)
         assert proj.m == 3 and proj.requested_m == 4
 
     def test_projection_contraction(self):
@@ -193,13 +197,13 @@ class TestRisPcr:
         rng = np.random.default_rng(2)
         base = rng.standard_normal((20, 3))
         X = base @ rng.standard_normal((3, 10))  # rank 3
-        proj, _ = compute_ris_pcr(X, InclusionVector.all_ones(10), m=7)
+        proj, _ = compute_ris_pcr(X, every_column(10), m=7)
         assert proj.m == 3 and proj.requested_m == 7
 
     def test_deterministic_with_canonical_sign(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((15, 8))
-        gamma = InclusionVector.all_ones(8)
+        gamma = every_column(8)
         a = compute_ris_pcr(X, gamma, m=4)[0].toarray()
         b = compute_ris_pcr(X, gamma, m=4)[0].toarray()
         np.testing.assert_array_equal(a, b)
@@ -268,7 +272,7 @@ class TestAdjoint:
         np.testing.assert_allclose(X @ w, compress(X, proj) @ theta, rtol=0, atol=1e-12)
 
     def test_rejects_wrong_length(self):
-        proj = sample_ris_rp(InclusionVector.all_ones(4), m=2, psi=0.3, seed=0)
+        proj = sample_ris_rp(every_column(4), m=2, psi=0.3, seed=0)
         with pytest.raises(ValueError, match="theta has shape"):
             proj.adjoint(np.zeros(3))
 
@@ -320,7 +324,7 @@ class TestCompress:
         )
 
     def test_dimension_mismatch(self):
-        proj = sample_ris_rp(InclusionVector.all_ones(4), m=2, psi=0.3, seed=0)
+        proj = sample_ris_rp(every_column(4), m=2, psi=0.3, seed=0)
         with pytest.raises(ValueError):
             compress(np.zeros((3, 5)), proj)
 

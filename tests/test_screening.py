@@ -79,8 +79,16 @@ class TestInclusionProbabilities:
         np.testing.assert_allclose(q, [1.0, 0.25, 0.0625])
 
     def test_zeroth_power_selects_everything(self):
-        q = inclusion_probabilities(np.array([0.3, -0.1, 0.9]), delta=0.0)
-        np.testing.assert_array_equal(q, np.ones(3))
+        # delta 0 screens nothing: no uniform fallback on all-zero
+        # correlations, and constant columns are kept too
+        constant = np.array([True, False, False])
+        for r, mask in (
+            (np.array([0.3, -0.1, 0.9]), None),
+            (np.zeros(3), None),
+            (np.zeros(3), constant),
+        ):
+            q = inclusion_probabilities(r, 0.0, constant_mask=mask)
+            np.testing.assert_array_equal(q, np.ones(3))
 
     def test_large_delta_kills_runner_up(self):
         q = inclusion_probabilities(np.array([0.8, 0.4]), delta=20.0)
@@ -178,6 +186,3 @@ class TestInclusionVector:
         vec = InclusionVector(np.array([True, False, True]))
         assert vec.count == 2
         np.testing.assert_array_equal(vec.indices, [0, 2])
-
-    def test_all_ones(self):
-        assert InclusionVector.all_ones(5).count == 5
