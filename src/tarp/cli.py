@@ -38,7 +38,7 @@ from .ensemble import (
 )
 from .metrics import evaluate_regression
 from .model_io import PLAIN_RP_BASELINE, load_model, save_model
-from .posterior import ConvergenceError
+from .posterior import ConvergenceError, positive_finite
 from .simgen import SCHEMES, SchemeSpec, generate
 
 THREADS_ENV_VAR = "TARP_THREADS"
@@ -62,11 +62,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ranged(parse, bound: str, accepts):
+    """An argparse ``type=``: ``parse`` the text, then refuse what ``accepts`` does not."""
+
+    def convert(text: str):
+        value = parse(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    convert.__name__ = parse.__name__  # named in argparse's 'invalid int value'
+    return convert
+
+
+def _is_prior(value: float) -> bool:
+    try:
+        positive_finite(value, "prior")
+    except ValueError:
+        return False
+    return True
+
+
+_ROWS = _ranged(int, ">= 2", lambda v: v >= 2)
+_COUNT = _ranged(int, ">= 1", lambda v: v >= 1)
+_SEED = _ranged(int, ">= 0", lambda v: v >= 0)
+_NONNEGATIVE = _ranged(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_PRIOR = _ranged(float, "a positive finite number", _is_prior)
+_LEVEL = _ranged(float, "in (0, 1)", lambda v: 0 < v < 1)
+
+
 def _build_parser() -> tuple[_Parser, dict]:
     """The ``tarp`` parser and its subcommand parsers by name.
 
-    Each flag is the only declaration of its option's type, default and
-    choices; config-file values are parsed through the same flag.
+    Each flag is the only declaration of its option's type, range, default
+    and choices; config-file values are parsed through the same flag.
     """
     parser = _Parser(
         prog="tarp",
@@ -94,12 +123,12 @@ def _build_parser() -> tuple[_Parser, dict]:
     sim.add_argument("--scheme", choices=SCHEMES,
                      help="covariate design (I: AR(1), II: blocks, III: rank-3, "
                           "IV: bridge paths)")
-    sim.add_argument("--n", type=int, default=200, help="number of rows [%(default)s]")
-    sim.add_argument("--p", type=int, default=2000,
+    sim.add_argument("--n", type=_ROWS, default=200, help="number of rows [%(default)s]")
+    sim.add_argument("--p", type=_COUNT, default=2000,
                      help="number of predictors [%(default)s]")
-    sim.add_argument("--noise-sd", type=float, default=1.0,
+    sim.add_argument("--noise-sd", type=_NONNEGATIVE, default=1.0,
                      help="response noise standard deviation [%(default)s]")
-    sim.add_argument("--seed", type=int, default=0, help="RNG seed [%(default)s]")
+    sim.add_argument("--seed", type=_SEED, default=0, help="RNG seed [%(default)s]")
     sim.add_argument("--out", default="tarp_data.csv",
                      help="dataset CSV path [%(default)s]")
     sim.add_argument("--truth-out", help="truth JSON path [<out stem>_truth.json]")
@@ -114,18 +143,18 @@ def _build_parser() -> tuple[_Parser, dict]:
     fit.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
                      help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
                           "at delta 0 [%(default)s]")
-    fit.add_argument("--replicates", type=int, default=100,
+    fit.add_argument("--replicates", type=_COUNT, default=100,
                      help="ensemble size N [%(default)s]")
-    fit.add_argument("--delta", type=float,
+    fit.add_argument("--delta", type=_NONNEGATIVE,
                      help="screening exponent [max{0,(1+ln(p/n))/2}]")
-    fit.add_argument("--a-sigma", type=float, default=0.02,
+    fit.add_argument("--a-sigma", type=_PRIOR, default=0.02,
                      help="noise-variance prior shape [%(default)s]")
-    fit.add_argument("--b-sigma", type=float, default=0.02,
+    fit.add_argument("--b-sigma", type=_PRIOR, default=0.02,
                      help="noise-variance prior rate [%(default)s]")
-    fit.add_argument("--sigma-theta2", type=float, default=1.0,
+    fit.add_argument("--sigma-theta2", type=_PRIOR, default=1.0,
                      help="coefficient prior variance for binary fits [%(default)s]")
-    fit.add_argument("--seed", type=int, default=0, help="master seed [%(default)s]")
-    fit.add_argument("--threads", type=int,
+    fit.add_argument("--seed", type=_SEED, default=0, help="master seed [%(default)s]")
+    fit.add_argument("--threads", type=_COUNT,
                      help=f"worker threads [${THREADS_ENV_VAR} or 1]; "
                           "never changes outputs")
     fit.add_argument("--out", default="tarp_model.json", help="model file [%(default)s]")
@@ -141,7 +170,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     )
     pred.add_argument("--model", help="model file (required)")
     pred.add_argument("--data", help="CSV of new rows; a stray response column is dropped")
-    pred.add_argument("--level", type=float, default=0.5,
+    pred.add_argument("--level", type=_LEVEL, default=0.5,
                       help="central interval level [%(default)s]")
     pred.add_argument("--out", default="tarp_pred.csv",
                       help="prediction CSV [%(default)s]")
@@ -158,25 +187,25 @@ def _build_parser() -> tuple[_Parser, dict]:
         ),
     )
     bench.add_argument("--scheme", choices=SCHEMES, help="covariate design")
-    bench.add_argument("--n", type=int, default=200, help="training rows [%(default)s]")
-    bench.add_argument("--test-size", type=int, default=100,
+    bench.add_argument("--n", type=_ROWS, default=200, help="training rows [%(default)s]")
+    bench.add_argument("--test-size", type=_ROWS, default=100,
                        help="test rows [%(default)s]")
-    bench.add_argument("--p", type=int, default=2000, help="predictors [%(default)s]")
-    bench.add_argument("--replicates", type=int, default=30,
+    bench.add_argument("--p", type=_COUNT, default=2000, help="predictors [%(default)s]")
+    bench.add_argument("--replicates", type=_COUNT, default=30,
                        help="train/test experiment replicates [%(default)s]")
-    bench.add_argument("--ensemble-size", type=int, default=50,
+    bench.add_argument("--ensemble-size", type=_COUNT, default=50,
                        help="projection draws per fit [%(default)s]")
     bench.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
                        help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
                             "at delta 0 [%(default)s]")
-    bench.add_argument("--delta", type=float,
+    bench.add_argument("--delta", type=_NONNEGATIVE,
                        help="screening exponent [max{0,(1+ln(p/n))/2}]")
-    bench.add_argument("--noise-sd", type=float, default=1.0,
+    bench.add_argument("--noise-sd", type=_NONNEGATIVE, default=1.0,
                        help="response noise standard deviation [%(default)s]")
-    bench.add_argument("--level", type=float, default=0.5,
+    bench.add_argument("--level", type=_LEVEL, default=0.5,
                        help="prediction interval level [%(default)s]")
-    bench.add_argument("--seed", type=int, default=0, help="master seed [%(default)s]")
-    bench.add_argument("--threads", type=int,
+    bench.add_argument("--seed", type=_SEED, default=0, help="master seed [%(default)s]")
+    bench.add_argument("--threads", type=_COUNT,
                        help=f"parallel experiment replicates [${THREADS_ENV_VAR} or 1]")
     bench.add_argument("--out-prefix", default="tarp_bench",
                        help="output prefix [%(default)s]")
@@ -235,19 +264,16 @@ def _resolve_variant(options: dict) -> tuple[str, float | None]:
 
 
 def _resolve_threads(value) -> int:
-    if value is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise _UsageError(
-                    f"{THREADS_ENV_VAR}={env!r} is not an integer"
-                ) from None
-    threads = 1 if value is None else int(value)
-    if threads < 1:
-        raise _UsageError(f"thread count must be >= 1, got {threads}")
-    return threads
+    """``--threads``, else ``$TARP_THREADS`` checked like the flag, else 1."""
+    env = os.environ.get(THREADS_ENV_VAR)
+    if value is not None or not env:
+        return 1 if value is None else value
+    try:
+        return _COUNT(env)
+    except ValueError:
+        raise _UsageError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{THREADS_ENV_VAR}: {exc}") from None
 
 
 def _meta(options: dict, command: str) -> dict:
@@ -442,44 +468,13 @@ def _bench_one(options: dict, rep: int) -> dict:
     }
 
 
-def _check_bench_options(options: dict) -> None:
-    """Reject each bad numeric option, naming its flag, before any experiment.
-
-    The bounds are the ones the experiment's own validators would apply
-    later: ``Dataset`` needs two rows in each split, ``TarpConfig`` a finite
-    delta >= 0, ``predict_tarp`` a level in (0, 1), and ``SchemeSpec`` a finite
-    noise sd >= 0 and a p its scheme can hold. A finite noise sd can still
-    overflow the simulated response; ``generate`` rejects that per experiment.
-    """
+def _cmd_bench(options: dict, outputs: list) -> int:
     if options["scheme"] is None:
         raise _UsageError("bench requires --scheme")
-    if options["replicates"] < 1:
-        raise _UsageError("bench needs at least one replicate")
-    if options["ensemble_size"] < 1:
-        raise _UsageError("bench needs an ensemble size of at least 1")
-    n, test_size, noise_sd = options["n"], options["test_size"], options["noise_sd"]
-    delta, level = options["delta"], options["level"]
-    for flag, value, valid, bound in (
-        ("--n", n, n >= 2, ">= 2"),
-        ("--test-size", test_size, test_size >= 2, ">= 2"),
-        ("--noise-sd", noise_sd, math.isfinite(noise_sd) and noise_sd >= 0,
-         "finite and >= 0"),
-        ("--delta", delta, delta is None or (math.isfinite(delta) and delta >= 0),
-         "finite and >= 0"),
-        ("--level", level, 0 < level < 1, "in (0, 1)"),
-    ):
-        if not valid:
-            raise _UsageError(f"bench {flag} must be {bound}, got {value}")
-    try:
-        SchemeSpec(scheme=options["scheme"], n=n + test_size, p=options["p"],
-                   noise_sd=noise_sd)
+    try:  # every flag is in range, so only p can be too small for the scheme
+        SchemeSpec(options["scheme"], options["n"] + options["test_size"], options["p"])
     except ValueError as exc:
-        # n and noise_sd passed above, so the scheme rejected p
         raise _UsageError(f"bench --p: {exc}") from None
-
-
-def _cmd_bench(options: dict, outputs: list) -> int:
-    _check_bench_options(options)
     variant, delta = _resolve_variant(options)
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()

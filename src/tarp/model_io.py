@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -146,14 +147,14 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
 def _decode_projection(obj: dict) -> ProjectionMatrix:
     gamma = InclusionVector(_decode_bits(obj["gamma"], "gamma"))
     m = _integer(obj["m"], "m")
+    requested_m = _integer(obj["requested_m"], "requested_m")
     if obj["variant"] == RIS_PCR:
-        return ProjectionMatrix(
-            variant=RIS_PCR, m=m, gamma=gamma, dense_block=_decode_array(obj["block"]),
-            requested_m=_integer(obj["requested_m"], "requested_m"),
-        )
+        block = _decode_array(obj["block"])
+        return ProjectionMatrix(RIS_PCR, m, gamma, requested_m, dense_block=block)
     if obj["variant"] == RIS_RP:
         seed = [_integer(entry, "seed") for entry in obj["seed"]]
-        return sample_ris_rp(gamma, m, _real(obj["psi"], "psi"), seed)
+        projection = sample_ris_rp(gamma, m, _real(obj["psi"], "psi"), seed)
+        return replace(projection, requested_m=requested_m)
     raise ValueError(f"unknown projection variant {obj['variant']!r}")
 
 

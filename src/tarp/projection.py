@@ -72,6 +72,8 @@ class ProjectionMatrix:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.requested_m < self.m:
             raise ValueError(f"requested_m={self.requested_m} is below m={self.m}")
+        if self.variant == RIS_RP and self.requested_m != self.m:
+            raise ValueError(f"random map has requested_m={self.requested_m}, m={self.m}")
         if self.variant == RIS_RP and (self.psi is None or not 0.0 < self.psi < 0.5):
             raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
         block = self.dense_block

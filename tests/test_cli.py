@@ -1,10 +1,13 @@
 import base64
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,12 +20,13 @@ import tarp
 import tarp.cli
 import tarp.ensemble
 from tarp.cli import main
-from tarp.data import load_csv
-from tarp.ensemble import fit_tarp, predict_tarp, sample_config_grid
+from tarp.data import Dataset, load_csv
+from tarp.ensemble import TarpConfig, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import load_model
-from tarp.posterior import ConvergenceError
+from tarp.posterior import ConvergenceError, positive_finite
 from tarp.projection import ProjectionMatrix
 from tarp.screening import default_delta
+from tarp.simgen import SchemeSpec
 
 
 DATA = Path(__file__).parent / "data"
@@ -73,8 +77,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "value, message",
         [
-            ("nan", "noise_sd must be finite and >= 0, got nan"),
-            ("inf", "noise_sd must be finite and >= 0, got inf"),
+            ("nan", "argument --noise-sd: must be finite and >= 0, got nan"),
+            ("inf", "argument --noise-sd: must be finite and >= 0, got inf"),
             # finite, so the spec takes it, but the response overflows
             ("1e308", "noise_sd=1e+308 overflows the simulated response"),
         ],
@@ -142,7 +146,9 @@ class TestFitPredict:
         assert run("predict", "--model", str(DATA / f"v2_{kind}.json"),
                    "--data", str(DATA / f"{kind}.csv"), "--level", "7",
                    "--out", "preds.csv") == 1
-        assert capsys.readouterr().err == "error: level must be in (0,1), got 7.0\n"
+        assert capsys.readouterr().err == (
+            "error: argument --level: must be in (0, 1), got 7\n"
+        )
         assert not list(workdir.iterdir())
 
     def test_byte_order_mark_is_ignored(self, workdir, monkeypatch):
@@ -385,42 +391,11 @@ class TestBench:
         assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
                    "--p", "40", "--replicates", "2", "--ensemble-size", "0") == 1
         assert capsys.readouterr().err == (
-            "error: bench needs an ensemble size of at least 1\n"
+            "error: argument --ensemble-size: must be >= 1, got 0\n"
         )
 
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--n", "1", "bench --n must be >= 2, got 1"),
-            ("--test-size", "1", "bench --test-size must be >= 2, got 1"),
-            ("--noise-sd", "-0.5", "bench --noise-sd must be finite and >= 0, got -0.5"),
-            ("--noise-sd", "inf", "bench --noise-sd must be finite and >= 0, got inf"),
-            ("--delta", "-1", "bench --delta must be finite and >= 0, got -1.0"),
-            ("--delta", "nan", "bench --delta must be finite and >= 0, got nan"),
-            ("--delta", "inf", "bench --delta must be finite and >= 0, got inf"),
-            ("--level", "0", "bench --level must be in (0, 1), got 0.0"),
-            ("--level", "1.5", "bench --level must be in (0, 1), got 1.5"),
-            ("--p", "20",
-             "bench --p: scheme I needs p >= 30 for its 30 active covariates"),
-            ("--p", "0", "bench --p: need p >= 1, got 0"),
-        ],
-    )
-    def test_bad_option_rejected_before_any_experiment(
-        self, workdir, capsys, monkeypatch, flag, value, message
-    ):
-        def no_experiment(options, rep):
-            raise AssertionError("an experiment ran")
-
-        monkeypatch.setattr(tarp.cli, "_bench_one", no_experiment)
-        assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
-                   "--p", "40", "--replicates", "2", "--ensemble-size", "2",
-                   flag, value) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not list(workdir.iterdir())
-
     def test_overflowing_noise_sd_is_usage_error(self, workdir, capsys):
-        # finite, so the option check passes; the first experiment's draw fails
+        # finite, so the flag takes it; the first experiment's draw fails
         assert run("bench", "--scheme", "I", "--n", "30", "--test-size", "5",
                    "--p", "40", "--replicates", "1", "--ensemble-size", "2",
                    "--noise-sd", "1e308") == 1
@@ -538,6 +513,168 @@ class TestConfigPrecedence:
                 assert json.load(fh)["options"] == expected
 
 
+# a data or model file that does not exist: exit 1, not 2, shows that the
+# bad option was rejected before any file was read
+_VALID_ARGV = {
+    "simulate": ["simulate", "--scheme", "I", "--n", "30", "--p", "40"],
+    "fit": ["fit", "--data", "missing.csv"],
+    "predict": ["predict", "--model", "missing.json", "--data", "missing.csv"],
+    "bench": ["bench", "--scheme", "I", "--n", "40", "--test-size", "10", "--p", "40",
+              "--replicates", "2", "--ensemble-size", "2"],
+}
+
+
+def _dataset(n, p):
+    # an n x p Dataset, whose constructor checks both sizes
+    return Dataset(np.zeros((max(n, 0), max(p, 0))), np.zeros(max(n, 0)))
+
+
+def _pool(threads):
+    ThreadPoolExecutor(max_workers=threads).shutdown()
+
+
+@functools.cache
+def _binary_model():
+    return load_model(DATA / "v2_binary.json")[0]
+
+
+def _check_level(level):
+    # predict_tarp's level check alone, since a binary model uses no
+    # interval; a continuous model also fails later when (1 + level) / 2
+    # rounds to 1, which that check lets through
+    model = _binary_model()
+    predict_tarp(model, np.zeros((1, model.p)), level=level)
+
+
+_INTS = st.integers(-3, 4)
+_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300,
+     math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e308, -1e308]
+) | st.floats()
+
+# each numeric flag, its values, and the library check whose range it
+# mirrors (a rejection is a ValueError; DataError is one)
+_LIBRARY_CHECKS = [
+    ("simulate", "--n", _INTS, lambda v: SchemeSpec("III", n=v, p=3)),
+    ("simulate", "--p", _INTS, lambda v: _dataset(2, v)),
+    ("simulate", "--noise-sd", _FLOATS, lambda v: SchemeSpec("III", n=2, p=3, noise_sd=v)),
+    ("simulate", "--seed", _INTS, np.random.SeedSequence),
+    ("fit", "--replicates", _INTS, lambda v: sample_config_grid(10, 10, v)),
+    ("fit", "--delta", _FLOATS,
+     lambda v: TarpConfig(m=1, psi=0.2, delta=v, variant="ris_rp", seed=0)),
+    ("fit", "--a-sigma", _FLOATS, lambda v: positive_finite(v, "a_sigma")),
+    ("fit", "--b-sigma", _FLOATS, lambda v: positive_finite(v, "b_sigma")),
+    ("fit", "--sigma-theta2", _FLOATS, lambda v: positive_finite(v, "sigma_theta2")),
+    ("fit", "--seed", _INTS, np.random.SeedSequence),
+    ("fit", "--threads", _INTS, _pool),
+    ("predict", "--level", _FLOATS, _check_level),
+    ("bench", "--n", _INTS, lambda v: _dataset(v, 1)),
+    ("bench", "--test-size", _INTS, lambda v: _dataset(v, 1)),
+    ("bench", "--p", _INTS, lambda v: _dataset(2, v)),
+    ("bench", "--replicates", _INTS, lambda v: sample_config_grid(10, 10, v)),
+    ("bench", "--ensemble-size", _INTS, lambda v: sample_config_grid(10, 10, v)),
+    ("bench", "--delta", _FLOATS,
+     lambda v: TarpConfig(m=1, psi=0.2, delta=v, variant="ris_rp", seed=0)),
+    ("bench", "--noise-sd", _FLOATS, lambda v: SchemeSpec("III", n=2, p=3, noise_sd=v)),
+    ("bench", "--level", _FLOATS, _check_level),
+    ("bench", "--seed", _INTS, np.random.SeedSequence),
+    ("bench", "--threads", _INTS, _pool),
+]
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("simulate", "--n", "1", "argument --n: must be >= 2, got 1"),
+            ("simulate", "--p", "0", "argument --p: must be >= 1, got 0"),
+            ("simulate", "--noise-sd", "-0.5",
+             "argument --noise-sd: must be finite and >= 0, got -0.5"),
+            ("simulate", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+            ("fit", "--replicates", "0", "argument --replicates: must be >= 1, got 0"),
+            ("fit", "--delta", "-1", "argument --delta: must be finite and >= 0, got -1"),
+            ("fit", "--a-sigma", "-1",
+             "argument --a-sigma: must be a positive finite number, got -1"),
+            ("fit", "--b-sigma", "0",
+             "argument --b-sigma: must be a positive finite number, got 0"),
+            ("fit", "--sigma-theta2", "inf",
+             "argument --sigma-theta2: must be a positive finite number, got inf"),
+            ("fit", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+            ("fit", "--threads", "0", "argument --threads: must be >= 1, got 0"),
+            ("predict", "--level", "7", "argument --level: must be in (0, 1), got 7"),
+            ("predict", "--level", "0", "argument --level: must be in (0, 1), got 0"),
+            ("bench", "--n", "1", "argument --n: must be >= 2, got 1"),
+            ("bench", "--test-size", "1", "argument --test-size: must be >= 2, got 1"),
+            ("bench", "--p", "0", "argument --p: must be >= 1, got 0"),
+            ("bench", "--replicates", "0", "argument --replicates: must be >= 1, got 0"),
+            ("bench", "--ensemble-size", "0",
+             "argument --ensemble-size: must be >= 1, got 0"),
+            ("bench", "--noise-sd", "-0.5",
+             "argument --noise-sd: must be finite and >= 0, got -0.5"),
+            ("bench", "--noise-sd", "inf",
+             "argument --noise-sd: must be finite and >= 0, got inf"),
+            ("bench", "--delta", "-1", "argument --delta: must be finite and >= 0, got -1"),
+            ("bench", "--delta", "nan",
+             "argument --delta: must be finite and >= 0, got nan"),
+            ("bench", "--delta", "inf",
+             "argument --delta: must be finite and >= 0, got inf"),
+            ("bench", "--level", "0", "argument --level: must be in (0, 1), got 0"),
+            ("bench", "--level", "1.5", "argument --level: must be in (0, 1), got 1.5"),
+            ("bench", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+            ("bench", "--threads", "0", "argument --threads: must be >= 1, got 0"),
+            # in range for the flag, but more than scheme I can hold
+            ("bench", "--p", "20",
+             "bench --p: scheme I needs p >= 30 for its 30 active covariates"),
+            # a bare key is a config-file line, which names its file and line
+            ("predict", "level", "7",
+             "cfg.txt:1: argument --level: must be in (0, 1), got 7"),
+        ],
+    )
+    def test_bad_option_rejected_before_any_file_or_experiment(
+        self, workdir, capsys, monkeypatch, command, flag, value, message
+    ):
+        def no_experiment(spec):
+            raise AssertionError("data were drawn")
+
+        monkeypatch.setattr(tarp.cli, "generate", no_experiment)
+        argv = list(_VALID_ARGV[command])
+        if flag.startswith("--"):
+            argv += [flag, value]
+        else:
+            (workdir / "cfg.txt").write_text(f"{flag} = {value}\n")
+            argv += ["--config", "cfg.txt"]
+        before = set(workdir.iterdir())
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert set(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "command, flag, values, check", _LIBRARY_CHECKS,
+        ids=[f"{command}{flag}" for command, flag, _, _ in _LIBRARY_CHECKS],
+    )
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_flag_takes_what_its_library_check_takes(
+        self, command, flag, values, check, data
+    ):
+        # the flag repeats a library range so that it can run before any
+        # file is read; the two must agree on every value
+        value = data.draw(values, label="value")
+        try:
+            check(value)
+            library_takes = True
+        except ValueError:
+            library_takes = False
+        parser = tarp.cli._build_parser()[1][command]
+        try:
+            parsed = parser.parse_args([f"{flag}={value!r}"])
+        except tarp.cli._UsageError:
+            assert not library_takes
+        else:
+            assert library_takes
+            assert getattr(parsed, flag[2:].replace("-", "_")) == value
+
+
 class TestExitCodes:
     def test_usage_errors(self, workdir):
         assert run("simulate", "--scheme", "Z") == 1  # bad choice
@@ -594,8 +731,7 @@ class TestExitCodes:
         assert run("fit", "--data", "data.csv", "--replicates", "2",
                    flag, value, "--out", "model.json") == 1
         err = capsys.readouterr().err
-        name = flag[2:].replace("-", "_")
-        assert err.startswith(f"error: {name} must be a positive finite number")
+        assert err.startswith(f"error: argument {flag}: must be a positive finite number")
         assert err.count("\n") == 1
         assert not (workdir / "model.json").exists()
 
@@ -668,7 +804,7 @@ class TestExitCodes:
         assert run("fit", "--data", "data.csv", "--replicates", "2",
                    "--delta", value, "--out", "model.json") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: delta must be finite and >= 0, got ")
+        assert err.startswith("error: argument --delta: must be finite and >= 0, got ")
         assert err.count("\n") == 1
         assert not (workdir / "model.json").exists()
 
@@ -848,6 +984,12 @@ def _set(*keys, value):
     return corrupt
 
 
+def _delete(*keys):
+    def corrupt(doc):
+        del _at(doc, keys[:-1])[keys[-1]]
+    return corrupt
+
+
 def _config_m_off_by_one(doc):
     doc["replicates"][0]["config"]["m"] += 1
 
@@ -934,6 +1076,8 @@ class TestCorruptModel:
             (_halve_gamma, "ris_rp"),
             (_psi_out_of_range, "ris_rp"),
             (_requested_m_below_m, "ris_pcr"),
+            (_set(*_PROJECTION, "requested_m", value=10**9), "ris_rp"),
+            (_delete(*_PROJECTION, "requested_m"), "ris_rp"),
             (_set("response_kind", value="binary"), "ris_rp"),
             (_set("response_kind", value="bogus"), "ris_rp"),
             (_set("replicates", value=[]), "ris_rp"),
@@ -998,6 +1142,7 @@ class TestCorruptModel:
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
+            "rp_requested_m_huge", "rp_requested_m_missing",
             "kind_binary_on_continuous", "kind_bogus", "no_replicates",
             "response_mean_text", "extra_list", "extra_options_list",
             "config_m", "config_psi", "config_variant_baseline",
@@ -1186,3 +1331,10 @@ class TestThreadsEnvVar:
     def test_bad_env_value(self, workdir, monkeypatch, capsys):
         monkeypatch.setenv("TARP_THREADS", "lots")
         assert run("bench", "--scheme", "I", "--n", "50", "--replicates", "1") == 1
+        assert capsys.readouterr().err == "error: TARP_THREADS='lots' is not an integer\n"
+
+    def test_env_value_is_range_checked_like_the_flag(self, workdir, monkeypatch, capsys):
+        # checked before the data file is read, so exit 1, not 2
+        monkeypatch.setenv("TARP_THREADS", "0")
+        assert run("fit", "--data", "missing.csv") == 1
+        assert capsys.readouterr().err == "error: TARP_THREADS: must be >= 1, got 0\n"

@@ -345,6 +345,7 @@ class TestProjectionInvariants:
         [
             ({**RANDOM, "m": 0, "requested_m": 0}, "m must be >= 1"),
             ({**PCR, "requested_m": 1}, "requested_m=1 is below m=2"),
+            ({**RANDOM, "requested_m": 3}, "random map has requested_m=3, m=2"),
             ({**RANDOM, "psi": 0.5}, "psi must lie in"),
             ({**RANDOM, "psi": None}, "psi must lie in"),
             ({**PCR, "dense_block": np.zeros((2, 4))},
@@ -352,7 +353,8 @@ class TestProjectionInvariants:
             ({**RANDOM, "dense_block": np.ones((3, 3))}, "block shape"),
             ({**PCR, "dense_block": np.full((2, 3), np.nan)}, "block holds non-finite"),
         ],
-        ids=["m_zero", "requested_m_below_m", "psi_half", "psi_missing",
+        ids=["m_zero", "requested_m_below_m", "random_requested_m_above_m",
+             "psi_half", "psi_missing",
              "block_columns", "random_block_rows", "block_nan"],
     )
     def test_construction_checks_invariants(self, fields, message):
