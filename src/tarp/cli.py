@@ -16,6 +16,7 @@ import os
 import sys
 import time
 import warnings
+from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -27,19 +28,28 @@ from .data import (
     TEXT_ENCODING, DataError, Dataset, load_csv, load_table, not_utf8, write_csv,
 )
 from .ensemble import (
+    DEFAULT_LEVEL,
+    LEVEL_RANGE,
     RIS_RP,
     ReplicateError,
     TarpModel,
     VARIANTS,
     _map_ordered,
+    check_level,
     fit_tarp,
     predict_tarp,
     sample_config_grid,
 )
 from .metrics import evaluate_regression
 from .model_io import PLAIN_RP_BASELINE, load_model, save_model
-from .posterior import ConvergenceError, positive_finite
-from .simgen import SCHEMES, SchemeSpec, generate
+from .posterior import (
+    DEFAULT_A_SIGMA,
+    DEFAULT_B_SIGMA,
+    DEFAULT_SIGMA_THETA2,
+    ConvergenceError,
+    positive_finite,
+)
+from .simgen import DEFAULT_NOISE_SD, SCHEMES, SchemeSpec, generate
 
 THREADS_ENV_VAR = "TARP_THREADS"
 
@@ -75,20 +85,35 @@ def _ranged(parse, bound: str, accepts):
     return convert
 
 
-def _is_prior(value: float) -> bool:
-    try:
-        positive_finite(value, "prior")
-    except ValueError:
-        return False
-    return True
+def _passes(check):
+    """``check`` as a predicate: false where it raises ValueError."""
+
+    def accepts(value) -> bool:
+        try:
+            check(value)
+        except ValueError:
+            return False
+        return True
+
+    return accepts
 
 
 _ROWS = _ranged(int, ">= 2", lambda v: v >= 2)
 _COUNT = _ranged(int, ">= 1", lambda v: v >= 1)
 _SEED = _ranged(int, ">= 0", lambda v: v >= 0)
 _NONNEGATIVE = _ranged(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
-_PRIOR = _ranged(float, "a positive finite number", _is_prior)
-_LEVEL = _ranged(float, "in (0, 1)", lambda v: 0 < v < 1)
+_PRIOR = _ranged(float, "a positive finite number",
+                 _passes(partial(positive_finite, name="prior")))
+_LEVEL = _ranged(float, LEVEL_RANGE, _passes(check_level))
+
+# the options each command cannot run without, in the order they are
+# checked; not argparse's required=, since a --config file may supply them
+_REQUIRED = {
+    "simulate": ("scheme",),
+    "fit": ("data",),
+    "predict": ("model", "data"),
+    "bench": ("scheme",),
+}
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -126,7 +151,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     sim.add_argument("--n", type=_ROWS, default=200, help="number of rows [%(default)s]")
     sim.add_argument("--p", type=_COUNT, default=2000,
                      help="number of predictors [%(default)s]")
-    sim.add_argument("--noise-sd", type=_NONNEGATIVE, default=1.0,
+    sim.add_argument("--noise-sd", type=_NONNEGATIVE, default=DEFAULT_NOISE_SD,
                      help="response noise standard deviation [%(default)s]")
     sim.add_argument("--seed", type=_SEED, default=0, help="RNG seed [%(default)s]")
     sim.add_argument("--out", default="tarp_data.csv",
@@ -147,11 +172,11 @@ def _build_parser() -> tuple[_Parser, dict]:
                      help="ensemble size N [%(default)s]")
     fit.add_argument("--delta", type=_NONNEGATIVE,
                      help="screening exponent [max{0,(1+ln(p/n))/2}]")
-    fit.add_argument("--a-sigma", type=_PRIOR, default=0.02,
+    fit.add_argument("--a-sigma", type=_PRIOR, default=DEFAULT_A_SIGMA,
                      help="noise-variance prior shape [%(default)s]")
-    fit.add_argument("--b-sigma", type=_PRIOR, default=0.02,
+    fit.add_argument("--b-sigma", type=_PRIOR, default=DEFAULT_B_SIGMA,
                      help="noise-variance prior rate [%(default)s]")
-    fit.add_argument("--sigma-theta2", type=_PRIOR, default=1.0,
+    fit.add_argument("--sigma-theta2", type=_PRIOR, default=DEFAULT_SIGMA_THETA2,
                      help="coefficient prior variance for binary fits [%(default)s]")
     fit.add_argument("--seed", type=_SEED, default=0, help="master seed [%(default)s]")
     fit.add_argument("--threads", type=_COUNT,
@@ -170,7 +195,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     )
     pred.add_argument("--model", help="model file (required)")
     pred.add_argument("--data", help="CSV of new rows; a stray response column is dropped")
-    pred.add_argument("--level", type=_LEVEL, default=0.5,
+    pred.add_argument("--level", type=_LEVEL, default=DEFAULT_LEVEL,
                       help="central interval level [%(default)s]")
     pred.add_argument("--out", default="tarp_pred.csv",
                       help="prediction CSV [%(default)s]")
@@ -200,9 +225,9 @@ def _build_parser() -> tuple[_Parser, dict]:
                             "at delta 0 [%(default)s]")
     bench.add_argument("--delta", type=_NONNEGATIVE,
                        help="screening exponent [max{0,(1+ln(p/n))/2}]")
-    bench.add_argument("--noise-sd", type=_NONNEGATIVE, default=1.0,
+    bench.add_argument("--noise-sd", type=_NONNEGATIVE, default=DEFAULT_NOISE_SD,
                        help="response noise standard deviation [%(default)s]")
-    bench.add_argument("--level", type=_LEVEL, default=0.5,
+    bench.add_argument("--level", type=_LEVEL, default=DEFAULT_LEVEL,
                        help="prediction interval level [%(default)s]")
     bench.add_argument("--seed", type=_SEED, default=0, help="master seed [%(default)s]")
     bench.add_argument("--threads", type=_COUNT,
@@ -263,6 +288,15 @@ def _resolve_variant(options: dict) -> tuple[str, float | None]:
     return RIS_RP, 0.0
 
 
+def _scheme_spec(command: str, options: dict, n: int) -> SchemeSpec:
+    """The command's ``SchemeSpec``; a ``--p`` the scheme cannot hold is a usage error."""
+    try:  # every flag is in range, so only p can be wrong for the scheme
+        return SchemeSpec(options["scheme"], n, options["p"], options["noise_sd"],
+                          options["seed"])
+    except ValueError as exc:
+        raise _UsageError(f"{command} --p: {exc}") from None
+
+
 def _resolve_threads(value) -> int:
     """``--threads``, else ``$TARP_THREADS`` checked like the flag, else 1."""
     env = os.environ.get(THREADS_ENV_VAR)
@@ -308,20 +342,12 @@ def _write_json(outputs: list, path, doc: dict) -> None:
 
 
 def _cmd_simulate(options: dict, outputs: list) -> int:
-    if options["scheme"] is None:
-        raise _UsageError("simulate requires --scheme")
+    spec = _scheme_spec("simulate", options, options["n"])
     out = Path(options["out"])
     truth_out = options["truth_out"]
     if truth_out is None:
         truth_out = out.with_name(out.stem + "_truth.json")
     truth_out = Path(truth_out)
-    spec = SchemeSpec(
-        scheme=options["scheme"],
-        n=options["n"],
-        p=options["p"],
-        noise_sd=options["noise_sd"],
-        seed=options["seed"],
-    )
     dataset, truth = generate(spec)
     write_csv(dataset, _output(outputs, out), target="y")
     truth["options"] = {k: v for k, v in sorted(options.items())}
@@ -332,8 +358,6 @@ def _cmd_simulate(options: dict, outputs: list) -> int:
 
 
 def _cmd_fit(options: dict, outputs: list) -> int:
-    if options["data"] is None:
-        raise _UsageError("fit requires --data")
     variant, delta = _resolve_variant(options)
     threads = _resolve_threads(options["threads"])
     train = load_csv(options["data"], options["target"])
@@ -394,10 +418,6 @@ def _load_design_for_model(path, model: TarpModel, target_hint: str | None):
 
 
 def _cmd_predict(options: dict, outputs: list) -> int:
-    if options["model"] is None:
-        raise _UsageError("predict requires --model")
-    if options["data"] is None:
-        raise _UsageError("predict requires --data")
     model, extra = load_model(options["model"])
     fit_options = extra.get("options", {})
     if not isinstance(fit_options, dict):
@@ -421,17 +441,9 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _bench_one(options: dict, rep: int) -> dict:
+def _bench_one(spec: SchemeSpec, options: dict, rep: int) -> dict:
     # options holds the library variant and delta (see _resolve_variant)
-    n_total = options["n"] + options["test_size"]
-    spec = SchemeSpec(
-        scheme=options["scheme"],
-        n=n_total,
-        p=options["p"],
-        noise_sd=options["noise_sd"],
-        seed=_derive_seed(options["seed"], rep, 0),
-    )
-    dataset, _ = generate(spec)
+    dataset, _ = generate(replace(spec, seed=_derive_seed(options["seed"], rep, 0)))
     train = Dataset(
         dataset.design[: options["n"]],
         dataset.response[: options["n"]],
@@ -469,17 +481,12 @@ def _bench_one(options: dict, rep: int) -> dict:
 
 
 def _cmd_bench(options: dict, outputs: list) -> int:
-    if options["scheme"] is None:
-        raise _UsageError("bench requires --scheme")
-    try:  # every flag is in range, so only p can be too small for the scheme
-        SchemeSpec(options["scheme"], options["n"] + options["test_size"], options["p"])
-    except ValueError as exc:
-        raise _UsageError(f"bench --p: {exc}") from None
+    spec = _scheme_spec("bench", options, options["n"] + options["test_size"])
     variant, delta = _resolve_variant(options)
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()
     rows = _map_ordered(
-        partial(_bench_one, dict(options, variant=variant, delta=delta)),
+        partial(_bench_one, spec, dict(options, variant=variant, delta=delta)),
         range(options["replicates"]), threads,
     )
     elapsed = time.perf_counter() - started
@@ -554,6 +561,9 @@ def main(argv=None) -> int:
             command = commands[args.command]
             command.set_defaults(**_read_config_file(args.config, command, options))
             options = _options(parser.parse_args(argv))
+        for name in _REQUIRED[args.command]:
+            if options[name] is None:
+                raise _UsageError(f"{args.command} requires --{name}")
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return _COMMANDS[args.command](options, outputs)

@@ -24,6 +24,9 @@ from scipy.special import expit, gammaln, stdtr, stdtrit
 
 from .data import RESPONSE_KINDS, DataError, Dataset, StandardizationParams, standardize
 from .posterior import (
+    DEFAULT_A_SIGMA,
+    DEFAULT_B_SIGMA,
+    DEFAULT_SIGMA_THETA2,
     ConvergenceError,
     GaussianPosterior,
     LaplacePosterior,
@@ -31,6 +34,7 @@ from .posterior import (
     fit_gaussian,
     positive_finite,
     predictive,
+    predictive_t_scale,
 )
 from .projection import (
     RIS_PCR,
@@ -53,6 +57,9 @@ VARIANTS = (RIS_RP, RIS_PCR)
 _GAMMA_STREAM = 0
 _ENTRY_STREAM = 1
 _GRID_STREAM = 2
+
+QUANTILE_TOL = 1e-8
+QUANTILE_MAX_ITER = 400
 
 
 class ReplicateError(RuntimeError):
@@ -136,9 +143,9 @@ class TarpModel:
     master_seed: int
     column_names: list[str]
     train_data_hash: str
-    a_sigma: float = 0.02
-    b_sigma: float = 0.02
-    sigma_theta2: float = 1.0
+    a_sigma: float
+    b_sigma: float
+    sigma_theta2: float
 
     def __post_init__(self):
         kind, p = self.response_kind, self.p
@@ -265,9 +272,9 @@ def _fit_replicate(
 def fit_tarp(
     train: Dataset,
     configs: list[TarpConfig],
-    a_sigma: float = 0.02,
-    b_sigma: float = 0.02,
-    sigma_theta2: float = 1.0,
+    a_sigma: float = DEFAULT_A_SIGMA,
+    b_sigma: float = DEFAULT_B_SIGMA,
+    sigma_theta2: float = DEFAULT_SIGMA_THETA2,
     master_seed: int = 0,
     threads: int = 1,
 ) -> TarpModel:
@@ -275,8 +282,9 @@ def fit_tarp(
 
     Marginal correlations are computed a single time and shared across the
     grid. All three priors are checked for either response kind, and a
-    design whose every column is constant is rejected, before any replicate
-    runs. ``threads`` caps the worker pool; outputs never change.
+    design whose every column is constant, or (continuous) priors that
+    leave the predictive t unusable, are rejected, before any replicate runs.
+    ``threads`` caps the worker pool; outputs never change.
     """
     a_sigma = positive_finite(a_sigma, "a_sigma")
     b_sigma = positive_finite(b_sigma, "b_sigma")
@@ -293,6 +301,10 @@ def fit_tarp(
                 "response is too large: the sum of squares of the centred "
                 "response overflows"
             )
+        # a replicate's residual quadratic lies in [0, y'y], and its noise
+        # scale grows with it: checking both ends checks every replicate
+        for residual_quadratic in (0.0, float(sum_sq)):
+            predictive_t_scale(train.n, a_sigma, b_sigma, residual_quadratic)
     # the correlations' column means round differently by layout, and q must
     # not move: screen a row-major temporary, fit on the column-major design
     correlations = marginal_correlations(
@@ -322,8 +334,6 @@ def mixture_t_quantile(
     locations: np.ndarray,
     scale_diags: np.ndarray,
     prob: float,
-    tol: float = 1e-8,
-    max_iter: int = 400,
 ) -> np.ndarray:
     """Quantiles of an equal-weight mixture of t distributions.
 
@@ -335,8 +345,9 @@ def mixture_t_quantile(
     quantiles always enclose the mixture quantile; that bracket shrinks
     with every evaluation, and a step that leaves it or is not finite (the
     pdf underflows in a gap between far-apart components) is replaced by
-    bisection. A point is done when its mixture CDF is within ``tol`` of
-    ``prob`` or its bracket has collapsed to rounding width.
+    bisection. A point is done when its mixture CDF is within
+    ``QUANTILE_TOL`` of ``prob`` or its bracket has collapsed to rounding
+    width.
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must be in (0,1), got {prob}")
@@ -357,13 +368,13 @@ def mixture_t_quantile(
     log_norm[~np.isfinite(log_norm) | (dfs > 1e7)] = -0.5 * math.log(2.0 * math.pi)
     out = np.empty_like(x)
     points = np.arange(x.size)
-    for _ in range(max_iter):
+    for _ in range(QUANTILE_MAX_ITER):
         u = (x - locations) / widths
         cdf = stdtr(dfs, u).mean(axis=0)
         below = cdf < prob
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        done = np.abs(cdf - prob) <= tol
+        done = np.abs(cdf - prob) <= QUANTILE_TOL
         # collapse of the bracket to rounding width also counts as converged
         done |= (hi - lo) <= 1e-13 * (1.0 + np.abs(x))
         out[points[done]] = x[done]
@@ -390,7 +401,39 @@ def _reject_rows(finite: np.ndarray, what: str) -> None:
         raise DataError(f"new row {row} is too large: its {what} overflow")
 
 
-def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> TarpPrediction:
+DEFAULT_LEVEL = 0.5
+# the levels whose tail probabilities (1 - level) / 2 and (1 + level) / 2 both
+# lie in (0, 1) in floating point: from 1 - 2**-53 up, (1 + level) / 2 is 1.0
+LEVEL_RANGE = "in (0, 0.9999999999999998]"
+
+
+def _tail_probabilities(level: float) -> tuple[float, float]:
+    return 0.5 * (1.0 - level), 0.5 * (1.0 + level)
+
+
+def check_level(level) -> float:
+    """The interval-level rule: level > 0 and both tail probabilities in (0, 1)."""
+    level = float(level)
+    lower, upper = _tail_probabilities(level)
+    if not (level > 0.0 and 0.0 < lower < 1.0 and 0.0 < upper < 1.0):
+        raise ValueError(f"level must be {LEVEL_RANGE}, got {level!r}")
+    return level
+
+
+def _mapped_back_mode(rep: Replicate) -> np.ndarray:
+    return rep.projection.adjoint(rep.posterior.mode)
+
+
+def _replicate_predictive(Xs: np.ndarray, rep: Replicate):
+    # numpy's error state does not carry into a worker thread; an overflowing
+    # row is rejected by number after the map
+    with np.errstate(over="ignore", invalid="ignore"):
+        return predictive(rep.posterior, compress(Xs, rep.projection))
+
+
+def predict_tarp(
+    model: TarpModel, X_new: np.ndarray, level: float = DEFAULT_LEVEL
+) -> TarpPrediction:
     """Aggregate replicate predictions on new rows (original units).
 
     Continuous responses: the point prediction is the mean of the replicate
@@ -406,38 +449,30 @@ def predict_tarp(model: TarpModel, X_new: np.ndarray, level: float = 0.5) -> Tar
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.p:
         raise ValueError(f"X_new has shape {X_new.shape}, expected (*, {model.p})")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
+    level = check_level(level)
     # a huge finite cell may overflow here or in the predictive scale: such
     # rows are bad data, rejected by number below instead of failing later
     with np.errstate(over="ignore", invalid="ignore"):
         Xs = model.standardization.transform_design(X_new)
     _reject_rows(np.isfinite(Xs).all(axis=1), "standardized values")
     if model.response_kind == "binary":
-        W = np.array(
-            [rep.projection.adjoint(rep.posterior.mode) for rep in model.replicates]
-        )
+        W = np.array(_map_ordered(_mapped_back_mode, model.replicates, 1))
         # (N, n): the mean over axis 0 adds the replicates in order
         probs = expit(W @ Xs.T).mean(axis=0)
         return TarpPrediction(response_kind="binary", probability=probs)
-    dfs, locs, scales = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rep in model.replicates:
-            pred = predictive(rep.posterior, compress(Xs, rep.projection))
-            dfs.append(pred.df)
-            locs.append(pred.location)
-            scales.append(pred.scale_diag)
-    dfs = np.asarray(dfs)
-    locs = np.asarray(locs)
-    scales = np.asarray(scales)
+    preds = _map_ordered(partial(_replicate_predictive, Xs), model.replicates, 1)
+    dfs = np.asarray([pred.df for pred in preds])
+    locs = np.asarray([pred.location for pred in preds])
+    scales = np.asarray([pred.scale_diag for pred in preds])
     _reject_rows(
         np.isfinite(locs).all(axis=0) & np.isfinite(scales).all(axis=0),
         "predictive location or scale",
     )
     # the predictive location is the posterior-mean point prediction
     point = model.standardization.inverse_response(np.mean(locs, axis=0))
-    lower = mixture_t_quantile(dfs, locs, scales, 0.5 * (1.0 - level))
-    upper = mixture_t_quantile(dfs, locs, scales, 0.5 * (1.0 + level))
+    lower_prob, upper_prob = _tail_probabilities(level)
+    lower = mixture_t_quantile(dfs, locs, scales, lower_prob)
+    upper = mixture_t_quantile(dfs, locs, scales, upper_prob)
     return TarpPrediction(
         response_kind="continuous",
         point=point,

@@ -13,6 +13,10 @@ from typing import Optional
 
 import numpy as np
 
+# a probability at or above THRESHOLD is classed as 1
+THRESHOLD = 0.5
+CALIBRATION_BINS = 10
+
 
 @dataclass(frozen=True)
 class RegressionReport:
@@ -91,30 +95,28 @@ def auc_score(prob, y_true) -> Optional[float]:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def calibration_msd(prob, y_true, n_bins: int = 10) -> float:
+def calibration_msd(prob, y_true) -> float:
     """Mean squared gap between bin positive-fraction and bin midpoint.
 
-    Probabilities are binned into ``n_bins`` equal subintervals of [0, 1]
-    (last bin closed at 1); empty bins are skipped. Probabilities that are
-    not finite or fall outside [0, 1] raise ValueError.
+    Probabilities are binned into ``CALIBRATION_BINS`` equal subintervals
+    of [0, 1] (last bin closed at 1); empty bins are skipped. Probabilities
+    that are not finite or fall outside [0, 1] raise ValueError.
     """
     prob = np.asarray(prob, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
     _check_probabilities(prob)
-    bins = np.minimum((prob * n_bins).astype(int), n_bins - 1)
+    bins = np.minimum((prob * CALIBRATION_BINS).astype(int), CALIBRATION_BINS - 1)
     gaps = []
-    for k in range(n_bins):
+    for k in range(CALIBRATION_BINS):
         members = bins == k
         if not members.any():
             continue
-        midpoint = (k + 0.5) / n_bins
+        midpoint = (k + 0.5) / CALIBRATION_BINS
         gaps.append((float(y_true[members].mean()) - midpoint) ** 2)
     return float(np.mean(gaps))
 
 
-def evaluate_classification(
-    prob, y_true, threshold: float = 0.5
-) -> ClassificationReport:
+def evaluate_classification(prob, y_true) -> ClassificationReport:
     prob = np.asarray(prob, dtype=np.float64)
     y_true = np.asarray(y_true, dtype=np.float64)
     if prob.shape != y_true.shape:
@@ -122,7 +124,7 @@ def evaluate_classification(
             f"length mismatch: prob {prob.shape}, y_true {y_true.shape}"
         )
     _check_probabilities(prob)
-    labels = (prob >= threshold).astype(np.float64)
+    labels = (prob >= THRESHOLD).astype(np.float64)
     return ClassificationReport(
         misclassification_rate=float(np.mean(labels != y_true)),
         auc=auc_score(prob, y_true),

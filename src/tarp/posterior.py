@@ -17,8 +17,19 @@ import numpy as np
 from scipy.special import expit
 
 
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 100
+
+
 class ConvergenceError(RuntimeError):
     """Raised when an iterative fit fails to reach its tolerance."""
+
+
+# the default priors: inverse-gamma(a_sigma, b_sigma) on the noise variance,
+# N(0, sigma_theta2 I) on the compressed logistic coefficients
+DEFAULT_A_SIGMA = 0.02
+DEFAULT_B_SIGMA = 0.02
+DEFAULT_SIGMA_THETA2 = 1.0
 
 
 def positive_finite(value, name: str) -> float:
@@ -27,6 +38,25 @@ def positive_finite(value, name: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
+
+
+def predictive_t_scale(
+    n_obs: int, a_sigma: float, b_sigma: float, residual_quadratic: float
+) -> tuple[float, float]:
+    """df = n + 2a and noise scale (r + 2b) / df of the Gaussian predictive t.
+
+    Priors so large (or a noise scale so small) that either is not finite
+    and > 0 raise ValueError: prediction could not use that t.
+    """
+    df = n_obs + 2.0 * a_sigma
+    noise_scale2 = (residual_quadratic + 2.0 * b_sigma) / df
+    for name, value in (("df", df), ("noise scale", noise_scale2)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(
+                f"priors a_sigma={a_sigma!r}, b_sigma={b_sigma!r} "
+                f"give a predictive {name} of {value!r}; it must be finite and > 0"
+            )
+    return df, noise_scale2
 
 
 @dataclass(frozen=True)
@@ -60,12 +90,12 @@ class GaussianPosterior:
             raise ValueError(f"n_obs must be >= 1, got {self.n_obs}")
         positive_finite(self.a_sigma, "a_sigma")
         positive_finite(self.b_sigma, "b_sigma")
-        for name, value in (("df", self.df), ("noise scale", self.noise_scale2)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"priors a_sigma={self.a_sigma!r}, b_sigma={self.b_sigma!r} "
-                    f"give a predictive {name} of {value!r}; it must be finite and > 0"
-                )
+        self._predictive_t_scale()
+
+    def _predictive_t_scale(self) -> tuple[float, float]:
+        return predictive_t_scale(
+            self.n_obs, self.a_sigma, self.b_sigma, self.residual_quadratic
+        )
 
     @property
     def m(self) -> int:
@@ -73,7 +103,7 @@ class GaussianPosterior:
 
     @property
     def df(self) -> float:
-        return self.n_obs + 2.0 * self.a_sigma
+        return self._predictive_t_scale()[0]
 
     @property
     def ig_shape(self) -> float:
@@ -86,7 +116,7 @@ class GaussianPosterior:
     @property
     def noise_scale2(self) -> float:
         """Predictive noise scale (residual_quadratic + 2 b) / df."""
-        return (self.residual_quadratic + 2.0 * self.b_sigma) / self.df
+        return self._predictive_t_scale()[1]
 
     @property
     def scale(self) -> np.ndarray:
@@ -125,8 +155,8 @@ class LaplacePosterior:
 def fit_gaussian(
     Z_design: np.ndarray,
     y: np.ndarray,
-    a_sigma: float = 0.02,
-    b_sigma: float = 0.02,
+    a_sigma: float = DEFAULT_A_SIGMA,
+    b_sigma: float = DEFAULT_B_SIGMA,
 ) -> GaussianPosterior:
     """Exact conjugate fit of the compressed model y = Z theta + e.
 
@@ -215,13 +245,12 @@ def _log_posterior(h, theta, y, sigma_theta2):
 def fit_bernoulli_laplace(
     Z_design: np.ndarray,
     y: np.ndarray,
-    sigma_theta2: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    sigma_theta2: float = DEFAULT_SIGMA_THETA2,
 ) -> LaplacePosterior:
     """Mode of the ridge-penalized logistic log-posterior.
 
-    Damped Newton iterations until the gradient norm falls below ``tol``.
+    Damped Newton iterations until the gradient norm falls below
+    ``NEWTON_TOL``, at most ``NEWTON_MAX_ITER`` of them.
     The prior keeps the mode finite even for separable data, and makes the
     negative Hessian Z' diag(w) Z + I / sigma_theta2 positive definite
     everywhere, so every Newton step is one LAPACK Cholesky solve. The design
@@ -243,11 +272,11 @@ def fit_bernoulli_laplace(
     h = Z @ theta
     obj = _log_posterior(h, theta, y, sigma_theta2)
     grad_norm = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, NEWTON_MAX_ITER + 1):
         prob = expit(h)
         grad = Z.T @ (y - prob) - theta / sigma_theta2
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < tol:
+        if grad_norm < NEWTON_TOL:
             return LaplacePosterior(
                 mode=theta,
                 prior_variance=sigma_theta2,
@@ -276,7 +305,7 @@ def fit_bernoulli_laplace(
             h = Z @ theta
             obj = _log_posterior(h, theta, y, sigma_theta2)
     raise ConvergenceError(
-        f"logistic mode search did not converge in {max_iter} iterations "
+        f"logistic mode search did not converge in {NEWTON_MAX_ITER} iterations "
         f"(gradient norm {grad_norm:.3e})"
     )
 

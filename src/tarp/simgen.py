@@ -18,6 +18,7 @@ import numpy as np
 from .data import Dataset
 
 SCHEMES = ("I", "II", "III", "IV")
+DEFAULT_NOISE_SD = 1.0
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class SchemeSpec:
     scheme: str
     n: int
     p: int
-    noise_sd: float = 1.0
+    noise_sd: float = DEFAULT_NOISE_SD
     seed: int = 0
 
     def __post_init__(self):

@@ -20,7 +20,7 @@ import tarp
 import tarp.cli
 import tarp.ensemble
 from tarp.cli import main
-from tarp.data import Dataset, load_csv
+from tarp.data import Dataset, load_csv, write_csv
 from tarp.ensemble import TarpConfig, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import load_model
 from tarp.posterior import ConvergenceError, positive_finite
@@ -147,9 +147,19 @@ class TestFitPredict:
                    "--data", str(DATA / f"{kind}.csv"), "--level", "7",
                    "--out", "preds.csv") == 1
         assert capsys.readouterr().err == (
-            "error: argument --level: must be in (0, 1), got 7\n"
+            "error: argument --level: must be in (0, 0.9999999999999998], got 7\n"
         )
         assert not list(workdir.iterdir())
+
+    @pytest.mark.parametrize("model", ["v2_continuous", "v3_ris_pcr"])
+    def test_largest_level_predicts_a_finite_interval(self, workdir, model):
+        # (1 + level) / 2 is the largest double below 1
+        assert run("predict", "--model", str(DATA / f"{model}.json"),
+                   "--data", str(DATA / "continuous.csv"),
+                   "--level", "0.9999999999999998", "--out", "preds.csv") == 0
+        lo, hi = np.loadtxt("preds.csv", delimiter=",", skiprows=1)[:, 1:].T
+        assert np.isfinite(lo).all() and np.isfinite(hi).all()
+        assert np.all(lo < hi)
 
     def test_byte_order_mark_is_ignored(self, workdir, monkeypatch):
         # the mark would otherwise stick to the first name, here the target
@@ -412,6 +422,39 @@ class TestBench:
                    "--out-prefix", "tiny") == 0
 
 
+# each required option, a value for it, and the rest of a command line that
+# then runs with exit 0
+_REQUIRED_OPTIONS = [
+    ("simulate", "scheme", "I", ["--n", "30", "--p", "40", "--out", "data.csv"]),
+    ("fit", "data", str(DATA / "continuous.csv"), ["--replicates", "2"]),
+    ("predict", "model", str(DATA / "v2_continuous.json"),
+     ["--data", str(DATA / "continuous.csv")]),
+    ("predict", "data", str(DATA / "continuous.csv"),
+     ["--model", str(DATA / "v2_continuous.json")]),
+    ("bench", "scheme", "I", ["--n", "30", "--test-size", "5", "--p", "40",
+                              "--replicates", "1", "--ensemble-size", "2"]),
+]
+
+
+class TestRequiredOptions:
+    @pytest.mark.parametrize(
+        "command, name, value, rest", _REQUIRED_OPTIONS,
+        ids=[f"{command}--{name}" for command, name, _, _ in _REQUIRED_OPTIONS],
+    )
+    def test_missing_is_one_line_and_config_supplies_it(
+        self, workdir, capsys, command, name, value, rest
+    ):
+        assert run(command, *rest) == 1
+        assert capsys.readouterr().err == f"error: {command} requires --{name}\n"
+        assert not list(workdir.iterdir())
+        (workdir / "cfg.txt").write_text(f"{name} = {value}\n")
+        assert run(command, *rest, "--config", "cfg.txt") == 0
+
+    def test_checked_in_declaration_order(self, workdir, capsys):
+        assert run("predict") == 1
+        assert capsys.readouterr().err == "error: predict requires --model\n"
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_beats_defaults(self, workdir):
         (workdir / "cfg.txt").write_text("p = 30\nn = 40\nseed = 9\n")
@@ -534,16 +577,18 @@ def _pool(threads):
 
 
 @functools.cache
-def _binary_model():
-    return load_model(DATA / "v2_binary.json")[0]
+def _model(kind):
+    return load_model(DATA / f"v2_{kind}.json")[0]
 
 
 def _check_level(level):
-    # predict_tarp's level check alone, since a binary model uses no
-    # interval; a continuous model also fails later when (1 + level) / 2
-    # rounds to 1, which that check lets through
-    model = _binary_model()
-    predict_tarp(model, np.zeros((1, model.p)), level=level)
+    # a whole predict of each response kind: a binary model reads only
+    # predict_tarp's level check, a continuous one also takes the mixture
+    # quantiles at both tail probabilities (1 -+ level) / 2, which fail
+    # if the check lets in a level whose upper tail rounds to 1
+    for kind in ("binary", "continuous"):
+        model = _model(kind)
+        predict_tarp(model, np.zeros((1, model.p)), level=level)
 
 
 _INTS = st.integers(-3, 4)
@@ -591,6 +636,9 @@ class TestOptionRanges:
             ("simulate", "--noise-sd", "-0.5",
              "argument --noise-sd: must be finite and >= 0, got -0.5"),
             ("simulate", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+            # in range for the flag, but more than scheme I can hold
+            ("simulate", "--p", "20",
+             "simulate --p: scheme I needs p >= 30 for its 30 active covariates"),
             ("fit", "--replicates", "0", "argument --replicates: must be >= 1, got 0"),
             ("fit", "--delta", "-1", "argument --delta: must be finite and >= 0, got -1"),
             ("fit", "--a-sigma", "-1",
@@ -601,8 +649,14 @@ class TestOptionRanges:
              "argument --sigma-theta2: must be a positive finite number, got inf"),
             ("fit", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
             ("fit", "--threads", "0", "argument --threads: must be >= 1, got 0"),
-            ("predict", "--level", "7", "argument --level: must be in (0, 1), got 7"),
-            ("predict", "--level", "0", "argument --level: must be in (0, 1), got 0"),
+            ("predict", "--level", "7",
+             "argument --level: must be in (0, 0.9999999999999998], got 7"),
+            ("predict", "--level", "0",
+             "argument --level: must be in (0, 0.9999999999999998], got 0"),
+            # below 1, but (1 + level) / 2 rounds to 1
+            ("predict", "--level", "0.9999999999999999",
+             "argument --level: must be in (0, 0.9999999999999998], "
+             "got 0.9999999999999999"),
             ("bench", "--n", "1", "argument --n: must be >= 2, got 1"),
             ("bench", "--test-size", "1", "argument --test-size: must be >= 2, got 1"),
             ("bench", "--p", "0", "argument --p: must be >= 1, got 0"),
@@ -618,8 +672,13 @@ class TestOptionRanges:
              "argument --delta: must be finite and >= 0, got nan"),
             ("bench", "--delta", "inf",
              "argument --delta: must be finite and >= 0, got inf"),
-            ("bench", "--level", "0", "argument --level: must be in (0, 1), got 0"),
-            ("bench", "--level", "1.5", "argument --level: must be in (0, 1), got 1.5"),
+            ("bench", "--level", "0",
+             "argument --level: must be in (0, 0.9999999999999998], got 0"),
+            ("bench", "--level", "1.5",
+             "argument --level: must be in (0, 0.9999999999999998], got 1.5"),
+            ("bench", "--level", "0.9999999999999999",
+             "argument --level: must be in (0, 0.9999999999999998], "
+             "got 0.9999999999999999"),
             ("bench", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
             ("bench", "--threads", "0", "argument --threads: must be >= 1, got 0"),
             # in range for the flag, but more than scheme I can hold
@@ -627,7 +686,7 @@ class TestOptionRanges:
              "bench --p: scheme I needs p >= 30 for its 30 active covariates"),
             # a bare key is a config-file line, which names its file and line
             ("predict", "level", "7",
-             "cfg.txt:1: argument --level: must be in (0, 1), got 7"),
+             "cfg.txt:1: argument --level: must be in (0, 0.9999999999999998], got 7"),
         ],
     )
     def test_bad_option_rejected_before_any_file_or_experiment(
@@ -736,22 +795,29 @@ class TestExitCodes:
         assert not (workdir / "model.json").exists()
 
     @pytest.mark.parametrize(
-        "flag, quantity",
-        [("--a-sigma", "df"), ("--b-sigma", "noise scale")],
-        ids=["a_sigma", "b_sigma"],
+        "flag, value, quantity, constant_response",
+        [("--a-sigma", "1e308", "df", False),
+         ("--b-sigma", "1e308", "noise scale", False),
+         ("--b-sigma", "5e-324", "noise scale", True)],
+        ids=["a_sigma", "b_sigma", "b_sigma_underflow"],
     )
     def test_prior_overflowing_predictive_fails_at_fit(
-        self, workdir, capsys, flag, quantity
+        self, workdir, capsys, flag, value, quantity, constant_response
     ):
-        # finite, so accepted as a prior, but df = n + 2a or the noise scale
-        # (r + 2b) / df overflows: predict could not use the model
+        # finite and > 0, so accepted as a prior, but df = n + 2a or the
+        # noise scale (r + 2b) / df overflows, or (r = 0 under a constant
+        # response) underflows to 0: predict could not use the model. No
+        # replicate is at fault, so the fit fails before any runs
         run("simulate", "--scheme", "I", "--n", "60", "--p", "50",
             "--out", "data.csv")
+        if constant_response:
+            data = load_csv("data.csv", "y")
+            write_csv(Dataset(data.design, np.full(data.n, 3.0)), "data.csv")
         capsys.readouterr()
         assert run("fit", "--data", "data.csv", "--replicates", "4",
-                   flag, "1e308", "--out", "model.json") == 1
+                   flag, value, "--out", "model.json") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: priors ") and err.count("\n") == 1
         assert f"predictive {quantity} of" in err
         assert not (workdir / "model.json").exists()
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import threading
 import time
 import warnings
@@ -17,9 +18,11 @@ from oracles import (
 )
 from tarp.data import DataError, Dataset, StandardizationParams
 from tarp.ensemble import (
+    LEVEL_RANGE,
     ReplicateError,
     TarpConfig,
     _map_ordered,
+    check_level,
     fit_tarp,
     m_range,
     mixture_t_quantile,
@@ -194,6 +197,20 @@ class TestFitTarp:
         configs = sample_config_grid(ds.n, ds.p, 2, master_seed=9)
         with pytest.raises(ValueError, match=f"{prior} must be a positive finite"):
             fit_tarp(ds, configs, **{prior: float("nan")})
+
+    @pytest.mark.parametrize("prior", ["a_sigma", "b_sigma"])
+    def test_prior_overflowing_predictive_fails_before_any_replicate(
+        self, monkeypatch, prior
+    ):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(tarp.ensemble, "_fit_replicate", no_replicate)
+        ds = toy_dataset()
+        configs = sample_config_grid(ds.n, ds.p, 2, master_seed=9)
+        with pytest.raises(ValueError, match="^priors a_sigma=") as info:
+            fit_tarp(ds, configs, **{prior: 1e308})
+        assert not isinstance(info.value, ReplicateError)
 
     def test_replicate_error_carries_index(self):
         ds = toy_dataset()
@@ -443,8 +460,9 @@ def mixture_pdf(dfs, locs, scales, q):
 class TestNewtonMatchesBisection:
     """The Newton solver against plain bisection, each within its CDF tol."""
 
-    def check(self, dfs, locs, scales, prob, tol=1e-8):
-        newton = mixture_t_quantile(dfs, locs, scales, prob, tol=tol)
+    def check(self, dfs, locs, scales, prob):
+        tol = tarp.ensemble.QUANTILE_TOL
+        newton = mixture_t_quantile(dfs, locs, scales, prob)
         oracle = mixture_t_quantile_via_bisection(dfs, locs, scales, prob, tol=tol)
         for q in (newton, oracle):
             np.testing.assert_allclose(
@@ -665,3 +683,33 @@ class TestPredictTarp:
         model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 2, master_seed=21))
         with pytest.raises(ValueError):
             predict_tarp(model, np.zeros((3, ds.p + 1)))
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_failing_replicate_is_named(self, monkeypatch, binary):
+        ds = toy_dataset()
+        if binary:
+            ds = Dataset(ds.design, (ds.response > 0).astype(float),
+                         response_kind="binary")
+        model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 3, master_seed=22))
+        name = "_mapped_back_mode" if binary else "predictive"
+        original = getattr(tarp.ensemble, name)
+        calls = []
+
+        def fail_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("bad replicate")
+            return original(*args)
+
+        monkeypatch.setattr(tarp.ensemble, name, fail_third)
+        with pytest.raises(ReplicateError, match="replicate 2: bad replicate"):
+            predict_tarp(model, ds.design[:4])
+
+    def test_level_range_states_the_largest_level(self):
+        largest = float(LEVEL_RANGE.rstrip("]").split(", ")[1])
+        assert check_level(largest) == largest
+        assert 0.5 * (1.0 + largest) < 1.0
+        beyond = math.nextafter(largest, 1.0)
+        assert 0.5 * (1.0 + beyond) == 1.0
+        with pytest.raises(ValueError, match=f"must be {re.escape(LEVEL_RANGE)}"):
+            check_level(beyond)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import auc_via_rankdata
+import tarp.metrics
 from tarp.metrics import (
     auc_score,
     calibration_msd,
@@ -123,14 +124,12 @@ class TestCalibrationMsd:
 
 
 class TestEvaluateClassification:
-    def test_threshold_moves_misclassification(self):
+    def test_threshold_moves_misclassification(self, monkeypatch):
         prob = np.array([0.4, 0.6])
         y = np.array([0.0, 0.0])
         assert evaluate_classification(prob, y).misclassification_rate == 0.5
-        assert (
-            evaluate_classification(prob, y, threshold=0.7).misclassification_rate
-            == 0.0
-        )
+        monkeypatch.setattr(tarp.metrics, "THRESHOLD", 0.7)
+        assert evaluate_classification(prob, y).misclassification_rate == 0.0
 
     def test_rejects_out_of_range_probabilities(self):
         with pytest.raises(ValueError):

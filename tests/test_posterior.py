@@ -8,6 +8,7 @@ from oracles import (
 )
 from scipy.linalg import cholesky
 
+import tarp.posterior
 from tarp.posterior import (
     ConvergenceError,
     GaussianPosterior,
@@ -247,12 +248,13 @@ class TestBernoulliLaplace:
         post = fit_bernoulli_laplace(Z, y)
         assert post.grad_norm < 1e-8
 
-    def test_nonconvergence_reports_gradient(self):
+    def test_nonconvergence_reports_gradient(self, monkeypatch):
         rng = np.random.default_rng(12)
         Z = rng.standard_normal((20, 2))
         y = (rng.random(20) < 0.5).astype(float)
+        monkeypatch.setattr(tarp.posterior, "NEWTON_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="gradient norm"):
-            fit_bernoulli_laplace(Z, y, max_iter=1)
+            fit_bernoulli_laplace(Z, y)
 
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
