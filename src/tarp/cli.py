@@ -182,7 +182,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     fit.add_argument("--threads", type=_COUNT,
                      help=f"worker threads [${THREADS_ENV_VAR} or 1]; "
                           "never changes outputs")
-    fit.add_argument("--out", default="tarp_model.json", help="model file [%(default)s]")
+    fit.add_argument("--out", default="tarp_model.tarp", help="model file [%(default)s]")
 
     pred = sub.add_parser(
         "predict",

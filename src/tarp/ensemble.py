@@ -59,7 +59,11 @@ _ENTRY_STREAM = 1
 _GRID_STREAM = 2
 
 QUANTILE_TOL = 1e-8
-QUANTILE_MAX_ITER = 400
+# enough for bisection alone to close the widest finite bracket: 2 DBL_MAX
+# (~2^1025) falls to the rounding-width stop, 1e-13 (~2^-43) near 0, in at
+# most 1,069 halvings, plus room for the Newton steps between them. One
+# component 1e153 times wider than the rest needs ~510 steps
+QUANTILE_MAX_ITER = 1200
 
 
 class ReplicateError(RuntimeError):

@@ -1,16 +1,29 @@
 """Self-describing single-file model persistence.
 
-A fitted ensemble is stored as JSON with float arrays embedded as base64 of
-their little-endian bytes, so round trips are bit-exact and files are
-byte-identical for identical fits (no timestamps, no compression headers).
+Version 4, the format ``save_model`` writes, is a signed JSON header over
+raw array bytes. Line 1 is ``tarp-model 4 sha256=<64 hex>``, the SHA-256 of
+everything after that line. Line 2 is the model document as compact JSON
+with sorted keys, in which each array's ``data`` is ``[offset, nbytes]``
+into the payload. The payload follows line 2: every array's little-endian
+bytes, concatenated in the order the document names them. The file is not
+JSON text, and any edit of it, even one that keeps every value in range,
+fails the digest check, which runs before anything is parsed. Round trips
+are bit-exact and identical fits write identical bytes (no timestamps, no
+compression).
+
+Versions 1-3 are plain JSON documents with each array's bytes as base64
+text; they carry no digest and still load. Loading turns each ``data``
+field into its raw bytes (a payload slice, or the decoded base64) and then
+takes one path for every version.
+
 Random projections are stored as (seed, gamma, tuning), which is all a
 loaded model holds of them (the signs a fit keeps are not saved);
-partial-SVD blocks are stored densely. The symmetric m x m
-posterior matrices are stored as their lower triangle (version 1: in full).
-Version 3 stores no binary Hessian; from older files it is checked, then
+partial-SVD blocks are stored densely. The symmetric m x m posterior
+matrices are stored as their lower triangle (version 1: in full). Versions
+3 and 4 store no binary Hessian; from older files it is checked, then
 dropped. Older files may name the untargeted baseline as a config variant
 of its own; it is decoded as ris_rp at delta 0, which is what it fitted.
-Loading only decodes JSON into the arguments of the model's
+Loading only decodes the document into the arguments of the model's
 constructors, which check every invariant, for fit and load alike; a
 decode failure or a constructor's rejection raises DataError.
 """
@@ -18,8 +31,11 @@ decode failure or a constructor's rejection raises DataError.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
+import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +46,13 @@ from .projection import RIS_PCR, RIS_RP, ProjectionMatrix, sample_ris_rp
 from .screening import InclusionVector
 
 FORMAT_TAG = "tarp-model"
-FORMAT_VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+# the versions stored as JSON text, with base64 arrays and no digest
+JSON_VERSIONS = (1, 2, 3)
+# a signed file starts with the tag and a space, which no JSON document
+# can, so any file that does is read as signed
+_SIGNED_PREFIX = f"{FORMAT_TAG} ".encode("ascii")
+_HEADER = re.compile(rb"tarp-model (\S+) sha256=([0-9a-f]{64})")
 # the untargeted baseline's name: a CLI variant, and the config variant of
 # files fitted before it was resolved to ris_rp at delta 0
 PLAIN_RP_BASELINE = "plain_rp_baseline"
@@ -64,13 +85,14 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-def _encode_floats(arr: np.ndarray) -> str:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+def _encode_floats(arr: np.ndarray) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _decode_floats(data: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(data), dtype="<f8").astype(np.float64)
+def _decode_floats(raw) -> np.ndarray:
+    if len(raw) % 8:
+        raise ValueError(f"float data of {len(raw)} bytes is not a whole number of doubles")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -114,15 +136,12 @@ def _decode_symmetric(obj: dict, m: int, version: int, name: str) -> np.ndarray:
 def _encode_bits(mask: np.ndarray) -> dict:
     mask = np.asarray(mask, dtype=bool)
     packed = np.packbits(mask)
-    return {
-        "length": int(mask.size),
-        "data": base64.b64encode(packed.tobytes()).decode("ascii"),
-    }
+    return {"length": int(mask.size), "data": packed.tobytes()}
 
 
 def _decode_bits(obj: dict, name: str) -> np.ndarray:
     length = _integer(obj["length"], "length")
-    packed = np.frombuffer(base64.b64decode(obj["data"]), dtype=np.uint8)
+    packed = np.frombuffer(obj["data"], dtype=np.uint8)
     # unpackbits zero-pads a short buffer, so check the byte count first
     if length < 0 or packed.size != (length + 7) // 8:
         raise ValueError(f"{name} packs {packed.size} bytes for {length} bits")
@@ -235,7 +254,8 @@ def _decode_config(obj: dict, projection: ProjectionMatrix) -> TarpConfig:
 
 
 def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
-    """Serialize a fitted model; ``extra`` holds caller metadata (no arrays)."""
+    """Write a fitted model as a signed version 4 file; ``extra`` holds
+    caller metadata (JSON values, no bytes)."""
     std = model.standardization
     doc = {
         "format": FORMAT_TAG,
@@ -263,31 +283,107 @@ def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
         ],
         "extra": extra or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    chunks = []
+    size = 0
+
+    def place(raw: bytes) -> list[int]:
+        # json calls this for each array's bytes, in the order it writes them
+        nonlocal size
+        if not isinstance(raw, bytes):
+            raise TypeError(f"Object of type {type(raw).__name__} is not JSON serializable")
+        chunks.append(raw)
+        size += len(raw)
+        return [size - len(raw), len(raw)]
+
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=place)
+    body = [text.encode("ascii"), b"\n", *chunks]
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
+    header = f"{FORMAT_TAG} {FORMAT_VERSION} sha256={digest.hexdigest()}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.writelines(body)
+
+
+def _signed_parts(data: bytes, path) -> tuple[bytes, memoryview]:
+    """Check a signed file's header line and digest, before anything else is
+    parsed; returns its JSON line and its payload."""
+    end = data.find(b"\n")
+    match = _HEADER.fullmatch(data, 0, end) if end >= 0 else None
+    if match is None:
+        raise DataError(f"{path}: malformed model header")
+    if match[1] != str(FORMAT_VERSION).encode("ascii"):
+        version = match[1].decode("ascii", "backslashreplace")
+        raise DataError(f"{path}: unsupported model version {version}")
+    body = memoryview(data)[end + 1 :]
+    if hashlib.sha256(body).hexdigest().encode("ascii") != match[2]:
+        raise DataError(f"{path}: file does not match its digest")
+    split = data.find(b"\n", end + 1)
+    if split < 0:
+        raise DataError(f"{path}: malformed model file (no payload line)")
+    return data[end + 1 : split], body[split - end :]
+
+
+def _payload_slice(payload: memoryview, field) -> memoryview:
+    # an array's bytes: a JSON [offset, nbytes] pair inside the payload
+    if not (
+        isinstance(field, list) and len(field) == 2 and all(type(v) is int for v in field)
+    ):
+        raise ValueError("array data is not an [offset, nbytes] pair of integers")
+    offset, nbytes = field
+    if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
+        raise ValueError(f"array data {field} lies outside the {len(payload)}-byte payload")
+    return payload[offset : offset + nbytes]
+
+
+def _resolve_arrays(node, raw) -> None:
+    """Replace each ``data`` field below ``node`` with its bytes, ``raw(field)``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "data":
+                node[key] = raw(value)
+            else:
+                _resolve_arrays(value, raw)
+    elif isinstance(node, list):
+        for value in node:
+            _resolve_arrays(value, raw)
 
 
 def load_model(path) -> tuple[TarpModel, dict]:
-    """Load a model file; returns (model, extra metadata)."""
+    """Load a model file of any version; returns (model, extra metadata)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    if data.startswith(_SIGNED_PREFIX):
+        text, payload = _signed_parts(data, path)
+        versions, raw = (FORMAT_VERSION,), partial(_payload_slice, payload)
+    else:
+        text, versions, raw = data, JSON_VERSIONS, base64.b64decode
+    try:
+        doc = json.loads(text.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise DataError(not_utf8(path, exc)) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides bad JSON: an integer past Python's digit limit, or nesting
+        # past the recursion limit
         raise DataError(f"{path}: not a valid model file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise DataError(f"{path}: not a {FORMAT_TAG} file")
     version = doc.get("version")
-    if isinstance(version, bool) or version not in READABLE_VERSIONS:
+    if isinstance(version, bool) or version not in versions:
         raise DataError(f"{path}: unsupported model version {version}")
     try:
+        for key, value in doc.items():
+            # extra is caller metadata: the CLI's options name a data file
+            if key != "extra":
+                _resolve_arrays(value, raw)
         model = _decode_model(doc, int(version))
     except KeyError as exc:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
     extra = doc.get("extra", {})
     if not isinstance(extra, dict):

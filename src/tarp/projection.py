@@ -70,6 +70,10 @@ class ProjectionMatrix:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        # sample_inclusion never draws an empty gamma; under one, every row
+        # compresses to zero and the replicate predicts its prior
+        if self.gamma.count < 1:
+            raise ValueError("gamma selects no column")
         if self.requested_m < self.m:
             raise ValueError(f"requested_m={self.requested_m} is below m={self.m}")
         if self.variant == RIS_RP and self.requested_m != self.m:

@@ -28,6 +28,8 @@ from tarp.projection import ProjectionMatrix
 from tarp.screening import default_delta
 from tarp.simgen import SchemeSpec
 
+from model_files import as_doc, as_signed, body_of, signed
+
 
 DATA = Path(__file__).parent / "data"
 
@@ -207,7 +209,7 @@ class TestBaseline:
                        "--out", f"{name}.json") == 0
             assert run("predict", "--model", f"{name}.json", "--data", "data.csv",
                        "--out", f"{name}.csv") == 0
-        doc = json.loads((workdir / "baseline.json").read_text())
+        doc = as_doc((workdir / "baseline.json").read_bytes())
         for rep in doc["replicates"]:
             assert (rep["config"]["variant"], rep["config"]["delta"]) == ("ris_rp", 0.0)
         assert doc["extra"]["options"]["variant"] == "plain_rp_baseline"
@@ -1102,6 +1104,18 @@ def _column_names_as(convert):
     return corrupt
 
 
+def _empty_gamma(doc):
+    gamma = doc["replicates"][0]["projection"]["gamma"]
+    size = len(base64.b64decode(gamma["data"]))
+    gamma["data"] = base64.b64encode(bytes(size)).decode("ascii")
+
+
+def _other_encodings_version(doc):
+    # a JSON document claiming version 4, or a signed file whose document
+    # claims version 3
+    doc["version"] = 3 if doc["version"] == 4 else 4
+
+
 def _binary_as_continuous(doc):
     doc["response_kind"] = "continuous"
     doc["standardization"]["response_mean"] = 0.5
@@ -1120,11 +1134,34 @@ _POSTERIOR = ("replicates", 0, "posterior")
 _PROJECTION = ("replicates", 0, "projection")
 
 
+def _write_model(path, doc, encoding, corrupt=None):
+    # the document as a version 3 JSON file or a re-signed version 4 file,
+    # with ``corrupt`` applied after the encoding's version is set
+    if encoding == "v3":
+        doc["version"] = 3
+    if corrupt is not None:
+        corrupt(doc)
+    path.write_bytes(json.dumps(doc).encode() if encoding == "v3" else as_signed(doc))
+
+
+def _predict_fails_in_one_line(workdir, capsys, prefix="error: model.json: "):
+    capsys.readouterr()
+    assert run("predict", "--model", "model.json", "--data", "data.csv",
+               "--out", "preds.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not (workdir / "preds.csv").exists()
+
+
+ENCODINGS = pytest.mark.parametrize("encoding", ["v3", "v4"])
+
+
 class TestCorruptModel:
     @staticmethod
     def _fit(variant):
         # fits model.json to data.csv in the working directory and returns
-        # the file's JSON; "binary" is ris_rp on a binary response
+        # the file's document, with base64 arrays; "binary" is ris_rp on a
+        # binary response
         if variant == "binary":
             write_binary_csv(Path("data.csv"))
             variant = "ris_rp"
@@ -1133,7 +1170,21 @@ class TestCorruptModel:
                 "--seed", "4", "--out", "data.csv")
         assert run("fit", "--data", "data.csv", "--replicates", "2",
                    "--variant", variant, "--out", "model.json") == 0
-        return json.loads(Path("model.json").read_text())
+        return as_doc(Path("model.json").read_bytes())
+
+    @ENCODINGS
+    @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "binary"])
+    def test_unedited_copy_predicts_the_same_bytes(self, workdir, variant, encoding):
+        # every corrupt case below starts from this copy, which must load
+        doc = self._fit(variant)
+        original = (workdir / "model.json").read_bytes()
+        assert as_signed(as_doc(original)) == original
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "before.csv") == 0
+        _write_model(workdir / "model.json", doc, encoding)
+        assert run("predict", "--model", "model.json", "--data", "data.csv",
+                   "--out", "after.csv") == 0
+        assert (workdir / "after.csv").read_bytes() == (workdir / "before.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "corrupt, variant",
@@ -1176,7 +1227,7 @@ class TestCorruptModel:
              "ris_rp"),
             (_set_float("replicates", 0, "projection", "block", value=float("nan")),
              "ris_pcr"),
-            (_set("version", value=4), "ris_rp"),
+            (_other_encodings_version, "ris_rp"),
             # a projection variant the format does not know
             (_set("replicates", 0, "projection", "variant", value="sparse_variant"),
              "ris_rp"),
@@ -1205,6 +1256,9 @@ class TestCorruptModel:
              "ris_rp"),
             (_column_names_as(lambda names: list(range(len(names)))), "ris_rp"),
             (_set("train_data_hash", value=[1, 2]), "ris_rp"),
+            # sample_inclusion never draws an empty gamma
+            (_empty_gamma, "ris_rp"),
+            (_empty_gamma, "binary"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -1224,18 +1278,16 @@ class TestCorruptModel:
             "projection_m_zero", "pcr_block_rows", "location_short",
             "mode_short", "mode_nan", "grad_norm_negative", "n_iter_negative",
             "column_names_string", "column_names_integers", "train_data_hash_list",
+            "gamma_empty", "binary_gamma_empty",
         ],
     )
-    def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
+    @ENCODINGS
+    def test_corrupt_model_is_data_error(
+        self, workdir, capsys, corrupt, variant, encoding
+    ):
         doc = self._fit(variant)
-        corrupt(doc)
-        (workdir / "model.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run("predict", "--model", "model.json", "--data", "data.csv",
-                   "--out", "preds.csv") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: model.json: ") and err.count("\n") == 1
-        assert not (workdir / "preds.csv").exists()
+        _write_model(workdir / "model.json", doc, encoding, corrupt)
+        _predict_fails_in_one_line(workdir, capsys)
 
 
     @pytest.mark.parametrize(
@@ -1255,22 +1307,24 @@ class TestCorruptModel:
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple)
         else value,
     )
+    @ENCODINGS
     def test_integer_too_large_for_a_float_is_data_error(
-        self, workdir, capsys, keys, variant
+        self, workdir, capsys, keys, variant, encoding
     ):
         # json reads 1e999 as inf, a float, which no integer field takes
         doc = self._fit(variant)
         _at(doc, keys[:-1])[keys[-1]] = "HUGE"
-        text = json.dumps(doc)
-        assert text.count('"HUGE"') == 1
-        (workdir / "model.json").write_text(text.replace('"HUGE"', "1e999"))
-        capsys.readouterr()
-        assert run("predict", "--model", "model.json", "--data", "data.csv",
-                   "--out", "preds.csv") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: model.json: malformed model file (")
-        assert err.count("\n") == 1
-        assert not (workdir / "preds.csv").exists()
+        if encoding == "v3":
+            doc["version"] = 3
+            text = json.dumps(doc).encode()
+        else:
+            text = body_of(doc)
+        assert text.count(b'"HUGE"') == 1
+        text = text.replace(b'"HUGE"', b"1e999")
+        (workdir / "model.json").write_bytes(text if encoding == "v3" else signed(text))
+        _predict_fails_in_one_line(
+            workdir, capsys, prefix="error: model.json: malformed model file ("
+        )
 
     def test_huge_m_is_rejected_without_drawing_a_block(
         self, workdir, capsys, monkeypatch
@@ -1281,11 +1335,11 @@ class TestCorruptModel:
             "--seed", "4", "--out", "data.csv")
         assert run("fit", "--data", "data.csv", "--replicates", "2",
                    "--out", "model.json") == 0
-        doc = json.loads((workdir / "model.json").read_text())
+        doc = as_doc((workdir / "model.json").read_bytes())
         rep = doc["replicates"][0]
         rep["projection"]["m"] = rep["projection"]["requested_m"] = 10**9
         rep["config"]["m"] = 10**9
-        (workdir / "model.json").write_text(json.dumps(doc))
+        (workdir / "model.json").write_bytes(as_signed(doc))
 
         def no_draw(self):
             raise AssertionError("a block was drawn")

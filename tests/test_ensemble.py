@@ -519,6 +519,19 @@ class TestNewtonMatchesBisection:
         scales = rng.uniform(0.5, 2.0, (2, 40))
         self.check(dfs, locs, scales, prob)
 
+    @pytest.mark.parametrize("prob", [0.25, 0.75])
+    def test_one_component_far_wider_than_the_rest(self, prob):
+        # widths 1, 1, 1 and 1.5e153: Newton leaves the bracket, and
+        # bisection needs ~510 halvings to close it
+        dfs = np.full(4, 200.0)
+        locs = np.zeros((4, 1))
+        scales = np.array([[1.0], [1.0], [1.0], [1.5e153**2]])
+        q = mixture_t_quantile(dfs, locs, scales, prob)
+        np.testing.assert_allclose(
+            mixture_cdf(dfs, locs, scales, q), prob, rtol=0,
+            atol=tarp.ensemble.QUANTILE_TOL,
+        )
+
     def test_huge_finite_df_takes_few_cdf_evaluations(self, monkeypatch):
         # at df 1e15 the gammaln difference cancels to noise, which sent
         # Newton to bisection; the Gaussian-limit normaliser keeps it exact

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from tarp.cli import main
 from tarp.data import DataError, Dataset
 from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import FORMAT_VERSION, load_model, save_model
+
+from model_files import as_doc, as_signed, each_array, signed
 
 # version 1 model files (p=20, 3 replicates) and the prediction CSVs written
 # for their training rows while version 1 was the current format; the
@@ -34,6 +37,10 @@ RIS_PCR_FIXTURE_RTOL = 1e-13
 # predictions written for its training rows then: its configs name that
 # variant and record a delta the fit never used
 BASELINE_FIXTURE = DATA / "v3_plain_rp_baseline.json"
+
+# version 4 re-saves of v1_continuous.json and v2_binary.json: signed files
+# that must keep predicting the committed CSVs
+V4_FIXTURES = {"continuous": DATA / "v4_continuous.tarp", "binary": DATA / "v4_binary.tarp"}
 
 
 def assert_predicts_committed_csv(out, kind):
@@ -149,6 +156,18 @@ def test_rejects_corrupt_file(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "value", ["1" * 5000, "[" * 100000 + "]" * 100000], ids=["digits", "nesting"]
+)
+def test_json_past_python_limits_is_data_error(tmp_path, value):
+    # an integer past Python's digit limit for str -> int, and nesting past
+    # the recursion limit, which json raises as ValueError and RecursionError
+    path = tmp_path / "model.json"
+    path.write_text('{"format": "tarp-model", "version": 3, "deep": ' + value + "}")
+    with pytest.raises(DataError, match="model.json: "):
+        load_model(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError, match="cannot open"):
         load_model(tmp_path / "absent.json")
@@ -175,9 +194,9 @@ def resave_round_trips(tmp_path, old, kind):
     """Re-save ``old`` in the current format; it must reload to the same
     bytes and predict the committed CSV. Returns the re-saved path."""
     model, extra = load_model(old)
-    first, second = tmp_path / "current.json", tmp_path / "again.json"
+    first, second = tmp_path / "current.tarp", tmp_path / "again.tarp"
     save_model(model, first, extra=extra)
-    assert json.loads(first.read_text())["version"] == FORMAT_VERSION == 3
+    assert as_doc(first.read_bytes())["version"] == FORMAT_VERSION == 4
     loaded, extra_back = load_model(first)
     save_model(loaded, second, extra=extra_back)
     assert first.read_bytes() == second.read_bytes()
@@ -189,7 +208,7 @@ def resave_round_trips(tmp_path, old, kind):
 
 
 @pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v1_resaved_as_v2_round_trips(tmp_path, kind):
+def test_v1_resaved_round_trips(tmp_path, kind):
     old = DATA / f"v1_{kind}.json"
     assert resave_round_trips(tmp_path, old, kind).stat().st_size < old.stat().st_size
 
@@ -204,23 +223,23 @@ def test_v2_fixture_predicts_byte_identically(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v2_resaved_as_v3_round_trips(tmp_path, kind):
+def test_v2_resaved_drops_only_the_hessians(tmp_path, kind):
     old = DATA / f"v2_{kind}.json"
-    new = json.loads(resave_round_trips(tmp_path, old, kind).read_text())
+    new = as_doc(resave_round_trips(tmp_path, old, kind).read_bytes())
     doc = json.loads(old.read_text())
-    # version 3 only drops the binary Hessians
+    # versions 3 and 4 drop the binary Hessians; 4 stores the same arrays
     for rep in doc["replicates"]:
         rep["posterior"].pop("hessian_at_mode", None)
-    doc["version"] = 3
+    doc["version"] = 4
     assert new == doc
 
 
 def test_every_binary_fixture_version_predicts_the_same_bytes(tmp_path):
-    # v1, v2 and their v3 re-saves hold the same modes and projections
-    models = [DATA / "v1_binary.json", DATA / "v2_binary.json"]
-    for old in list(models):
+    # v1, v2 and their current re-saves hold the same modes and projections
+    models = [DATA / "v1_binary.json", DATA / "v2_binary.json", V4_FIXTURES["binary"]]
+    for old in models[:2]:
         model, extra = load_model(old)
-        models.append(tmp_path / f"{old.stem}_as_v3.json")
+        models.append(tmp_path / f"{old.stem}_as_v4.tarp")
         save_model(model, models[-1], extra=extra)
     outputs = []
     for index, path in enumerate(models):
@@ -273,13 +292,13 @@ def test_v2_hessian_is_still_checked(tmp_path):
 
 def test_v3_mode_shape_is_checked(tmp_path):
     _, model = fitted_model(seed=5, binary=True)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.tarp"
     save_model(model, path)
-    doc = json.loads(path.read_text())
+    doc = as_doc(path.read_bytes())
     mode = doc["replicates"][0]["posterior"]["mode"]
     mode["shape"] = [mode["shape"][0] - 1]
     mode["data"] = base64.b64encode(base64.b64decode(mode["data"])[:-8]).decode()
-    path.write_text(json.dumps(doc))
+    path.write_bytes(as_signed(doc))
     with pytest.raises(DataError, match="mode has shape"):
         load_model(path)
 
@@ -287,9 +306,9 @@ def test_v3_mode_shape_is_checked(tmp_path):
 @pytest.mark.parametrize("binary", [False, True])
 def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
     _, model = fitted_model("ris_rp", seed=8, binary=binary)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.tarp"
     save_model(model, path)
-    doc = json.loads(path.read_text())
+    doc = as_doc(path.read_bytes())
     for rep, stored in zip(model.replicates, doc["replicates"]):
         if binary:
             # a binary replicate stores its mode and no matrix at all
@@ -309,11 +328,11 @@ def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
 
 def test_laplace_prior_variance_must_be_positive(tmp_path):
     _, model = fitted_model(seed=5, binary=True)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.tarp"
     save_model(model, path)
-    doc = json.loads(path.read_text())
+    doc = as_doc(path.read_bytes())
     doc["replicates"][1]["posterior"]["prior_variance"] = 0.0
-    path.write_text(json.dumps(doc))
+    path.write_bytes(as_signed(doc))
     with pytest.raises(DataError, match="prior_variance must be a positive"):
         load_model(path)
 
@@ -351,3 +370,131 @@ def test_roundtrip_property(tmp_path, n, p, count, variant, binary, seed):
     assert_same_predictions(
         predict_tarp(model, X[:5], level=0.8), predict_tarp(loaded, X[:5], level=0.8)
     )
+
+
+@pytest.mark.parametrize("variant, binary", [("ris_rp", False), ("ris_pcr", False),
+                                             ("ris_rp", True)])
+def test_v4_layout(tmp_path, variant, binary):
+    _, model = fitted_model(variant, seed=3, binary=binary)
+    path = tmp_path / "model.tarp"
+    save_model(model, path, extra={"options": {"data": "train.csv"}})
+    data = path.read_bytes()
+    header, body = data.split(b"\n", 1)
+    assert header == b"tarp-model 4 sha256=" + hashlib.sha256(body).hexdigest().encode()
+    text, payload = body.split(b"\n", 1)
+    doc = json.loads(text)
+    assert json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() == text
+    assert doc["version"] == 4 and doc["extra"] == {"options": {"data": "train.csv"}}
+    # the arrays tile the payload in the order the document names them
+    fields = []
+    each_array(doc, lambda field: fields.append(field) or field)
+    end = 0
+    for offset, nbytes in fields:
+        assert offset == end and nbytes >= 0
+        end += nbytes
+    assert end == len(payload)
+    # base64 would store the same arrays in 4/3 of the bytes
+    assert len(data) < len(json.dumps(as_doc(data)))
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_v4_fixture_predicts_committed_csv(tmp_path, kind):
+    fixture = V4_FIXTURES[kind]
+    old = DATA / ("v1_continuous.json" if kind == "continuous" else "v2_binary.json")
+    model, extra = load_model(old)
+    resaved = tmp_path / "resaved.tarp"
+    save_model(model, resaved, extra=extra)
+    # the format has not moved since the fixture was written
+    assert resaved.read_bytes() == fixture.read_bytes()
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(fixture),
+                 "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
+    assert_predicts_committed_csv(out, kind)
+
+
+def _fails_in_one_line(path, capsys, cli):
+    # load_model raises DataError with a one-line message; through the CLI,
+    # that is exit 2 and one line on stderr
+    with pytest.raises(DataError) as info:
+        load_model(path)
+    assert "\n" not in str(info.value)
+    if cli:
+        capsys.readouterr()
+        assert main(["predict", "--model", str(path), "--data",
+                     str(DATA / "continuous.csv"), "--out", str(path) + ".csv"]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+    return str(info.value)
+
+
+def test_every_byte_flip_of_a_v4_file_is_data_error(tmp_path, capsys):
+    data = V4_FIXTURES["binary"].read_bytes()
+    header = data.index(b"\n") + 1
+    path = tmp_path / "flipped.tarp"
+    messages = set()
+    # every byte inverted, and the header's bytes also with their low bit
+    # flipped: 4 -> 5, a hex digit to another or to a non-digit
+    flips = [(index, 0xFF) for index in range(len(data))]
+    flips += [(index, 0x01) for index in range(header)]
+    for index, mask in flips:
+        flipped = bytearray(data)
+        flipped[index] ^= mask
+        path.write_bytes(flipped)
+        # the CLI runs on every header byte and a sample of the body
+        message = _fails_in_one_line(path, capsys, cli=index < header or index % 97 == 0)
+        if index >= header:
+            assert message.endswith("file does not match its digest")
+        messages.add(message.split(": ", 1)[1])
+    assert len(messages) > 3  # the header's flips fail in other ways
+
+
+def test_every_truncation_of_a_v4_file_is_data_error(tmp_path, capsys):
+    data = V4_FIXTURES["binary"].read_bytes()
+    path = tmp_path / "truncated.tarp"
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        _fails_in_one_line(path, capsys, cli=size % 97 == 0)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([0.0, 8], "not an \\[offset, nbytes\\] pair of integers"),
+        ([True, 8], "not an \\[offset, nbytes\\] pair of integers"),
+        ([0, 8, 8], "not an \\[offset, nbytes\\] pair of integers"),
+        ("AAAAAAAAAAA=", "not an \\[offset, nbytes\\] pair of integers"),
+        ([-8, 8], "array data \\[-8, 8\\] lies outside the \\d+-byte payload"),
+        ([0, -8], "array data \\[0, -8\\] lies outside"),
+        ([0, 10**9], "array data \\[0, 1000000000\\] lies outside"),
+        ([0, 12], "float data of 12 bytes is not a whole number of doubles"),
+    ],
+    ids=["float_offset", "bool_offset", "triple", "base64", "negative_offset",
+         "negative_size", "past_the_end", "partial_double"],
+)
+def test_bad_array_reference_is_data_error(tmp_path, data, message):
+    _, model = fitted_model(seed=2)
+    path = tmp_path / "model.tarp"
+    save_model(model, path)
+    _, text, payload = path.read_bytes().split(b"\n", 2)
+    doc = json.loads(text)
+    doc["replicates"][0]["posterior"]["location"]["data"] = data
+    path.write_bytes(signed(json.dumps(doc).encode() + b"\n" + payload))
+    with pytest.raises(DataError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data.replace(b"tarp-model 4", b"tarp-model 5", 1),
+         "unsupported model version 5$"),
+        (lambda data: data.replace(b"sha256=", b"sha512=", 1), "malformed model header$"),
+        (lambda data: data[: data.index(b"\n")], "malformed model header$"),
+        (lambda data: signed(b'{"format":"tarp-model","version":4}'), "no payload line"),
+    ],
+    ids=["version_5", "other_digest", "header_only", "one_line_body"],
+)
+def test_bad_signed_file_is_data_error(tmp_path, edit, message):
+    path = tmp_path / "model.tarp"
+    path.write_bytes(edit(V4_FIXTURES["binary"].read_bytes()))
+    with pytest.raises(DataError, match=message):
+        load_model(path)

@@ -363,3 +363,12 @@ class TestProjectionInvariants:
             ProjectionMatrix(gamma=gamma, **valid)
         with pytest.raises(ValueError, match=message):
             ProjectionMatrix(gamma=gamma, **fields)
+
+    @pytest.mark.parametrize(
+        "fields", [RANDOM, {**PCR, "dense_block": np.zeros((2, 0))}],
+        ids=["random", "pcr"],
+    )
+    def test_gamma_must_select_a_column(self, fields):
+        # sample_inclusion never draws an empty gamma
+        with pytest.raises(ValueError, match="gamma selects no column"):
+            ProjectionMatrix(gamma=gamma_of([False] * 4), **fields)
