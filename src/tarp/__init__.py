@@ -48,7 +48,6 @@ from .projection import (
     sample_ris_rp,
 )
 from .screening import (
-    InclusionVector,
     default_delta,
     inclusion_probabilities,
     marginal_correlations,
@@ -63,7 +62,6 @@ __all__ = [
     "StandardizationParams",
     "load_csv",
     "standardize",
-    "InclusionVector",
     "default_delta",
     "inclusion_probabilities",
     "marginal_correlations",

@@ -533,9 +533,21 @@ _COMMANDS = {
 }
 
 
-def _classify_error(exc: Exception) -> int:
+# the exit code of a failed allocation, by where its size came from: the
+# options alone (simulate, bench), or a data or model file (fit, predict)
+_MEMORY_ERROR_EXIT = {
+    "simulate": EXIT_USAGE,
+    "fit": EXIT_DATA,
+    "predict": EXIT_DATA,
+    "bench": EXIT_USAGE,
+}
+
+
+def _classify_error(exc: Exception, command: str) -> int:
     if isinstance(exc, ReplicateError):
-        return _classify_error(exc.original)
+        return _classify_error(exc.original, command)
+    if isinstance(exc, MemoryError):
+        return _MEMORY_ERROR_EXIT[command]
     if isinstance(exc, DataError):
         return EXIT_DATA
     if isinstance(exc, (ConvergenceError, np.linalg.LinAlgError)):
@@ -573,8 +585,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - single funnel to exit codes
         _remove_partial(outputs)
-        code = _classify_error(exc)  # unknown errors re-raise with traceback
-        print(f"error: {exc}", file=sys.stderr)
+        # unknown errors re-raise with traceback
+        code = _classify_error(exc, args.command)
+        # a bare MemoryError has no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

@@ -35,6 +35,21 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
     return f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, taken over by a type that checks it, as a read-only array.
+
+    A writable array that owns its data is frozen in place, without a copy:
+    the caller hands it over. A writable view is copied first, since writes
+    through its base would still reach it. A read-only array, such as one
+    over the bytes of a file, is kept as it is.
+    """
+    if array.flags.writeable:
+        if array.base is not None:
+            array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An (n x p) design matrix with an n-vector response.
@@ -96,7 +111,8 @@ class StandardizationParams:
     """Training-set column means/scales plus the response mean.
 
     ``column_scales`` is 1.0 for columns flagged constant; ``response_mean``
-    is None for binary responses (they are never centered).
+    is None for binary responses (they are never centered). The three arrays
+    are taken over read-only (see ``read_only``).
     """
 
     column_means: np.ndarray
@@ -105,6 +121,8 @@ class StandardizationParams:
     response_mean: float | None
 
     def __post_init__(self):
+        for name in ("column_means", "column_scales", "constant_mask"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         means, scales = self.column_means, self.column_scales
         shapes = {means.shape, scales.shape, self.constant_mask.shape}
         if len(shapes) != 1 or means.ndim != 1:

@@ -70,7 +70,9 @@ class ReplicateError(RuntimeError):
     """A replicate failed; carries the replicate index and original error."""
 
     def __init__(self, index: int, original: Exception):
-        super().__init__(f"replicate {index}: {original}")
+        # a bare MemoryError has no message of its own
+        reason = str(original) or type(original).__name__
+        super().__init__(f"replicate {index}: {reason}")
         self.index = index
         self.original = original
 
@@ -141,7 +143,9 @@ class Replicate:
 
 @dataclass(frozen=True)
 class TarpModel:
-    replicates: list[Replicate]
+    """A fitted ensemble; ``replicates`` is kept as a tuple."""
+
+    replicates: tuple[Replicate, ...]
     standardization: StandardizationParams
     response_kind: str
     master_seed: int
@@ -152,6 +156,7 @@ class TarpModel:
     sigma_theta2: float
 
     def __post_init__(self):
+        object.__setattr__(self, "replicates", tuple(self.replicates))
         kind, p = self.response_kind, self.p
         continuous = kind == "continuous"
         if not self.replicates:
@@ -344,11 +349,12 @@ def mixture_t_quantile(
     ``locations`` and ``scale_diags`` have shape (N, k): component i of the
     mixture at point j is t(dfs[i], locations[i, j], scale_diags[i, j]).
     A safeguarded Newton solves mixture CDF = ``prob`` at each point. It
-    starts at the mean of the component quantiles and steps by the CDF
-    residual over the closed-form mixture pdf. The min/max of the component
-    quantiles always enclose the mixture quantile; that bracket shrinks
-    with every evaluation, and a step that leaves it or is not finite (the
-    pdf underflows in a gap between far-apart components) is replaced by
+    starts at the mean of the component quantiles (at the midpoint of their
+    range where that mean overflows) and steps by the CDF residual over the
+    closed-form mixture pdf. The min/max of the component quantiles always
+    enclose the mixture quantile; that bracket shrinks with every
+    evaluation, and a step that leaves it or is not finite (the pdf
+    underflows in a gap between far-apart components) is replaced by
     bisection. A point is done when its mixture CDF is within
     ``QUANTILE_TOL`` of ``prob`` or its bracket has collapsed to rounding
     width.
@@ -361,7 +367,11 @@ def mixture_t_quantile(
     component_q = locations + stdtrit(dfs, prob) * widths
     lo = component_q.min(axis=0)
     hi = component_q.max(axis=0)
-    x = component_q.mean(axis=0)
+    # component quantiles near DBL_MAX can overflow their sum: start such a
+    # point at its bracket's midpoint, halved before adding as in bisection
+    with np.errstate(over="ignore"):
+        x = component_q.mean(axis=0)
+    x = np.where(np.isfinite(x), x, 0.5 * lo + 0.5 * hi)
     # t density: exp(log_norm - half_df1 * log1p(u^2 / df)) / width
     half_df1 = 0.5 * (dfs + 1.0)
     with np.errstate(invalid="ignore"):
@@ -379,8 +389,9 @@ def mixture_t_quantile(
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         done = np.abs(cdf - prob) <= QUANTILE_TOL
-        # collapse of the bracket to rounding width also counts as converged
-        done |= (hi - lo) <= 1e-13 * (1.0 + np.abs(x))
+        # collapse of the bracket to rounding width also counts as converged;
+        # halving both sides keeps hi - lo finite and changes no decision
+        done |= 0.5 * hi - 0.5 * lo <= 0.5e-13 * (1.0 + np.abs(x))
         out[points[done]] = x[done]
         if done.all():
             return out
@@ -393,7 +404,8 @@ def mixture_t_quantile(
             density = np.exp(log_norm - half_df1 * np.log1p(u * u / dfs)) / widths
             newton = x + (prob - cdf) / density.mean(axis=0)
         inside = (newton > lo) & (newton < hi)  # false for inf and nan
-        x = np.where(inside, newton, 0.5 * (lo + hi))
+        # 0.5 * (lo + hi) to the bit, except that lo + hi may overflow
+        x = np.where(inside, newton, 0.5 * lo + 0.5 * hi)
     raise ConvergenceError(
         f"mixture quantile search left {points.size} points unconverged"
     )

@@ -39,19 +39,17 @@ from functools import partial
 
 import numpy as np
 
-from .data import DataError, StandardizationParams, not_utf8
+from .data import DataError, StandardizationParams, not_utf8, read_only
 from .ensemble import Replicate, TarpConfig, TarpModel
 from .posterior import GaussianPosterior, LaplacePosterior
 from .projection import RIS_PCR, RIS_RP, ProjectionMatrix, sample_ris_rp
-from .screening import InclusionVector
 
 FORMAT_TAG = "tarp-model"
 FORMAT_VERSION = 4
-# the versions stored as JSON text, with base64 arrays and no digest
+# the versions stored as JSON text, with base64 arrays and no digest. Every
+# such file starts with "{"; any other file is read as signed, so a damaged
+# byte in a signed file's tag is reported as a damaged header
 JSON_VERSIONS = (1, 2, 3)
-# a signed file starts with the tag and a space, which no JSON document
-# can, so any file that does is read as signed
-_SIGNED_PREFIX = f"{FORMAT_TAG} ".encode("ascii")
 _HEADER = re.compile(rb"tarp-model (\S+) sha256=([0-9a-f]{64})")
 # the untargeted baseline's name: a CLI variant, and the config variant of
 # files fitted before it was resolved to ris_rp at delta 0
@@ -90,9 +88,11 @@ def _encode_floats(arr: np.ndarray) -> bytes:
 
 
 def _decode_floats(raw) -> np.ndarray:
+    # a fresh aligned copy, frozen before any reshape so that the model's
+    # constructors keep its views as they are
     if len(raw) % 8:
         raise ValueError(f"float data of {len(raw)} bytes is not a whole number of doubles")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return read_only(np.frombuffer(raw, dtype="<f8").astype(np.float64))
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -153,7 +153,7 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
         "variant": proj.variant,
         "m": int(proj.m),
         "requested_m": int(proj.requested_m),
-        "gamma": _encode_bits(proj.gamma.gamma),
+        "gamma": _encode_bits(proj.gamma),
     }
     if proj.variant == RIS_PCR:
         out["block"] = _encode_array(proj.dense_block)
@@ -164,7 +164,7 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
 
 
 def _decode_projection(obj: dict) -> ProjectionMatrix:
-    gamma = InclusionVector(_decode_bits(obj["gamma"], "gamma"))
+    gamma = _decode_bits(obj["gamma"], "gamma")
     m = _integer(obj["m"], "m")
     requested_m = _integer(obj["requested_m"], "requested_m")
     if obj["variant"] == RIS_PCR:
@@ -241,7 +241,7 @@ def _decode_config(obj: dict, projection: ProjectionMatrix) -> TarpConfig:
     variant, delta = obj["variant"], _real(obj["delta"], "delta")
     if variant == PLAIN_RP_BASELINE:
         # the baseline projected every column and never read its delta
-        if projection.gamma.count != projection.p:
+        if projection.p_gamma != projection.p:
             raise ValueError(f"{variant!r} config on a screened projection")
         variant, delta = RIS_RP, 0.0
     return TarpConfig(
@@ -357,11 +357,11 @@ def load_model(path) -> tuple[TarpModel, dict]:
             data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    if data.startswith(_SIGNED_PREFIX):
+    if data.startswith(b"{"):
+        text, versions, raw = data, JSON_VERSIONS, base64.b64decode
+    else:
         text, payload = _signed_parts(data, path)
         versions, raw = (FORMAT_VERSION,), partial(_payload_slice, payload)
-    else:
-        text, versions, raw = data, JSON_VERSIONS, base64.b64decode
     try:
         doc = json.loads(text.decode("utf-8"))
     except UnicodeDecodeError as exc:

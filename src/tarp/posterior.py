@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .data import read_only
+
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
@@ -69,6 +71,7 @@ class GaussianPosterior:
     stored; the rest are derived on access. Construction rejects priors so
     large that df or the predictive noise scale overflows, so neither a fit
     nor a loaded model can carry a predictive t that prediction cannot use.
+    Both arrays are taken over read-only (see ``read_only``).
     """
 
     location: np.ndarray
@@ -79,6 +82,8 @@ class GaussianPosterior:
     n_obs: int
 
     def __post_init__(self):
+        for name in ("location", "precision_inverse"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         location, matrix = self.location, self.precision_inverse
         if location.ndim != 1 or matrix.shape != location.shape * 2:
             raise ValueError(f"bad posterior shapes {location.shape}, {matrix.shape}")
@@ -135,7 +140,10 @@ class PredictiveT:
 
 @dataclass(frozen=True)
 class LaplacePosterior:
-    """Mode of the ridge-penalized logistic log-posterior and how it was found."""
+    """Mode of the ridge-penalized logistic log-posterior and how it was found.
+
+    The mode is taken over read-only (see ``read_only``).
+    """
 
     mode: np.ndarray
     prior_variance: float
@@ -143,6 +151,7 @@ class LaplacePosterior:
     n_iter: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", read_only(self.mode))
         if not np.isfinite(self.mode).all():
             raise ValueError("mode holds non-finite values")
         positive_finite(self.prior_variance, "prior_variance")

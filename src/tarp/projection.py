@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .screening import InclusionVector
+from .data import read_only
 
 RIS_RP = "ris_rp"
 RIS_PCR = "ris_pcr"
@@ -42,7 +42,9 @@ _GRAM_RANK_RTOL = 1e-8
 class ProjectionMatrix:
     """Immutable m x p compression map with its inclusion vector.
 
-    p is not stored: it is the length of ``gamma``. The map is applied to
+    ``gamma`` is the bool inclusion vector over the p predictors and
+    ``indices`` its selected columns, found once at construction: p is the
+    length of ``gamma``, p_gamma that of ``indices``. The map is applied to
     rows by :func:`compress` and mapped back by :meth:`adjoint`. A random
     map keeps the seed and psi that generate its m x p_gamma block; the
     partial-SVD map keeps the block itself as ``dense_block``, which a random
@@ -56,23 +58,35 @@ class ProjectionMatrix:
     sets it. It only caches what the seed generates, so it takes no part in
     equality and is never saved; a map without it, such as a loaded one,
     draws its block from the seed at each use.
+
+    Every array the map holds is read-only: ``gamma``, ``dense_block`` and
+    ``signs`` are taken over (see ``read_only``).
     """
 
     variant: str
     m: int
-    gamma: InclusionVector
+    gamma: np.ndarray
     requested_m: int
     dense_block: Optional[np.ndarray] = None
     seed: Optional[tuple[int, ...]] = None
     psi: Optional[float] = None
     signs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    indices: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        gamma = read_only(np.asarray(self.gamma, dtype=bool))
+        if gamma.ndim != 1:
+            raise ValueError("gamma must be a 1-d bit vector")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "indices", read_only(np.flatnonzero(gamma)))
+        for name in ("dense_block", "signs"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read_only(getattr(self, name)))
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         # sample_inclusion never draws an empty gamma; under one, every row
         # compresses to zero and the replicate predicts its prior
-        if self.gamma.count < 1:
+        if self.p_gamma < 1:
             raise ValueError("gamma selects no column")
         if self.requested_m < self.m:
             raise ValueError(f"requested_m={self.requested_m} is below m={self.m}")
@@ -82,7 +96,7 @@ class ProjectionMatrix:
             raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
         block = self.dense_block
         if block is not None:
-            if block.shape != (self.m, self.gamma.count):
+            if block.shape != (self.m, self.p_gamma):
                 raise ValueError(f"block shape {block.shape} is not (m, p_gamma)")
             # a drawn random block, +-1/sqrt(2 psi) or 0, is finite by its psi
             if self.variant == RIS_PCR and not np.isfinite(block).all():
@@ -90,7 +104,11 @@ class ProjectionMatrix:
 
     @property
     def p(self) -> int:
-        return self.gamma.gamma.size
+        return self.gamma.size
+
+    @property
+    def p_gamma(self) -> int:
+        return self.indices.size
 
     def _magnitude(self) -> float:
         # size of every nonzero entry of a random block
@@ -98,7 +116,7 @@ class ProjectionMatrix:
 
     def _codes(self) -> np.ndarray:
         # m x p_gamma int8 codes of a random block: kept, or drawn from the seed
-        shape = (self.m, self.gamma.count)
+        shape = (self.m, self.p_gamma)
         if self.signs is None:
             rng = np.random.default_rng(self.seed)
             return _three_point_codes(shape, self.psi, rng)
@@ -136,13 +154,13 @@ class ProjectionMatrix:
         if theta.shape != (self.m,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.m},)")
         full = np.zeros(self.p)
-        full[self.gamma.indices] = theta @ self._block()
+        full[self.indices] = theta @ self._block()
         return full
 
     def toarray(self) -> np.ndarray:
         """Full dense m x p matrix (tests and inspection only)."""
         full = np.zeros((self.m, self.p))
-        full[:, self.gamma.indices] = self._block()
+        full[:, self.indices] = self._block()
         return full
 
 
@@ -170,9 +188,7 @@ def _three_point_codes(
     return (u < prob).astype(np.int8) - (u >= 1.0 - prob)
 
 
-def sample_ris_rp(
-    gamma: InclusionVector, m: int, psi: float, seed
-) -> ProjectionMatrix:
+def sample_ris_rp(gamma: np.ndarray, m: int, psi: float, seed) -> ProjectionMatrix:
     """Three-point random map: +-1/sqrt(2*psi) w.p. psi each, 0 w.p. 1-2*psi."""
     return ProjectionMatrix(
         variant=RIS_RP,
@@ -185,7 +201,7 @@ def sample_ris_rp(
 
 
 def compute_ris_pcr(
-    X: np.ndarray, gamma: InclusionVector, m: int
+    X: np.ndarray, gamma: np.ndarray, m: int
 ) -> tuple[ProjectionMatrix, np.ndarray]:
     """Partial-SVD map R and the compressed rows Z = X R' of the same X.
 
@@ -213,7 +229,7 @@ def compute_ris_pcr(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     X = np.asarray(X, dtype=np.float64)
-    active = gamma.indices
+    active = np.flatnonzero(gamma)
     if active.size == 0:
         raise ValueError("inclusion vector selects no columns")
     X_act = X[:, active]
@@ -230,7 +246,7 @@ def compute_ris_pcr(
         s = np.sqrt(eigvals[:m_eff])
         block = (top.T @ X_act) / s[:, None]
     else:
-        block = np.ascontiguousarray(top.T)
+        block = top.T.copy()
     pivots = np.abs(block).argmax(axis=1)
     signs = np.where(block[np.arange(m_eff), pivots] < 0.0, -1.0, 1.0)
     block *= signs[:, None]
@@ -246,7 +262,7 @@ def compress(X: np.ndarray, R: ProjectionMatrix) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != R.p:
         raise ValueError(f"X has shape {X.shape}, expected (n, {R.p})")
-    return _compress_columns(X, R.gamma.indices, R._block())
+    return _compress_columns(X, R.indices, R._block())
 
 
 def _normalize_seed(seed) -> tuple[int, ...]:

@@ -11,32 +11,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataError
-
-
-@dataclass(frozen=True)
-class InclusionVector:
-    """Bit vector of selected predictors with its popcount."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=bool)
-        if gamma.ndim != 1:
-            raise ValueError("gamma must be a 1-d bit vector")
-        object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def count(self) -> int:
-        return int(self.gamma.sum())
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.gamma)
 
 
 def marginal_correlations(
@@ -109,8 +87,8 @@ def inclusion_probabilities(
     return np.power(abs_r / r_max, delta)
 
 
-def sample_inclusion(q: np.ndarray, rng: np.random.Generator) -> InclusionVector:
-    """Independent Bernoulli(q_j) draws, guaranteed non-empty.
+def sample_inclusion(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Independent Bernoulli(q_j) draws as a bool array, guaranteed non-empty.
 
     An empty draw (possible only when max q < 1, i.e. the uniform fallback)
     is resampled up to 100 times, then the argmax-q predictor is forced in.
@@ -121,10 +99,10 @@ def sample_inclusion(q: np.ndarray, rng: np.random.Generator) -> InclusionVector
     for _ in range(100):
         gamma = rng.random(q.size) < q
         if gamma.any():
-            return InclusionVector(gamma)
+            return gamma
     gamma = np.zeros(q.size, dtype=bool)
     gamma[int(np.argmax(q))] = True
-    return InclusionVector(gamma)
+    return gamma
 
 
 def default_delta(n: int, p: int) -> float:

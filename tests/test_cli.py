@@ -215,7 +215,7 @@ class TestBaseline:
         assert doc["extra"]["options"]["variant"] == "plain_rp_baseline"
         assert doc["extra"]["options"]["delta"] == 0.0
         model, _ = load_model("baseline.json")
-        assert all(rep.projection.gamma.count == 80 for rep in model.replicates)
+        assert all(rep.projection.p_gamma == 80 for rep in model.replicates)
         expected = (workdir / "delta0.csv").read_bytes()
         assert (workdir / "baseline.csv").read_bytes() == expected
         assert (workdir / "baseline_delta0.csv").read_bytes() == expected
@@ -761,7 +761,8 @@ class TestExitCodes:
     )
     def test_non_utf8_file_is_named(self, workdir, capsys, argv, path, code):
         (workdir / "bad.csv").write_bytes(b"x1,y\n1.0,2.0\n\xff\xfe,3\n4,5\n")
-        (workdir / "bad.json").write_bytes(b"\xff{}")
+        # a model file that starts with "{" is read as a JSON document
+        (workdir / "bad.json").write_bytes(b"{\xff}")
         (workdir / "cfg.txt").write_bytes(b"n = 5\n\xff\n")
         assert run(*argv) == code
         assert capsys.readouterr().err == (
@@ -773,9 +774,41 @@ class TestExitCodes:
         from tarp.ensemble import ReplicateError
         from tarp.posterior import ConvergenceError
 
-        assert _classify_error(ConvergenceError("x")) == EXIT_NUMERIC
-        assert _classify_error(ReplicateError(3, ConvergenceError("x"))) == EXIT_NUMERIC
-        assert _classify_error(np.linalg.LinAlgError("x")) == EXIT_NUMERIC
+        assert _classify_error(ConvergenceError("x"), "fit") == EXIT_NUMERIC
+        replicate = ReplicateError(3, ConvergenceError("x"))
+        assert _classify_error(replicate, "bench") == EXIT_NUMERIC
+        assert _classify_error(np.linalg.LinAlgError("x"), "predict") == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("bare", [False, True], ids=["numpy", "bare"])
+    @pytest.mark.parametrize(
+        "argv, where, code, prefix",
+        [
+            (["simulate", "--scheme", "I", "--n", "30", "--p", "40", "--out", "out.csv"],
+             "generate", 1, ""),
+            (["bench", "--scheme", "I", "--n", "30", "--test-size", "10", "--p", "40",
+              "--replicates", "1", "--ensemble-size", "2", "--out-prefix", "out"],
+             "generate", 1, "replicate 0: "),
+            (["fit", "--data", "data.csv", "--out", "out.tarp"], "load_csv", 2, ""),
+            (["predict", "--model", "m.tarp", "--data", "data.csv", "--out", "out.csv"],
+             "load_model", 2, ""),
+        ],
+        ids=["simulate", "bench", "fit", "predict"],
+    )
+    def test_memory_error_is_one_line(
+        self, workdir, capsys, monkeypatch, argv, where, code, prefix, bare
+    ):
+        # a size from the options alone is exit 1, one from a data or model
+        # file exit 2; either way one line and no traceback. The allocation
+        # fails by patch, never for real
+        message = "" if bare else "Unable to allocate 218. TiB for an array"
+
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tarp.cli, where, allocate)
+        assert run(*argv) == code
+        assert capsys.readouterr().err == f"error: {prefix}{message or 'MemoryError'}\n"
+        assert list(workdir.iterdir()) == []
 
     @pytest.mark.parametrize("binary", [False, True])
     @pytest.mark.parametrize(
@@ -933,7 +966,7 @@ class TestExitCodes:
         # the baseline screens nothing, so it keeps the constant columns too
         kept = list(range(40)) if variant == "plain_rp_baseline" else [0]
         for rep in model.replicates:
-            assert rep.projection.gamma.indices.tolist() == kept
+            assert rep.projection.indices.tolist() == kept
 
     @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "plain_rp_baseline"])
     def test_design_without_a_varying_column_is_data_error(

@@ -9,6 +9,7 @@ from tarp.data import (
     _scan_table,
     load_csv,
     load_table,
+    read_only,
     standardize,
     write_csv,
 )
@@ -300,3 +301,22 @@ class TestStandardizationParams:
         self.params()
         with pytest.raises(ValueError, match=message):
             self.params(**change)
+
+
+class TestReadOnly:
+    def test_owned_array_is_frozen_in_place(self):
+        array = np.arange(3.0)
+        assert read_only(array) is array
+        assert not array.flags.writeable
+
+    def test_writable_view_is_copied(self):
+        base = np.arange(6.0).reshape(2, 3)
+        frozen = read_only(base[0])
+        assert frozen.base is None and not frozen.flags.writeable
+        base[0] = -1.0
+        np.testing.assert_array_equal(frozen, [0.0, 1.0, 2.0])
+
+    def test_read_only_array_is_kept(self):
+        array = np.frombuffer(np.arange(3.0).tobytes())
+        assert not array.flags.writeable
+        assert read_only(array) is array

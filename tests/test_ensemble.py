@@ -152,7 +152,7 @@ class TestFitTarp:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 model = fit_tarp(train, [cfg])
-            assert model.replicates[0].projection.gamma.count == ds.p
+            assert model.replicates[0].projection.p_gamma == ds.p
 
     def test_replicates_share_data_hash(self):
         ds = toy_dataset()
@@ -259,7 +259,7 @@ class TestFitTarp:
             if variant == "ris_pcr":
                 assert R.signs is None  # the dense block is the model
             else:
-                assert R.signs.nbytes <= 2 * math.ceil(R.m * R.gamma.count / 8)
+                assert R.signs.nbytes <= 2 * math.ceil(R.m * R.p_gamma / 8)
 
     def test_empty_config_list_rejected(self):
         with pytest.raises(ValueError):
@@ -531,6 +531,30 @@ class TestNewtonMatchesBisection:
             mixture_cdf(dfs, locs, scales, q), prob, rtol=0,
             atol=tarp.ensemble.QUANTILE_TOL,
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "locs, scales, prob",
+        [
+            ([8e307, 8e307, 8e307, 1.7e308], [1.0] * 4, 0.75),
+            ([1.7e308, 1.7e308], [1.0, 1e300], 0.25),
+            ([1.7e308, 1.7e308], [1.0, 1e300], 0.75),
+        ],
+        ids=["gap_below_max", "widths_1_and_1e150_lower", "widths_1_and_1e150_upper"],
+    )
+    def test_component_quantiles_near_dbl_max(self, locs, scales, prob):
+        # the mean of the component quantiles overflows, and so would lo + hi:
+        # the search starts at the bracket's midpoint and bisects with halved
+        # bounds. The answer is finite, and the mixture CDF crosses prob
+        # within the rounding width around it
+        locs, scales = np.array(locs)[:, None], np.array(scales)[:, None]
+        dfs = np.full(locs.shape[0], 200.0)
+        q = mixture_t_quantile(dfs, locs, scales, prob)
+        assert np.isfinite(q).all()
+        step = 1e-13 * (1.0 + np.abs(q))
+        tol = tarp.ensemble.QUANTILE_TOL
+        assert np.all(mixture_cdf(dfs, locs, scales, q - step) <= prob + tol)
+        assert np.all(mixture_cdf(dfs, locs, scales, q + step) >= prob - tol)
 
     def test_huge_finite_df_takes_few_cdf_evaluations(self, monkeypatch):
         # at df 1e15 the gammaln difference cancels to noise, which sent

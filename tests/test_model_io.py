@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,59 @@ def test_binary_model_roundtrip(tmp_path):
     a = predict_tarp(model, ds.design[:9])
     b = predict_tarp(loaded, ds.design[:9])
     np.testing.assert_array_equal(a.probability, b.probability)
+
+
+def held_arrays(model) -> dict:
+    """Every array a model holds, by where it sits."""
+    std = model.standardization
+    arrays = {name: getattr(std, name)
+              for name in ("column_means", "column_scales", "constant_mask")}
+    for i, rep in enumerate(model.replicates):
+        for owner, names in (
+            (rep.projection, ("gamma", "indices", "dense_block", "signs")),
+            (rep.posterior, ("location", "precision_inverse", "mode")),
+        ):
+            for name in names:
+                if getattr(owner, name, None) is not None:
+                    arrays[f"replicates[{i}].{name}"] = getattr(owner, name)
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "variant, binary",
+    [("ris_rp", False), ("ris_pcr", False), ("ris_rp", True)],
+    ids=["ris_rp", "ris_pcr", "ris_rp_binary"],
+)
+def test_every_array_of_a_model_is_read_only(tmp_path, variant, binary):
+    ds, fitted = fitted_model(variant, seed=3, binary=binary)
+    path = tmp_path / "model.tarp"
+    save_model(fitted, path)
+    loaded, _ = load_model(path)
+    held = {}
+    for source, model in (("fitted", fitted), ("loaded", loaded)):
+        assert isinstance(model.replicates, tuple)
+        arrays = held_arrays(model)
+        for name, array in arrays.items():
+            # on a loaded gamma, this write once went through, and the v4
+            # continuous fixture then predicted points moved by up to 0.93
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = False
+            # nor is any array it is a view of writable
+            while isinstance(array, np.ndarray):
+                assert not array.flags.writeable, name
+                array = array.base
+        held[source] = {name.rsplit(".", 1)[-1] for name in arrays}
+    expected = {"column_means", "column_scales", "constant_mask", "gamma", "indices"}
+    expected |= {"mode"} if binary else {"location", "precision_inverse"}
+    expected |= {"dense_block"} if variant == "ris_pcr" else set()
+    # only a fit keeps the signs of its random blocks
+    kept = {"signs"} if variant == "ris_rp" else set()
+    assert held == {"fitted": expected | kept, "loaded": expected}
+    # the loaded model still predicts what the fitted one does
+    a = predict_tarp(fitted, ds.design)
+    b = predict_tarp(loaded, ds.design)
+    for name in ("probability",) if binary else ("point", "lower", "upper"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_extra_metadata_round_trips(tmp_path):
@@ -274,7 +328,7 @@ def test_baseline_fixture_loads_as_ris_rp_at_delta_zero(tmp_path):
     model, _ = load_model(BASELINE_FIXTURE)
     for rep in model.replicates:
         assert (rep.config.variant, rep.config.delta) == ("ris_rp", 0.0)
-        assert rep.projection.gamma.count == model.p
+        assert rep.projection.p_gamma == model.p
     out = tmp_path / "pred.csv"
     assert main(["predict", "--model", str(BASELINE_FIXTURE),
                  "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
@@ -426,15 +480,25 @@ def _fails_in_one_line(path, capsys, cli):
     return str(info.value)
 
 
+# what the header check reports: a damaged line, another version, or a
+# digest that the rest of the file does not match
+HEADER_MESSAGE = re.compile(
+    r"(malformed model header|unsupported model version \S+"
+    r"|file does not match its digest)$"
+)
+
+
 def test_every_byte_flip_of_a_v4_file_is_data_error(tmp_path, capsys):
     data = V4_FIXTURES["binary"].read_bytes()
     header = data.index(b"\n") + 1
+    tag = len(b"tarp-model ")
     path = tmp_path / "flipped.tarp"
     messages = set()
     # every byte inverted, and the header's bytes also with their low bit
     # flipped: 4 -> 5, a hex digit to another or to a non-digit
     flips = [(index, 0xFF) for index in range(len(data))]
     flips += [(index, 0x01) for index in range(header)]
+    assert sum(index < header for index, _ in flips) == 170
     for index, mask in flips:
         flipped = bytearray(data)
         flipped[index] ^= mask
@@ -443,6 +507,12 @@ def test_every_byte_flip_of_a_v4_file_is_data_error(tmp_path, capsys):
         message = _fails_in_one_line(path, capsys, cli=index < header or index % 97 == 0)
         if index >= header:
             assert message.endswith("file does not match its digest")
+        elif index < tag:
+            # a file that does not start with "{" is read as signed, so a
+            # damaged tag is a damaged header, not a bad JSON document
+            assert message.endswith("malformed model header")
+        else:
+            assert HEADER_MESSAGE.search(message), message
         messages.add(message.split(": ", 1)[1])
     assert len(messages) > 3  # the header's flips fail in other ways
 

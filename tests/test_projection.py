@@ -13,12 +13,11 @@ from tarp.projection import (
     compute_ris_pcr,
     sample_ris_rp,
 )
-from tarp.screening import InclusionVector
 from tarp.simgen import SchemeSpec, generate
 
 
 def gamma_of(bits):
-    return InclusionVector(np.asarray(bits, dtype=bool))
+    return np.asarray(bits, dtype=bool)
 
 
 def every_column(p):
@@ -68,7 +67,7 @@ class TestRisRp:
         p = 40
         x = rng.standard_normal(p)
         gamma = gamma_of(rng.random(p) < 0.6)
-        target = float(np.sum(x[gamma.gamma] ** 2))
+        target = float(np.sum(x[gamma] ** 2))
         proj = sample_ris_rp(gamma, m=100_000, psi=0.2, seed=4)
         rows_sq = compress(x[None, :], proj)[0] ** 2
         assert rows_sq.mean() == pytest.approx(target, rel=0.01)
@@ -108,7 +107,7 @@ class TestKeptSigns:
     )
     def test_rebuild_the_seeded_block_bit_for_bit(self, make, magnitude, prob):
         seeded = make(gamma_of(self.GAMMA))
-        shape = (seeded.m, seeded.gamma.count)
+        shape = (seeded.m, seeded.p_gamma)
         assert (shape[0] * shape[1]) % 8 != 0  # the last packed byte is partial
         u = np.random.default_rng(seeded.seed).random(shape)
         oracle = magnitude * ((u < prob).astype(np.float64) - (u >= 1.0 - prob))
@@ -150,10 +149,10 @@ class TestRisPcr:
         data, _ = generate(SchemeSpec(scheme="III", n=60, p=400, seed=7))
         X = standardize(data)[0].design
         gamma = gamma_of(np.random.default_rng(5).random(400) < 0.5)
-        assert gamma.count > X.shape[0]
+        assert gamma.sum() > X.shape[0]
         for m in (2, 3, 20):
             proj, _ = compute_ris_pcr(X, gamma, m=m)
-            reference = ris_pcr_block_via_svd(X, gamma.indices, m)
+            reference = ris_pcr_block_via_svd(X, np.flatnonzero(gamma), m)
             assert proj.m == reference.shape[0] == min(m, 3)
             np.testing.assert_allclose(proj.dense_block, reference, rtol=0, atol=1e-10)
 
@@ -190,7 +189,7 @@ class TestRisPcr:
         proj, _ = compute_ris_pcr(X, gamma, m=6)
         Z = compress(X, proj)
         norms_z = np.linalg.norm(Z, axis=1)
-        norms_x = np.linalg.norm(X[:, gamma.indices], axis=1)
+        norms_x = np.linalg.norm(X[:, gamma], axis=1)
         assert np.all(norms_z <= norms_x * (1 + 1e-12))
 
     def test_rank_deficiency_truncates(self):
@@ -267,7 +266,7 @@ class TestAdjoint:
         theta = rng.standard_normal(proj.m)
         w = proj.adjoint(theta)
         assert w.shape == (60,)
-        np.testing.assert_array_equal(w[~gamma.gamma], 0.0)
+        np.testing.assert_array_equal(w[~gamma], 0.0)
         np.testing.assert_allclose(w, proj.toarray().T @ theta, rtol=0, atol=1e-13)
         np.testing.assert_allclose(X @ w, compress(X, proj) @ theta, rtol=0, atol=1e-12)
 
@@ -372,3 +371,13 @@ class TestProjectionInvariants:
         # sample_inclusion never draws an empty gamma
         with pytest.raises(ValueError, match="gamma selects no column"):
             ProjectionMatrix(gamma=gamma_of([False] * 4), **fields)
+
+    def test_gamma_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="gamma must be a 1-d bit vector"):
+            ProjectionMatrix(gamma=np.ones((2, 3), dtype=bool), **self.RANDOM)
+
+    def test_indices_and_p_gamma(self):
+        proj = ProjectionMatrix(gamma=gamma_of([True, False, True, True]), **self.RANDOM)
+        assert proj.p == 4 and proj.p_gamma == 3
+        np.testing.assert_array_equal(proj.indices, [0, 2, 3])
+

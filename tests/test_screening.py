@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tarp.data import DataError
 from tarp.screening import (
-    InclusionVector,
     default_delta,
     default_fallback_count,
     inclusion_probabilities,
@@ -134,14 +133,14 @@ class TestSampleInclusion:
     def test_degenerate_probabilities(self):
         rng = np.random.default_rng(0)
         gamma = sample_inclusion(np.array([1.0, 0.0, 0.0]), rng)
-        np.testing.assert_array_equal(gamma.gamma, [True, False, False])
-        assert gamma.count == 1
+        assert gamma.dtype == bool
+        np.testing.assert_array_equal(gamma, [True, False, False])
 
     def test_same_seed_same_draw(self):
         q = np.array([1.0, 0.5, 0.5, 0.2])
         g1 = sample_inclusion(q, np.random.default_rng(42))
         g2 = sample_inclusion(q, np.random.default_rng(42))
-        np.testing.assert_array_equal(g1.gamma, g2.gamma)
+        np.testing.assert_array_equal(g1, g2)
 
     def test_expected_count_matches_sum_q(self):
         # Monte Carlo mean of the selected count vs sum(q), within 3 SE
@@ -149,7 +148,7 @@ class TestSampleInclusion:
         rng = np.random.default_rng(7)
         draws = 100_000
         counts = np.fromiter(
-            (sample_inclusion(q, rng).count for _ in range(draws)), dtype=float
+            (sample_inclusion(q, rng).sum() for _ in range(draws)), dtype=float
         )
         se = counts.std(ddof=1) / math.sqrt(draws)
         assert abs(counts.mean() - q.sum()) < max(3 * se, 0.01)
@@ -158,7 +157,7 @@ class TestSampleInclusion:
         q = np.full(30, 0.01)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            assert sample_inclusion(q, rng).count >= 1
+            assert sample_inclusion(q, rng).any()
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -180,9 +179,3 @@ class TestDefaultDelta:
     def test_small_p_clamps_to_zero(self):
         assert default_delta(1000, 10) == 0.0
 
-
-class TestInclusionVector:
-    def test_count_and_indices(self):
-        vec = InclusionVector(np.array([True, False, True]))
-        assert vec.count == 2
-        np.testing.assert_array_equal(vec.indices, [0, 2])
