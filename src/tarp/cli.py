@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every run records its resolved options and seed into output metadata; output
-files are byte-identical for identical command lines and seeds (timestamps
-live only in metadata sidecars). Partially written outputs are removed on
-error.
+files are byte-identical for identical command lines and seeds at a fixed
+BLAS thread count, one unless the environment sets it (timestamps live only
+in metadata sidecars). Partially written outputs are removed on error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,15 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the environment sets a count. OpenBLAS reads these
+# once, when numpy loads, so this runs before the first import that loads
+# it. Unpinned on 2 cores, a 300 x 2000 fit took ~2x as long and wrote other
+# bytes. Only the command sets this: library callers keep their environment.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(os.environ.get(name) for name in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+import numpy as np  # noqa: E402  (after the BLAS default)
 
 from . import __version__
 from .data import (
@@ -310,8 +318,21 @@ def _resolve_threads(value) -> int:
         raise _UsageError(f"{THREADS_ENV_VAR}: {exc}") from None
 
 
+def _blas() -> dict | None:
+    """numpy's BLAS library and version; None where numpy cannot say (before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _meta(options: dict, command: str) -> dict:
+    # the BLAS set-up travels with the outputs: a thread count other than
+    # one may change the last bits of every product
     return {
+        "blas": _blas(),
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
         "command": command,
         "options": {k: v for k, v in sorted(options.items())},
         "tarp_version": __version__,

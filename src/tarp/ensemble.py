@@ -383,7 +383,10 @@ def mixture_t_quantile(
     out = np.empty_like(x)
     points = np.arange(x.size)
     for _ in range(QUANTILE_MAX_ITER):
-        u = (x - locations) / widths
+        # a bracket wider than DBL_MAX sends u to +-inf, where the CDF is 0
+        # or 1 and the density 0: the right values
+        with np.errstate(over="ignore"):
+            u = (x - locations) / widths
         cdf = stdtr(dfs, u).mean(axis=0)
         below = cdf < prob
         lo = np.where(below, x, lo)

@@ -90,10 +90,23 @@ class ProjectionMatrix:
             raise ValueError("gamma selects no column")
         if self.requested_m < self.m:
             raise ValueError(f"requested_m={self.requested_m} is below m={self.m}")
-        if self.variant == RIS_RP and self.requested_m != self.m:
-            raise ValueError(f"random map has requested_m={self.requested_m}, m={self.m}")
-        if self.variant == RIS_RP and (self.psi is None or not 0.0 < self.psi < 0.5):
-            raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
+        if self.variant == RIS_RP:
+            if self.requested_m != self.m:
+                raise ValueError(
+                    f"random map has requested_m={self.requested_m}, m={self.m}"
+                )
+            # without a seed, every use would draw another block
+            if self.seed is None:
+                raise ValueError("random map has no seed")
+            if self.psi is None or not 0.0 < self.psi < 0.5:
+                raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
+        elif self.variant == RIS_PCR:
+            if self.dense_block is None:
+                raise ValueError("partial-SVD map has no block")
+            if self.seed is not None or self.psi is not None:
+                raise ValueError("partial-SVD map has a seed or psi")
+        else:
+            raise ValueError(f"unknown projection variant {self.variant!r}")
         block = self.dense_block
         if block is not None:
             if block.shape != (self.m, self.p_gamma):

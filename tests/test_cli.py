@@ -1491,3 +1491,83 @@ class TestThreadsEnvVar:
         monkeypatch.setenv("TARP_THREADS", "0")
         assert run("fit", "--data", "missing.csv") == 1
         assert capsys.readouterr().err == "error: TARP_THREADS: must be >= 1, got 0\n"
+
+
+def _fresh_python(args, cwd, blas_env):
+    """``python args`` in ``cwd`` with each BLAS thread variable set as
+    ``blas_env`` says, and unset where it says None; returns stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tarp.__file__)))
+    for name, value in blas_env.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+
+
+def _fresh_cli(argv, cwd, blas_env):
+    return _fresh_python(["-m", "tarp.cli", *argv], cwd, blas_env)
+
+
+class TestBlasThreads:
+    UNSET = dict.fromkeys(tarp.cli.BLAS_THREAD_VARS)
+    PINNED = dict.fromkeys(tarp.cli.BLAS_THREAD_VARS, "1")
+
+    @pytest.mark.parametrize(
+        "given, seen",
+        [(UNSET, PINNED),
+         ({**UNSET, "OMP_NUM_THREADS": "2"}, {**UNSET, "OMP_NUM_THREADS": "2"}),
+         ({**UNSET, "MKL_NUM_THREADS": ""}, PINNED)],
+        ids=["unset", "one_set", "empty_counts_as_unset"],
+    )
+    def test_command_defaults_to_one_thread(self, tmp_path, given, seen):
+        # the bench meta records what the command's process saw
+        _fresh_cli(["bench", "--scheme", "I", "--n", "30", "--test-size", "5",
+                    "--p", "40", "--replicates", "1", "--ensemble-size", "2",
+                    "--out-prefix", "b"], tmp_path, given)
+        meta = json.loads((tmp_path / "b_meta.json").read_text())
+        assert meta["blas_threads"] == seen
+
+    def test_library_import_keeps_the_environment(self, tmp_path):
+        code = ("import os, tarp, tarp.ensemble; "
+                f"print([os.environ.get(name) for name in {tarp.cli.BLAS_THREAD_VARS}])")
+        assert _fresh_python(["-c", code], tmp_path, self.UNSET) == "[None, None, None]\n"
+
+    @pytest.mark.parametrize("argv, meta", [
+        (["predict", "--model", "model.json", "--data", "data.csv", "--out", "p.csv"],
+         "p.csv.meta.json"),
+        (["bench", "--scheme", "I", "--n", "30", "--test-size", "5", "--p", "40",
+          "--replicates", "1", "--ensemble-size", "2", "--out-prefix", "b"],
+         "b_meta.json"),
+    ], ids=["predict", "bench"])
+    def test_meta_records_the_blas_setup(self, workdir, argv, meta):
+        run("simulate", "--scheme", "I", "--n", "30", "--p", "40", "--out", "data.csv")
+        run("fit", "--data", "data.csv", "--replicates", "2", "--out", "model.json")
+        assert run(*argv) == 0
+        doc = json.loads((workdir / meta).read_text())
+        assert doc["blas_threads"] == {
+            name: os.environ.get(name) for name in tarp.cli.BLAS_THREAD_VARS
+        }
+        # None only where numpy cannot report its build (before 1.26)
+        assert doc["blas"] is None or set(doc["blas"]) == {"name", "version"}
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="needs 2 CPUs for an unset count to mean more than one thread",
+    )
+    def test_unset_count_writes_the_pinned_bytes(self, tmp_path):
+        # OpenBLAS splits this fit's products over every core when no count
+        # is set, which changed the last bits of the model; the command's
+        # default of one thread keeps them. Both fits name the same --out,
+        # which the model records
+        _fresh_cli(["simulate", "--scheme", "III", "--n", "300", "--p", "2000",
+                    "--out", "data.csv"], tmp_path, self.PINNED)
+        models = []
+        for name, blas_env in (("unset", self.UNSET), ("pinned", self.PINNED)):
+            (tmp_path / name).mkdir()
+            _fresh_cli(["fit", "--data", "../data.csv", "--replicates", "50",
+                        "--out", "model.tarp"], tmp_path / name, blas_env)
+            models.append((tmp_path / name / "model.tarp").read_bytes())
+        assert models[0] == models[1]

@@ -556,6 +556,18 @@ class TestNewtonMatchesBisection:
         assert np.all(mixture_cdf(dfs, locs, scales, q - step) <= prob + tol)
         assert np.all(mixture_cdf(dfs, locs, scales, q + step) >= prob - tol)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bound", [1e308, 1.7e308])
+    @pytest.mark.parametrize("prob, side", [(0.25, -1.0), (0.5, 0.0), (0.75, 1.0)])
+    def test_bracket_wider_than_dbl_max(self, bound, prob, side):
+        # x minus a component location of the other sign passes DBL_MAX; the
+        # standardized distance is then infinite, with CDF 0 or 1 and density
+        # 0. Each tail quantile is the median of its own component, up to the
+        # search's rounding width, and the middle one the midpoint of the gap
+        dfs = np.full(2, 200.0)
+        q = mixture_t_quantile(dfs, np.array([[-bound], [bound]]), np.ones((2, 1)), prob)
+        np.testing.assert_allclose(q, [side * bound], rtol=1e-12, atol=0)
+
     def test_huge_finite_df_takes_few_cdf_evaluations(self, monkeypatch):
         # at df 1e15 the gammaln difference cancels to noise, which sent
         # Newton to bisection; the Gaussian-limit normaliser keeps it exact

@@ -351,14 +351,23 @@ class TestProjectionInvariants:
              "block shape \\(2, 4\\) is not \\(m, p_gamma\\)"),
             ({**RANDOM, "dense_block": np.ones((3, 3))}, "block shape"),
             ({**PCR, "dense_block": np.full((2, 3), np.nan)}, "block holds non-finite"),
+            ({**RANDOM, "variant": "ris_sparse"},
+             "unknown projection variant 'ris_sparse'"),
+            ({**RANDOM, "seed": None}, "random map has no seed"),
+            ({**PCR, "dense_block": None}, "partial-SVD map has no block"),
+            ({**PCR, "seed": (1,), "psi": 0.3}, "partial-SVD map has a seed or psi"),
         ],
         ids=["m_zero", "requested_m_below_m", "random_requested_m_above_m",
              "psi_half", "psi_missing",
-             "block_columns", "random_block_rows", "block_nan"],
+             "block_columns", "random_block_rows", "block_nan",
+             "unknown_variant", "random_seed_missing", "pcr_block_missing",
+             "pcr_seed_and_psi"],
     )
     def test_construction_checks_invariants(self, fields, message):
         gamma = gamma_of([True, False, True, True])
-        for valid in (self.RANDOM, self.PCR):
+        # a random map holding its drawn block is what drawn() hands a fit
+        drawn = {**self.RANDOM, "dense_block": np.ones((2, 3))}
+        for valid in (self.RANDOM, self.PCR, drawn):
             ProjectionMatrix(gamma=gamma, **valid)
         with pytest.raises(ValueError, match=message):
             ProjectionMatrix(gamma=gamma, **fields)
