@@ -418,24 +418,26 @@ def _cmd_fit(options: dict, outputs: list) -> int:
 
 
 def _load_design_for_model(path, model: TarpModel, target_hint: str | None):
-    names, table = load_table(path)
     expected = model.column_names
-    if names == expected:
-        return table
-    expected_set = set(expected)
-    extra = [name for name in names if name not in expected_set]
-    if len(extra) == 1 and [n for n in names if n != extra[0]] == expected:
-        drop = names.index(extra[0])
-        return np.delete(table, drop, axis=1)
-    if target_hint and target_hint in names:
-        drop = names.index(target_hint)
-        reduced = [n for i, n in enumerate(names) if i != drop]
-        if reduced == expected:
-            return np.delete(table, drop, axis=1)
-    raise DataError(
-        f"{path}: columns do not match the model's training columns "
-        f"({len(names)} given, {len(expected)} expected)"
-    )
+
+    def response_column(names):
+        # the column to drop so the rest are the model's, from the header
+        if names == expected:
+            return None
+        expected_set = set(expected)
+        extra = [name for name in names if name not in expected_set]
+        if len(extra) == 1 and [n for n in names if n != extra[0]] == expected:
+            return names.index(extra[0])
+        if target_hint and target_hint in names:
+            drop = names.index(target_hint)
+            if names[:drop] + names[drop + 1 :] == expected:
+                return drop
+        raise DataError(
+            f"{path}: columns do not match the model's training columns "
+            f"({len(names)} given, {len(expected)} expected)"
+        )
+
+    return load_table(path, drop=response_column)[1]
 
 
 def _cmd_predict(options: dict, outputs: list) -> int:

@@ -162,7 +162,7 @@ class StandardizationParams:
         return y_centered + self.response_mean
 
 
-def load_table(path) -> tuple[list[str], np.ndarray]:
+def load_table(path, drop=None) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV with a header row into (column names, matrix).
 
     The header is read with ``csv.reader`` and the body with numpy's C parser
@@ -172,6 +172,11 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
     numpy does not (whitespace-only lines, ``1_000``) and otherwise reports
     the first bad cell with its row number and column name. The text is
     UTF-8, with or without a byte-order mark.
+
+    ``drop``, if given, is called with the header's names and returns the
+    index of a column to leave out, or None. Both parsers still count that
+    column's cells in every row, but neither parses them, and it is missing
+    from the names and the matrix returned.
     """
     try:
         fh = open(path, "r", newline="", encoding=TEXT_ENCODING)
@@ -184,13 +189,17 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
+            skip = None if drop is None else drop(header)
+            # usecols would also pass rows with cells past the last one used;
+            # a converter keeps the parser's check that every row is as long
+            unparsed = None if skip is None else {skip: lambda cell: 0.0}
             try:
                 with warnings.catch_warnings():
                     # a header-only file is reported by the scan below
                     warnings.simplefilter("ignore", UserWarning)
                     table = np.loadtxt(
                         fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                        dtype=np.float64,
+                        dtype=np.float64, converters=unparsed,
                     )
             except ValueError:
                 table = None
@@ -200,15 +209,19 @@ def load_table(path) -> tuple[list[str], np.ndarray]:
             or table.shape[1] != len(header)
             or not np.isfinite(table).all()
         ):
-            header, table = _scan_table(path)
+            return _scan_table(path, skip)
     except UnicodeDecodeError as exc:
         raise DataError(not_utf8(path, exc)) from None
+    if skip is not None:
+        header = header[:skip] + header[skip + 1 :]
+        table = np.delete(table, skip, axis=1)
     return header, table
 
 
-def _scan_table(path) -> tuple[list[str], np.ndarray]:
-    # one float() per cell: the parser of record for every input that the
-    # C parser rejects, and the source of every row/column error message
+def _scan_table(path, skip=None) -> tuple[list[str], np.ndarray]:
+    # one float() per cell but column skip's: the parser of record for every
+    # input that the C parser rejects, and the source of every row/column
+    # error message
     with open(path, "r", newline="", encoding=TEXT_ENCODING) as fh:
         reader = csv.reader(fh)
         try:
@@ -227,6 +240,8 @@ def _scan_table(path) -> tuple[list[str], np.ndarray]:
                 )
             parsed = []
             for j, cell in enumerate(row):
+                if j == skip:
+                    continue
                 try:
                     value = float(cell)
                 except ValueError:
@@ -243,6 +258,8 @@ def _scan_table(path) -> tuple[list[str], np.ndarray]:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    if skip is not None:
+        del header[skip]
     return header, np.asarray(rows, dtype=np.float64)
 
 

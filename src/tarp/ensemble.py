@@ -266,11 +266,8 @@ def _fit_replicate(
         # the eigendecomposition already holds the compressed training rows
         projection, Z = compute_ris_pcr(design, gamma, cfg.m)
     else:
-        # one draw: compress with the dense block, keep only its signs
-        projection, dense = sample_ris_rp(
-            gamma, cfg.m, cfg.psi, seed=[cfg.seed, _ENTRY_STREAM]
-        ).drawn()
-        Z = compress(design, dense)
+        projection = sample_ris_rp(gamma, cfg.m, cfg.psi, seed=[cfg.seed, _ENTRY_STREAM])
+        Z = compress(design, projection)
     if response_kind == "continuous":
         post = fit_gaussian(Z, response, a_sigma=a_sigma, b_sigma=b_sigma)
     else:

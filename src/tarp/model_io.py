@@ -16,9 +16,10 @@ text; they carry no digest and still load. Loading turns each ``data``
 field into its raw bytes (a payload slice, or the decoded base64) and then
 takes one path for every version.
 
-Random projections are stored as (seed, gamma, tuning), which is all a
-loaded model holds of them (the signs a fit keeps are not saved);
-partial-SVD blocks are stored densely. The symmetric m x m posterior
+Random projections are stored as (seed, psi, gamma), which is all a loaded
+map holds: the signs a fit keeps are not saved, and loading draws none
+(they are drawn from the seed where the map is used). Partial-SVD blocks
+are stored densely. The symmetric m x m posterior
 matrices are stored as their lower triangle (version 1: in full). Versions
 3 and 4 store no binary Hessian; from older files it is checked, then
 dropped. Older files may name the untargeted baseline as a config variant
@@ -34,7 +35,6 @@ import base64
 import hashlib
 import json
 import re
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from .data import DataError, StandardizationParams, not_utf8, read_only
 from .ensemble import Replicate, TarpConfig, TarpModel
 from .posterior import GaussianPosterior, LaplacePosterior
-from .projection import RIS_PCR, RIS_RP, ProjectionMatrix, sample_ris_rp
+from .projection import RIS_PCR, RIS_RP, ProjectionMatrix
 
 FORMAT_TAG = "tarp-model"
 FORMAT_VERSION = 4
@@ -172,8 +172,8 @@ def _decode_projection(obj: dict) -> ProjectionMatrix:
         return ProjectionMatrix(RIS_PCR, m, gamma, requested_m, dense_block=block)
     if obj["variant"] == RIS_RP:
         seed = [_integer(entry, "seed") for entry in obj["seed"]]
-        projection = sample_ris_rp(gamma, m, _real(obj["psi"], "psi"), seed)
-        return replace(projection, requested_m=requested_m)
+        psi = _real(obj["psi"], "psi")
+        return ProjectionMatrix(RIS_RP, m, gamma, requested_m, seed=seed, psi=psi)
     raise ValueError(f"unknown projection variant {obj['variant']!r}")
 
 

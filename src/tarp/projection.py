@@ -13,12 +13,13 @@ training rows from the same decomposition. ``compress`` is the one way to
 apply either map to rows.
 
 A random map is defined by its seed and psi, and a model file stores only
-those. Its entries are drawn as int8 codes in {-1, 0, +1} times one
-magnitude. A fit draws the block once, compresses with it and keeps the
-codes as two packed bit planes (two bits per entry, ~1/32 of the float
-block), from which every later use rebuilds the block. A loaded model keeps
-no codes: it draws its block from the seed each time it is used, bit for
-bit the same block, so loading never allocates one.
+those. Its one form is packed signs: two bit planes over the row-major
+m x p_gamma block, plane 0 where an entry is positive, plane 1 where it is
+negative (two bits per entry, ~1/32 of the float block). ``sample_ris_rp``
+draws them once and the fitted map keeps them. A loaded map keeps none and
+draws them from its seed at each use, bit for bit the same, so loading
+never allocates a block. Either way the block is the unpacked signs times
+one magnitude.
 """
 
 from __future__ import annotations
@@ -47,18 +48,18 @@ class ProjectionMatrix:
     length of ``gamma``, p_gamma that of ``indices``. The map is applied to
     rows by :func:`compress` and mapped back by :meth:`adjoint`. A random
     map keeps the seed and psi that generate its m x p_gamma block; the
-    partial-SVD map keeps the block itself as ``dense_block``, which a random
-    map holds only as the second result of :meth:`drawn`. ``m`` is the
+    partial-SVD map keeps the block itself as ``dense_block``. ``m`` is the
     effective row count, which for the partial-SVD map may be below
     ``requested_m`` when the selected columns are rank deficient.
 
-    ``signs`` keeps a random block that :meth:`drawn` has drawn, as a
-    (2, ceil(m * p_gamma / 8)) uint8 array: row 0 packs (``np.packbits``)
-    where the row-major block is positive, row 1 where it is negative. A fit
-    sets it. It only caches what the seed generates, so it takes no part in
-    equality and is never saved; a map without it, such as a loaded one,
-    draws its block from the seed at each use.
+    ``signs`` keeps a random block that :func:`sample_ris_rp` has drawn, as
+    a (2, ceil(m * p_gamma / 8)) uint8 array: row 0 packs (``np.packbits``)
+    where the row-major block is positive, row 1 where it is negative. It
+    only caches what the seed generates, so it takes no part in equality
+    and is never saved; a map without it, such as a loaded one, draws its
+    signs from the seed at each use.
 
+    ``seed`` is an int or a sequence of non-negative ints, kept as a tuple.
     Every array the map holds is read-only: ``gamma``, ``dense_block`` and
     ``signs`` are taken over (see ``read_only``).
     """
@@ -95,25 +96,37 @@ class ProjectionMatrix:
                 raise ValueError(
                     f"random map has requested_m={self.requested_m}, m={self.m}"
                 )
-            # without a seed, every use would draw another block
+            # without a seed, every use would draw another block; it is
+            # checked here because the generator is only built where R is used
             if self.seed is None:
                 raise ValueError("random map has no seed")
+            seed = (self.seed,) if isinstance(self.seed, (int, np.integer)) else self.seed
+            object.__setattr__(self, "seed", tuple(int(s) for s in seed))
+            if min(self.seed, default=0) < 0:
+                raise ValueError(f"seed entries must be non-negative, got {self.seed}")
             if self.psi is None or not 0.0 < self.psi < 0.5:
                 raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
+            if self.dense_block is not None:
+                raise ValueError("random map holds a dense block")
+            # unpackbits would zero-pad short planes into another block
+            planes = (2, -(-self.m * self.p_gamma // 8))
+            signs = self.signs
+            if signs is not None and (signs.dtype != np.uint8 or signs.shape != planes):
+                raise ValueError(
+                    f"signs are {signs.dtype} {signs.shape}, expected uint8 {planes}"
+                )
         elif self.variant == RIS_PCR:
-            if self.dense_block is None:
+            block = self.dense_block
+            if block is None:
                 raise ValueError("partial-SVD map has no block")
-            if self.seed is not None or self.psi is not None:
-                raise ValueError("partial-SVD map has a seed or psi")
-        else:
-            raise ValueError(f"unknown projection variant {self.variant!r}")
-        block = self.dense_block
-        if block is not None:
+            if self.seed is not None or self.psi is not None or self.signs is not None:
+                raise ValueError("partial-SVD map has a seed, psi or signs")
             if block.shape != (self.m, self.p_gamma):
                 raise ValueError(f"block shape {block.shape} is not (m, p_gamma)")
-            # a drawn random block, +-1/sqrt(2 psi) or 0, is finite by its psi
-            if self.variant == RIS_PCR and not np.isfinite(block).all():
+            if not np.isfinite(block).all():
                 raise ValueError("block holds non-finite values")
+        else:
+            raise ValueError(f"unknown projection variant {self.variant!r}")
 
     @property
     def p(self) -> int:
@@ -123,39 +136,18 @@ class ProjectionMatrix:
     def p_gamma(self) -> int:
         return self.indices.size
 
-    def _magnitude(self) -> float:
-        # size of every nonzero entry of a random block
-        return 1.0 / math.sqrt(2.0 * self.psi)
-
-    def _codes(self) -> np.ndarray:
-        # m x p_gamma int8 codes of a random block: kept, or drawn from the seed
-        shape = (self.m, self.p_gamma)
-        if self.signs is None:
-            rng = np.random.default_rng(self.seed)
-            return _three_point_codes(shape, self.psi, rng)
-        positive, negative = np.unpackbits(
-            self.signs, axis=1, count=shape[0] * shape[1]
-        ).view(np.int8)
-        return (positive - negative).reshape(shape)
-
     def _block(self) -> np.ndarray:
-        # m x p_gamma block over the selected columns
-        if self.dense_block is not None:
+        # m x p_gamma block over the selected columns; a random one is its
+        # kept signs, or its seed's, unpacked
+        if self.variant == RIS_PCR:
             return self.dense_block
-        return self._magnitude() * self._codes()
-
-    def drawn(self) -> tuple[ProjectionMatrix, ProjectionMatrix]:
-        """Draw a random block once, for a fit.
-
-        Returns this map keeping the block's signs, which rebuilds the block
-        bit for bit without drawing again, and this map holding the block
-        itself, to compress the training rows with and then drop.
-        """
-        codes = self._codes()
-        flat = codes.reshape(-1)
-        signs = np.stack((np.packbits(flat > 0), np.packbits(flat < 0)))
-        block = self._magnitude() * codes
-        return replace(self, signs=signs), replace(self, dense_block=block)
+        size = self.m * self.p_gamma
+        signs = self.signs
+        if signs is None:
+            signs = _three_point_signs(size, self.psi, self.seed)
+        positive, negative = np.unpackbits(signs, axis=1, count=size).view(np.int8)
+        magnitude = 1.0 / math.sqrt(2.0 * self.psi)
+        return magnitude * (positive - negative).reshape(self.m, self.p_gamma)
 
     def adjoint(self, theta: np.ndarray) -> np.ndarray:
         """Map compressed coefficients back: returns R' theta with shape (p,).
@@ -168,12 +160,6 @@ class ProjectionMatrix:
             raise ValueError(f"theta has shape {theta.shape}, expected ({self.m},)")
         full = np.zeros(self.p)
         full[self.indices] = theta @ self._block()
-        return full
-
-    def toarray(self) -> np.ndarray:
-        """Full dense m x p matrix (tests and inspection only)."""
-        full = np.zeros((self.m, self.p))
-        full[:, self.indices] = self._block()
         return full
 
 
@@ -192,25 +178,22 @@ def _compress_columns(
     return np.ascontiguousarray((block @ X[:, indices].T).T)
 
 
-def _three_point_codes(
-    shape: tuple[int, int], prob: float, rng: np.random.Generator
-) -> np.ndarray:
-    # +1 w.p. prob, -1 w.p. prob, else 0, as int8. Only rng.random() is
-    # consumed, keeping the draw from a stored seed stable across versions.
-    u = rng.random(shape)
-    return (u < prob).astype(np.int8) - (u >= 1.0 - prob)
+def _three_point_signs(size: int, prob: float, seed) -> np.ndarray:
+    # the packed signs of size entries, +1 w.p. prob, -1 w.p. prob, else 0.
+    # Only rng.random() is consumed, keeping the draw from a stored seed
+    # stable across versions.
+    u = np.random.default_rng(seed).random(size)
+    return np.stack((np.packbits(u < prob), np.packbits(u >= 1.0 - prob)))
 
 
 def sample_ris_rp(gamma: np.ndarray, m: int, psi: float, seed) -> ProjectionMatrix:
-    """Three-point random map: +-1/sqrt(2*psi) w.p. psi each, 0 w.p. 1-2*psi."""
-    return ProjectionMatrix(
-        variant=RIS_RP,
-        m=m,
-        gamma=gamma,
-        seed=_normalize_seed(seed),
-        psi=psi,
-        requested_m=m,
-    )
+    """Three-point random map: +-1/sqrt(2*psi) w.p. psi each, 0 w.p. 1-2*psi.
+
+    The block is drawn here, once, and kept as packed signs.
+    """
+    projection = ProjectionMatrix(RIS_RP, m, gamma, m, seed=seed, psi=psi)
+    signs = _three_point_signs(m * projection.p_gamma, psi, projection.seed)
+    return replace(projection, signs=signs)
 
 
 def compute_ris_pcr(
@@ -277,12 +260,3 @@ def compress(X: np.ndarray, R: ProjectionMatrix) -> np.ndarray:
         raise ValueError(f"X has shape {X.shape}, expected (n, {R.p})")
     return _compress_columns(X, R.indices, R._block())
 
-
-def _normalize_seed(seed) -> tuple[int, ...]:
-    # checked here because the generator is only built when R is used
-    if isinstance(seed, (int, np.integer)):
-        seed = (seed,)
-    seed = tuple(int(s) for s in seed)
-    if min(seed, default=0) < 0:
-        raise ValueError(f"seed entries must be non-negative, got {seed}")
-    return seed

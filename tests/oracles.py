@@ -1,6 +1,7 @@
 """Independent reference computations used as test oracles."""
 
 import csv
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -17,10 +18,29 @@ def location_via_gram_inverse(X: np.ndarray, R: np.ndarray, y: np.ndarray) -> np
     kept as an independent cross-check of the assembly order.
     """
     X = np.asarray(X, dtype=np.float64)
-    R = R.toarray() if hasattr(R, "toarray") else np.asarray(R, dtype=np.float64)
+    R = np.asarray(R, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     gram = R @ (X.T @ X) @ R.T + np.eye(R.shape[0])
     return np.linalg.inv(gram) @ ((X @ R.T).T @ y)
+
+
+def dense_map(R) -> np.ndarray:
+    """The full m x p matrix of a ``ProjectionMatrix``, rebuilt without its code.
+
+    A random map is drawn here from its seed, as the paper's three-point
+    matrix: with u = rng.random((m, p_gamma)), an entry is +1/sqrt(2 psi)
+    where u < psi, -1/sqrt(2 psi) where u >= 1 - psi, and 0 otherwise. A
+    partial-SVD map is its stored block. Columns outside gamma are zero.
+    """
+    if R.variant == "ris_rp":
+        u = np.random.default_rng(R.seed).random((R.m, R.p_gamma))
+        magnitude = 1.0 / math.sqrt(2.0 * R.psi)
+        block = magnitude * ((u < R.psi).astype(np.float64) - (u >= 1.0 - R.psi))
+    else:
+        block = R.dense_block
+    full = np.zeros((R.m, R.p))
+    full[:, np.flatnonzero(R.gamma)] = block
+    return full
 
 
 def ris_pcr_block_via_svd(

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import central_interval, location_via_gram_inverse
+from oracles import central_interval, dense_map, location_via_gram_inverse
 from scipy.linalg import cholesky
 
 from tarp.cli import _derive_seed, main
@@ -114,9 +114,9 @@ def test_criterion_3_projection_moments():
     """Entry moments of the three-point map; orthonormality and contraction of SVD map."""
     started = time.perf_counter()
 
-    entries = sample_ris_rp(
-        np.ones(1000, dtype=bool), m=1000, psi=1 / 6, seed=2024
-    ).toarray().ravel()
+    entries = dense_map(
+        sample_ris_rp(np.ones(1000, dtype=bool), m=1000, psi=1 / 6, seed=2024)
+    ).ravel()
     assert entries.size == 10**6
     mean_dev = abs(entries.mean())
     var_dev = abs(entries.var() - 1.0)
@@ -127,7 +127,7 @@ def test_criterion_3_projection_moments():
     X = rng.standard_normal((50, 200))
     gamma = rng.random(200) < 0.5
     proj, _ = compute_ris_pcr(X, gamma, m=20)
-    R = proj.toarray()
+    R = dense_map(proj)
     orth_dev = float(np.abs(R @ R.T - np.eye(proj.m)).max())
     assert orth_dev < 1e-8
     z_norms = np.linalg.norm(X @ R.T, axis=1)

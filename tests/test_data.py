@@ -114,6 +114,42 @@ class TestLoadTable:
             load_table(path)
         assert str(excinfo.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["a,y,b\n1,,2\n3,NA,4\n5,nan,6\n", "a,y,b\n1,,2\n  \n3,NA,4\n5,nan,6\n"],
+        ids=["c_parser", "scan"],
+    )
+    def test_dropped_column_is_not_parsed(self, tmp_path, text):
+        path = write_bytes(tmp_path, text)
+        seen = []
+
+        def drop(names):
+            seen.append(names)
+            return names.index("y")
+
+        header, table = load_table(path, drop=drop)
+        assert seen == [["a", "y", "b"]]
+        assert header == ["a", "b"] == _scan_table(path, 1)[0]
+        assert table.dtype == np.float64
+        np.testing.assert_array_equal(table, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(table, _scan_table(path, 1)[1])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,y,b\n1,,2\n3,4\n", "row 3 has 2 cells, expected 3"),
+            ("a,y,b\n1,,2\n3,,4,5\n", "row 3 has 4 cells, expected 3"),
+            ("a,y,b\n1,,2\n3,,4\n5,,\n", "row 4, column 'b': cannot parse '' as a number"),
+            ("a,y,b\n1,,2\nnan,,4\n", "row 3, column 'a': non-finite value 'nan'"),
+        ],
+        ids=["short_row", "long_row", "blank_kept_cell", "nan_kept_cell"],
+    )
+    def test_dropped_column_is_still_counted(self, tmp_path, text, message):
+        path = write_bytes(tmp_path, text)
+        with pytest.raises(DataError) as excinfo:
+            load_table(path, drop=lambda names: 1)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     def test_writer_bytes_match_the_csv_writer_oracle(self, tmp_path):
         rng = np.random.default_rng(9)
         design = rng.standard_normal((30, 6)) * np.logspace(-300, 300, 6)
@@ -135,7 +171,7 @@ class TestLoadTable:
         write_csv(Dataset(design, rng.standard_normal(40)), tmp_path / "d.csv")
         _, expected = _scan_table(tmp_path / "d.csv")
 
-        def no_scan(path):
+        def no_scan(*args):
             raise AssertionError("a clean file fell back to the per-cell scan")
 
         monkeypatch.setattr(tarp.data, "_scan_table", no_scan)

@@ -15,6 +15,7 @@ from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import FORMAT_VERSION, load_model, save_model
 
 from model_files import as_doc, as_signed, each_array, signed
+from oracles import dense_map
 
 # version 1 model files (p=20, 3 replicates) and the prediction CSVs written
 # for their training rows while version 1 was the current format; the
@@ -42,6 +43,21 @@ BASELINE_FIXTURE = DATA / "v3_plain_rp_baseline.json"
 # version 4 re-saves of v1_continuous.json and v2_binary.json: signed files
 # that must keep predicting the committed CSVs
 V4_FIXTURES = {"continuous": DATA / "v4_continuous.tarp", "binary": DATA / "v4_binary.tarp"}
+
+# signed files that `tarp fit` wrote, run in a directory holding the data
+# file, with these options: a refit must write each byte for byte, at any
+# thread count. v4_continuous.tarp is also the re-save of v1_continuous.json;
+# v4_binary.tarp, a re-save of a version 2 fit, differs from a refit at
+# rounding level and is no golden file
+GOLDEN_FITS = {
+    "v4_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
+                           "--seed", "7", "--out", "v1_continuous.json"],
+    "v4_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
+                           "--seed", "11", "--out", "v4_binary_fit.tarp"],
+    "v4_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
+                            "--replicates", "3", "--seed", "13",
+                            "--out", "v4_ris_pcr_fit.tarp"],
+}
 
 
 def assert_predicts_committed_csv(out, kind):
@@ -96,9 +112,13 @@ def test_projection_rematerializes_exactly(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded, _ = load_model(path)
+    # the fit unpacks its kept signs, the loaded map those drawn from its seed
     for orig, back in zip(model.replicates, loaded.replicates):
+        assert orig.projection.signs is not None and back.projection.signs is None
+        kept, drawn = orig.projection._block(), back.projection._block()
+        assert kept.tobytes() == drawn.tobytes()
         np.testing.assert_array_equal(
-            orig.projection.toarray(), back.projection.toarray()
+            dense_map(back.projection)[:, back.projection.indices], drawn
         )
 
 
@@ -464,6 +484,18 @@ def test_v4_fixture_predicts_committed_csv(tmp_path, kind):
     assert main(["predict", "--model", str(fixture),
                  "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
     assert_predicts_committed_csv(out, kind)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("golden", sorted(GOLDEN_FITS))
+def test_refit_writes_the_golden_file(tmp_path, monkeypatch, golden, threads):
+    options = GOLDEN_FITS[golden]
+    data = options[options.index("--data") + 1]
+    (tmp_path / data).write_bytes((DATA / data).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", *options, "--threads", str(threads)]) == 0
+    out = tmp_path / options[options.index("--out") + 1]
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def _fails_in_one_line(path, capsys, cli):

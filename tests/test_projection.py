@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import ris_pcr_block_via_svd
+from oracles import dense_map, ris_pcr_block_via_svd
 from tarp.data import standardize
 from tarp.projection import (
     RIS_PCR,
@@ -29,31 +30,37 @@ class TestRisRp:
         # psi = 1/6 forces nonzero entries to +-sqrt(3)
         gamma = every_column(200)
         proj = sample_ris_rp(gamma, m=50, psi=1 / 6, seed=0)
-        values = np.unique(proj.toarray())
+        values = np.unique(dense_map(proj))
         expected = {-math.sqrt(3.0), 0.0, math.sqrt(3.0)}
         assert set(np.round(values, 12)) <= set(np.round(sorted(expected), 12))
 
     def test_excluded_columns_zero(self):
         gamma = gamma_of([True, False, True, False, False])
         proj = sample_ris_rp(gamma, m=10, psi=0.25, seed=1)
-        dense = proj.toarray()
+        dense = dense_map(proj)
         np.testing.assert_array_equal(dense[:, [1, 3, 4]], 0.0)
         assert np.any(dense[:, [0, 2]] != 0.0)
+        # compress reads no excluded column
+        X = np.random.default_rng(1).standard_normal((6, 5))
+        Z = compress(X, proj)
+        X[:, [1, 3, 4]] = np.nan
+        np.testing.assert_array_equal(compress(X, proj), Z)
 
     def test_entry_moments(self):
         # E r = 0 and E r^2 = 2*psi / (2*psi) = 1 over 10^6 draws
         gamma = every_column(1000)
         proj = sample_ris_rp(gamma, m=1000, psi=1 / 6, seed=2)
-        entries = proj.toarray().ravel()
+        entries = dense_map(proj).ravel()
         assert entries.size == 1_000_000
         assert abs(entries.mean()) < 0.005
         assert abs(entries.var() - 1.0) < 0.01
 
     def test_deterministic_given_seed(self):
         gamma = every_column(30)
-        a = sample_ris_rp(gamma, m=4, psi=0.3, seed=9).toarray()
-        b = sample_ris_rp(gamma, m=4, psi=0.3, seed=9).toarray()
-        np.testing.assert_array_equal(a, b)
+        a = sample_ris_rp(gamma, m=4, psi=0.3, seed=9)
+        b = sample_ris_rp(gamma, m=4, psi=0.3, seed=9)
+        assert a.signs.tobytes() == b.signs.tobytes()
+        assert a._block().tobytes() == b._block().tobytes()
 
     def test_invalid_psi(self):
         gamma = every_column(5)
@@ -87,12 +94,16 @@ class TestStoredSeedsRebuildSameMatrix:
         ])
         proj = sample_ris_rp(gamma_of(self.GAMMA), m=3, psi=psi, seed=(11, 1))
         expected = signs * (1.0 / math.sqrt(2.0 * psi))
-        np.testing.assert_array_equal(proj.toarray(), expected)
+        np.testing.assert_array_equal(dense_map(proj), expected)
+        # the fitted map's kept signs, and a loaded map's drawn from the seed
+        for kept in (proj, replace(proj, signs=None)):
+            np.testing.assert_array_equal(kept._block(), expected[:, proj.indices])
 
 
 class TestKeptSigns:
-    # a fit keeps a drawn block as packed signs; rebuilt from them it must be
-    # the block the seed draws, bit for bit, down to the sign of every zero
+    # sample_ris_rp keeps its drawn block as packed signs; rebuilt from them,
+    # or from signs drawn again from the seed, it must be the block the seed
+    # draws, bit for bit, down to the sign of every zero
     GAMMA = np.random.default_rng(0).random(300) < 0.6
 
     @pytest.mark.parametrize(
@@ -106,24 +117,23 @@ class TestKeptSigns:
         ids=["ris_rp_psi_near_0", "ris_rp_psi_near_half"],
     )
     def test_rebuild_the_seeded_block_bit_for_bit(self, make, magnitude, prob):
-        seeded = make(gamma_of(self.GAMMA))
-        shape = (seeded.m, seeded.p_gamma)
+        kept = make(gamma_of(self.GAMMA))
+        shape = (kept.m, kept.p_gamma)
         assert (shape[0] * shape[1]) % 8 != 0  # the last packed byte is partial
-        u = np.random.default_rng(seeded.seed).random(shape)
+        u = np.random.default_rng(kept.seed).random(shape)
         oracle = magnitude * ((u < prob).astype(np.float64) - (u >= 1.0 - prob))
-        kept, dense = seeded.drawn()
-        assert seeded.signs is None
-        assert kept.signs is not None and kept.dense_block is None
-        for block in (kept._block(), dense.dense_block, seeded._block()):
+        assert kept.signs.shape == (2, -(-shape[0] * shape[1] // 8))
+        seeded = replace(kept, signs=None)
+        for block in (kept._block(), seeded._block()):
             assert block.dtype == np.float64
             assert block.tobytes() == oracle.tobytes()
             np.testing.assert_array_equal(np.signbit(block), np.signbit(oracle))
-        np.testing.assert_array_equal(kept.toarray(), seeded.toarray())
+        np.testing.assert_array_equal(dense_map(kept)[:, kept.indices], oracle)
 
     def test_kept_signs_take_no_part_in_equality(self):
-        seeded = sample_ris_rp(gamma_of(self.GAMMA), m=5, psi=0.3, seed=7)
-        kept, _ = seeded.drawn()
-        assert kept == seeded and "signs" not in repr(kept)
+        kept = sample_ris_rp(gamma_of(self.GAMMA), m=5, psi=0.3, seed=7)
+        assert kept.signs is not None
+        assert kept == replace(kept, signs=None) and "signs" not in repr(kept)
 
 
 class TestRisPcr:
@@ -132,7 +142,7 @@ class TestRisPcr:
         # indicator of the norm-3 column (canonical sign makes it +1)
         X = np.diag([3.0, 2.0, 1.0])
         proj, _ = compute_ris_pcr(X, every_column(3), m=1)
-        np.testing.assert_allclose(proj.toarray(), [[1.0, 0.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(dense_map(proj), [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_rows_orthonormal(self):
         # p_gamma <= n uses X_gamma' X_gamma, p_gamma > n uses X_gamma X_gamma'
@@ -141,7 +151,7 @@ class TestRisPcr:
             X = rng.standard_normal((n, p))
             gamma = gamma_of(rng.random(p) < 0.8)
             proj, _ = compute_ris_pcr(X, gamma, m=10)
-            R = proj.toarray()
+            R = dense_map(proj)
             assert proj.m == 10
             np.testing.assert_allclose(R @ R.T, np.eye(proj.m), atol=1e-8)
 
@@ -165,7 +175,7 @@ class TestRisPcr:
         right = np.linalg.qr(rng.standard_normal((p, k)))[0]
         X = (left * np.logspace(0.0, -3.0, k)) @ right.T
         proj, _ = compute_ris_pcr(X, every_column(p), m=k)
-        R = proj.toarray()
+        R = dense_map(proj)
         assert proj.m == k
         assert np.abs(R @ R.T - np.eye(k)).max() < 1e-8
         reference = ris_pcr_block_via_svd(X, np.arange(p), k)
@@ -203,8 +213,8 @@ class TestRisPcr:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((15, 8))
         gamma = every_column(8)
-        a = compute_ris_pcr(X, gamma, m=4)[0].toarray()
-        b = compute_ris_pcr(X, gamma, m=4)[0].toarray()
+        a = dense_map(compute_ris_pcr(X, gamma, m=4)[0])
+        b = dense_map(compute_ris_pcr(X, gamma, m=4)[0])
         np.testing.assert_array_equal(a, b)
         signs = [row[np.argmax(np.abs(row))] for row in a]
         assert np.all(np.asarray(signs) > 0)
@@ -213,7 +223,7 @@ class TestRisPcr:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((12, 6))
         gamma = gamma_of([True, True, False, True, False, True])
-        dense = compute_ris_pcr(X, gamma, m=3)[0].toarray()
+        dense = dense_map(compute_ris_pcr(X, gamma, m=3)[0])
         np.testing.assert_array_equal(dense[:, [2, 4]], 0.0)
 
 
@@ -267,7 +277,7 @@ class TestAdjoint:
         w = proj.adjoint(theta)
         assert w.shape == (60,)
         np.testing.assert_array_equal(w[~gamma], 0.0)
-        np.testing.assert_allclose(w, proj.toarray().T @ theta, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(w, dense_map(proj).T @ theta, rtol=0, atol=1e-13)
         np.testing.assert_allclose(X @ w, compress(X, proj) @ theta, rtol=0, atol=1e-12)
 
     def test_rejects_wrong_length(self):
@@ -282,7 +292,7 @@ class TestCompress:
         X = np.arange(12.0).reshape(3, 4) + 1.0
         gamma = gamma_of([False, False, True, False])
         proj, _ = compute_ris_pcr(X, gamma, m=1)
-        np.testing.assert_allclose(proj.toarray(), [[0, 0, 1, 0]], atol=1e-12)
+        np.testing.assert_allclose(dense_map(proj), [[0, 0, 1, 0]], atol=1e-12)
         np.testing.assert_allclose(compress(X, proj)[:, 0], X[:, 2], atol=1e-12)
 
     def test_matches_dense_product(self):
@@ -291,7 +301,7 @@ class TestCompress:
         gamma = gamma_of(rng.random(8) < 0.8)
         proj = sample_ris_rp(gamma, m=3, psi=0.3, seed=6)
         np.testing.assert_allclose(
-            compress(X, proj), X @ proj.toarray().T, atol=1e-12
+            compress(X, proj), X @ dense_map(proj).T, atol=1e-12
         )
 
     # compress forms block @ X_gamma' and transposes it; at (100, 40, 3) and
@@ -316,7 +326,7 @@ class TestCompress:
         else:
             proj, _ = compute_ris_pcr(X, gamma, m=m)
         Z = compress(X, proj)
-        reference = X @ proj.toarray().T
+        reference = X @ dense_map(proj).T
         assert Z.shape == (n, proj.m) and Z.flags.c_contiguous
         np.testing.assert_allclose(
             Z, reference, rtol=0, atol=1e-12 * np.abs(reference).max()
@@ -349,25 +359,34 @@ class TestProjectionInvariants:
             ({**RANDOM, "psi": None}, "psi must lie in"),
             ({**PCR, "dense_block": np.zeros((2, 4))},
              "block shape \\(2, 4\\) is not \\(m, p_gamma\\)"),
-            ({**RANDOM, "dense_block": np.ones((3, 3))}, "block shape"),
+            ({**RANDOM, "dense_block": np.ones((2, 3))}, "random map holds a dense block"),
+            ({**PCR, "signs": np.zeros((2, 1), np.uint8)},
+             "partial-SVD map has a seed, psi or signs"),
+            ({**RANDOM, "signs": np.zeros((2, 0), np.uint8)},
+             "signs are uint8 \\(2, 0\\), expected uint8 \\(2, 1\\)"),
+            ({**RANDOM, "signs": np.zeros((2, 1), np.int8)}, "signs are int8"),
+            ({**RANDOM, "signs": np.zeros(2, np.uint8)},
+             "signs are uint8 \\(2,\\), expected"),
+            ({**RANDOM, "seed": (1, -2)}, "seed entries must be non-negative"),
             ({**PCR, "dense_block": np.full((2, 3), np.nan)}, "block holds non-finite"),
             ({**RANDOM, "variant": "ris_sparse"},
              "unknown projection variant 'ris_sparse'"),
             ({**RANDOM, "seed": None}, "random map has no seed"),
             ({**PCR, "dense_block": None}, "partial-SVD map has no block"),
-            ({**PCR, "seed": (1,), "psi": 0.3}, "partial-SVD map has a seed or psi"),
+            ({**PCR, "seed": (1,), "psi": 0.3}, "partial-SVD map has a seed, psi or signs"),
         ],
         ids=["m_zero", "requested_m_below_m", "random_requested_m_above_m",
              "psi_half", "psi_missing",
-             "block_columns", "random_block_rows", "block_nan",
+             "block_columns", "random_dense_block", "pcr_signs", "short_signs",
+             "int8_signs", "flat_signs", "negative_seed", "block_nan",
              "unknown_variant", "random_seed_missing", "pcr_block_missing",
              "pcr_seed_and_psi"],
     )
     def test_construction_checks_invariants(self, fields, message):
         gamma = gamma_of([True, False, True, True])
-        # a random map holding its drawn block is what drawn() hands a fit
-        drawn = {**self.RANDOM, "dense_block": np.ones((2, 3))}
-        for valid in (self.RANDOM, self.PCR, drawn):
+        # a random map with its 2 x 3 block's signs packed in one byte a plane
+        kept = {**self.RANDOM, "signs": np.zeros((2, 1), np.uint8)}
+        for valid in (self.RANDOM, self.PCR, kept):
             ProjectionMatrix(gamma=gamma, **valid)
         with pytest.raises(ValueError, match=message):
             ProjectionMatrix(gamma=gamma, **fields)
@@ -390,3 +409,12 @@ class TestProjectionInvariants:
         assert proj.p == 4 and proj.p_gamma == 3
         np.testing.assert_array_equal(proj.indices, [0, 2, 3])
 
+
+    @pytest.mark.parametrize(
+        "seed, kept", [(np.int64(4), (4,)), ([3, 1], (3, 1)), ((0,), (0,))]
+    )
+    def test_seed_is_kept_as_a_tuple(self, seed, kept):
+        # a fit passes a list, a loaded file the list it stores
+        fields = {**self.RANDOM, "seed": seed}
+        proj = ProjectionMatrix(gamma=gamma_of([True, False, True, True]), **fields)
+        assert proj.seed == kept and type(proj.seed[0]) is int
