@@ -135,6 +135,12 @@ class Replicate:
             raise ValueError(f"config m={cfg.m} but requested_m={proj.requested_m}")
         if cfg.psi != proj.psi:
             raise ValueError(f"config psi={cfg.psi} but projection psi={proj.psi}")
+        # the fit draws each random map from this substream of the seed
+        if proj.variant == RIS_RP and proj.seed != (cfg.seed, _ENTRY_STREAM):
+            raise ValueError(
+                f"projection seed {list(proj.seed)} is not "
+                f"[config seed {cfg.seed}, {_ENTRY_STREAM}]"
+            )
         name = "mode" if isinstance(self.posterior, LaplacePosterior) else "location"
         shape = getattr(self.posterior, name).shape
         if shape != (proj.m,):
@@ -168,13 +174,31 @@ class TarpModel:
             raise ValueError(f"response_mean {mean!r} in a {kind} model")
         if len(self.column_names) != p:
             raise ValueError(f"{len(self.column_names)} column names for {p} columns")
-        for rep in self.replicates:
-            if isinstance(rep.posterior, GaussianPosterior) != continuous:
-                raise ValueError(f"{type(rep.posterior).__name__} in a {kind} model")
-            if rep.projection.p != p:
-                raise ValueError(f"gamma has length {rep.projection.p}, expected {p}")
         for name in ("a_sigma", "b_sigma", "sigma_theta2"):
             positive_finite(getattr(self, name), name)
+        # every replicate is fitted to the same rows under the model's priors
+        n_obs = set()
+        for index, rep in enumerate(self.replicates):
+            post = rep.posterior
+            if isinstance(post, GaussianPosterior) != continuous:
+                raise ValueError(f"{type(post).__name__} in a {kind} model")
+            if rep.projection.p != p:
+                raise ValueError(f"gamma has length {rep.projection.p}, expected {p}")
+            if continuous:
+                priors = (post.a_sigma, post.b_sigma)
+                if priors != (self.a_sigma, self.b_sigma):
+                    raise ValueError(
+                        f"replicate {index} has a_sigma, b_sigma = {priors}, "
+                        f"not the model's {(self.a_sigma, self.b_sigma)}"
+                    )
+                n_obs.add(post.n_obs)
+            elif post.prior_variance != self.sigma_theta2:
+                raise ValueError(
+                    f"replicate {index} has prior_variance={post.prior_variance!r}, "
+                    f"not the model's sigma_theta2={self.sigma_theta2!r}"
+                )
+        if len(n_obs) > 1:
+            raise ValueError(f"replicates disagree on n_obs: {sorted(n_obs)}")
 
     @property
     def n_replicates(self) -> int:
@@ -459,8 +483,9 @@ def predict_tarp(
     expit(x_gamma' R_i' theta_i), summed in replicate order. Each logit is
     linear in x, so every replicate's comes from one product X W' with row i
     of W the mapped-back mode R_i' theta_i; no replicate compresses X.
-    A new row whose standardized values overflow, or (continuous) whose
-    predictive location or scale does, raises DataError naming the row.
+    A new row whose standardized values overflow, or whose logits (binary)
+    or predictive location or scale (continuous) do, raises DataError
+    naming the row.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.p:
@@ -474,7 +499,10 @@ def predict_tarp(
     if model.response_kind == "binary":
         W = np.array(_map_ordered(_mapped_back_mode, model.replicates, 1))
         # (N, n): the mean over axis 0 adds the replicates in order
-        probs = expit(W @ Xs.T).mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = W @ Xs.T
+        _reject_rows(np.isfinite(logits).all(axis=0), "logits")
+        probs = expit(logits).mean(axis=0)
         return TarpPrediction(response_kind="binary", probability=probs)
     preds = _map_ordered(partial(_replicate_predictive, Xs), model.replicates, 1)
     dfs = np.asarray([pred.df for pred in preds])

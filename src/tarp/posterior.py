@@ -218,11 +218,15 @@ def predictive(post: GaussianPosterior, Z_new: np.ndarray) -> PredictiveT:
 
 
 def _spd_solve(matrix, *rhs):
-    """Solve ``matrix @ x = b`` for each b through one lower Cholesky factor.
+    """Solve ``matrix @ x = b`` for each b through one lower Cholesky factor,
+    overwriting ``matrix`` with the factor.
 
-    Calls LAPACK ``dpotrf`` / ``dpotrs`` as scipy's ``cho_factor`` /
-    ``cho_solve`` do underneath, without their per-call finiteness checks:
-    callers check their inputs once. Failure raises ``LinAlgError``.
+    ``matrix`` is a symmetric C-ordered float64 scratch array; its
+    transpose is the same matrix in Fortran order, so LAPACK ``dposv``
+    (``dpotrf`` + ``dpotrs``) factors it in place and solves the first
+    right-hand side, and ``dpotrs`` reuses the factor for the rest. No
+    finiteness checks are made: callers check their inputs once. Failure
+    raises ``LinAlgError``.
 
     LAPACK is imported here, at the first solve, not with the module:
     ``scipy.linalg`` adds ~6 MiB and ~55 ms to every process that loads
@@ -230,15 +234,15 @@ def _spd_solve(matrix, *rhs):
     (~2 us), and the import lock makes a first call from several fit
     workers at once safe.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.linalg.lapack import dposv, dpotrs
 
     if matrix.shape[0] == 0:  # f2py rejects an empty right-hand side
         return [np.array(b, dtype=np.float64) for b in rhs]
-    factor, info = dpotrf(matrix, lower=1, clean=0)
+    factor, x, info = dposv(matrix.T, rhs[0], lower=1, overwrite_a=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
-    solutions = []
-    for b in rhs:
+        raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+    solutions = [x]
+    for b in rhs[1:]:
         x, info = dpotrs(factor, b, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
@@ -277,6 +281,12 @@ def fit_bernoulli_laplace(
         raise ValueError("binary response must only contain 0 and 1")
     sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
     m = Z.shape[1]
+    # every step overwrites the weighted design Zs = sqrt(w) Z and the
+    # curvature Zs' Zs + I / sigma_theta2 in place; the solve leaves its
+    # factor in the curvature
+    weighted = np.empty_like(Z)
+    curvature = np.empty((m, m))
+    diagonal = curvature.reshape(-1)[:: m + 1]
     theta = np.zeros(m)
     h = Z @ theta
     obj = _log_posterior(h, theta, y, sigma_theta2)
@@ -292,10 +302,10 @@ def fit_bernoulli_laplace(
                 grad_norm=grad_norm,
                 n_iter=iteration - 1,
             )
-        # Zs' Zs with Zs = sqrt(w) Z is one syrk; the ridge goes on in place
-        Zs = np.sqrt(prob * (1.0 - prob))[:, None] * Z
-        curvature = Zs.T @ Zs
-        curvature.flat[:: m + 1] += 1.0 / sigma_theta2
+        # Zs' Zs is one syrk, as the product of a matrix with its transpose
+        np.multiply(np.sqrt(prob * (1.0 - prob))[:, None], Z, out=weighted)
+        np.matmul(weighted.T, weighted, out=curvature)
+        diagonal += 1.0 / sigma_theta2
         (step,) = _spd_solve(curvature, grad)
         damping = 1.0
         # accept flat moves within rounding: near the mode the objective

@@ -184,9 +184,11 @@ def fit_bernoulli_laplace_via_cho_factor(
     ``(mode, grad_norm, n_iter)``.
 
     Same algorithm and stopping rule as ``tarp.posterior.fit_bernoulli_laplace``,
-    written the direct way: the curvature as ``Z' (w * Z) + I / sigma_theta2``,
-    each step through scipy's checked ``cho_factor`` / ``cho_solve``, and the
-    linear predictor recomputed from theta wherever it is needed.
+    written the direct way: the curvature as ``Zs' Zs + I / sigma_theta2`` with
+    ``Zs = sqrt(w) * Z``, the product the library forms, so that every step
+    rounds as the library's does; each step through scipy's checked
+    ``cho_factor`` / ``cho_solve``, and the linear predictor recomputed from
+    theta wherever it is needed.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -207,8 +209,8 @@ def fit_bernoulli_laplace_via_cho_factor(
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < tol:
             return theta, grad_norm, iteration - 1
-        w = prob * (1.0 - prob)
-        curvature = Z.T @ (w[:, None] * Z) + np.eye(m) / sigma_theta2
+        Zs = np.sqrt(prob * (1.0 - prob))[:, None] * Z
+        curvature = Zs.T @ Zs + np.eye(m) / sigma_theta2
         step = cho_solve(cho_factor(curvature, lower=True), grad)
         damping = 1.0
         slack = 1e-12 * (1.0 + abs(obj))

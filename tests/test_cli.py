@@ -1075,6 +1075,22 @@ class TestExitCodes:
             "error: new row 2 is too large: its standardized values overflow\n"
         )
 
+    def test_new_row_whose_logits_overflow_is_data_error(self, workdir, capsys):
+        # alternating +-1e308 cells standardize to finite values, but their
+        # logits overflow: this row used to predict a saturated probability
+        # with exit 0, after an overflow warning from the product
+        lines = (DATA / "binary.csv").read_text().splitlines()[:4]
+        width = lines[0].count(",")
+        lines[2] = ",".join(["1e308", "-1e308"] * (width // 2) + ["1"])
+        (workdir / "new.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--model", str(DATA / "v4_binary.tarp"),
+                   "--data", "new.csv", "--out", "pred.csv") == 2
+        assert capsys.readouterr().err == (
+            "error: new row 2 is too large: its logits overflow\n"
+        )
+        assert not (workdir / "pred.csv").exists()
+
     def test_library_warning_is_one_line(self, workdir, capsys):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((30, 6))
@@ -1340,6 +1356,12 @@ class TestCorruptModel:
             # sample_inclusion never draws an empty gamma
             (_empty_gamma, "ris_rp"),
             (_empty_gamma, "binary"),
+            # every replicate is fitted to the model's rows, under its priors,
+            # on a map drawn from its config seed's entry substream
+            (_set(*_POSTERIOR, "a_sigma", value=5.0), "ris_rp"),
+            (_set(*_POSTERIOR, "n_obs", value=7), "ris_rp"),
+            (_set(*_PROJECTION, "seed", 1, value=2), "ris_rp"),
+            (_set(*_POSTERIOR, "prior_variance", value=3.0), "binary"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -1359,7 +1381,8 @@ class TestCorruptModel:
             "projection_m_zero", "pcr_block_rows", "location_short",
             "mode_short", "mode_nan", "grad_norm_negative", "n_iter_negative",
             "column_names_string", "column_names_integers", "train_data_hash_list",
-            "gamma_empty", "binary_gamma_empty",
+            "gamma_empty", "binary_gamma_empty", "a_sigma_not_the_models",
+            "n_obs_not_shared", "projection_seed_stream", "prior_variance_not_the_models",
         ],
     )
     @ENCODINGS

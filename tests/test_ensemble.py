@@ -340,8 +340,14 @@ class TestModelInvariants:
             (True, lambda rep: {"posterior": replace(
                 rep.posterior, mode=rep.posterior.mode[:-1])},
              "mode has shape .*, projection m="),
+            (False, lambda rep: {"projection": replace(
+                rep.projection, seed=(rep.config.seed, 2))},
+             r"projection seed \[\d+, 2\] is not \[config seed \d+, 1\]"),
+            (False, lambda rep: {"config": replace(rep.config, seed=rep.config.seed + 1)},
+             r"projection seed \[\d+, 1\] is not \[config seed \d+, 1\]"),
         ],
-        ids=["variant", "m", "psi", "location_m", "mode_m"],
+        ids=["variant", "m", "psi", "location_m", "mode_m", "seed_stream",
+             "config_seed"],
     )
     def test_replicate(self, binary, change, message):
         rep = fitted_model(binary).replicates[0]
@@ -379,10 +385,25 @@ class TestModelInvariants:
             (False, lambda model: {"b_sigma": math.nan}, "b_sigma must be a positive"),
             (True, lambda model: {"sigma_theta2": -1.0},
              "sigma_theta2 must be a positive finite"),
+            (False, lambda model: {"a_sigma": 5.0},
+             r"replicate 0 has a_sigma, b_sigma = \(0.02, 0.02\), not the model's "
+             r"\(5.0, 0.02\)"),
+            (False, lambda model: {"b_sigma": 5.0},
+             r"replicate 0 has a_sigma, b_sigma = \(0.02, 0.02\), not the model's "
+             r"\(0.02, 5.0\)"),
+            (False, lambda model: {"replicates": [
+                model.replicates[0],
+                replace(model.replicates[1], posterior=replace(
+                    model.replicates[1].posterior, n_obs=7)),
+            ]}, r"replicates disagree on n_obs: \[7, 60\]"),
+            (True, lambda model: {"sigma_theta2": 3.0},
+             "replicate 0 has prior_variance=1.0, not the model's sigma_theta2=3.0"),
         ],
         ids=["no_replicates", "kind_bogus", "binary_with_mean",
              "continuous_without_mean", "mean_inf", "posterior_kind", "column_names",
-             "gamma_length", "a_sigma", "b_sigma", "sigma_theta2"],
+             "gamma_length", "a_sigma", "b_sigma", "sigma_theta2",
+             "a_sigma_not_the_replicates", "b_sigma_not_the_replicates",
+             "n_obs_not_shared", "prior_variance_not_sigma_theta2"],
     )
     def test_model(self, binary, change, message):
         model = fitted_model(binary)

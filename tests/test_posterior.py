@@ -292,16 +292,65 @@ def _oracle_problems():
 
 
 def test_newton_matches_cho_factor_oracle():
-    # the lean Newton step changes only the summation order of the curvature
+    # the in-place step forms the oracle's curvature and runs the LAPACK
+    # routines that cho_factor / cho_solve run, so every bit agrees
     n_separable = 0
     for Z, y, sigma_theta2 in _oracle_problems():
         post = fit_bernoulli_laplace(Z, y, sigma_theta2=sigma_theta2)
-        mode, _, n_iter = fit_bernoulli_laplace_via_cho_factor(Z, y, sigma_theta2)
-        assert post.n_iter == n_iter
+        mode, grad_norm, n_iter = fit_bernoulli_laplace_via_cho_factor(
+            Z, y, sigma_theta2
+        )
+        assert post.mode.tobytes() == mode.tobytes()
+        assert (post.n_iter, post.grad_norm) == (n_iter, grad_norm)
         assert post.grad_norm < 1e-8
-        np.testing.assert_allclose(post.mode, mode, rtol=0, atol=1e-12 * np.abs(mode).max())
         n_separable += bool(np.all((Z[:, 0] > 0) == (y == 1.0)))
     assert n_separable >= 12
+
+
+class TestSpdSolve:
+    # the one Cholesky solve of both fits: dposv for the first right-hand
+    # side, dpotrs on its factor for the rest, in the caller's scratch matrix
+    def test_factors_in_place(self):
+        # LAPACK works on the Fortran-ordered transpose, whose lower
+        # triangle is the C array's upper one
+        matrix = np.array([[4.0, 2.0], [2.0, 5.0]])
+        tarp.posterior._spd_solve(matrix, np.ones(2))
+        np.testing.assert_array_equal(np.tril(matrix.T), [[2.0, 0.0], [1.0, 2.0]])
+
+    def test_indefinite_matrix_is_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="LAPACK info 2"):
+            tarp.posterior._spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+
+def _read_only(*arrays):
+    copies = [np.array(a) for a in arrays]
+    for copy in copies:
+        copy.flags.writeable = False
+    return copies
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fits_take_read_only_inputs(order):
+    # neither fit writes to its inputs or returns a view of them: read-only
+    # copies give the same bits, and no result shares their memory
+    rng = np.random.default_rng(8)
+    Z = np.asarray(rng.standard_normal((60, 25)), order=order)
+    y = (rng.random(60) < 1.0 / (1.0 + np.exp(-Z[:, 0]))).astype(float)
+    Z_ro, y_ro = _read_only(Z, y)
+    assert Z_ro.flags.f_contiguous == (order == "F")
+    laplace = fit_bernoulli_laplace(Z, y, sigma_theta2=0.5)
+    laplace_ro = fit_bernoulli_laplace(Z_ro, y_ro, sigma_theta2=0.5)
+    assert laplace_ro.mode.tobytes() == laplace.mode.tobytes()
+    assert (laplace_ro.n_iter, laplace_ro.grad_norm) == (laplace.n_iter, laplace.grad_norm)
+    centred = y - y.mean()
+    gauss = fit_gaussian(Z, centred)
+    gauss_ro = fit_gaussian(Z_ro, *_read_only(centred))
+    for name in ("location", "precision_inverse"):
+        assert getattr(gauss_ro, name).tobytes() == getattr(gauss, name).tobytes()
+    assert gauss_ro.residual_quadratic == gauss.residual_quadratic
+    for result in (laplace_ro.mode, gauss_ro.location, gauss_ro.precision_inverse):
+        assert not np.shares_memory(result, Z_ro)
+        assert not np.shares_memory(result, y_ro)
 
 
 class TestPredictProb:
