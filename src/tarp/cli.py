@@ -49,7 +49,7 @@ from .ensemble import (
     sample_config_grid,
 )
 from .metrics import evaluate_regression
-from .model_io import PLAIN_RP_BASELINE, load_model, save_model
+from .model_io import load_model, save_model
 from .posterior import (
     DEFAULT_A_SIGMA,
     DEFAULT_B_SIGMA,
@@ -67,6 +67,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 # the untargeted baseline is a CLI name for ris_rp at delta 0 (no screening)
+PLAIN_RP_BASELINE = "plain_rp_baseline"
 CLI_VARIANTS = (*VARIANTS, PLAIN_RP_BASELINE)
 
 

@@ -1,41 +1,32 @@
 """Self-describing single-file model persistence.
 
-Version 4, the format ``save_model`` writes, is a signed JSON header over
-raw array bytes. Line 1 is ``tarp-model 4 sha256=<64 hex>``, the SHA-256 of
-everything after that line. Line 2 is the model document as compact JSON
-with sorted keys, in which each array's ``data`` is ``[offset, nbytes]``
-into the payload. The payload follows line 2: every array's little-endian
-bytes, concatenated in the order the document names them. The file is not
-JSON text, and any edit of it, even one that keeps every value in range,
-fails the digest check, which runs before anything is parsed. Round trips
-are bit-exact and identical fits write identical bytes (no timestamps, no
-compression).
-
-Versions 1-3 are plain JSON documents with each array's bytes as base64
-text; they carry no digest and still load. Loading turns each ``data``
-field into its raw bytes (a payload slice, or the decoded base64) and then
-takes one path for every version.
+A model file is a signed JSON header over raw array bytes. Line 1 is
+``tarp-model 4 sha256=<64 hex>``, the SHA-256 of everything after that
+line. Line 2 is the model document as compact JSON with sorted keys, in
+which each array's ``data`` is ``[offset, nbytes]`` into the payload. The
+payload follows line 2: every array's little-endian bytes, concatenated in
+the order the document names them. The file is not JSON text, and any edit
+of it, even one that keeps every value in range, fails the digest check,
+which runs before anything is parsed. Round trips are bit-exact and
+identical fits write identical bytes (no timestamps, no compression).
+Version 4 is the only format read; a file without its header line, such as
+a version 1-3 JSON document, is a malformed header.
 
 Random projections are stored as (seed, psi, gamma), which is all a loaded
 map holds: the signs a fit keeps are not saved, and loading draws none
 (they are drawn from the seed where the map is used). Partial-SVD blocks
-are stored densely. The symmetric m x m posterior
-matrices are stored as their lower triangle (version 1: in full). Versions
-3 and 4 store no binary Hessian; from older files it is checked, then
-dropped. Older files may name the untargeted baseline as a config variant
-of its own; it is decoded as ris_rp at delta 0, which is what it fitted.
-Loading only decodes the document into the arguments of the model's
-constructors, which check every invariant, for fit and load alike; a
-decode failure or a constructor's rejection raises DataError.
+are stored densely, and the symmetric m x m posterior matrices as their
+lower triangle. Loading checks the header and digest, turns each ``data``
+field into its payload slice and decodes the document into the arguments
+of the model's constructors, which check every invariant, for fit and load
+alike; a decode failure or a constructor's rejection raises DataError.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import re
-from functools import partial
 
 import numpy as np
 
@@ -46,14 +37,7 @@ from .projection import RIS_PCR, RIS_RP, ProjectionMatrix
 
 FORMAT_TAG = "tarp-model"
 FORMAT_VERSION = 4
-# the versions stored as JSON text, with base64 arrays and no digest. Every
-# such file starts with "{"; any other file is read as signed, so a damaged
-# byte in a signed file's tag is reported as a damaged header
-JSON_VERSIONS = (1, 2, 3)
 _HEADER = re.compile(rb"tarp-model (\S+) sha256=([0-9a-f]{64})")
-# the untargeted baseline's name: a CLI variant, and the config variant of
-# files fitted before it was resolved to ris_rp at delta 0
-PLAIN_RP_BASELINE = "plain_rp_baseline"
 
 
 def _integer(value, name: str) -> int:
@@ -126,13 +110,6 @@ def _decode_triangle(obj: dict, m: int, name: str) -> np.ndarray:
     return full
 
 
-def _decode_symmetric(obj: dict, m: int, version: int, name: str) -> np.ndarray:
-    # version 1 stored the full matrix; its shape is checked where it is used
-    if version == 1:
-        return _decode_array(obj)
-    return _decode_triangle(obj, m, name)
-
-
 def _encode_bits(mask: np.ndarray) -> dict:
     mask = np.asarray(mask, dtype=bool)
     packed = np.packbits(mask)
@@ -199,12 +176,12 @@ def _encode_posterior(post) -> dict:
     raise TypeError(f"cannot serialize posterior of type {type(post)!r}")
 
 
-def _decode_posterior(obj: dict, m: int, version: int):
+def _decode_posterior(obj: dict, m: int):
     if obj["kind"] == "gaussian":
         return GaussianPosterior(
             location=_decode_array(obj["location"]),
-            precision_inverse=_decode_symmetric(
-                obj["precision_inverse"], m, version, "precision_inverse"
+            precision_inverse=_decode_triangle(
+                obj["precision_inverse"], m, "precision_inverse"
             ),
             residual_quadratic=_real(obj["residual_quadratic"], "residual_quadratic"),
             a_sigma=_real(obj["a_sigma"], "a_sigma"),
@@ -212,12 +189,6 @@ def _decode_posterior(obj: dict, m: int, version: int):
             n_obs=_integer(obj["n_obs"], "n_obs"),
         )
     if obj["kind"] == "laplace":
-        # versions 1 and 2 also stored the Hessian at the mode; nothing reads it
-        if version < 3:
-            name = "hessian_at_mode"
-            hessian = _decode_symmetric(obj[name], m, version, name)
-            if hessian.shape != (m, m) or not np.isfinite(hessian).all():
-                raise ValueError(f"{name} is not a finite {m} x {m} matrix")
         return LaplacePosterior(
             mode=_decode_array(obj["mode"]),
             prior_variance=_real(obj["prior_variance"], "prior_variance"),
@@ -237,18 +208,12 @@ def _encode_config(cfg: TarpConfig) -> dict:
     }
 
 
-def _decode_config(obj: dict, projection: ProjectionMatrix) -> TarpConfig:
-    variant, delta = obj["variant"], _real(obj["delta"], "delta")
-    if variant == PLAIN_RP_BASELINE:
-        # the baseline projected every column and never read its delta
-        if projection.p_gamma != projection.p:
-            raise ValueError(f"{variant!r} config on a screened projection")
-        variant, delta = RIS_RP, 0.0
+def _decode_config(obj: dict) -> TarpConfig:
     return TarpConfig(
         m=_integer(obj["m"], "m"),
         psi=None if obj["psi"] is None else _real(obj["psi"], "psi"),
-        delta=delta,
-        variant=variant,
+        delta=_real(obj["delta"], "delta"),
+        variant=obj["variant"],
         seed=_integer(obj["seed"], "seed"),
     )
 
@@ -337,31 +302,27 @@ def _payload_slice(payload: memoryview, field) -> memoryview:
     return payload[offset : offset + nbytes]
 
 
-def _resolve_arrays(node, raw) -> None:
-    """Replace each ``data`` field below ``node`` with its bytes, ``raw(field)``."""
+def _resolve_arrays(node, payload: memoryview) -> None:
+    """Replace each ``data`` field below ``node`` with its payload slice."""
     if isinstance(node, dict):
         for key, value in node.items():
             if key == "data":
-                node[key] = raw(value)
+                node[key] = _payload_slice(payload, value)
             else:
-                _resolve_arrays(value, raw)
+                _resolve_arrays(value, payload)
     elif isinstance(node, list):
         for value in node:
-            _resolve_arrays(value, raw)
+            _resolve_arrays(value, payload)
 
 
 def load_model(path) -> tuple[TarpModel, dict]:
-    """Load a model file of any version; returns (model, extra metadata)."""
+    """Load a signed version 4 model file; returns (model, extra metadata)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    if data.startswith(b"{"):
-        text, versions, raw = data, JSON_VERSIONS, base64.b64decode
-    else:
-        text, payload = _signed_parts(data, path)
-        versions, raw = (FORMAT_VERSION,), partial(_payload_slice, payload)
+    text, payload = _signed_parts(data, path)
     try:
         doc = json.loads(text.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -372,15 +333,14 @@ def load_model(path) -> tuple[TarpModel, dict]:
         raise DataError(f"{path}: not a valid model file ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise DataError(f"{path}: not a {FORMAT_TAG} file")
-    version = doc.get("version")
-    if isinstance(version, bool) or version not in versions:
-        raise DataError(f"{path}: unsupported model version {version}")
+    if doc.get("version") != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported model version {doc.get('version')}")
     try:
         for key, value in doc.items():
             # extra is caller metadata: the CLI's options name a data file
             if key != "extra":
-                _resolve_arrays(value, raw)
-        model = _decode_model(doc, int(version))
+                _resolve_arrays(value, payload)
+        model = _decode_model(doc)
     except KeyError as exc:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:
@@ -391,7 +351,7 @@ def load_model(path) -> tuple[TarpModel, dict]:
     return model, extra
 
 
-def _decode_model(doc: dict, version: int) -> TarpModel:
+def _decode_model(doc: dict) -> TarpModel:
     std_doc = doc["standardization"]
     mean = std_doc["response_mean"]
     replicates = []
@@ -399,9 +359,9 @@ def _decode_model(doc: dict, version: int) -> TarpModel:
         projection = _decode_projection(rep["projection"])
         replicates.append(
             Replicate(
-                config=_decode_config(rep["config"], projection),
+                config=_decode_config(rep["config"]),
                 projection=projection,
-                posterior=_decode_posterior(rep["posterior"], projection.m, version),
+                posterior=_decode_posterior(rep["posterior"], projection.m),
             )
         )
     return TarpModel(

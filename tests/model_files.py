@@ -1,12 +1,12 @@
-"""Signed version 4 model files as the JSON documents of versions 1-3.
+"""Signed model files as editable documents.
 
 Tests that edit a model work on the document: ``as_doc`` reads a signed
-file into a document whose arrays are base64 text, as versions 1-3 store
-them, and ``as_signed`` writes such a document back as a signed file, so
-the types' checks stay reachable behind the digest.
+file into its document with each array's data as raw bytes, and
+``as_signed`` writes such a document back as a signed file, so the types'
+checks stay reachable behind the digest.
 """
 
-import base64
+import copy
 import hashlib
 import json
 
@@ -32,31 +32,26 @@ def each_array(doc: dict, convert) -> None:
 
 
 def as_doc(data: bytes) -> dict:
-    """The document of a signed file, with base64 arrays."""
+    """The document of a signed file, with each array's bytes in its data."""
     _, _, body = data.partition(b"\n")
     text, _, payload = body.partition(b"\n")
     doc = json.loads(text)
-    each_array(
-        doc,
-        lambda field: base64.b64encode(
-            payload[field[0] : field[0] + field[1]]
-        ).decode("ascii"),
-    )
+    each_array(doc, lambda field: payload[field[0] : field[0] + field[1]])
     return doc
 
 
 def body_of(doc: dict) -> bytes:
-    """What follows line 1 of the signed file of ``doc`` (base64 arrays),
+    """What follows line 1 of the signed file of ``doc`` (arrays as bytes),
     which the caller leaves untouched."""
-    doc = json.loads(json.dumps(doc))
+    doc = copy.deepcopy(doc)
     chunks = []
     size = 0
 
-    def place(text):
+    def place(raw):
         nonlocal size
-        chunks.append(base64.b64decode(text))
-        size += len(chunks[-1])
-        return [size - len(chunks[-1]), len(chunks[-1])]
+        chunks.append(raw)
+        size += len(raw)
+        return [size - len(raw), len(raw)]
 
     each_array(doc, place)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -70,5 +65,5 @@ def signed(body: bytes) -> bytes:
 
 
 def as_signed(doc: dict) -> bytes:
-    """The signed version 4 file of a document with base64 arrays."""
+    """The signed version 4 file of a document with arrays as bytes."""
     return signed(body_of(doc))

@@ -21,14 +21,14 @@ import tarp.cli
 import tarp.ensemble
 import tarp.projection
 from tarp.cli import main
-from tarp.data import Dataset, load_csv, write_csv
+from tarp.data import DataError, Dataset, load_csv, write_csv
 from tarp.ensemble import TarpConfig, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import load_model
 from tarp.posterior import ConvergenceError, positive_finite
 from tarp.screening import default_delta
 from tarp.simgen import SchemeSpec
 
-from model_files import as_doc, as_signed, body_of, signed
+from model_files import as_doc, as_signed, body_of, each_array, signed
 
 
 DATA = Path(__file__).parent / "data"
@@ -145,7 +145,7 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_bad_level_is_usage_error(self, workdir, capsys, kind):
-        assert run("predict", "--model", str(DATA / f"v2_{kind}.json"),
+        assert run("predict", "--model", str(DATA / f"v4_{kind}.tarp"),
                    "--data", str(DATA / f"{kind}.csv"), "--level", "7",
                    "--out", "preds.csv") == 1
         assert capsys.readouterr().err == (
@@ -153,10 +153,10 @@ class TestFitPredict:
         )
         assert not list(workdir.iterdir())
 
-    @pytest.mark.parametrize("model", ["v2_continuous", "v3_ris_pcr"])
+    @pytest.mark.parametrize("model", ["v4_continuous", "v4_ris_pcr"])
     def test_largest_level_predicts_a_finite_interval(self, workdir, model):
         # (1 + level) / 2 is the largest double below 1
-        assert run("predict", "--model", str(DATA / f"{model}.json"),
+        assert run("predict", "--model", str(DATA / f"{model}.tarp"),
                    "--data", str(DATA / "continuous.csv"),
                    "--level", "0.9999999999999998", "--out", "preds.csv") == 0
         lo, hi = np.loadtxt("preds.csv", delimiter=",", skiprows=1)[:, 1:].T
@@ -477,10 +477,10 @@ class TestBench:
 _REQUIRED_OPTIONS = [
     ("simulate", "scheme", "I", ["--n", "30", "--p", "40", "--out", "data.csv"]),
     ("fit", "data", str(DATA / "continuous.csv"), ["--replicates", "2"]),
-    ("predict", "model", str(DATA / "v2_continuous.json"),
+    ("predict", "model", str(DATA / "v4_continuous.tarp"),
      ["--data", str(DATA / "continuous.csv")]),
     ("predict", "data", str(DATA / "continuous.csv"),
-     ["--model", str(DATA / "v2_continuous.json")]),
+     ["--model", str(DATA / "v4_continuous.tarp")]),
     ("bench", "scheme", "I", ["--n", "30", "--test-size", "5", "--p", "40",
                               "--replicates", "1", "--ensemble-size", "2"]),
 ]
@@ -628,7 +628,7 @@ def _pool(threads):
 
 @functools.cache
 def _model(kind):
-    return load_model(DATA / f"v2_{kind}.json")[0]
+    return load_model(DATA / f"v4_{kind}.tarp")[0]
 
 
 def _check_level(level):
@@ -801,7 +801,7 @@ class TestExitCodes:
         "argv, path, code",
         [
             (["fit", "--data", "bad.csv"], "bad.csv", 2),
-            (["predict", "--model", "bad.json", "--data", "bad.csv"], "bad.json", 2),
+            (["predict", "--model", "bad.tarp", "--data", "bad.csv"], "bad.tarp", 2),
             (["simulate", "--scheme", "I", "--config", "cfg.txt"],
              "config file cfg.txt", 1),
         ],
@@ -809,8 +809,8 @@ class TestExitCodes:
     )
     def test_non_utf8_file_is_named(self, workdir, capsys, argv, path, code):
         (workdir / "bad.csv").write_bytes(b"x1,y\n1.0,2.0\n\xff\xfe,3\n4,5\n")
-        # a model file that starts with "{" is read as a JSON document
-        (workdir / "bad.json").write_bytes(b"{\xff}")
+        # a signed model file whose document line is not UTF-8
+        (workdir / "bad.tarp").write_bytes(signed(b"{\xff}\n"))
         (workdir / "cfg.txt").write_bytes(b"n = 5\n\xff\n")
         assert run(*argv) == code
         assert capsys.readouterr().err == (
@@ -1166,12 +1166,12 @@ def _at(doc, keys):
 
 
 def _set_float(*keys, index=0, value):
-    # one entry of a base64 float array
+    # one entry of a float array
     def corrupt(doc):
         obj = _at(doc, keys)
-        values = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8").copy()
+        values = np.frombuffer(obj["data"], dtype="<f8").copy()
         values[index] = value
-        obj["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+        obj["data"] = values.tobytes()
     return corrupt
 
 
@@ -1183,11 +1183,11 @@ def _add(*keys, delta):
 
 
 def _drop_last(*keys):
-    # the last entry of a base64 float vector, with its shape
+    # the last entry of a float vector, with its shape
     def corrupt(doc):
         obj = _at(doc, keys)
         obj["shape"] = [obj["shape"][0] - 1]
-        obj["data"] = base64.b64encode(base64.b64decode(obj["data"])[:-8]).decode()
+        obj["data"] = obj["data"][:-8]
     return corrupt
 
 
@@ -1203,14 +1203,12 @@ def _column_names_as(convert):
 
 def _empty_gamma(doc):
     gamma = doc["replicates"][0]["projection"]["gamma"]
-    size = len(base64.b64decode(gamma["data"]))
-    gamma["data"] = base64.b64encode(bytes(size)).decode("ascii")
+    gamma["data"] = bytes(len(gamma["data"]))
 
 
-def _other_encodings_version(doc):
-    # a JSON document claiming version 4, or a signed file whose document
-    # claims version 3
-    doc["version"] = 3 if doc["version"] == 4 else 4
+def _claims_version_3(doc):
+    # a signed version 4 file whose document claims version 3
+    doc["version"] = 3
 
 
 def _binary_as_continuous(doc):
@@ -1219,26 +1217,15 @@ def _binary_as_continuous(doc):
 
 
 def _truncate(*keys, nbytes):
-    # cut a base64 payload to raw[:nbytes]; a negative count drops bytes
+    # cut an array's bytes to data[:nbytes]; a negative count drops bytes
     def corrupt(doc):
         obj = _at(doc, keys)
-        raw = base64.b64decode(obj["data"])[:nbytes]
-        obj["data"] = base64.b64encode(raw).decode("ascii")
+        obj["data"] = obj["data"][:nbytes]
     return corrupt
 
 
 _POSTERIOR = ("replicates", 0, "posterior")
 _PROJECTION = ("replicates", 0, "projection")
-
-
-def _write_model(path, doc, encoding, corrupt=None):
-    # the document as a version 3 JSON file or a re-signed version 4 file,
-    # with ``corrupt`` applied after the encoding's version is set
-    if encoding == "v3":
-        doc["version"] = 3
-    if corrupt is not None:
-        corrupt(doc)
-    path.write_bytes(json.dumps(doc).encode() if encoding == "v3" else as_signed(doc))
 
 
 def _predict_fails_in_one_line(workdir, capsys, prefix="error: model.json: "):
@@ -1248,16 +1235,14 @@ def _predict_fails_in_one_line(workdir, capsys, prefix="error: model.json: "):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
     assert not (workdir / "preds.csv").exists()
-
-
-ENCODINGS = pytest.mark.parametrize("encoding", ["v3", "v4"])
+    return err
 
 
 class TestCorruptModel:
     @staticmethod
     def _fit(variant):
         # fits model.json to data.csv in the working directory and returns
-        # the file's document, with base64 arrays; "binary" is ris_rp on a
+        # the file's document, with arrays as bytes; "binary" is ris_rp on a
         # binary response
         if variant == "binary":
             write_binary_csv(Path("data.csv"))
@@ -1269,19 +1254,13 @@ class TestCorruptModel:
                    "--variant", variant, "--out", "model.json") == 0
         return as_doc(Path("model.json").read_bytes())
 
-    @ENCODINGS
     @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "binary"])
-    def test_unedited_copy_predicts_the_same_bytes(self, workdir, variant, encoding):
-        # every corrupt case below starts from this copy, which must load
+    def test_unedited_copy_is_the_same_file(self, workdir, variant):
+        # every corrupt case below starts from this copy of the fitted file
         doc = self._fit(variant)
-        original = (workdir / "model.json").read_bytes()
-        assert as_signed(as_doc(original)) == original
+        assert as_signed(doc) == (workdir / "model.json").read_bytes()
         assert run("predict", "--model", "model.json", "--data", "data.csv",
-                   "--out", "before.csv") == 0
-        _write_model(workdir / "model.json", doc, encoding)
-        assert run("predict", "--model", "model.json", "--data", "data.csv",
-                   "--out", "after.csv") == 0
-        assert (workdir / "after.csv").read_bytes() == (workdir / "before.csv").read_bytes()
+                   "--out", "preds.csv") == 0
 
     @pytest.mark.parametrize(
         "corrupt, variant",
@@ -1300,8 +1279,7 @@ class TestCorruptModel:
             (_set("extra", "options", value=[1]), "ris_rp"),
             (_config_m_off_by_one, "ris_rp"),
             (_set("replicates", 0, "config", "psi", value=0.3), "ris_rp"),
-            # older files name the baseline as a variant, which decodes as
-            # ris_rp at delta 0 only over an all-ones gamma; this is screened
+            # the baseline is a CLI name, not a config variant
             (_set("replicates", 0, "config", "variant", value="plain_rp_baseline"),
              "ris_rp"),
             (_set("replicates", 0, "config", "variant", value="ris_pcr"), "ris_rp"),
@@ -1324,7 +1302,7 @@ class TestCorruptModel:
              "ris_rp"),
             (_set_float("replicates", 0, "projection", "block", value=float("nan")),
              "ris_pcr"),
-            (_other_encodings_version, "ris_rp"),
+            (_claims_version_3, "ris_rp"),
             # a projection variant the format does not know
             (_set("replicates", 0, "projection", "variant", value="sparse_variant"),
              "ris_rp"),
@@ -1374,7 +1352,7 @@ class TestCorruptModel:
             "column_mean_inf", "residual_quadratic_negative", "a_sigma_zero",
             "b_sigma_negative", "b_sigma_overflows", "sigma_theta2_zero",
             "triangle_short", "triangle_order", "triangle_inf", "pcr_block_nan",
-            "version_4", "projection_variant_sparse", "config_delta_nan",
+            "version_3", "projection_variant_sparse", "config_delta_nan",
             "config_delta_inf", "n_obs_true", "seed_fraction",
             "column_means_short", "response_mean_null", "binary_response_mean",
             "column_names_short", "gamma_one_short", "kind_continuous_on_binary",
@@ -1385,12 +1363,10 @@ class TestCorruptModel:
             "n_obs_not_shared", "projection_seed_stream", "prior_variance_not_the_models",
         ],
     )
-    @ENCODINGS
-    def test_corrupt_model_is_data_error(
-        self, workdir, capsys, corrupt, variant, encoding
-    ):
+    def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
         doc = self._fit(variant)
-        _write_model(workdir / "model.json", doc, encoding, corrupt)
+        corrupt(doc)
+        (workdir / "model.json").write_bytes(as_signed(doc))
         _predict_fails_in_one_line(workdir, capsys)
 
 
@@ -1411,24 +1387,30 @@ class TestCorruptModel:
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple)
         else value,
     )
-    @ENCODINGS
     def test_integer_too_large_for_a_float_is_data_error(
-        self, workdir, capsys, keys, variant, encoding
+        self, workdir, capsys, keys, variant
     ):
         # json reads 1e999 as inf, a float, which no integer field takes
         doc = self._fit(variant)
         _at(doc, keys[:-1])[keys[-1]] = "HUGE"
-        if encoding == "v3":
-            doc["version"] = 3
-            text = json.dumps(doc).encode()
-        else:
-            text = body_of(doc)
+        text = body_of(doc)
         assert text.count(b'"HUGE"') == 1
-        text = text.replace(b'"HUGE"', b"1e999")
-        (workdir / "model.json").write_bytes(text if encoding == "v3" else signed(text))
+        (workdir / "model.json").write_bytes(signed(text.replace(b'"HUGE"', b"1e999")))
         _predict_fails_in_one_line(
             workdir, capsys, prefix="error: model.json: malformed model file ("
         )
+
+    def test_legacy_json_model_is_a_malformed_header(self, workdir, capsys):
+        # versions 1-3 were JSON documents with base64 arrays and no header
+        # line; only the signed format loads
+        doc = self._fit("ris_rp")
+        each_array(doc, lambda raw: base64.b64encode(raw).decode("ascii"))
+        doc["version"] = 3
+        (workdir / "model.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="^model.json: malformed model header$"):
+            load_model("model.json")
+        err = _predict_fails_in_one_line(workdir, capsys)
+        assert err.endswith("malformed model header\n")
 
     def test_huge_m_is_rejected_without_drawing_a_block(
         self, workdir, capsys, monkeypatch
@@ -1480,7 +1462,7 @@ class TestStartup:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_predict_skips_scipy_stats_and_linalg(self, tmp_path, kind):
-        argv = ["predict", "--model", str(DATA / f"v2_{kind}.json"),
+        argv = ["predict", "--model", str(DATA / f"v4_{kind}.tarp"),
                 "--data", str(DATA / f"{kind}.csv"), "--out", str(tmp_path / "p.csv")]
         code = (
             f"import sys, tarp.cli; code = tarp.cli.main({argv!r}); "

@@ -1,4 +1,3 @@
-import base64
 import hashlib
 import json
 import re
@@ -12,14 +11,14 @@ from hypothesis import strategies as st
 from tarp.cli import main
 from tarp.data import DataError, Dataset
 from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
-from tarp.model_io import FORMAT_VERSION, load_model, save_model
+from tarp.model_io import load_model, save_model
 
 from model_files import as_doc, as_signed, each_array, signed
 from oracles import dense_map
 
-# version 1 model files (p=20, 3 replicates) and the prediction CSVs written
-# for their training rows while version 1 was the current format; the
-# version 2 files are the same models re-saved while version 2 was current
+# model files (p=20) and the prediction CSVs written for their training rows;
+# each *_pred.csv dates from the model's first format, and the v4_* files
+# are the same models in the current one
 DATA = Path(__file__).parent / "data"
 
 # binary probabilities come from one product X W', which rounds differently
@@ -27,28 +26,27 @@ DATA = Path(__file__).parent / "data"
 # differ by 2 ulp at 1.0; continuous CSVs must match byte for byte
 BINARY_FIXTURE_TOL = 4.5e-16
 
-# a version 3 ris_pcr model (p=20, 3 replicates, stored dense blocks) and the
-# predictions written for its training rows when it was fitted. A change to
-# how the compression GEMM is ordered may move them by rounding (at most
-# ~5e-16 relative on the benchmark's ris_pcr fits), so they are compared
-# relative to the largest value, not byte for byte
+# a ris_pcr model (3 replicates, stored dense blocks) and the predictions
+# written for its training rows when it was fitted. A change to how the
+# compression GEMM is ordered may move them by rounding (at most ~5e-16
+# relative on the benchmark's ris_pcr fits), so they are compared relative
+# to the largest value, not byte for byte
 RIS_PCR_FIXTURE_RTOL = 1e-13
 
-# a version 3 model fitted with --variant plain_rp_baseline (p=20, 5
-# replicates) while the baseline was a variant of its own, and the
-# predictions written for its training rows then: its configs name that
-# variant and record a delta the fit never used
-BASELINE_FIXTURE = DATA / "v3_plain_rp_baseline.json"
+# a model fitted with --variant plain_rp_baseline (5 replicates) while the
+# baseline was a config variant of its own, re-saved with its configs as
+# ris_rp at delta 0, and the predictions written for its training rows when
+# it was fitted
+BASELINE_FIXTURE = DATA / "v4_plain_rp_baseline.tarp"
 
-# version 4 re-saves of v1_continuous.json and v2_binary.json: signed files
-# that must keep predicting the committed CSVs
+# signed files that must keep predicting the committed CSVs
 V4_FIXTURES = {"continuous": DATA / "v4_continuous.tarp", "binary": DATA / "v4_binary.tarp"}
 
 # signed files that `tarp fit` wrote, run in a directory holding the data
 # file, with these options: a refit must write each byte for byte, at any
-# thread count. v4_continuous.tarp is also the re-save of v1_continuous.json;
-# v4_binary.tarp, a re-save of a version 2 fit, differs from a refit at
-# rounding level and is no golden file
+# thread count. The fit records its options, --out included, so the refit
+# of v4_continuous.tarp keeps the name it was first written under;
+# v4_binary.tarp differs from a refit at rounding level and is no golden file
 GOLDEN_FITS = {
     "v4_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
                            "--seed", "7", "--out", "v1_continuous.json"],
@@ -217,15 +215,15 @@ def test_extra_metadata_round_trips(tmp_path):
 
 
 def test_rejects_foreign_json(tmp_path):
-    path = tmp_path / "other.json"
-    path.write_text('{"format": "something-else"}')
+    path = tmp_path / "other.tarp"
+    path.write_bytes(signed(b'{"format": "something-else"}\n'))
     with pytest.raises(DataError, match="not a tarp-model"):
         load_model(path)
 
 
 def test_rejects_corrupt_file(tmp_path):
-    path = tmp_path / "corrupt.json"
-    path.write_text("{not json")
+    path = tmp_path / "corrupt.tarp"
+    path.write_bytes(signed(b"{not json\n"))
     with pytest.raises(DataError, match="not a valid model file"):
         load_model(path)
 
@@ -236,9 +234,11 @@ def test_rejects_corrupt_file(tmp_path):
 def test_json_past_python_limits_is_data_error(tmp_path, value):
     # an integer past Python's digit limit for str -> int, and nesting past
     # the recursion limit, which json raises as ValueError and RecursionError
-    path = tmp_path / "model.json"
-    path.write_text('{"format": "tarp-model", "version": 3, "deep": ' + value + "}")
-    with pytest.raises(DataError, match="model.json: "):
+    path = tmp_path / "model.tarp"
+    path.write_bytes(signed(
+        b'{"format": "tarp-model", "version": 4, "deep": ' + value.encode() + b"}\n"
+    ))
+    with pytest.raises(DataError, match="model.tarp: not a valid model file"):
         load_model(path)
 
 
@@ -255,82 +255,11 @@ def assert_same_predictions(a, b):
             np.testing.assert_array_equal(x, y)
 
 
-@pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v1_fixture_predicts_byte_identically(tmp_path, kind):
-    assert json.loads((DATA / f"v1_{kind}.json").read_text())["version"] == 1
-    out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(DATA / f"v1_{kind}.json"),
-                 "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
-    assert_predicts_committed_csv(out, kind)
-
-
-def resave_round_trips(tmp_path, old, kind):
-    """Re-save ``old`` in the current format; it must reload to the same
-    bytes and predict the committed CSV. Returns the re-saved path."""
-    model, extra = load_model(old)
-    first, second = tmp_path / "current.tarp", tmp_path / "again.tarp"
-    save_model(model, first, extra=extra)
-    assert as_doc(first.read_bytes())["version"] == FORMAT_VERSION == 4
-    loaded, extra_back = load_model(first)
-    save_model(loaded, second, extra=extra_back)
-    assert first.read_bytes() == second.read_bytes()
-    out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(first),
-                 "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
-    assert_predicts_committed_csv(out, kind)
-    return first
-
-
-@pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v1_resaved_round_trips(tmp_path, kind):
-    old = DATA / f"v1_{kind}.json"
-    assert resave_round_trips(tmp_path, old, kind).stat().st_size < old.stat().st_size
-
-
-@pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v2_fixture_predicts_byte_identically(tmp_path, kind):
-    assert json.loads((DATA / f"v2_{kind}.json").read_text())["version"] == 2
-    out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(DATA / f"v2_{kind}.json"),
-                 "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
-    assert_predicts_committed_csv(out, kind)
-
-
-@pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v2_resaved_drops_only_the_hessians(tmp_path, kind):
-    old = DATA / f"v2_{kind}.json"
-    new = as_doc(resave_round_trips(tmp_path, old, kind).read_bytes())
-    doc = json.loads(old.read_text())
-    # versions 3 and 4 drop the binary Hessians; 4 stores the same arrays
-    for rep in doc["replicates"]:
-        rep["posterior"].pop("hessian_at_mode", None)
-    doc["version"] = 4
-    assert new == doc
-
-
-def test_every_binary_fixture_version_predicts_the_same_bytes(tmp_path):
-    # v1, v2 and their current re-saves hold the same modes and projections
-    models = [DATA / "v1_binary.json", DATA / "v2_binary.json", V4_FIXTURES["binary"]]
-    for old in models[:2]:
-        model, extra = load_model(old)
-        models.append(tmp_path / f"{old.stem}_as_v4.tarp")
-        save_model(model, models[-1], extra=extra)
-    outputs = []
-    for index, path in enumerate(models):
-        out = tmp_path / f"pred{index}.csv"
-        assert main(["predict", "--model", str(path),
-                     "--data", str(DATA / "binary.csv"), "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert len(set(outputs)) == 1
-    assert_predicts_committed_csv(tmp_path / "pred0.csv", "binary")
-
-
 def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
-    model = json.loads((DATA / "v3_ris_pcr.json").read_text())
-    assert model["version"] == 3
-    assert {rep["projection"]["variant"] for rep in model["replicates"]} == {"ris_pcr"}
+    model, _ = load_model(DATA / "v4_ris_pcr.tarp")
+    assert {rep.projection.variant for rep in model.replicates} == {"ris_pcr"}
     out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(DATA / "v3_ris_pcr.json"),
+    assert main(["predict", "--model", str(DATA / "v4_ris_pcr.tarp"),
                  "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
     committed = DATA / "v3_ris_pcr_pred.csv"
     assert out.read_text().splitlines()[0] == committed.read_text().splitlines()[0]
@@ -340,11 +269,6 @@ def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
 
 
 def test_baseline_fixture_loads_as_ris_rp_at_delta_zero(tmp_path):
-    doc = json.loads(BASELINE_FIXTURE.read_text())
-    assert doc["version"] == 3
-    assert {rep["config"]["variant"] for rep in doc["replicates"]} == {
-        "plain_rp_baseline"
-    }
     model, _ = load_model(BASELINE_FIXTURE)
     for rep in model.replicates:
         assert (rep.config.variant, rep.config.delta) == ("ris_rp", 0.0)
@@ -355,23 +279,14 @@ def test_baseline_fixture_loads_as_ris_rp_at_delta_zero(tmp_path):
     assert out.read_bytes() == (DATA / "v3_plain_rp_baseline_pred.csv").read_bytes()
 
 
-def test_v2_hessian_is_still_checked(tmp_path):
-    doc = json.loads((DATA / "v2_binary.json").read_text())
-    doc["replicates"][0]["posterior"]["hessian_at_mode"]["order"] += 1
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match="hessian_at_mode has order"):
-        load_model(path)
-
-
-def test_v3_mode_shape_is_checked(tmp_path):
+def test_mode_shape_is_checked(tmp_path):
     _, model = fitted_model(seed=5, binary=True)
     path = tmp_path / "model.tarp"
     save_model(model, path)
     doc = as_doc(path.read_bytes())
     mode = doc["replicates"][0]["posterior"]["mode"]
     mode["shape"] = [mode["shape"][0] - 1]
-    mode["data"] = base64.b64encode(base64.b64decode(mode["data"])[:-8]).decode()
+    mode["data"] = mode["data"][:-8]
     path.write_bytes(as_signed(doc))
     with pytest.raises(DataError, match="mode has shape"):
         load_model(path)
@@ -394,7 +309,7 @@ def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
         m = stored["projection"]["m"]
         triangle = stored["posterior"]["precision_inverse"]
         assert set(triangle) == {"order", "data"} and triangle["order"] == m
-        values = np.frombuffer(base64.b64decode(triangle["data"]), dtype="<f8")
+        values = np.frombuffer(triangle["data"], dtype="<f8")
         assert values.size == m * (m + 1) // 2
         full = rep.posterior.precision_inverse
         np.testing.assert_array_equal(values, full[np.tril_indices(m)])
@@ -467,21 +382,12 @@ def test_v4_layout(tmp_path, variant, binary):
         assert offset == end and nbytes >= 0
         end += nbytes
     assert end == len(payload)
-    # base64 would store the same arrays in 4/3 of the bytes
-    assert len(data) < len(json.dumps(as_doc(data)))
 
 
 @pytest.mark.parametrize("kind", ["continuous", "binary"])
 def test_v4_fixture_predicts_committed_csv(tmp_path, kind):
-    fixture = V4_FIXTURES[kind]
-    old = DATA / ("v1_continuous.json" if kind == "continuous" else "v2_binary.json")
-    model, extra = load_model(old)
-    resaved = tmp_path / "resaved.tarp"
-    save_model(model, resaved, extra=extra)
-    # the format has not moved since the fixture was written
-    assert resaved.read_bytes() == fixture.read_bytes()
     out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(fixture),
+    assert main(["predict", "--model", str(V4_FIXTURES[kind]),
                  "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
     assert_predicts_committed_csv(out, kind)
 
@@ -540,8 +446,8 @@ def test_every_byte_flip_of_a_v4_file_is_data_error(tmp_path, capsys):
         if index >= header:
             assert message.endswith("file does not match its digest")
         elif index < tag:
-            # a file that does not start with "{" is read as signed, so a
-            # damaged tag is a damaged header, not a bad JSON document
+            # every file is read as signed, so a damaged tag is a damaged
+            # header
             assert message.endswith("malformed model header")
         else:
             assert HEADER_MESSAGE.search(message), message
