@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,7 @@ import tarp.projection
 from tarp.cli import main
 from tarp.data import DataError, Dataset, load_csv, write_csv
 from tarp.ensemble import TarpConfig, fit_tarp, predict_tarp, sample_config_grid
-from tarp.model_io import load_model
+from tarp.model_io import load_model, save_model
 from tarp.posterior import ConvergenceError, positive_finite
 from tarp.screening import default_delta
 from tarp.simgen import SchemeSpec
@@ -1238,6 +1239,21 @@ def _predict_fails_in_one_line(workdir, capsys, prefix="error: model.json: "):
     return err
 
 
+def _refused(workdir, capsys, entry, reason=""):
+    # the model file is refused where it is read: by load_model, as a
+    # DataError naming the file, or by `tarp predict`, in one line
+    prefix = "model.json: " + reason
+    if entry == "load_model":
+        with pytest.raises(DataError, match="^" + re.escape(prefix)):
+            load_model("model.json")
+    else:
+        _predict_fails_in_one_line(workdir, capsys, prefix="error: " + prefix)
+
+
+# a corrupt file must fail in load_model itself, not only later in predict
+ENTRIES = pytest.mark.parametrize("entry", ["load_model", "predict"])
+
+
 class TestCorruptModel:
     @staticmethod
     def _fit(variant):
@@ -1254,13 +1270,20 @@ class TestCorruptModel:
                    "--variant", variant, "--out", "model.json") == 0
         return as_doc(Path("model.json").read_bytes())
 
+    @ENTRIES
     @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "binary"])
-    def test_unedited_copy_is_the_same_file(self, workdir, variant):
+    def test_unedited_copy_is_the_same_file(self, workdir, variant, entry):
         # every corrupt case below starts from this copy of the fitted file
         doc = self._fit(variant)
-        assert as_signed(doc) == (workdir / "model.json").read_bytes()
-        assert run("predict", "--model", "model.json", "--data", "data.csv",
-                   "--out", "preds.csv") == 0
+        original = (workdir / "model.json").read_bytes()
+        assert as_signed(doc) == original
+        if entry == "load_model":
+            model, extra = load_model("model.json")
+            save_model(model, "resaved.tarp", extra=extra)
+            assert (workdir / "resaved.tarp").read_bytes() == original
+        else:
+            assert run("predict", "--model", "model.json", "--data", "data.csv",
+                       "--out", "preds.csv") == 0
 
     @pytest.mark.parametrize(
         "corrupt, variant",
@@ -1276,7 +1299,6 @@ class TestCorruptModel:
             (_set("replicates", value=[]), "ris_rp"),
             (_set("standardization", "response_mean", value="abc"), "ris_rp"),
             (_set("extra", value=[1]), "ris_rp"),
-            (_set("extra", "options", value=[1]), "ris_rp"),
             (_config_m_off_by_one, "ris_rp"),
             (_set("replicates", 0, "config", "psi", value=0.3), "ris_rp"),
             # the baseline is a CLI name, not a config variant
@@ -1345,7 +1367,7 @@ class TestCorruptModel:
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
             "rp_requested_m_huge", "rp_requested_m_missing",
             "kind_binary_on_continuous", "kind_bogus", "no_replicates",
-            "response_mean_text", "extra_list", "extra_options_list",
+            "response_mean_text", "extra_list",
             "config_m", "config_psi", "config_variant_baseline",
             "config_variant_pcr", "negative_n_obs", "gamma_truncated",
             "constant_mask_truncated", "location_nan", "column_scale_zero",
@@ -1363,11 +1385,24 @@ class TestCorruptModel:
             "n_obs_not_shared", "projection_seed_stream", "prior_variance_not_the_models",
         ],
     )
-    def test_corrupt_model_is_data_error(self, workdir, capsys, corrupt, variant):
+    @ENTRIES
+    def test_corrupt_model_is_data_error(
+        self, workdir, capsys, corrupt, variant, entry
+    ):
         doc = self._fit(variant)
         corrupt(doc)
         (workdir / "model.json").write_bytes(as_signed(doc))
-        _predict_fails_in_one_line(workdir, capsys)
+        _refused(workdir, capsys, entry)
+
+    def test_extra_options_list_loads_but_does_not_predict(self, workdir, capsys):
+        # extra is the caller's metadata, which the library hands back as it
+        # is; its options are the fit's command line, which predict reads
+        doc = self._fit("ris_rp")
+        doc["extra"]["options"] = [1]
+        (workdir / "model.json").write_bytes(as_signed(doc))
+        assert load_model("model.json")[1]["options"] == [1]
+        err = _predict_fails_in_one_line(workdir, capsys)
+        assert err.endswith("malformed model file (bad extra options)\n")
 
 
     @pytest.mark.parametrize(
@@ -1387,8 +1422,9 @@ class TestCorruptModel:
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple)
         else value,
     )
+    @ENTRIES
     def test_integer_too_large_for_a_float_is_data_error(
-        self, workdir, capsys, keys, variant
+        self, workdir, capsys, keys, variant, entry
     ):
         # json reads 1e999 as inf, a float, which no integer field takes
         doc = self._fit(variant)
@@ -1396,16 +1432,15 @@ class TestCorruptModel:
         text = body_of(doc)
         assert text.count(b'"HUGE"') == 1
         (workdir / "model.json").write_bytes(signed(text.replace(b'"HUGE"', b"1e999")))
-        _predict_fails_in_one_line(
-            workdir, capsys, prefix="error: model.json: malformed model file ("
-        )
+        _refused(workdir, capsys, entry, reason="malformed model file (")
 
-    def test_legacy_json_model_is_a_malformed_header(self, workdir, capsys):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_legacy_json_model_is_a_malformed_header(self, workdir, capsys, version):
         # versions 1-3 were JSON documents with base64 arrays and no header
-        # line; only the signed format loads
+        # line; only the signed format loads, whatever version a document claims
         doc = self._fit("ris_rp")
         each_array(doc, lambda raw: base64.b64encode(raw).decode("ascii"))
-        doc["version"] = 3
+        doc["version"] = version
         (workdir / "model.json").write_text(json.dumps(doc))
         with pytest.raises(DataError, match="^model.json: malformed model header$"):
             load_model("model.json")

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import re
@@ -390,6 +391,31 @@ def test_v4_fixture_predicts_committed_csv(tmp_path, kind):
     assert main(["predict", "--model", str(V4_FIXTURES[kind]),
                  "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
     assert_predicts_committed_csv(out, kind)
+
+
+# every committed model file
+FIXTURES = sorted(path.name for path in DATA.glob("v4_*.tarp"))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_resaves_to_the_same_bytes(tmp_path, name):
+    # the format has not moved since the fixture was written
+    model, extra = load_model(DATA / name)
+    resaved = tmp_path / "resaved.tarp"
+    save_model(model, resaved, extra=extra)
+    assert resaved.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_as_a_json_document_is_a_malformed_header(tmp_path, name):
+    # the fixture as versions 1-3 stored it: one JSON document with base64
+    # arrays, which no longer loads
+    doc = as_doc((DATA / name).read_bytes())
+    each_array(doc, lambda raw: base64.b64encode(raw).decode("ascii"))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="model.json: malformed model header$"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
