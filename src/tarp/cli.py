@@ -1,10 +1,16 @@
 """Command-line front end: simulate, fit, predict, bench.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Every run records its resolved options and seed into output metadata; output
-files are byte-identical for identical command lines and seeds at a fixed
-BLAS thread count, one unless the environment sets it (timestamps live only
-in metadata sidecars). Partially written outputs are removed on error.
+Every run records its resolved options and seed into output metadata, the
+delta that ``fit`` and ``bench`` grids used included; output files are
+byte-identical for identical command lines and seeds at a fixed BLAS thread
+count, one unless the environment sets it (timestamps live only in metadata
+sidecars). ``--threads`` (default ``$TARP_THREADS``) sets the workers of
+``fit`` and ``bench``; ``predict`` runs its replicates on one worker and reads
+neither. Partially written outputs are removed on error.
+
+Each command is one entry of ``_COMMANDS``, and a flag that several commands
+take is declared once, in a parent parser they share.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # One BLAS thread unless the environment sets a count. OpenBLAS reads these
 # once, when numpy loads, so this runs before the first import that loads
@@ -57,6 +64,7 @@ from .posterior import (
     ConvergenceError,
     positive_finite,
 )
+from .screening import default_delta
 from .simgen import DEFAULT_NOISE_SD, SCHEMES, SchemeSpec, generate
 
 THREADS_ENV_VAR = "TARP_THREADS"
@@ -115,21 +123,19 @@ _PRIOR = _ranged(float, "a positive finite number",
                  _passes(partial(positive_finite, name="prior")))
 _LEVEL = _ranged(float, LEVEL_RANGE, _passes(check_level))
 
-# the options each command cannot run without, in the order they are
-# checked; not argparse's required=, since a --config file may supply them
-_REQUIRED = {
-    "simulate": ("scheme",),
-    "fit": ("data",),
-    "predict": ("model", "data"),
-    "bench": ("scheme",),
-}
-
 
 def _build_parser() -> tuple[_Parser, dict]:
     """The ``tarp`` parser and its subcommand parsers by name.
 
-    Each flag is the only declaration of its option's type, range, default
-    and choices; config-file values are parsed through the same flag.
+    Each flag is the only declaration of its option's type, range, default,
+    choices and help; config-file values are parsed through the same flag.
+    A flag that several commands take is declared once, in a parent parser
+    that each of them inherits, so they share one action. The parents are
+    built anew with each parser: a config file's values become the defaults
+    of those shared actions. ``--threads`` is a ``fit`` and ``bench`` flag:
+    ``predict`` runs its replicates on one worker and reads neither it nor
+    ``$TARP_THREADS``. An unset ``--delta`` is resolved by ``_resolve_grid``,
+    and bench's meta JSON records that value as fit's model file does.
     """
     parser = _Parser(
         prog="tarp",
@@ -142,60 +148,64 @@ def _build_parser() -> tuple[_Parser, dict]:
     parser.add_argument("--version", action="version", version=f"tarp {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config",
-        default=None,
-        help="optional 'key = value' config file; flags override it",
+    common, design, grid, seeded, interval = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
     )
+    common.add_argument("--config",
+                        help="optional 'key = value' config file; flags override it")
+    # simulate and bench: the scheme that draws the data
+    design.add_argument("--scheme", choices=SCHEMES,
+                        help="covariate design (I: AR(1), II: blocks, III: rank-3, "
+                             "IV: bridge paths)")
+    design.add_argument("--p", type=_COUNT, default=2000,
+                        help="number of predictors [%(default)s]")
+    design.add_argument("--noise-sd", type=_NONNEGATIVE, default=DEFAULT_NOISE_SD,
+                        help="response noise standard deviation [%(default)s]")
+    # fit and bench: the projection grid and the workers that fit it
+    grid.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
+                      help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
+                           "at delta 0 [%(default)s]")
+    grid.add_argument("--delta", type=_NONNEGATIVE,
+                      help="screening exponent [max{0,(1+ln(p/n))/2}]")
+    grid.add_argument("--threads", type=_COUNT,
+                      help=f"worker threads [${THREADS_ENV_VAR} or 1]; "
+                           "never changes outputs")
+    seeded.add_argument("--seed", type=_SEED, default=0,
+                        help="master RNG seed [%(default)s]")
+    # predict and bench
+    interval.add_argument("--level", type=_LEVEL, default=DEFAULT_LEVEL,
+                          help="central prediction interval level [%(default)s]")
 
     sim = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[common, design, seeded],
         help="generate a synthetic benchmark dataset (CSV + truth JSON)",
     )
-    sim.add_argument("--scheme", choices=SCHEMES,
-                     help="covariate design (I: AR(1), II: blocks, III: rank-3, "
-                          "IV: bridge paths)")
     sim.add_argument("--n", type=_ROWS, default=200, help="number of rows [%(default)s]")
-    sim.add_argument("--p", type=_COUNT, default=2000,
-                     help="number of predictors [%(default)s]")
-    sim.add_argument("--noise-sd", type=_NONNEGATIVE, default=DEFAULT_NOISE_SD,
-                     help="response noise standard deviation [%(default)s]")
-    sim.add_argument("--seed", type=_SEED, default=0, help="RNG seed [%(default)s]")
     sim.add_argument("--out", default="tarp_data.csv",
                      help="dataset CSV path [%(default)s]")
     sim.add_argument("--truth-out", help="truth JSON path [<out stem>_truth.json]")
 
     fit = sub.add_parser(
         "fit",
-        parents=[common],
+        parents=[common, grid, seeded],
         help="fit a projection ensemble from a training CSV",
     )
     fit.add_argument("--data", help="training CSV (required)")
     fit.add_argument("--target", default="y", help="response column name [%(default)s]")
-    fit.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
-                     help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
-                          "at delta 0 [%(default)s]")
     fit.add_argument("--replicates", type=_COUNT, default=100,
                      help="ensemble size N [%(default)s]")
-    fit.add_argument("--delta", type=_NONNEGATIVE,
-                     help="screening exponent [max{0,(1+ln(p/n))/2}]")
     fit.add_argument("--a-sigma", type=_PRIOR, default=DEFAULT_A_SIGMA,
                      help="noise-variance prior shape [%(default)s]")
     fit.add_argument("--b-sigma", type=_PRIOR, default=DEFAULT_B_SIGMA,
                      help="noise-variance prior rate [%(default)s]")
     fit.add_argument("--sigma-theta2", type=_PRIOR, default=DEFAULT_SIGMA_THETA2,
                      help="coefficient prior variance for binary fits [%(default)s]")
-    fit.add_argument("--seed", type=_SEED, default=0, help="master seed [%(default)s]")
-    fit.add_argument("--threads", type=_COUNT,
-                     help=f"worker threads [${THREADS_ENV_VAR} or 1]; "
-                          "never changes outputs")
     fit.add_argument("--out", default="tarp_model.tarp", help="model file [%(default)s]")
 
     pred = sub.add_parser(
         "predict",
-        parents=[common],
+        parents=[common, interval],
         help="predict new rows with a fitted model",
         epilog=(
             "output CSV columns: point,lo,hi (continuous response) or "
@@ -204,43 +214,27 @@ def _build_parser() -> tuple[_Parser, dict]:
     )
     pred.add_argument("--model", help="model file (required)")
     pred.add_argument("--data", help="CSV of new rows; a stray response column is dropped")
-    pred.add_argument("--level", type=_LEVEL, default=DEFAULT_LEVEL,
-                      help="central interval level [%(default)s]")
     pred.add_argument("--out", default="tarp_pred.csv",
                       help="prediction CSV [%(default)s]")
 
     bench = sub.add_parser(
         "bench",
-        parents=[common],
+        parents=[common, design, grid, interval, seeded],
         help="run repeated train/test experiments of a scheme and report metrics",
         epilog=(
             "writes <prefix>_metrics.csv with columns replicate,mspe,ecp,width "
             "plus mean and sd summary rows; <prefix>_long.csv with columns "
             "replicate,method,metric,value (box-plot ready); and "
-            "<prefix>_meta.json with the resolved options and seed"
+            "<prefix>_meta.json with the resolved options, delta and seed"
         ),
     )
-    bench.add_argument("--scheme", choices=SCHEMES, help="covariate design")
     bench.add_argument("--n", type=_ROWS, default=200, help="training rows [%(default)s]")
     bench.add_argument("--test-size", type=_ROWS, default=100,
                        help="test rows [%(default)s]")
-    bench.add_argument("--p", type=_COUNT, default=2000, help="predictors [%(default)s]")
     bench.add_argument("--replicates", type=_COUNT, default=30,
                        help="train/test experiment replicates [%(default)s]")
     bench.add_argument("--ensemble-size", type=_COUNT, default=50,
                        help="projection draws per fit [%(default)s]")
-    bench.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
-                       help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
-                            "at delta 0 [%(default)s]")
-    bench.add_argument("--delta", type=_NONNEGATIVE,
-                       help="screening exponent [max{0,(1+ln(p/n))/2}]")
-    bench.add_argument("--noise-sd", type=_NONNEGATIVE, default=DEFAULT_NOISE_SD,
-                       help="response noise standard deviation [%(default)s]")
-    bench.add_argument("--level", type=_LEVEL, default=DEFAULT_LEVEL,
-                       help="prediction interval level [%(default)s]")
-    bench.add_argument("--seed", type=_SEED, default=0, help="master seed [%(default)s]")
-    bench.add_argument("--threads", type=_COUNT,
-                       help=f"parallel experiment replicates [${THREADS_ENV_VAR} or 1]")
     bench.add_argument("--out-prefix", default="tarp_bench",
                        help="output prefix [%(default)s]")
     return parser, sub.choices
@@ -284,17 +278,27 @@ def _read_config_file(path, parser: _Parser, known) -> dict:
     return values
 
 
-def _resolve_variant(options: dict) -> tuple[str, float | None]:
-    """The library variant and delta that ``--variant`` and ``--delta`` name."""
+def _check_delta(options: dict) -> None:
+    """Refuse a ``--delta`` other than 0 beside the baseline, before any file is read."""
     variant, delta = options["variant"], options["delta"]
-    if variant != PLAIN_RP_BASELINE:
-        return variant, delta
-    if delta is not None and delta != 0:
+    if variant == PLAIN_RP_BASELINE and delta not in (None, 0):
         raise _UsageError(
             f"--delta {delta} cannot be used with --variant {variant}, "
             f"which is {RIS_RP} at delta 0"
         )
-    return RIS_RP, 0.0
+
+
+def _resolve_grid(options: dict, n: int, p: int) -> tuple[str, dict]:
+    """The library variant, and ``options`` with the delta of a grid for n x p data.
+
+    The baseline is ris_rp at delta 0; an unset ``--delta`` is ``default_delta(n, p)``.
+    """
+    variant, delta = options["variant"], options["delta"]
+    if variant == PLAIN_RP_BASELINE:
+        variant, delta = RIS_RP, 0.0
+    elif delta is None:
+        delta = default_delta(n, p)
+    return variant, dict(options, delta=delta)
 
 
 def _scheme_spec(command: str, options: dict, n: int) -> SchemeSpec:
@@ -335,7 +339,7 @@ def _meta(options: dict, command: str) -> dict:
         "blas": _blas(),
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
         "command": command,
-        "options": {k: v for k, v in sorted(options.items())},
+        "options": options,
         "tarp_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
     }
@@ -372,7 +376,7 @@ def _cmd_simulate(options: dict, outputs: list) -> int:
     truth_out = Path(truth_out)
     dataset, truth = generate(spec)
     write_csv(dataset, _output(outputs, out), target="y")
-    truth["options"] = {k: v for k, v in sorted(options.items())}
+    truth["options"] = options
     _write_json(outputs, truth_out, truth)
     print(f"wrote {dataset.n} x {dataset.p + 1} dataset to {out}")
     print(f"wrote truth sidecar to {truth_out}")
@@ -380,18 +384,13 @@ def _cmd_simulate(options: dict, outputs: list) -> int:
 
 
 def _cmd_fit(options: dict, outputs: list) -> int:
-    variant, delta = _resolve_variant(options)
+    _check_delta(options)
     threads = _resolve_threads(options["threads"])
     train = load_csv(options["data"], options["target"])
+    variant, options = _resolve_grid(options, train.n, train.p)
     started = time.perf_counter()
-    configs = sample_config_grid(
-        train.n,
-        train.p,
-        options["replicates"],
-        variant=variant,
-        delta=delta,
-        master_seed=options["seed"],
-    )
+    configs = sample_config_grid(train.n, train.p, options["replicates"], variant=variant,
+                                 delta=options["delta"], master_seed=options["seed"])
     model = fit_tarp(
         train,
         configs,
@@ -403,16 +402,15 @@ def _cmd_fit(options: dict, outputs: list) -> int:
     )
     elapsed = time.perf_counter() - started
     out = _output(outputs, options["out"])
-    # the worker count is wall-time only, never model content; delta is the
-    # value the grid used, so a default one is recorded too
-    resolved = {k: v for k, v in sorted(options.items()) if k != "threads"}
-    resolved["delta"] = configs[0].delta
+    # the worker count is wall-time only, never model content; the model
+    # document's keys are sorted when it is written, as the meta JSON's are
+    resolved = {k: v for k, v in options.items() if k != "threads"}
     save_model(model, out, extra={"command": "fit", "options": resolved})
     ms = [rep.config.m for rep in model.replicates]
     print(
         f"fitted {model.n_replicates} replicates "
         f"(variant={options['variant']}, m in [{min(ms)}, {max(ms)}], "
-        f"delta={configs[0].delta:.4g}) in {elapsed:.2f}s"
+        f"delta={options['delta']:.4g}) in {elapsed:.2f}s"
     )
     print(f"wrote model to {out}")
     return EXIT_OK
@@ -465,30 +463,18 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _bench_one(spec: SchemeSpec, options: dict, rep: int) -> dict:
-    # options holds the library variant and delta (see _resolve_variant)
+def _bench_one(spec: SchemeSpec, variant: str, options: dict, rep: int) -> dict:
+    # variant and options["delta"] come from _resolve_grid
     dataset, _ = generate(replace(spec, seed=_derive_seed(options["seed"], rep, 0)))
-    train = Dataset(
-        dataset.design[: options["n"]],
-        dataset.response[: options["n"]],
-        response_kind=dataset.response_kind,
-        column_names=dataset.column_names,
-    )
-    test = Dataset(
-        dataset.design[options["n"] :],
-        dataset.response[options["n"] :],
-        response_kind=dataset.response_kind,
-        column_names=dataset.column_names,
+    train, test = (
+        Dataset(dataset.design[rows], dataset.response[rows],
+                response_kind=dataset.response_kind, column_names=dataset.column_names)
+        for rows in (slice(None, options["n"]), slice(options["n"], None))
     )
     master_seed = _derive_seed(options["seed"], rep, 1)
-    configs = sample_config_grid(
-        train.n,
-        train.p,
-        options["ensemble_size"],
-        variant=options["variant"],
-        delta=options["delta"],
-        master_seed=master_seed,
-    )
+    configs = sample_config_grid(train.n, train.p, options["ensemble_size"],
+                                 variant=variant, delta=options["delta"],
+                                 master_seed=master_seed)
     model = fit_tarp(train, configs, master_seed=master_seed, threads=1)
     prediction = predict_tarp(model, test.design, level=options["level"])
     report = evaluate_regression(
@@ -506,11 +492,13 @@ def _bench_one(spec: SchemeSpec, options: dict, rep: int) -> dict:
 
 def _cmd_bench(options: dict, outputs: list) -> int:
     spec = _scheme_spec("bench", options, options["n"] + options["test_size"])
-    variant, delta = _resolve_variant(options)
+    _check_delta(options)
+    # every experiment trains on n rows of the same p, so one delta serves all
+    variant, options = _resolve_grid(options, options["n"], options["p"])
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()
     rows = _map_ordered(
-        partial(_bench_one, spec, dict(options, variant=variant, delta=delta)),
+        partial(_bench_one, spec, variant, options),
         range(options["replicates"]), threads,
     )
     elapsed = time.perf_counter() - started
@@ -549,21 +537,21 @@ def _cmd_bench(options: dict, outputs: list) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    run: Callable[[dict, list], int]
+    # the options it cannot run without, in the order they are checked; not
+    # argparse's required=, since a --config file may supply them
+    required: tuple[str, ...]
+    # the exit code of a failed allocation, by where its size came from: the
+    # options alone (usage), or a data or model file (data)
+    memory_error_exit: int
+
+
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
-    "bench": _cmd_bench,
-}
-
-
-# the exit code of a failed allocation, by where its size came from: the
-# options alone (simulate, bench), or a data or model file (fit, predict)
-_MEMORY_ERROR_EXIT = {
-    "simulate": EXIT_USAGE,
-    "fit": EXIT_DATA,
-    "predict": EXIT_DATA,
-    "bench": EXIT_USAGE,
+    "simulate": _Command(_cmd_simulate, ("scheme",), EXIT_USAGE),
+    "fit": _Command(_cmd_fit, ("data",), EXIT_DATA),
+    "predict": _Command(_cmd_predict, ("model", "data"), EXIT_DATA),
+    "bench": _Command(_cmd_bench, ("scheme",), EXIT_USAGE),
 }
 
 
@@ -571,7 +559,7 @@ def _classify_error(exc: Exception, command: str) -> int:
     if isinstance(exc, ReplicateError):
         return _classify_error(exc.original, command)
     if isinstance(exc, MemoryError):
-        return _MEMORY_ERROR_EXIT[command]
+        return _COMMANDS[command].memory_error_exit
     if isinstance(exc, DataError):
         return EXIT_DATA
     if isinstance(exc, (ConvergenceError, np.linalg.LinAlgError)):
@@ -582,7 +570,7 @@ def _classify_error(exc: Exception, command: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser, parsers = _build_parser()
     # `_output` registers each path just before its write starts, so an
     # error removes exactly the files whose content may be partial
     outputs: list[Path] = []
@@ -594,15 +582,16 @@ def main(argv=None) -> int:
         options = _options(args)
         if args.config:
             # config values become the command's defaults: flags > config > built-in
-            command = commands[args.command]
-            command.set_defaults(**_read_config_file(args.config, command, options))
+            own = parsers[args.command]
+            own.set_defaults(**_read_config_file(args.config, own, options))
             options = _options(parser.parse_args(argv))
-        for name in _REQUIRED[args.command]:
+        command = _COMMANDS[args.command]
+        for name in command.required:
             if options[name] is None:
                 raise _UsageError(f"{args.command} requires --{name}")
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return _COMMANDS[args.command](options, outputs)
+            return command.run(options, outputs)
     except _UsageError as exc:
         _remove_partial(outputs)
         print(f"error: {exc}", file=sys.stderr)

@@ -335,11 +335,8 @@ def fit_tarp(
         # scale grows with it: checking both ends checks every replicate
         for residual_quadratic in (0.0, float(sum_sq)):
             predictive_t_scale(train.n, a_sigma, b_sigma, residual_quadratic)
-    # the correlations' column means round differently by layout, and q must
-    # not move: screen a row-major temporary, fit on the column-major design
     correlations = marginal_correlations(
-        np.ascontiguousarray(std_train.design), std_train.response,
-        constant_mask=params.constant_mask,
+        std_train.design, std_train.response, constant_mask=params.constant_mask,
     )
     fit_one = partial(
         _fit_replicate, std_train.design, std_train.response, correlations,

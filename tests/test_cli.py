@@ -1,5 +1,7 @@
 import base64
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -191,6 +193,31 @@ class TestFitPredict:
         assert lines[0] == "probability"
         values = np.loadtxt(workdir / "preds.csv", skiprows=1)
         assert np.all((values >= 0) & (values <= 1))
+
+
+class TestBenchmarkHooks:
+    # perfbench's serve_cli child times tarp.cli.predict_tarp through its own
+    # wrapper, and its tracer wraps tarp.cli.load_table and tarp.cli.load_model:
+    # a predict that called around these names would time nothing
+    def test_predict_calls_each_hook_once(self, workdir, monkeypatch):
+        calls = []
+
+        def counted(name):
+            wrapped = getattr(tarp.cli, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(tarp.cli, name, call)
+
+        for name in ("predict_tarp", "load_table", "load_model"):
+            counted(name)
+        assert run("predict", "--model", str(DATA / "v4_continuous.tarp"),
+                   "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 0
+        assert sorted(calls) == ["load_model", "load_table", "predict_tarp"]
+        assert (workdir / "preds.csv").read_bytes() == (
+            DATA / "v1_continuous_pred.csv").read_bytes()
 
 
 class TestBaseline:
@@ -472,6 +499,35 @@ class TestBench:
                    "--noise-sd", "0", "--delta", "0", "--level", "0.999",
                    "--out-prefix", "tiny") == 0
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], default_delta(40, 60)),
+            (["--variant", "ris_pcr"], default_delta(40, 60)),
+            (["--variant", "plain_rp_baseline"], 0.0),
+            (["--delta", "1.25"], 1.25),
+        ],
+        ids=["default", "ris_pcr", "baseline", "given"],
+    )
+    def test_meta_records_the_delta_its_grids_used(
+        self, workdir, monkeypatch, flags, expected
+    ):
+        # an unset --delta is default_delta(n, p) of the training rows
+        grid_deltas = []
+
+        def recorded(*args, **kwargs):
+            configs = sample_config_grid(*args, **kwargs)
+            grid_deltas.extend(cfg.delta for cfg in configs)
+            return configs
+
+        monkeypatch.setattr(tarp.cli, "sample_config_grid", recorded)
+        assert run("bench", "--scheme", "I", "--n", "40", "--test-size", "10",
+                   "--p", "60", "--replicates", "2", "--ensemble-size", "3",
+                   *flags, "--out-prefix", "b") == 0
+        meta = json.loads((workdir / "b_meta.json").read_text())
+        assert meta["options"]["delta"] == expected
+        assert grid_deltas == [expected] * 6
+
 
 # each required option, a value for it, and the rest of a command line that
 # then runs with exit 0
@@ -605,6 +661,73 @@ class TestConfigPrecedence:
             truth_out = expected["truth_out"] or expected["out"][:-4] + "_truth.json"
             with open(truth_out, encoding="utf-8") as fh:
                 assert json.load(fh)["options"] == expected
+
+
+# each flag that several commands take, those commands, and a valid value
+# other than its default
+_SHARED_FLAGS = {
+    "--scheme": (("simulate", "bench"), "III"),
+    "--p": (("simulate", "bench"), "37"),
+    "--noise-sd": (("simulate", "bench"), "0.25"),
+    "--variant": (("fit", "bench"), "ris_pcr"),
+    "--delta": (("fit", "bench"), "0.5"),
+    "--seed": (("simulate", "fit", "bench"), "12"),
+    "--threads": (("fit", "bench"), "3"),
+    "--level": (("predict", "bench"), "0.8"),
+}
+
+# the options each command requires, given as text; the handler never runs
+_REQUIRED_TEXT = {
+    "simulate": {"scheme": "I"},
+    "fit": {"data": "data.csv"},
+    "predict": {"model": "model.tarp", "data": "data.csv"},
+    "bench": {"scheme": "I"},
+}
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("flag", sorted(_SHARED_FLAGS))
+    def test_one_declaration_for_every_command(self, flag):
+        commands, text = _SHARED_FLAGS[flag]
+        _, parsers = tarp.cli._build_parser()
+        takers = [name for name, parser in parsers.items()
+                  if flag in parser._option_string_actions]
+        assert takers == list(commands)
+        actions = [parsers[name]._option_string_actions[flag] for name in commands]
+        for action in actions[1:]:
+            assert (action.type, action.default, action.choices, action.help) == (
+                actions[0].type, actions[0].default, actions[0].choices,
+                actions[0].help)
+        dest = actions[0].dest
+        values = [getattr(parsers[name].parse_args([flag, text]), dest)
+                  for name in commands]
+        assert values == [values[0]] * len(commands)
+        assert values[0] != actions[0].default
+
+    @pytest.mark.parametrize(
+        "flag, command",
+        [(flag, command) for flag, (commands, _) in sorted(_SHARED_FLAGS.items())
+         for command in commands],
+    )
+    def test_config_line_gives_the_flags_options(
+        self, workdir, monkeypatch, flag, command
+    ):
+        seen = []
+
+        def capture(options, outputs):
+            seen.append(options)
+            return 0
+
+        monkeypatch.setitem(tarp.cli._COMMANDS, command,
+                            tarp.cli._COMMANDS[command]._replace(run=capture))
+        key = flag[2:].replace("-", "_")
+        text = _SHARED_FLAGS[flag][1]
+        required = [arg for name, value in _REQUIRED_TEXT[command].items()
+                    if name != key for arg in (f"--{name}", value)]
+        (workdir / "cfg.txt").write_text(f"{key} = {text}\n")
+        assert run(command, *required, flag, text) == 0
+        assert run(command, *required, "--config", "cfg.txt") == 0
+        assert seen[0] == seen[1]
 
 
 # a data or model file that does not exist: exit 1, not 2, shows that the
@@ -783,6 +906,69 @@ class TestOptionRanges:
         else:
             assert library_takes
             assert getattr(parsed, flag[2:].replace("-", "_")) == value
+
+
+def _run_quietly(argv):
+    """``main(argv)`` and the lines it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+class TestFitPredictProperty:
+    # random valid fit options on tiny data, each model predicting its own
+    # training file (the CLI part of ROADMAP item 4)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_fit_predicts_its_own_training_file(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        p = data.draw(st.integers(1, 5), label="p")  # m_range(n, p) clamps to 1
+        binary = data.draw(st.booleans(), label="binary")
+        cells = data.draw(st.sampled_from(["normal", "integers"]), label="cells")
+        variant = data.draw(st.sampled_from(tarp.cli.CLI_VARIANTS), label="variant")
+        delta = data.draw(st.sampled_from([None, 0.0, 1e300]), label="delta")
+        replicates = data.draw(st.integers(1, 4), label="replicates")
+        level = data.draw(st.one_of(st.floats(5e-324, 1e-6),
+                                    st.floats(1 - 1e-6, 0.9999999999999998)),
+                          label="level")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        rng = np.random.default_rng(seed)
+        # small integers give constant and duplicated columns and rows
+        X = (rng.standard_normal((n, p)) if cells == "normal"
+             else rng.integers(-1, 2, (n, p)).astype(float))
+        y = rng.integers(0, 2, n).astype(float) if binary else rng.standard_normal(n)
+        with tempfile.TemporaryDirectory() as tmp:
+            train, model, preds = (os.path.join(tmp, name)
+                                   for name in ("train.csv", "model.tarp", "preds.csv"))
+            write_csv(Dataset(X, y, response_kind="binary" if binary else "continuous"),
+                      train, target="y")
+            argv = ["fit", "--data", train, "--variant", variant,
+                    "--replicates", str(replicates), "--seed", str(seed), "--out", model]
+            if delta is not None:
+                argv += ["--delta", repr(delta)]
+            code, err = _run_quietly(argv)
+            errors = [line for line in err if not line.startswith("warning: ")]
+            if variant == tarp.cli.PLAIN_RP_BASELINE and delta not in (None, 0):
+                assert code == 1 and len(errors) == 1 and "cannot be used" in errors[0]
+                return
+            if code != 0:  # a data error or a numerical failure, in one line
+                assert code in (2, 3) and len(errors) == 1
+                assert errors[0].startswith("error: ") and not os.path.exists(model)
+                return
+            assert errors == []
+            _, extra = load_model(model)
+            if variant == tarp.cli.PLAIN_RP_BASELINE:
+                expected = 0.0
+            else:
+                expected = default_delta(n, p) if delta is None else delta
+            assert extra["options"]["delta"] == expected
+            code, err = _run_quietly(["predict", "--model", model, "--data", train,
+                                      "--level", repr(level), "--out", preds])
+            assert (code, err) == (0, [])
+            rows = np.loadtxt(preds, delimiter=",", skiprows=1, ndmin=2)
+            assert rows.shape == (n, 1 if binary else 3)
+            assert np.isfinite(rows).all()
 
 
 class TestExitCodes:

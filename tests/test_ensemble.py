@@ -231,20 +231,28 @@ class TestFitTarp:
             save_model(fit_tarp(train, configs, master_seed=12), files[-1])
         assert files[0].read_bytes() == files[1].read_bytes()
 
-    def test_screens_a_row_major_design(self, monkeypatch):
-        # the correlations' column means round differently by layout, and a
-        # moved q can flip an inclusion draw: screening stays row-major
-        layouts = []
+    def test_screens_the_design_it_fits(self, monkeypatch):
+        # screening reads the column-major standardized design that the
+        # replicates are fitted on, not an n x p copy of it
+        standardized, screened = [], []
+        standardize = tarp.ensemble.standardize
         screen = tarp.ensemble.marginal_correlations
 
+        def standardizing(train):
+            std_train, params = standardize(train)
+            standardized.append(std_train.design)
+            return std_train, params
+
         def recording(X, *args, **kwargs):
-            layouts.append(X.flags.c_contiguous)
+            screened.append(X)
             return screen(X, *args, **kwargs)
 
+        monkeypatch.setattr(tarp.ensemble, "standardize", standardizing)
         monkeypatch.setattr(tarp.ensemble, "marginal_correlations", recording)
         ds = toy_dataset()
         fit_tarp(ds, sample_config_grid(ds.n, ds.p, 2, master_seed=1))
-        assert layouts == [True]
+        assert len(screened) == 1 and screened[0] is standardized[0]
+        assert screened[0].flags.f_contiguous
 
     @pytest.mark.parametrize(
         "variant, delta", [("ris_rp", None), UNSCREENED, ("ris_pcr", None)],
