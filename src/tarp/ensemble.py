@@ -276,15 +276,14 @@ def _dataset_hash(dataset: Dataset) -> str:
 def _fit_replicate(
     design: np.ndarray,
     response: np.ndarray,
-    correlations: np.ndarray,
-    constant_mask: np.ndarray,
+    inclusion: dict[float, np.ndarray],
     response_kind: str,
     a_sigma: float,
     b_sigma: float,
     sigma_theta2: float,
     cfg: TarpConfig,
 ) -> Replicate:
-    q = inclusion_probabilities(correlations, cfg.delta, constant_mask)
+    q = inclusion[cfg.delta]
     gamma = sample_inclusion(q, np.random.default_rng([cfg.seed, _GAMMA_STREAM]))
     if cfg.variant == RIS_PCR:
         # the eigendecomposition already holds the compressed training rows
@@ -310,8 +309,9 @@ def fit_tarp(
 ) -> TarpModel:
     """Standardize, screen once, and fit every replicate.
 
-    Marginal correlations are computed a single time and shared across the
-    grid. All three priors are checked for either response kind, and a
+    Marginal correlations are computed a single time, and inclusion
+    probabilities once for each distinct delta of the grid; the replicates
+    share them. All three priors are checked for either response kind, and a
     design whose every column is constant, or (continuous) priors that
     leave the predictive t unusable, are rejected, before any replicate runs.
     ``threads`` caps the worker pool; outputs never change.
@@ -338,9 +338,15 @@ def fit_tarp(
     correlations = marginal_correlations(
         std_train.design, std_train.response, constant_mask=params.constant_mask,
     )
+    # the inclusion probabilities of each delta the grid uses, shared by
+    # its replicates (a grid from sample_config_grid has one delta)
+    inclusion = {
+        delta: inclusion_probabilities(correlations, delta, params.constant_mask)
+        for delta in {cfg.delta for cfg in configs}
+    }
     fit_one = partial(
-        _fit_replicate, std_train.design, std_train.response, correlations,
-        params.constant_mask, train.response_kind, a_sigma, b_sigma, sigma_theta2,
+        _fit_replicate, std_train.design, std_train.response, inclusion,
+        train.response_kind, a_sigma, b_sigma, sigma_theta2,
     )
     replicates = _map_ordered(fit_one, configs, threads)
     return TarpModel(

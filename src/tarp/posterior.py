@@ -250,9 +250,11 @@ def _spd_solve(matrix, *rhs):
     return solutions
 
 
-def _log_posterior(h, theta, y, sigma_theta2):
-    # the objective at theta, given its linear predictor h = Z @ theta
-    return float(y @ h - np.logaddexp(0.0, h).sum() - theta @ theta / (2.0 * sigma_theta2))
+def _log_posterior(h, theta, y, sigma_theta2, scratch=None):
+    # the objective at theta, given its linear predictor h = Z @ theta;
+    # ``scratch``, if given, is an n-vector the softplus terms overwrite
+    softplus = np.logaddexp(0.0, h, out=scratch)
+    return float(y @ h - softplus.sum() - theta @ theta / (2.0 * sigma_theta2))
 
 
 def fit_bernoulli_laplace(
@@ -270,7 +272,15 @@ def fit_bernoulli_laplace(
     is checked for finite values once, at entry; each iteration reuses the
     linear predictor Z theta of the accepted line-search point. The Hessian
     at the mode is not formed: plug-in prediction reads only the mode.
+
+    Every array a step needs is allocated once per fit and overwritten in
+    place. Each step runs the routines that the direct numpy expressions
+    run, on the same operands, so the mode, ``n_iter`` and ``grad_norm`` are
+    those of the plain loop to the bit.
     """
+    # BLAS is imported at the first fit, as LAPACK is in _spd_solve
+    from scipy.linalg.blas import dsyrk
+
     Z = np.asarray(Z_design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if Z.ndim != 2 or y.shape != (Z.shape[0],):
@@ -280,21 +290,34 @@ def fit_bernoulli_laplace(
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("binary response must only contain 0 and 1")
     sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
-    m = Z.shape[1]
+    n, m = Z.shape
     # every step overwrites the weighted design Zs = sqrt(w) Z and the
     # curvature Zs' Zs + I / sigma_theta2 in place; the solve leaves its
     # factor in the curvature
-    weighted = np.empty_like(Z)
+    weighted = np.empty((n, m))
     curvature = np.empty((m, m))
     diagonal = curvature.reshape(-1)[:: m + 1]
+    # n-vectors: the probabilities, and one scratch for y - prob, the
+    # weights and the softplus terms in turn; m-vectors: the gradient and
+    # the line-search candidate. theta and h swap buffers with the
+    # candidate and its linear predictor when a candidate is accepted
+    prob = np.empty(n)
+    work = np.empty(n)
+    grad = np.empty(m)
+    candidate = np.empty(m)
+    cand_h = np.empty(n)
     theta = np.zeros(m)
     h = Z @ theta
-    obj = _log_posterior(h, theta, y, sigma_theta2)
+    obj = _log_posterior(h, theta, y, sigma_theta2, work)
     grad_norm = np.inf
     for iteration in range(1, NEWTON_MAX_ITER + 1):
-        prob = expit(h)
-        grad = Z.T @ (y - prob) - theta / sigma_theta2
-        grad_norm = float(np.linalg.norm(grad))
+        # grad = Z'(y - prob) - theta / sigma_theta2, the shrinkage term
+        # formed in the candidate's buffer
+        expit(h, out=prob)
+        np.matmul(Z.T, np.subtract(y, prob, out=work), out=grad)
+        np.subtract(grad, np.divide(theta, sigma_theta2, out=candidate), out=grad)
+        # the 2-norm of a real vector, as np.linalg.norm computes it
+        grad_norm = math.sqrt(grad @ grad)
         if grad_norm < NEWTON_TOL:
             return LaplacePosterior(
                 mode=theta,
@@ -302,27 +325,34 @@ def fit_bernoulli_laplace(
                 grad_norm=grad_norm,
                 n_iter=iteration - 1,
             )
-        # Zs' Zs is one syrk, as the product of a matrix with its transpose
-        np.multiply(np.sqrt(prob * (1.0 - prob))[:, None], Z, out=weighted)
-        np.matmul(weighted.T, weighted, out=curvature)
+        # Zs = sqrt(w) Z with the weights w = prob (1 - prob)
+        np.multiply(prob, np.subtract(1.0, prob, out=work), out=work)
+        np.multiply(np.sqrt(work, out=work)[:, None], Z, out=weighted)
+        if m > 1:
+            # the syrk that numpy runs for weighted.T @ weighted, without
+            # numpy's copy into the other triangle: the solve reads only
+            # the lower triangle of the curvature's Fortran-ordered transpose
+            dsyrk(1.0, weighted.T, beta=0.0, c=curvature.T, lower=1, overwrite_c=1)
+        else:
+            # numpy takes a 1 x 1 product as a dot, not a syrk
+            np.matmul(weighted.T, weighted, out=curvature)
         diagonal += 1.0 / sigma_theta2
         (step,) = _spd_solve(curvature, grad)
         damping = 1.0
         # accept flat moves within rounding: near the mode the objective
         # change underflows while the Newton step still sharpens the gradient
         slack = 1e-12 * (1.0 + abs(obj))
-        for _ in range(40):
-            candidate = theta + damping * step
-            cand_h = Z @ candidate
-            cand_obj = _log_posterior(cand_h, candidate, y, sigma_theta2)
-            if cand_obj >= obj - slack:
-                theta, h, obj = candidate, cand_h, cand_obj
+        for halvings in range(41):
+            np.add(theta, np.multiply(damping, step, out=candidate), out=candidate)
+            np.matmul(Z, candidate, out=cand_h)
+            cand_obj = _log_posterior(cand_h, candidate, y, sigma_theta2, work)
+            # after 40 rejected halvings the smallest step is taken regardless
+            if cand_obj >= obj - slack or halvings == 40:
                 break
             damping *= 0.5
-        else:
-            theta = theta + damping * step
-            h = Z @ theta
-            obj = _log_posterior(h, theta, y, sigma_theta2)
+        theta, candidate = candidate, theta
+        h, cand_h = cand_h, h
+        obj = cand_obj
     raise ConvergenceError(
         f"logistic mode search did not converge in {NEWTON_MAX_ITER} iterations "
         f"(gradient norm {grad_norm:.3e})"

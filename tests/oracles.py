@@ -179,9 +179,10 @@ def fit_bernoulli_laplace_via_cho_factor(
     sigma_theta2: float = 1.0,
     tol: float = 1e-8,
     max_iter: int = 100,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, int, int]:
     """Reference logistic mode: the plain damped Newton loop, returning
-    ``(mode, grad_norm, n_iter)``.
+    ``(mode, grad_norm, n_iter, rejected)``, where ``rejected`` counts the
+    line-search candidates turned down (each one halves the step).
 
     Same algorithm and stopping rule as ``tarp.posterior.fit_bernoulli_laplace``,
     written the direct way: the curvature as ``Zs' Zs + I / sigma_theta2`` with
@@ -203,12 +204,13 @@ def fit_bernoulli_laplace_via_cho_factor(
     theta = np.zeros(m)
     obj = objective(theta)
     grad_norm = np.inf
+    rejected = 0
     for iteration in range(1, max_iter + 1):
         prob = expit(Z @ theta)
         grad = Z.T @ (y - prob) - theta / sigma_theta2
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < tol:
-            return theta, grad_norm, iteration - 1
+            return theta, grad_norm, iteration - 1, rejected
         Zs = np.sqrt(prob * (1.0 - prob))[:, None] * Z
         curvature = Zs.T @ Zs + np.eye(m) / sigma_theta2
         step = cho_solve(cho_factor(curvature, lower=True), grad)
@@ -220,6 +222,7 @@ def fit_bernoulli_laplace_via_cho_factor(
             if cand_obj >= obj - slack:
                 theta, obj = candidate, cand_obj
                 break
+            rejected += 1
             damping *= 0.5
         else:
             theta = theta + damping * step

@@ -166,6 +166,17 @@ class TestFitPredict:
         assert np.isfinite(lo).all() and np.isfinite(hi).all()
         assert np.all(lo < hi)
 
+    def test_unconverged_mixture_quantile_is_exit_3(self, workdir, capsys, monkeypatch):
+        # one Newton-or-bisection step cannot settle every point
+        monkeypatch.setattr(tarp.ensemble, "QUANTILE_MAX_ITER", 1)
+        assert run("predict", "--model", str(DATA / "v4_continuous.tarp"),
+                   "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 3
+        assert re.fullmatch(
+            r"error: mixture quantile search left [1-9]\d* points unconverged\n",
+            capsys.readouterr().err,
+        )
+        assert not list(workdir.iterdir())
+
     def test_byte_order_mark_is_ignored(self, workdir, monkeypatch):
         # the mark would otherwise stick to the first name, here the target
         rng = np.random.default_rng(3)

@@ -154,6 +154,28 @@ class TestFitTarp:
                 model = fit_tarp(train, [cfg])
             assert model.replicates[0].projection.p_gamma == ds.p
 
+    def test_screens_once_per_distinct_delta(self, monkeypatch):
+        # the grid's replicates share each delta's inclusion probabilities,
+        # and each replicate draws the gamma that a fit of its own draws
+        ds = toy_dataset()
+        configs = [
+            TarpConfig(m=5, psi=0.2, delta=delta, variant="ris_rp", seed=seed)
+            for seed, delta in enumerate((0.5, 1.0, 0.5, 0.0, 1.0, 0.5))
+        ]
+        alone = [fit_tarp(ds, [cfg]).replicates[0] for cfg in configs]
+        deltas = []
+        screen = tarp.ensemble.inclusion_probabilities
+
+        def counted(r, delta, constant_mask=None):
+            deltas.append(delta)
+            return screen(r, delta, constant_mask)
+
+        monkeypatch.setattr(tarp.ensemble, "inclusion_probabilities", counted)
+        model = fit_tarp(ds, configs, threads=2)
+        assert sorted(deltas) == [0.0, 0.5, 1.0]
+        for rep, single in zip(model.replicates, alone):
+            np.testing.assert_array_equal(rep.projection.gamma, single.projection.gamma)
+
     def test_replicates_share_data_hash(self):
         ds = toy_dataset()
         model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 3, master_seed=5))

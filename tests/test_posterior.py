@@ -289,22 +289,62 @@ def _oracle_problems():
         else:
             y = (rng.random(n) < 1.0 / (1.0 + np.exp(-Z[:, 0]))).astype(float)
         yield Z, y, (0.1, 1.0, 10.0)[k % 3]
+    # tiny problems under a nearly flat prior whose full Newton step
+    # overshoots, so the line search halves it (1 to 4 times); found by a
+    # seeded search, since the problems above never damp
+    for k, seed in enumerate((172, 320, 611, 958)):
+        rng = np.random.default_rng([2024, seed])
+        n = int(rng.integers(4, 8))
+        Z = rng.standard_normal((n, 3))
+        if k % 2:
+            Z = np.asfortranarray(Z)
+        yield Z, (rng.random(n) < 0.5).astype(float), 1e6
 
 
 def test_newton_matches_cho_factor_oracle():
     # the in-place step forms the oracle's curvature and runs the LAPACK
     # routines that cho_factor / cho_solve run, so every bit agrees
-    n_separable = 0
+    n_separable = n_damped = 0
     for Z, y, sigma_theta2 in _oracle_problems():
         post = fit_bernoulli_laplace(Z, y, sigma_theta2=sigma_theta2)
-        mode, grad_norm, n_iter = fit_bernoulli_laplace_via_cho_factor(
+        mode, grad_norm, n_iter, rejected = fit_bernoulli_laplace_via_cho_factor(
             Z, y, sigma_theta2
         )
         assert post.mode.tobytes() == mode.tobytes()
         assert (post.n_iter, post.grad_norm) == (n_iter, grad_norm)
         assert post.grad_norm < 1e-8
         n_separable += bool(np.all((Z[:, 0] > 0) == (y == 1.0)))
+        n_damped += rejected > 0
     assert n_separable >= 12
+    # the damped line search is checked too, not only full steps
+    assert n_damped >= 4
+
+
+def test_newton_takes_the_smallest_step_when_no_halving_is_accepted(monkeypatch):
+    # the objective never rejects 40 halvings of a Newton direction in
+    # practice; rejecting the first step's 40 candidates by hand shows the
+    # fallback takes the step damped 2**40 times and the fit still converges
+    rng = np.random.default_rng(29)
+    Z = rng.standard_normal((30, 3))
+    y = (rng.random(30) < 0.5).astype(float)
+    plain = fit_bernoulli_laplace(Z, y)
+    real = tarp.posterior._log_posterior
+    thetas = []
+
+    def reject_first_step(h, theta, *args):
+        thetas.append(theta.copy())
+        value = real(h, theta, *args)
+        return -np.inf if 2 <= len(thetas) <= 41 else value
+
+    monkeypatch.setattr(tarp.posterior, "_log_posterior", reject_first_step)
+    post = fit_bernoulli_laplace(Z, y)
+    step = thetas[1]  # the full step from theta = 0
+    for k in range(40):
+        np.testing.assert_array_equal(thetas[1 + k], 0.5**k * step)
+    np.testing.assert_array_equal(thetas[41], 0.5**40 * step)
+    assert post.n_iter == plain.n_iter + 1
+    assert post.grad_norm < 1e-8
+    np.testing.assert_allclose(post.mode, plain.mode, rtol=1e-7, atol=1e-12)
 
 
 class TestSpdSolve:

@@ -159,6 +159,19 @@ class TestSampleInclusion:
         for _ in range(200):
             assert sample_inclusion(q, rng).any()
 
+    def test_argmax_forced_in_after_100_empty_draws(self):
+        # a uniform draw is below 1e-300 only when it is exactly 0 (odds
+        # 2**-53), so every one of the 100 draws comes back empty
+        q = np.array([1e-310, 0.0, 1e-300, 5e-301])
+        rng = np.random.default_rng(3)
+        gamma = sample_inclusion(q, rng)
+        np.testing.assert_array_equal(gamma, [False, False, True, False])
+        # all 100 draws were made before the fallback
+        reference = np.random.default_rng(3)
+        for _ in range(100):
+            assert not (reference.random(q.size) < q).any()
+        assert rng.random() == reference.random()
+
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
             sample_inclusion(np.array([0.5, 1.2]), np.random.default_rng(0))
