@@ -406,7 +406,7 @@ def _cmd_fit(options: dict, outputs: list) -> int:
     # document's keys are sorted when it is written, as the meta JSON's are
     resolved = {k: v for k, v in options.items() if k != "threads"}
     save_model(model, out, extra={"command": "fit", "options": resolved})
-    ms = [rep.config.m for rep in model.replicates]
+    ms = [rep.projection.requested_m for rep in model.replicates]
     print(
         f"fitted {model.n_replicates} replicates "
         f"(variant={options['variant']}, m in [{min(ms)}, {max(ms)}], "

@@ -4,7 +4,9 @@ Each replicate draws its own (m, psi) from the tuning grid and its own
 projection matrix, fits the conjugate (or Laplace-logistic) posterior in the
 compressed space, and predictions are aggregated across replicates: point
 predictions by simple averaging, intervals as quantiles of the equal-weight
-mixture of the replicate predictive distributions.
+mixture of the replicate predictive distributions. A tuning configuration
+is fit-time input only: a fitted replicate keeps its delta, its projection
+(which holds the requested m, psi, variant and map seed) and its posterior.
 
 Replicates are embarrassingly parallel; every replicate owns independent
 seeded substreams, so results are identical for any worker-pool size.
@@ -101,6 +103,12 @@ def _map_ordered(fn, jobs, threads: int) -> list:
         return list(pool.map(run, jobs))
 
 
+def _check_delta(delta: float) -> None:
+    # the screening-threshold rule of a fit's configs and of its replicates
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+
+
 @dataclass(frozen=True)
 class TarpConfig:
     m: int
@@ -114,8 +122,7 @@ class TarpConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        _check_delta(self.delta)
         if self.variant != RIS_PCR:
             if self.psi is None or not 0.0 < self.psi < 0.5:
                 raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
@@ -123,23 +130,21 @@ class TarpConfig:
 
 @dataclass(frozen=True)
 class Replicate:
-    config: TarpConfig
+    """One fitted replicate: the screening threshold its inclusion vector was
+    drawn at, its projection and its compressed-space posterior. The fit's
+    requested m, psi, variant and map seed are the projection's."""
+
+    delta: float
     projection: ProjectionMatrix
     posterior: Union[GaussianPosterior, LaplacePosterior]
 
     def __post_init__(self):
-        cfg, proj = self.config, self.projection
-        if proj.variant != cfg.variant:
-            raise ValueError(f"{cfg.variant!r} config on a {proj.variant!r} projection")
-        if cfg.m != proj.requested_m:
-            raise ValueError(f"config m={cfg.m} but requested_m={proj.requested_m}")
-        if cfg.psi != proj.psi:
-            raise ValueError(f"config psi={cfg.psi} but projection psi={proj.psi}")
-        # the fit draws each random map from this substream of the seed
-        if proj.variant == RIS_RP and proj.seed != (cfg.seed, _ENTRY_STREAM):
+        _check_delta(self.delta)
+        proj = self.projection
+        # the fit draws each random map from this substream of its seed
+        if proj.variant == RIS_RP and proj.seed[1:] != (_ENTRY_STREAM,):
             raise ValueError(
-                f"projection seed {list(proj.seed)} is not "
-                f"[config seed {cfg.seed}, {_ENTRY_STREAM}]"
+                f"projection seed {list(proj.seed)} is not [s, {_ENTRY_STREAM}]"
             )
         name = "mode" if isinstance(self.posterior, LaplacePosterior) else "location"
         shape = getattr(self.posterior, name).shape
@@ -295,7 +300,7 @@ def _fit_replicate(
         post = fit_gaussian(Z, response, a_sigma=a_sigma, b_sigma=b_sigma)
     else:
         post = fit_bernoulli_laplace(Z, response, sigma_theta2=sigma_theta2)
-    return Replicate(config=cfg, projection=projection, posterior=post)
+    return Replicate(delta=cfg.delta, projection=projection, posterior=post)
 
 
 def fit_tarp(

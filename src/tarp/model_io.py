@@ -1,16 +1,22 @@
 """Self-describing single-file model persistence.
 
 A model file is a signed JSON header over raw array bytes. Line 1 is
-``tarp-model 4 sha256=<64 hex>``, the SHA-256 of everything after that
-line. Line 2 is the model document as compact JSON with sorted keys, in
-which each array's ``data`` is ``[offset, nbytes]`` into the payload. The
-payload follows line 2: every array's little-endian bytes, concatenated in
-the order the document names them. The file is not JSON text, and any edit
-of it, even one that keeps every value in range, fails the digest check,
-which runs before anything is parsed. Round trips are bit-exact and
-identical fits write identical bytes (no timestamps, no compression).
-Version 4 is the only format read; a file without its header line, such as
-a version 1-3 JSON document, is a malformed header.
+``tarp-model 5 sha256=<64 hex>``, the format tag and version and the
+SHA-256 of everything after that line. Line 2 is the model document as
+compact JSON with sorted keys, in which each array's ``data`` is
+``[offset, nbytes]`` into the payload. The payload follows line 2: every
+array's little-endian bytes, concatenated in the order the document names
+them. The file is not JSON text, and any edit of it, even one that keeps
+every value in range, fails the digest check, which runs before anything is
+parsed. Round trips are bit-exact and identical fits write identical bytes
+(no timestamps, no compression). Version 5 is the only format read: a
+version 4 file is an unsupported version, and a file without a header line,
+such as a version 1-3 JSON document, is a malformed header.
+
+The document holds each value once: the model-level fields, with ``n_obs``
+only in a continuous model, and the replicates, each ``{delta, projection,
+posterior}``. The response kind picks the posterior's constructor, and every
+posterior takes the model-level priors (and ``n_obs``).
 
 Random projections are stored as (seed, psi, gamma), which is all a loaded
 map holds: the signs a fit keeps are not saved, and loading draws none
@@ -31,13 +37,13 @@ import re
 import numpy as np
 
 from .data import DataError, StandardizationParams, not_utf8, read_only
-from .ensemble import Replicate, TarpConfig, TarpModel
+from .ensemble import Replicate, TarpModel
 from .posterior import GaussianPosterior, LaplacePosterior
 from .projection import RIS_PCR, RIS_RP, ProjectionMatrix
 
 FORMAT_TAG = "tarp-model"
-FORMAT_VERSION = 4
-_HEADER = re.compile(rb"tarp-model (\S+) sha256=([0-9a-f]{64})")
+FORMAT_VERSION = 5
+_HEADER = re.compile(FORMAT_TAG.encode("ascii") + rb" (\S+) sha256=([0-9a-f]{64})")
 
 
 def _integer(value, name: str) -> int:
@@ -155,76 +161,47 @@ def _decode_projection(obj: dict) -> ProjectionMatrix:
 
 
 def _encode_posterior(post) -> dict:
+    # the priors and n_obs are the model's, stored once at model level
     if isinstance(post, GaussianPosterior):
         return {
-            "kind": "gaussian",
             "location": _encode_array(post.location),
             "precision_inverse": _encode_triangle(post.precision_inverse),
             "residual_quadratic": float(post.residual_quadratic),
-            "a_sigma": float(post.a_sigma),
-            "b_sigma": float(post.b_sigma),
-            "n_obs": int(post.n_obs),
         }
     if isinstance(post, LaplacePosterior):
         return {
-            "kind": "laplace",
             "mode": _encode_array(post.mode),
-            "prior_variance": float(post.prior_variance),
             "grad_norm": float(post.grad_norm),
             "n_iter": int(post.n_iter),
         }
     raise TypeError(f"cannot serialize posterior of type {type(post)!r}")
 
 
-def _decode_posterior(obj: dict, m: int):
-    if obj["kind"] == "gaussian":
+def _decode_posterior(obj: dict, m: int, continuous: bool, shared: dict):
+    # shared holds the model-level fields the posterior also takes: a_sigma,
+    # b_sigma and n_obs for a Gaussian one, prior_variance for a Laplace one
+    if continuous:
         return GaussianPosterior(
             location=_decode_array(obj["location"]),
             precision_inverse=_decode_triangle(
                 obj["precision_inverse"], m, "precision_inverse"
             ),
             residual_quadratic=_real(obj["residual_quadratic"], "residual_quadratic"),
-            a_sigma=_real(obj["a_sigma"], "a_sigma"),
-            b_sigma=_real(obj["b_sigma"], "b_sigma"),
-            n_obs=_integer(obj["n_obs"], "n_obs"),
+            **shared,
         )
-    if obj["kind"] == "laplace":
-        return LaplacePosterior(
-            mode=_decode_array(obj["mode"]),
-            prior_variance=_real(obj["prior_variance"], "prior_variance"),
-            grad_norm=_real(obj["grad_norm"], "grad_norm"),
-            n_iter=_integer(obj["n_iter"], "n_iter"),
-        )
-    raise ValueError(f"unknown posterior kind {obj['kind']!r}")
-
-
-def _encode_config(cfg: TarpConfig) -> dict:
-    return {
-        "m": int(cfg.m),
-        "psi": None if cfg.psi is None else float(cfg.psi),
-        "delta": float(cfg.delta),
-        "variant": cfg.variant,
-        "seed": int(cfg.seed),
-    }
-
-
-def _decode_config(obj: dict) -> TarpConfig:
-    return TarpConfig(
-        m=_integer(obj["m"], "m"),
-        psi=None if obj["psi"] is None else _real(obj["psi"], "psi"),
-        delta=_real(obj["delta"], "delta"),
-        variant=obj["variant"],
-        seed=_integer(obj["seed"], "seed"),
+    return LaplacePosterior(
+        mode=_decode_array(obj["mode"]),
+        grad_norm=_real(obj["grad_norm"], "grad_norm"),
+        n_iter=_integer(obj["n_iter"], "n_iter"),
+        **shared,
     )
 
 
 def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
-    """Write a fitted model as a signed version 4 file; ``extra`` holds
+    """Write a fitted model as a signed version 5 file; ``extra`` holds
     caller metadata (JSON values, no bytes)."""
     std = model.standardization
     doc = {
-        "format": FORMAT_TAG,
-        "version": FORMAT_VERSION,
         "response_kind": model.response_kind,
         "master_seed": int(model.master_seed),
         "column_names": list(model.column_names),
@@ -240,7 +217,7 @@ def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
         },
         "replicates": [
             {
-                "config": _encode_config(rep.config),
+                "delta": float(rep.delta),
                 "projection": _encode_projection(rep.projection),
                 "posterior": _encode_posterior(rep.posterior),
             }
@@ -248,6 +225,9 @@ def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
         ],
         "extra": extra or {},
     }
+    if model.response_kind == "continuous":
+        # every replicate is fitted to the same rows
+        doc["n_obs"] = int(model.replicates[0].posterior.n_obs)
     chunks = []
     size = 0
 
@@ -316,7 +296,7 @@ def _resolve_arrays(node, payload: memoryview) -> None:
 
 
 def load_model(path) -> tuple[TarpModel, dict]:
-    """Load a signed version 4 model file; returns (model, extra metadata)."""
+    """Load a signed version 5 model file; returns (model, extra metadata)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -331,10 +311,8 @@ def load_model(path) -> tuple[TarpModel, dict]:
         # besides bad JSON: an integer past Python's digit limit, or nesting
         # past the recursion limit
         raise DataError(f"{path}: not a valid model file ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
-        raise DataError(f"{path}: not a {FORMAT_TAG} file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported model version {doc.get('version')}")
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: malformed model file (the document is not an object)")
     try:
         for key, value in doc.items():
             # extra is caller metadata: the CLI's options name a data file
@@ -354,16 +332,21 @@ def load_model(path) -> tuple[TarpModel, dict]:
 def _decode_model(doc: dict) -> TarpModel:
     std_doc = doc["standardization"]
     mean = std_doc["response_mean"]
+    a_sigma, b_sigma, sigma_theta2 = (
+        _real(doc[name], name) for name in ("a_sigma", "b_sigma", "sigma_theta2")
+    )
+    # the response kind picks the posterior, and each takes the model's priors
+    continuous = doc["response_kind"] == "continuous"
+    if continuous:
+        shared = {"a_sigma": a_sigma, "b_sigma": b_sigma,
+                  "n_obs": _integer(doc["n_obs"], "n_obs")}
+    else:
+        shared = {"prior_variance": sigma_theta2}
     replicates = []
     for rep in doc["replicates"]:
         projection = _decode_projection(rep["projection"])
-        replicates.append(
-            Replicate(
-                config=_decode_config(rep["config"]),
-                projection=projection,
-                posterior=_decode_posterior(rep["posterior"], projection.m),
-            )
-        )
+        posterior = _decode_posterior(rep["posterior"], projection.m, continuous, shared)
+        replicates.append(Replicate(_real(rep["delta"], "delta"), projection, posterior))
     return TarpModel(
         replicates=replicates,
         standardization=StandardizationParams(
@@ -376,7 +359,7 @@ def _decode_model(doc: dict) -> TarpModel:
         master_seed=_integer(doc["master_seed"], "master_seed"),
         column_names=_strings(doc["column_names"], "column_names"),
         train_data_hash=_string(doc["train_data_hash"], "train_data_hash"),
-        a_sigma=_real(doc["a_sigma"], "a_sigma"),
-        b_sigma=_real(doc["b_sigma"], "b_sigma"),
-        sigma_theta2=_real(doc["sigma_theta2"], "sigma_theta2"),
+        a_sigma=a_sigma,
+        b_sigma=b_sigma,
+        sigma_theta2=sigma_theta2,
     )

@@ -10,6 +10,8 @@ import copy
 import hashlib
 import json
 
+from tarp.model_io import FORMAT_TAG, FORMAT_VERSION
+
 
 def each_array(doc: dict, convert) -> None:
     """Replace every array's data field with ``convert(field)``, in the order
@@ -58,12 +60,12 @@ def body_of(doc: dict) -> bytes:
     return text.encode("ascii") + b"\n" + b"".join(chunks)
 
 
-def signed(body: bytes) -> bytes:
-    """``body`` after the header line that signs it."""
+def signed(body: bytes, version: int = FORMAT_VERSION) -> bytes:
+    """``body`` after the header line that signs it as ``version``."""
     digest = hashlib.sha256(body).hexdigest()
-    return f"tarp-model 4 sha256={digest}\n".encode("ascii") + body
+    return f"{FORMAT_TAG} {version} sha256={digest}\n".encode("ascii") + body
 
 
 def as_signed(doc: dict) -> bytes:
-    """The signed version 4 file of a document with arrays as bytes."""
+    """The signed file of a document with arrays as bytes."""
     return signed(body_of(doc))

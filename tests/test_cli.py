@@ -148,7 +148,7 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_bad_level_is_usage_error(self, workdir, capsys, kind):
-        assert run("predict", "--model", str(DATA / f"v4_{kind}.tarp"),
+        assert run("predict", "--model", str(DATA / f"v5_{kind}.tarp"),
                    "--data", str(DATA / f"{kind}.csv"), "--level", "7",
                    "--out", "preds.csv") == 1
         assert capsys.readouterr().err == (
@@ -156,7 +156,7 @@ class TestFitPredict:
         )
         assert not list(workdir.iterdir())
 
-    @pytest.mark.parametrize("model", ["v4_continuous", "v4_ris_pcr"])
+    @pytest.mark.parametrize("model", ["v5_continuous", "v5_ris_pcr"])
     def test_largest_level_predicts_a_finite_interval(self, workdir, model):
         # (1 + level) / 2 is the largest double below 1
         assert run("predict", "--model", str(DATA / f"{model}.tarp"),
@@ -169,7 +169,7 @@ class TestFitPredict:
     def test_unconverged_mixture_quantile_is_exit_3(self, workdir, capsys, monkeypatch):
         # one Newton-or-bisection step cannot settle every point
         monkeypatch.setattr(tarp.ensemble, "QUANTILE_MAX_ITER", 1)
-        assert run("predict", "--model", str(DATA / "v4_continuous.tarp"),
+        assert run("predict", "--model", str(DATA / "v5_continuous.tarp"),
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 3
         assert re.fullmatch(
             r"error: mixture quantile search left [1-9]\d* points unconverged\n",
@@ -224,7 +224,7 @@ class TestBenchmarkHooks:
 
         for name in ("predict_tarp", "load_table", "load_model"):
             counted(name)
-        assert run("predict", "--model", str(DATA / "v4_continuous.tarp"),
+        assert run("predict", "--model", str(DATA / "v5_continuous.tarp"),
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 0
         assert sorted(calls) == ["load_model", "load_table", "predict_tarp"]
         assert (workdir / "preds.csv").read_bytes() == (
@@ -250,7 +250,7 @@ class TestBaseline:
                        "--out", f"{name}.csv") == 0
         doc = as_doc((workdir / "baseline.json").read_bytes())
         for rep in doc["replicates"]:
-            assert (rep["config"]["variant"], rep["config"]["delta"]) == ("ris_rp", 0.0)
+            assert (rep["projection"]["variant"], rep["delta"]) == ("ris_rp", 0.0)
         assert doc["extra"]["options"]["variant"] == "plain_rp_baseline"
         assert doc["extra"]["options"]["delta"] == 0.0
         model, _ = load_model("baseline.json")
@@ -545,10 +545,10 @@ class TestBench:
 _REQUIRED_OPTIONS = [
     ("simulate", "scheme", "I", ["--n", "30", "--p", "40", "--out", "data.csv"]),
     ("fit", "data", str(DATA / "continuous.csv"), ["--replicates", "2"]),
-    ("predict", "model", str(DATA / "v4_continuous.tarp"),
+    ("predict", "model", str(DATA / "v5_continuous.tarp"),
      ["--data", str(DATA / "continuous.csv")]),
     ("predict", "data", str(DATA / "continuous.csv"),
-     ["--model", str(DATA / "v4_continuous.tarp")]),
+     ["--model", str(DATA / "v5_continuous.tarp")]),
     ("bench", "scheme", "I", ["--n", "30", "--test-size", "5", "--p", "40",
                               "--replicates", "1", "--ensemble-size", "2"]),
 ]
@@ -763,7 +763,7 @@ def _pool(threads):
 
 @functools.cache
 def _model(kind):
-    return load_model(DATA / f"v4_{kind}.tarp")[0]
+    return load_model(DATA / f"v5_{kind}.tarp")[0]
 
 
 def _check_level(level):
@@ -1282,7 +1282,7 @@ class TestExitCodes:
         lines[2] = ",".join(["1e308", "-1e308"] * (width // 2) + ["1"])
         (workdir / "new.csv").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run("predict", "--model", str(DATA / "v4_binary.tarp"),
+        assert run("predict", "--model", str(DATA / "v5_binary.tarp"),
                    "--data", "new.csv", "--out", "pred.csv") == 2
         assert capsys.readouterr().err == (
             "error: new row 2 is too large: its logits overflow\n"
@@ -1353,10 +1353,6 @@ def _delete(*keys):
     return corrupt
 
 
-def _config_m_off_by_one(doc):
-    doc["replicates"][0]["config"]["m"] += 1
-
-
 def _at(doc, keys):
     for key in keys:
         doc = doc[key]
@@ -1402,11 +1398,6 @@ def _column_names_as(convert):
 def _empty_gamma(doc):
     gamma = doc["replicates"][0]["projection"]["gamma"]
     gamma["data"] = bytes(len(gamma["data"]))
-
-
-def _claims_version_3(doc):
-    # a signed version 4 file whose document claims version 3
-    doc["version"] = 3
 
 
 def _binary_as_continuous(doc):
@@ -1496,13 +1487,7 @@ class TestCorruptModel:
             (_set("replicates", value=[]), "ris_rp"),
             (_set("standardization", "response_mean", value="abc"), "ris_rp"),
             (_set("extra", value=[1]), "ris_rp"),
-            (_config_m_off_by_one, "ris_rp"),
-            (_set("replicates", 0, "config", "psi", value=0.3), "ris_rp"),
-            # the baseline is a CLI name, not a config variant
-            (_set("replicates", 0, "config", "variant", value="plain_rp_baseline"),
-             "ris_rp"),
-            (_set("replicates", 0, "config", "variant", value="ris_pcr"), "ris_rp"),
-            (_set("replicates", 0, "posterior", "n_obs", value=-100), "ris_rp"),
+            (_set("n_obs", value=-100), "ris_rp"),
             (_truncate("replicates", 0, "projection", "gamma", nbytes=1), "ris_rp"),
             (_truncate("standardization", "constant_mask", nbytes=1), "ris_rp"),
             (_set_float(*_POSTERIOR, "location", value=float("nan")), "ris_rp"),
@@ -1511,9 +1496,9 @@ class TestCorruptModel:
             (_set_float("standardization", "column_means", value=float("inf")),
              "ris_rp"),
             (_set(*_POSTERIOR, "residual_quadratic", value=-5), "ris_rp"),
-            (_set(*_POSTERIOR, "a_sigma", value=0.0), "ris_rp"),
-            (_set(*_POSTERIOR, "b_sigma", value=-1.0), "ris_rp"),
-            (_set(*_POSTERIOR, "b_sigma", value=1e308), "ris_rp"),
+            (_set("a_sigma", value=0.0), "ris_rp"),
+            (_set("b_sigma", value=-1.0), "ris_rp"),
+            (_set("b_sigma", value=1e308), "ris_rp"),
             (_set("sigma_theta2", value=0.0), "ris_rp"),
             (_truncate(*_POSTERIOR, "precision_inverse", nbytes=-8), "ris_rp"),
             (_set(*_POSTERIOR, "precision_inverse", "order", value=3), "ris_rp"),
@@ -1521,15 +1506,14 @@ class TestCorruptModel:
              "ris_rp"),
             (_set_float("replicates", 0, "projection", "block", value=float("nan")),
              "ris_pcr"),
-            (_claims_version_3, "ris_rp"),
             # a projection variant the format does not know
             (_set("replicates", 0, "projection", "variant", value="sparse_variant"),
              "ris_rp"),
             # json reads the bare NaN and Infinity tokens a fit once wrote
-            (_set("replicates", 0, "config", "delta", value=float("nan")), "ris_rp"),
-            (_set("replicates", 0, "config", "delta", value=float("inf")), "ris_rp"),
+            (_set("replicates", 0, "delta", value=float("nan")), "ris_rp"),
+            (_set("replicates", 0, "delta", value=float("inf")), "ris_rp"),
             # integer fields take JSON integers only: no bool, no float
-            (_set(*_POSTERIOR, "n_obs", value=True), "ris_rp"),
+            (_set("n_obs", value=True), "ris_rp"),
             (_add(*_PROJECTION, "seed", 0, delta=0.5), "ris_rp"),
             # one case per invariant that a model's types check on construction
             (_drop_last("standardization", "column_means"), "ris_rp"),
@@ -1553,33 +1537,26 @@ class TestCorruptModel:
             # sample_inclusion never draws an empty gamma
             (_empty_gamma, "ris_rp"),
             (_empty_gamma, "binary"),
-            # every replicate is fitted to the model's rows, under its priors,
-            # on a map drawn from its config seed's entry substream
-            (_set(*_POSTERIOR, "a_sigma", value=5.0), "ris_rp"),
-            (_set(*_POSTERIOR, "n_obs", value=7), "ris_rp"),
+            # every random map is drawn from its seed's entry substream
             (_set(*_PROJECTION, "seed", 1, value=2), "ris_rp"),
-            (_set(*_POSTERIOR, "prior_variance", value=3.0), "binary"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
             "rp_requested_m_huge", "rp_requested_m_missing",
             "kind_binary_on_continuous", "kind_bogus", "no_replicates",
-            "response_mean_text", "extra_list",
-            "config_m", "config_psi", "config_variant_baseline",
-            "config_variant_pcr", "negative_n_obs", "gamma_truncated",
+            "response_mean_text", "extra_list", "negative_n_obs", "gamma_truncated",
             "constant_mask_truncated", "location_nan", "column_scale_zero",
             "column_mean_inf", "residual_quadratic_negative", "a_sigma_zero",
             "b_sigma_negative", "b_sigma_overflows", "sigma_theta2_zero",
             "triangle_short", "triangle_order", "triangle_inf", "pcr_block_nan",
-            "version_3", "projection_variant_sparse", "config_delta_nan",
-            "config_delta_inf", "n_obs_true", "seed_fraction",
+            "projection_variant_sparse", "delta_nan", "delta_inf", "n_obs_true",
+            "seed_fraction",
             "column_means_short", "response_mean_null", "binary_response_mean",
             "column_names_short", "gamma_one_short", "kind_continuous_on_binary",
             "projection_m_zero", "pcr_block_rows", "location_short",
             "mode_short", "mode_nan", "grad_norm_negative", "n_iter_negative",
             "column_names_string", "column_names_integers", "train_data_hash_list",
-            "gamma_empty", "binary_gamma_empty", "a_sigma_not_the_models",
-            "n_obs_not_shared", "projection_seed_stream", "prior_variance_not_the_models",
+            "gamma_empty", "binary_gamma_empty", "projection_seed_stream",
         ],
     )
     @ENTRIES
@@ -1601,18 +1578,32 @@ class TestCorruptModel:
         err = _predict_fails_in_one_line(workdir, capsys)
         assert err.endswith("malformed model file (bad extra options)\n")
 
+    @ENTRIES
+    def test_version_4_file_is_unsupported(self, workdir, capsys, entry):
+        # a file signed as version 4, the format that kept each replicate's
+        # config and priors: the header check refuses it before the document
+        # is parsed, so the body's format does not matter
+        self._fit("ris_rp")
+        body = (workdir / "model.json").read_bytes().split(b"\n", 1)[1]
+        (workdir / "model.json").write_bytes(signed(body, version=4))
+        message = "model.json: unsupported model version 4"
+        if entry == "load_model":
+            with pytest.raises(DataError, match=f"^{message}$"):
+                load_model("model.json")
+        else:
+            assert _predict_fails_in_one_line(workdir, capsys) == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "keys, variant",
         [
             (("replicates", 0, "projection", "m"), "ris_rp"),
-            (("replicates", 0, "config", "m"), "ris_rp"),
-            (("replicates", 0, "config", "seed"), "ris_rp"),
+            (("replicates", 0, "projection", "requested_m"), "ris_rp"),
             (("replicates", 0, "projection", "seed", 0), "ris_rp"),
+            (("replicates", 0, "projection", "seed", 1), "ris_rp"),
             (("replicates", 0, "projection", "gamma", "length"), "ris_rp"),
             (("standardization", "constant_mask", "length"), "ris_rp"),
             (("replicates", 0, "projection", "requested_m"), "ris_pcr"),
-            ((*_POSTERIOR, "n_obs"), "ris_rp"),
+            (("n_obs",), "ris_rp"),
             ((*_POSTERIOR, "n_iter"), "binary"),
             (("master_seed",), "ris_rp"),
         ],
@@ -1647,7 +1638,7 @@ class TestCorruptModel:
     def test_huge_m_is_rejected_without_drawing_a_block(
         self, workdir, capsys, monkeypatch
     ):
-        # projection, requested_m and config all claim m = 1e9 over a small
+        # the projection's m and requested_m both claim 1e9 over a small
         # posterior: loading must reject the file before drawing any block
         run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
             "--seed", "4", "--out", "data.csv")
@@ -1656,7 +1647,6 @@ class TestCorruptModel:
         doc = as_doc((workdir / "model.json").read_bytes())
         rep = doc["replicates"][0]
         rep["projection"]["m"] = rep["projection"]["requested_m"] = 10**9
-        rep["config"]["m"] = 10**9
         (workdir / "model.json").write_bytes(as_signed(doc))
 
         def no_draw(*args):
@@ -1694,7 +1684,7 @@ class TestStartup:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_predict_skips_scipy_stats_and_linalg(self, tmp_path, kind):
-        argv = ["predict", "--model", str(DATA / f"v4_{kind}.tarp"),
+        argv = ["predict", "--model", str(DATA / f"v5_{kind}.tarp"),
                 "--data", str(DATA / f"{kind}.csv"), "--out", str(tmp_path / "p.csv")]
         code = (
             f"import sys, tarp.cli; code = tarp.cli.main({argv!r}); "

@@ -357,12 +357,6 @@ class TestModelInvariants:
     @pytest.mark.parametrize(
         "binary, change, message",
         [
-            (False, lambda rep: {"config": replace(rep.config, variant="ris_pcr")},
-             "'ris_pcr' config on a 'ris_rp' projection"),
-            (False, lambda rep: {"config": replace(rep.config, m=rep.config.m + 1)},
-             "config m=.* but requested_m="),
-            (False, lambda rep: {"config": replace(rep.config, psi=rep.config.psi / 2)},
-             "config psi=.* but projection psi="),
             (False, lambda rep: {"posterior": replace(
                 rep.posterior, location=rep.posterior.location[:-1],
                 precision_inverse=rep.posterior.precision_inverse[:-1, :-1])},
@@ -371,13 +365,11 @@ class TestModelInvariants:
                 rep.posterior, mode=rep.posterior.mode[:-1])},
              "mode has shape .*, projection m="),
             (False, lambda rep: {"projection": replace(
-                rep.projection, seed=(rep.config.seed, 2))},
-             r"projection seed \[\d+, 2\] is not \[config seed \d+, 1\]"),
-            (False, lambda rep: {"config": replace(rep.config, seed=rep.config.seed + 1)},
-             r"projection seed \[\d+, 1\] is not \[config seed \d+, 1\]"),
+                rep.projection, seed=(rep.projection.seed[0], 2))},
+             r"projection seed \[\d+, 2\] is not \[s, 1\]"),
+            (False, lambda rep: {"delta": -0.5}, "delta must be finite and >= 0"),
         ],
-        ids=["variant", "m", "psi", "location_m", "mode_m", "seed_stream",
-             "config_seed"],
+        ids=["location_m", "mode_m", "seed_stream", "delta_negative"],
     )
     def test_replicate(self, binary, change, message):
         rep = fitted_model(binary).replicates[0]

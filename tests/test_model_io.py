@@ -18,7 +18,7 @@ from model_files import as_doc, as_signed, each_array, signed
 from oracles import dense_map
 
 # model files (p=20) and the prediction CSVs written for their training rows;
-# each *_pred.csv dates from the model's first format, and the v4_* files
+# each *_pred.csv dates from the model's first format, and the v5_* files
 # are the same models in the current one
 DATA = Path(__file__).parent / "data"
 
@@ -38,22 +38,23 @@ RIS_PCR_FIXTURE_RTOL = 1e-13
 # baseline was a config variant of its own, re-saved with its configs as
 # ris_rp at delta 0, and the predictions written for its training rows when
 # it was fitted
-BASELINE_FIXTURE = DATA / "v4_plain_rp_baseline.tarp"
+BASELINE_FIXTURE = DATA / "v5_plain_rp_baseline.tarp"
 
 # signed files that must keep predicting the committed CSVs
-V4_FIXTURES = {"continuous": DATA / "v4_continuous.tarp", "binary": DATA / "v4_binary.tarp"}
+FIXTURES_BY_KIND = {"continuous": DATA / "v5_continuous.tarp",
+                    "binary": DATA / "v5_binary.tarp"}
 
 # signed files that `tarp fit` wrote, run in a directory holding the data
 # file, with these options: a refit must write each byte for byte, at any
-# thread count. The fit records its options, --out included, so the refit
-# of v4_continuous.tarp keeps the name it was first written under;
-# v4_binary.tarp differs from a refit at rounding level and is no golden file
+# thread count. The fit records its options, --out included, so each refit
+# keeps the name its file was first written under;
+# v5_binary.tarp differs from a refit at rounding level and is no golden file
 GOLDEN_FITS = {
-    "v4_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
+    "v5_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
                            "--seed", "7", "--out", "v1_continuous.json"],
-    "v4_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
+    "v5_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
                            "--seed", "11", "--out", "v4_binary_fit.tarp"],
-    "v4_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
+    "v5_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
                             "--replicates", "3", "--seed", "13",
                             "--out", "v4_ris_pcr_fit.tarp"],
 }
@@ -185,7 +186,7 @@ def test_every_array_of_a_model_is_read_only(tmp_path, variant, binary):
         assert isinstance(model.replicates, tuple)
         arrays = held_arrays(model)
         for name, array in arrays.items():
-            # on a loaded gamma, this write once went through, and the v4
+            # on a loaded gamma, this write once went through, and the
             # continuous fixture then predicted points moved by up to 0.93
             with pytest.raises(ValueError, match="read-only"):
                 array[:] = False
@@ -215,10 +216,10 @@ def test_extra_metadata_round_trips(tmp_path):
     assert extra == {"options": {"target": "y"}}
 
 
-def test_rejects_foreign_json(tmp_path):
+def test_rejects_a_document_that_is_not_an_object(tmp_path):
     path = tmp_path / "other.tarp"
-    path.write_bytes(signed(b'{"format": "something-else"}\n'))
-    with pytest.raises(DataError, match="not a tarp-model"):
+    path.write_bytes(signed(b'["tarp-model", 5]\n'))
+    with pytest.raises(DataError, match="the document is not an object"):
         load_model(path)
 
 
@@ -237,7 +238,7 @@ def test_json_past_python_limits_is_data_error(tmp_path, value):
     # the recursion limit, which json raises as ValueError and RecursionError
     path = tmp_path / "model.tarp"
     path.write_bytes(signed(
-        b'{"format": "tarp-model", "version": 4, "deep": ' + value.encode() + b"}\n"
+        b'{"deep": ' + value.encode() + b"}\n"
     ))
     with pytest.raises(DataError, match="model.tarp: not a valid model file"):
         load_model(path)
@@ -257,10 +258,10 @@ def assert_same_predictions(a, b):
 
 
 def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
-    model, _ = load_model(DATA / "v4_ris_pcr.tarp")
+    model, _ = load_model(DATA / "v5_ris_pcr.tarp")
     assert {rep.projection.variant for rep in model.replicates} == {"ris_pcr"}
     out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(DATA / "v4_ris_pcr.tarp"),
+    assert main(["predict", "--model", str(DATA / "v5_ris_pcr.tarp"),
                  "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
     committed = DATA / "v3_ris_pcr_pred.csv"
     assert out.read_text().splitlines()[0] == committed.read_text().splitlines()[0]
@@ -272,7 +273,7 @@ def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
 def test_baseline_fixture_loads_as_ris_rp_at_delta_zero(tmp_path):
     model, _ = load_model(BASELINE_FIXTURE)
     for rep in model.replicates:
-        assert (rep.config.variant, rep.config.delta) == ("ris_rp", 0.0)
+        assert (rep.projection.variant, rep.delta) == ("ris_rp", 0.0)
         assert rep.projection.p_gamma == model.p
     out = tmp_path / "pred.csv"
     assert main(["predict", "--model", str(BASELINE_FIXTURE),
@@ -303,9 +304,7 @@ def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
         if binary:
             # a binary replicate stores its mode and no matrix at all
             assert "hessian_at_mode" not in stored["posterior"]
-            assert set(stored["posterior"]) == {
-                "kind", "mode", "prior_variance", "grad_norm", "n_iter"
-            }
+            assert set(stored["posterior"]) == {"mode", "grad_norm", "n_iter"}
             continue
         m = stored["projection"]["m"]
         triangle = stored["posterior"]["precision_inverse"]
@@ -317,11 +316,12 @@ def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
 
 
 def test_laplace_prior_variance_must_be_positive(tmp_path):
+    # every Laplace posterior takes the model's sigma_theta2
     _, model = fitted_model(seed=5, binary=True)
     path = tmp_path / "model.tarp"
     save_model(model, path)
     doc = as_doc(path.read_bytes())
-    doc["replicates"][1]["posterior"]["prior_variance"] = 0.0
+    doc["sigma_theta2"] = 0.0
     path.write_bytes(as_signed(doc))
     with pytest.raises(DataError, match="prior_variance must be a positive"):
         load_model(path)
@@ -362,19 +362,43 @@ def test_roundtrip_property(tmp_path, n, p, count, variant, binary, seed):
     )
 
 
+# the keys of format 5: each value is written once, the header holds the
+# format's tag and version, and the document holds everything else
+MODEL_KEYS = {"response_kind", "master_seed", "column_names", "train_data_hash",
+              "a_sigma", "b_sigma", "sigma_theta2", "standardization",
+              "replicates", "extra"}
+PROJECTION_KEYS = {
+    "ris_rp": {"variant", "m", "requested_m", "gamma", "seed", "psi"},
+    "ris_pcr": {"variant", "m", "requested_m", "gamma", "block"},
+}
+
+
 @pytest.mark.parametrize("variant, binary", [("ris_rp", False), ("ris_pcr", False),
                                              ("ris_rp", True)])
-def test_v4_layout(tmp_path, variant, binary):
+def test_v5_layout(tmp_path, variant, binary):
     _, model = fitted_model(variant, seed=3, binary=binary)
     path = tmp_path / "model.tarp"
     save_model(model, path, extra={"options": {"data": "train.csv"}})
     data = path.read_bytes()
     header, body = data.split(b"\n", 1)
-    assert header == b"tarp-model 4 sha256=" + hashlib.sha256(body).hexdigest().encode()
+    assert header == b"tarp-model 5 sha256=" + hashlib.sha256(body).hexdigest().encode()
     text, payload = body.split(b"\n", 1)
     doc = json.loads(text)
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() == text
-    assert doc["version"] == 4 and doc["extra"] == {"options": {"data": "train.csv"}}
+    # n_obs is the continuous model's, shared by its replicates
+    assert set(doc) == MODEL_KEYS | (set() if binary else {"n_obs"})
+    assert doc["extra"] == {"options": {"data": "train.csv"}}
+    assert set(doc["standardization"]) == {
+        "column_means", "column_scales", "constant_mask", "response_mean"
+    }
+    posterior_keys = (
+        {"mode", "grad_norm", "n_iter"} if binary
+        else {"location", "precision_inverse", "residual_quadratic"}
+    )
+    for rep in doc["replicates"]:
+        assert set(rep) == {"delta", "projection", "posterior"}
+        assert set(rep["projection"]) == PROJECTION_KEYS[variant]
+        assert set(rep["posterior"]) == posterior_keys
     # the arrays tile the payload in the order the document names them
     fields = []
     each_array(doc, lambda field: fields.append(field) or field)
@@ -386,15 +410,15 @@ def test_v4_layout(tmp_path, variant, binary):
 
 
 @pytest.mark.parametrize("kind", ["continuous", "binary"])
-def test_v4_fixture_predicts_committed_csv(tmp_path, kind):
+def test_fixture_predicts_committed_csv(tmp_path, kind):
     out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(V4_FIXTURES[kind]),
+    assert main(["predict", "--model", str(FIXTURES_BY_KIND[kind]),
                  "--data", str(DATA / f"{kind}.csv"), "--out", str(out)]) == 0
     assert_predicts_committed_csv(out, kind)
 
 
 # every committed model file
-FIXTURES = sorted(path.name for path in DATA.glob("v4_*.tarp"))
+FIXTURES = sorted(path.name for path in DATA.glob("*.tarp"))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -452,14 +476,14 @@ HEADER_MESSAGE = re.compile(
 )
 
 
-def test_every_byte_flip_of_a_v4_file_is_data_error(tmp_path, capsys):
-    data = V4_FIXTURES["binary"].read_bytes()
+def test_every_byte_flip_of_a_model_file_is_data_error(tmp_path, capsys):
+    data = FIXTURES_BY_KIND["binary"].read_bytes()
     header = data.index(b"\n") + 1
     tag = len(b"tarp-model ")
     path = tmp_path / "flipped.tarp"
     messages = set()
     # every byte inverted, and the header's bytes also with their low bit
-    # flipped: 4 -> 5, a hex digit to another or to a non-digit
+    # flipped: 5 -> 4, a hex digit to another or to a non-digit
     flips = [(index, 0xFF) for index in range(len(data))]
     flips += [(index, 0x01) for index in range(header)]
     assert sum(index < header for index, _ in flips) == 170
@@ -481,8 +505,8 @@ def test_every_byte_flip_of_a_v4_file_is_data_error(tmp_path, capsys):
     assert len(messages) > 3  # the header's flips fail in other ways
 
 
-def test_every_truncation_of_a_v4_file_is_data_error(tmp_path, capsys):
-    data = V4_FIXTURES["binary"].read_bytes()
+def test_every_truncation_of_a_model_file_is_data_error(tmp_path, capsys):
+    data = FIXTURES_BY_KIND["binary"].read_bytes()
     path = tmp_path / "truncated.tarp"
     for size in range(len(data)):
         path.write_bytes(data[:size])
@@ -519,16 +543,16 @@ def test_bad_array_reference_is_data_error(tmp_path, data, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda data: data.replace(b"tarp-model 4", b"tarp-model 5", 1),
-         "unsupported model version 5$"),
+        (lambda data: data.replace(b"tarp-model 5", b"tarp-model 6", 1),
+         "unsupported model version 6$"),
         (lambda data: data.replace(b"sha256=", b"sha512=", 1), "malformed model header$"),
         (lambda data: data[: data.index(b"\n")], "malformed model header$"),
-        (lambda data: signed(b'{"format":"tarp-model","version":4}'), "no payload line"),
+        (lambda data: signed(b"{}"), "no payload line"),
     ],
-    ids=["version_5", "other_digest", "header_only", "one_line_body"],
+    ids=["version_6", "other_digest", "header_only", "one_line_body"],
 )
 def test_bad_signed_file_is_data_error(tmp_path, edit, message):
     path = tmp_path / "model.tarp"
-    path.write_bytes(edit(V4_FIXTURES["binary"].read_bytes()))
+    path.write_bytes(edit(FIXTURES_BY_KIND["binary"].read_bytes()))
     with pytest.raises(DataError, match=message):
         load_model(path)
