@@ -13,10 +13,10 @@ parsed. Round trips are bit-exact and identical fits write identical bytes
 version 4 file is an unsupported version, and a file without a header line,
 such as a version 1-3 JSON document, is a malformed header.
 
-The document holds each value once: the model-level fields, with ``n_obs``
-only in a continuous model, and the replicates, each ``{delta, projection,
-posterior}``. The response kind picks the posterior's constructor, and every
-posterior takes the model-level priors (and ``n_obs``).
+The document holds each value once, and loading refuses any other key: the
+model-level fields, with ``n_obs`` only in a continuous model, and the
+replicates, each ``{delta, projection, posterior}``. The response kind picks
+the posterior's constructor; each takes the model-level priors (and n_obs).
 
 Random projections are stored as (seed, psi, gamma), which is all a loaded
 map holds: the signs a fit keeps are not saved, and loading draws none
@@ -71,6 +71,16 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _only(obj, name: str, *keys: str) -> dict:
+    # a version 5 object holds these keys and no others, so that a stale
+    # second copy of a value, such as a replicate's own priors, is refused
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} is not an object")
+    if obj.keys() - set(keys):
+        raise ValueError(f"{name} has unknown keys {sorted(obj.keys() - set(keys))}")
+    return obj
 
 
 def _encode_floats(arr: np.ndarray) -> bytes:
@@ -147,6 +157,8 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
 
 
 def _decode_projection(obj: dict) -> ProjectionMatrix:
+    own = ("block",) if obj["variant"] == RIS_PCR else ("seed", "psi")
+    _only(obj, "projection", "variant", "m", "requested_m", "gamma", *own)
     gamma = _decode_bits(obj["gamma"], "gamma")
     m = _integer(obj["m"], "m")
     requested_m = _integer(obj["requested_m"], "requested_m")
@@ -181,6 +193,7 @@ def _decode_posterior(obj: dict, m: int, continuous: bool, shared: dict):
     # shared holds the model-level fields the posterior also takes: a_sigma,
     # b_sigma and n_obs for a Gaussian one, prior_variance for a Laplace one
     if continuous:
+        _only(obj, "posterior", "location", "precision_inverse", "residual_quadratic")
         return GaussianPosterior(
             location=_decode_array(obj["location"]),
             precision_inverse=_decode_triangle(
@@ -189,6 +202,7 @@ def _decode_posterior(obj: dict, m: int, continuous: bool, shared: dict):
             residual_quadratic=_real(obj["residual_quadratic"], "residual_quadratic"),
             **shared,
         )
+    _only(obj, "posterior", "mode", "grad_norm", "n_iter")
     return LaplacePosterior(
         mode=_decode_array(obj["mode"]),
         grad_norm=_real(obj["grad_norm"], "grad_norm"),
@@ -330,13 +344,17 @@ def load_model(path) -> tuple[TarpModel, dict]:
 
 
 def _decode_model(doc: dict) -> TarpModel:
-    std_doc = doc["standardization"]
+    std_doc = _only(doc["standardization"], "standardization", "column_means",
+                    "column_scales", "constant_mask", "response_mean")
     mean = std_doc["response_mean"]
     a_sigma, b_sigma, sigma_theta2 = (
         _real(doc[name], name) for name in ("a_sigma", "b_sigma", "sigma_theta2")
     )
     # the response kind picks the posterior, and each takes the model's priors
     continuous = doc["response_kind"] == "continuous"
+    _only(doc, "document", "response_kind", "master_seed", "column_names",
+          "train_data_hash", "a_sigma", "b_sigma", "sigma_theta2", "standardization",
+          "replicates", "extra", *(("n_obs",) if continuous else ()))
     if continuous:
         shared = {"a_sigma": a_sigma, "b_sigma": b_sigma,
                   "n_obs": _integer(doc["n_obs"], "n_obs")}
@@ -344,6 +362,7 @@ def _decode_model(doc: dict) -> TarpModel:
         shared = {"prior_variance": sigma_theta2}
     replicates = []
     for rep in doc["replicates"]:
+        _only(rep, "replicate", "delta", "projection", "posterior")
         projection = _decode_projection(rep["projection"])
         posterior = _decode_posterior(rep["posterior"], projection.m, continuous, shared)
         replicates.append(Replicate(_real(rep["delta"], "delta"), projection, posterior))

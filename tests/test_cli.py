@@ -1594,6 +1594,61 @@ class TestCorruptModel:
             assert _predict_fails_in_one_line(workdir, capsys) == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "where, key, copy_of, variant",
+        [
+            # the copies version 4 wrote, each equal to the value it repeats
+            ("replicate", "config", None, "ris_rp"),
+            ("posterior", "a_sigma", ("a_sigma",), "ris_rp"),
+            ("posterior", "b_sigma", ("b_sigma",), "ris_rp"),
+            ("posterior", "n_obs", ("n_obs",), "ris_rp"),
+            ("posterior", "kind", ("response_kind",), "ris_rp"),
+            ("posterior", "prior_variance", ("sigma_theta2",), "binary"),
+            ("document", "format", None, "ris_rp"),
+            ("document", "version", None, "ris_rp"),
+            # keys that belong to another kind of model or projection
+            ("document", "n_obs", None, "binary"),
+            ("projection", "psi", None, "ris_pcr"),
+            ("projection", "seed", None, "ris_pcr"),
+            ("standardization", "n_obs", ("n_obs",), "ris_rp"),
+        ],
+        ids=[
+            "replicate_config", "posterior_a_sigma", "posterior_b_sigma",
+            "posterior_n_obs", "posterior_kind", "posterior_prior_variance",
+            "document_format", "document_version", "binary_n_obs", "pcr_psi",
+            "pcr_seed", "standardization_n_obs",
+        ],
+    )
+    @ENTRIES
+    def test_a_key_the_format_does_not_hold_is_data_error(
+        self, workdir, capsys, where, key, copy_of, variant, entry
+    ):
+        # version 5 holds each value once, so a second copy is refused even
+        # when it agrees with the first, and so is a key another kind holds
+        doc = self._fit(variant)
+        stray = {"config": {"m": 5, "psi": 0.25, "variant": "ris_rp", "seed": 7},
+                 "format": "tarp-model", "version": 5, "n_obs": 40,
+                 "psi": 0.25, "seed": [7, 1]}
+        value = _at(doc, copy_of) if copy_of else stray[key]
+        parent = {"document": (), "standardization": ("standardization",),
+                  "replicate": ("replicates", 0), "projection": _PROJECTION,
+                  "posterior": _POSTERIOR}[where]
+        _at(doc, parent)[key] = value
+        (workdir / "model.json").write_bytes(as_signed(doc))
+        _refused(workdir, capsys, entry,
+                 reason=f"malformed model file ({where} has unknown keys ['{key}'])")
+
+    @pytest.mark.parametrize("where", ["replicate", "posterior", "standardization"])
+    @ENTRIES
+    def test_an_object_that_is_a_list_is_data_error(self, workdir, capsys, where, entry):
+        doc = self._fit("ris_rp")
+        keys = {"replicate": ("replicates", 0), "posterior": _POSTERIOR,
+                "standardization": ("standardization",)}[where]
+        _at(doc, keys[:-1])[keys[-1]] = list(_at(doc, keys))
+        (workdir / "model.json").write_bytes(as_signed(doc))
+        _refused(workdir, capsys, entry,
+                 reason=f"malformed model file ({where} is not an object)")
+
+    @pytest.mark.parametrize(
         "keys, variant",
         [
             (("replicates", 0, "projection", "m"), "ris_rp"),
