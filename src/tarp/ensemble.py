@@ -6,7 +6,9 @@ compressed space, and predictions are aggregated across replicates: point
 predictions by simple averaging, intervals as quantiles of the equal-weight
 mixture of the replicate predictive distributions. A tuning configuration
 is fit-time input only: a fitted replicate keeps its delta, its projection
-(which holds the requested m, psi, variant and map seed) and its posterior.
+(which holds the requested m, psi, variant and map seed) and what its
+posterior fit produced. The priors and the training row count are the
+model's, shared by every replicate and held once.
 
 Replicates are embarrassingly parallel; every replicate owns independent
 seeded substreams, so results are identical for any worker-pool size.
@@ -154,7 +156,13 @@ class Replicate:
 
 @dataclass(frozen=True)
 class TarpModel:
-    """A fitted ensemble; ``replicates`` is kept as a tuple."""
+    """A fitted ensemble; ``replicates`` is kept as a tuple.
+
+    The priors and the training row count ``n_obs`` are the ensemble's, held
+    here once: every replicate is fitted to the same rows under the same
+    priors. ``n_obs`` is None in a binary model, whose logistic fits do not
+    use it.
+    """
 
     replicates: tuple[Replicate, ...]
     standardization: StandardizationParams
@@ -165,6 +173,7 @@ class TarpModel:
     a_sigma: float
     b_sigma: float
     sigma_theta2: float
+    n_obs: Optional[int]
 
     def __post_init__(self):
         object.__setattr__(self, "replicates", tuple(self.replicates))
@@ -177,33 +186,28 @@ class TarpModel:
         mean = self.standardization.response_mean
         if continuous != (mean is not None and math.isfinite(mean)):
             raise ValueError(f"response_mean {mean!r} in a {kind} model")
+        if continuous != (self.n_obs is not None and self.n_obs >= 1):
+            raise ValueError(f"n_obs {self.n_obs!r} in a {kind} model")
         if len(self.column_names) != p:
             raise ValueError(f"{len(self.column_names)} column names for {p} columns")
         for name in ("a_sigma", "b_sigma", "sigma_theta2"):
             positive_finite(getattr(self, name), name)
-        # every replicate is fitted to the same rows under the model's priors
-        n_obs = set()
-        for index, rep in enumerate(self.replicates):
+        for rep in self.replicates:
             post = rep.posterior
             if isinstance(post, GaussianPosterior) != continuous:
                 raise ValueError(f"{type(post).__name__} in a {kind} model")
             if rep.projection.p != p:
                 raise ValueError(f"gamma has length {rep.projection.p}, expected {p}")
             if continuous:
-                priors = (post.a_sigma, post.b_sigma)
-                if priors != (self.a_sigma, self.b_sigma):
-                    raise ValueError(
-                        f"replicate {index} has a_sigma, b_sigma = {priors}, "
-                        f"not the model's {(self.a_sigma, self.b_sigma)}"
-                    )
-                n_obs.add(post.n_obs)
-            elif post.prior_variance != self.sigma_theta2:
-                raise ValueError(
-                    f"replicate {index} has prior_variance={post.prior_variance!r}, "
-                    f"not the model's sigma_theta2={self.sigma_theta2!r}"
-                )
-        if len(n_obs) > 1:
-            raise ValueError(f"replicates disagree on n_obs: {sorted(n_obs)}")
+                # neither a fit nor a loaded model may carry a predictive t
+                # that prediction cannot use
+                self.t_scale(post)
+
+    def t_scale(self, posterior: GaussianPosterior) -> tuple[float, float]:
+        """df and noise scale of a continuous replicate's predictive t."""
+        return predictive_t_scale(
+            self.n_obs, self.a_sigma, self.b_sigma, posterior.residual_quadratic
+        )
 
     @property
     def n_replicates(self) -> int:
@@ -283,8 +287,6 @@ def _fit_replicate(
     response: np.ndarray,
     inclusion: dict[float, np.ndarray],
     response_kind: str,
-    a_sigma: float,
-    b_sigma: float,
     sigma_theta2: float,
     cfg: TarpConfig,
 ) -> Replicate:
@@ -297,7 +299,7 @@ def _fit_replicate(
         projection = sample_ris_rp(gamma, cfg.m, cfg.psi, seed=[cfg.seed, _ENTRY_STREAM])
         Z = compress(design, projection)
     if response_kind == "continuous":
-        post = fit_gaussian(Z, response, a_sigma=a_sigma, b_sigma=b_sigma)
+        post = fit_gaussian(Z, response)
     else:
         post = fit_bernoulli_laplace(Z, response, sigma_theta2=sigma_theta2)
     return Replicate(delta=cfg.delta, projection=projection, posterior=post)
@@ -351,7 +353,7 @@ def fit_tarp(
     }
     fit_one = partial(
         _fit_replicate, std_train.design, std_train.response, inclusion,
-        train.response_kind, a_sigma, b_sigma, sigma_theta2,
+        train.response_kind, sigma_theta2,
     )
     replicates = _map_ordered(fit_one, configs, threads)
     return TarpModel(
@@ -364,6 +366,7 @@ def fit_tarp(
         a_sigma=a_sigma,
         b_sigma=b_sigma,
         sigma_theta2=sigma_theta2,
+        n_obs=train.n if train.response_kind == "continuous" else None,
     )
 
 
@@ -472,11 +475,12 @@ def _mapped_back_mode(rep: Replicate) -> np.ndarray:
     return rep.projection.adjoint(rep.posterior.mode)
 
 
-def _replicate_predictive(Xs: np.ndarray, rep: Replicate):
+def _replicate_predictive(model: TarpModel, Xs: np.ndarray, rep: Replicate):
     # numpy's error state does not carry into a worker thread; an overflowing
     # row is rejected by number after the map
     with np.errstate(over="ignore", invalid="ignore"):
-        return predictive(rep.posterior, compress(Xs, rep.projection))
+        Z = compress(Xs, rep.projection)
+        return predictive(rep.posterior, Z, *model.t_scale(rep.posterior))
 
 
 def predict_tarp(
@@ -512,7 +516,7 @@ def predict_tarp(
         _reject_rows(np.isfinite(logits).all(axis=0), "logits")
         probs = expit(logits).mean(axis=0)
         return TarpPrediction(response_kind="binary", probability=probs)
-    preds = _map_ordered(partial(_replicate_predictive, Xs), model.replicates, 1)
+    preds = _map_ordered(partial(_replicate_predictive, model, Xs), model.replicates, 1)
     dfs = np.asarray([pred.df for pred in preds])
     locs = np.asarray([pred.location for pred in preds])
     scales = np.asarray([pred.scale_diag for pred in preds])

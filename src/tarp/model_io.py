@@ -13,10 +13,13 @@ parsed. Round trips are bit-exact and identical fits write identical bytes
 version 4 file is an unsupported version, and a file without a header line,
 such as a version 1-3 JSON document, is a malformed header.
 
-The document holds each value once, and loading refuses any other key: the
-model-level fields, with ``n_obs`` only in a continuous model, and the
-replicates, each ``{delta, projection, posterior}``. The response kind picks
-the posterior's constructor; each takes the model-level priors (and n_obs).
+The document holds each value once, and loading refuses any other key, in
+the document and in every object below it: the model-level fields, with
+``n_obs`` only in a continuous model, and the replicates, each ``{delta,
+projection, posterior}``. The priors and ``n_obs`` are the model's alone;
+a posterior holds what its replicate fitted, and the response kind picks
+its constructor. Every object maps one to one onto its constructor's
+arguments.
 
 Random projections are stored as (seed, psi, gamma), which is all a loaded
 map holds: the signs a fit keeps are not saved, and loading draws none
@@ -73,12 +76,24 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _size(value, name: str) -> int:
+    # a length or an array extent; reshape would read a -1 as "the rest"
+    size = _integer(value, name)
+    if size < 0:
+        raise ValueError(f"{name} must be >= 0, got {size}")
+    return size
+
+
+def _object(obj, name: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} is not an object")
+    return obj
+
+
 def _only(obj, name: str, *keys: str) -> dict:
     # a version 5 object holds these keys and no others, so that a stale
     # second copy of a value, such as a replicate's own priors, is refused
-    if not isinstance(obj, dict):
-        raise ValueError(f"{name} is not an object")
-    if obj.keys() - set(keys):
+    if _object(obj, name).keys() - set(keys):
         raise ValueError(f"{name} has unknown keys {sorted(obj.keys() - set(keys))}")
     return obj
 
@@ -100,8 +115,10 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": _encode_floats(arr)}
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    return _decode_floats(obj["data"]).reshape(obj["shape"])
+def _decode_array(obj: dict, name: str) -> np.ndarray:
+    _only(obj, name, "shape", "data")
+    shape = [_size(entry, f"{name} shape") for entry in obj["shape"]]
+    return _decode_floats(obj["data"]).reshape(shape)
 
 
 def _encode_triangle(matrix: np.ndarray) -> dict:
@@ -111,6 +128,7 @@ def _encode_triangle(matrix: np.ndarray) -> dict:
 
 
 def _decode_triangle(obj: dict, m: int, name: str) -> np.ndarray:
+    _only(obj, name, "order", "data")
     order = _integer(obj["order"], "order")
     if order != m:
         raise ValueError(f"{name} has order {order!r}, expected m={m}")
@@ -133,10 +151,11 @@ def _encode_bits(mask: np.ndarray) -> dict:
 
 
 def _decode_bits(obj: dict, name: str) -> np.ndarray:
-    length = _integer(obj["length"], "length")
+    _only(obj, name, "length", "data")
+    length = _size(obj["length"], "length")
     packed = np.frombuffer(obj["data"], dtype=np.uint8)
     # unpackbits zero-pads a short buffer, so check the byte count first
-    if length < 0 or packed.size != (length + 7) // 8:
+    if packed.size != (length + 7) // 8:
         raise ValueError(f"{name} packs {packed.size} bytes for {length} bits")
     return np.unpackbits(packed, count=length).astype(bool)
 
@@ -157,23 +176,25 @@ def _encode_projection(proj: ProjectionMatrix) -> dict:
 
 
 def _decode_projection(obj: dict) -> ProjectionMatrix:
-    own = ("block",) if obj["variant"] == RIS_PCR else ("seed", "psi")
+    # the variant, read once the projection is known to be an object, picks
+    # the keys the projection may hold
+    variant = _object(obj, "projection")["variant"]
+    own = ("block",) if variant == RIS_PCR else ("seed", "psi")
     _only(obj, "projection", "variant", "m", "requested_m", "gamma", *own)
     gamma = _decode_bits(obj["gamma"], "gamma")
     m = _integer(obj["m"], "m")
     requested_m = _integer(obj["requested_m"], "requested_m")
-    if obj["variant"] == RIS_PCR:
-        block = _decode_array(obj["block"])
+    if variant == RIS_PCR:
+        block = _decode_array(obj["block"], "block")
         return ProjectionMatrix(RIS_PCR, m, gamma, requested_m, dense_block=block)
-    if obj["variant"] == RIS_RP:
+    if variant == RIS_RP:
         seed = [_integer(entry, "seed") for entry in obj["seed"]]
         psi = _real(obj["psi"], "psi")
         return ProjectionMatrix(RIS_RP, m, gamma, requested_m, seed=seed, psi=psi)
-    raise ValueError(f"unknown projection variant {obj['variant']!r}")
+    raise ValueError(f"unknown projection variant {variant!r}")
 
 
 def _encode_posterior(post) -> dict:
-    # the priors and n_obs are the model's, stored once at model level
     if isinstance(post, GaussianPosterior):
         return {
             "location": _encode_array(post.location),
@@ -189,25 +210,21 @@ def _encode_posterior(post) -> dict:
     raise TypeError(f"cannot serialize posterior of type {type(post)!r}")
 
 
-def _decode_posterior(obj: dict, m: int, continuous: bool, shared: dict):
-    # shared holds the model-level fields the posterior also takes: a_sigma,
-    # b_sigma and n_obs for a Gaussian one, prior_variance for a Laplace one
+def _decode_posterior(obj: dict, m: int, continuous: bool):
     if continuous:
         _only(obj, "posterior", "location", "precision_inverse", "residual_quadratic")
         return GaussianPosterior(
-            location=_decode_array(obj["location"]),
+            location=_decode_array(obj["location"], "location"),
             precision_inverse=_decode_triangle(
                 obj["precision_inverse"], m, "precision_inverse"
             ),
             residual_quadratic=_real(obj["residual_quadratic"], "residual_quadratic"),
-            **shared,
         )
     _only(obj, "posterior", "mode", "grad_norm", "n_iter")
     return LaplacePosterior(
-        mode=_decode_array(obj["mode"]),
+        mode=_decode_array(obj["mode"], "mode"),
         grad_norm=_real(obj["grad_norm"], "grad_norm"),
         n_iter=_integer(obj["n_iter"], "n_iter"),
-        **shared,
     )
 
 
@@ -239,9 +256,8 @@ def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
         ],
         "extra": extra or {},
     }
-    if model.response_kind == "continuous":
-        # every replicate is fitted to the same rows
-        doc["n_obs"] = int(model.replicates[0].posterior.n_obs)
+    if model.n_obs is not None:
+        doc["n_obs"] = int(model.n_obs)
     chunks = []
     size = 0
 
@@ -347,30 +363,22 @@ def _decode_model(doc: dict) -> TarpModel:
     std_doc = _only(doc["standardization"], "standardization", "column_means",
                     "column_scales", "constant_mask", "response_mean")
     mean = std_doc["response_mean"]
-    a_sigma, b_sigma, sigma_theta2 = (
-        _real(doc[name], name) for name in ("a_sigma", "b_sigma", "sigma_theta2")
-    )
-    # the response kind picks the posterior, and each takes the model's priors
+    # the response kind picks the posterior and whether the model has n_obs
     continuous = doc["response_kind"] == "continuous"
     _only(doc, "document", "response_kind", "master_seed", "column_names",
           "train_data_hash", "a_sigma", "b_sigma", "sigma_theta2", "standardization",
           "replicates", "extra", *(("n_obs",) if continuous else ()))
-    if continuous:
-        shared = {"a_sigma": a_sigma, "b_sigma": b_sigma,
-                  "n_obs": _integer(doc["n_obs"], "n_obs")}
-    else:
-        shared = {"prior_variance": sigma_theta2}
     replicates = []
     for rep in doc["replicates"]:
         _only(rep, "replicate", "delta", "projection", "posterior")
         projection = _decode_projection(rep["projection"])
-        posterior = _decode_posterior(rep["posterior"], projection.m, continuous, shared)
+        posterior = _decode_posterior(rep["posterior"], projection.m, continuous)
         replicates.append(Replicate(_real(rep["delta"], "delta"), projection, posterior))
     return TarpModel(
         replicates=replicates,
         standardization=StandardizationParams(
-            column_means=_decode_array(std_doc["column_means"]),
-            column_scales=_decode_array(std_doc["column_scales"]),
+            column_means=_decode_array(std_doc["column_means"], "column_means"),
+            column_scales=_decode_array(std_doc["column_scales"], "column_scales"),
             constant_mask=_decode_bits(std_doc["constant_mask"], "constant_mask"),
             response_mean=None if mean is None else _real(mean, "response_mean"),
         ),
@@ -378,7 +386,8 @@ def _decode_model(doc: dict) -> TarpModel:
         master_seed=_integer(doc["master_seed"], "master_seed"),
         column_names=_strings(doc["column_names"], "column_names"),
         train_data_hash=_string(doc["train_data_hash"], "train_data_hash"),
-        a_sigma=a_sigma,
-        b_sigma=b_sigma,
-        sigma_theta2=sigma_theta2,
+        a_sigma=_real(doc["a_sigma"], "a_sigma"),
+        b_sigma=_real(doc["b_sigma"], "b_sigma"),
+        sigma_theta2=_real(doc["sigma_theta2"], "sigma_theta2"),
+        n_obs=_integer(doc["n_obs"], "n_obs") if continuous else None,
     )

@@ -6,6 +6,12 @@ the coefficient posterior is a scaled multivariate t and held-out responses
 follow a multivariate t whose scale adds an identity noise term. Binary
 responses use the mode of a ridge-penalized logistic fit (the centre of its
 Laplace approximation); probabilities are plug-in at the mode.
+
+A posterior holds only what its own fit produced. The priors and the
+training row count are shared by every replicate of an ensemble, so they
+are passed in where they are used: the Gaussian predictive t takes its df
+and noise scale from ``predictive_t_scale``, and the logistic fit takes its
+prior variance.
 """
 
 from __future__ import annotations
@@ -63,23 +69,19 @@ def predictive_t_scale(
 
 @dataclass(frozen=True)
 class GaussianPosterior:
-    """Closed-form posterior summary for the compressed Gaussian model.
+    """What one compressed Gaussian fit leaves besides the ensemble's priors.
 
-    ``precision_inverse`` is (Z'Z + I)^-1 for the compressed design Z; the
-    coefficient posterior is multivariate t(df, location, scale) and sigma^2
-    is inverse-gamma(ig_shape, ig_rate). Only the sufficient fields are
-    stored; the rest are derived on access. Construction rejects priors so
-    large that df or the predictive noise scale overflows, so neither a fit
-    nor a loaded model can carry a predictive t that prediction cannot use.
-    Both arrays are taken over read-only (see ``read_only``).
+    ``precision_inverse`` is (Z'Z + I)^-1 for the compressed design Z and
+    ``residual_quadratic`` is y'y - location' Z'y. Under the inverse-gamma
+    (a, b) prior, with n training rows, the coefficient posterior is a
+    multivariate t with df = n + 2a around ``location``; the priors and n
+    are the model's (see ``predictive_t_scale``). Both arrays are taken over
+    read-only (see ``read_only``).
     """
 
     location: np.ndarray
     precision_inverse: np.ndarray
     residual_quadratic: float
-    a_sigma: float
-    b_sigma: float
-    n_obs: int
 
     def __post_init__(self):
         for name in ("location", "precision_inverse"):
@@ -91,42 +93,10 @@ class GaussianPosterior:
             raise ValueError("location or precision_inverse holds non-finite values")
         if not 0.0 <= self.residual_quadratic < math.inf:
             raise ValueError("residual_quadratic must be finite and >= 0")
-        if self.n_obs < 1:
-            raise ValueError(f"n_obs must be >= 1, got {self.n_obs}")
-        positive_finite(self.a_sigma, "a_sigma")
-        positive_finite(self.b_sigma, "b_sigma")
-        self._predictive_t_scale()
-
-    def _predictive_t_scale(self) -> tuple[float, float]:
-        return predictive_t_scale(
-            self.n_obs, self.a_sigma, self.b_sigma, self.residual_quadratic
-        )
 
     @property
     def m(self) -> int:
         return self.location.shape[0]
-
-    @property
-    def df(self) -> float:
-        return self._predictive_t_scale()[0]
-
-    @property
-    def ig_shape(self) -> float:
-        return self.a_sigma + 0.5 * self.n_obs
-
-    @property
-    def ig_rate(self) -> float:
-        return self.b_sigma + 0.5 * self.residual_quadratic
-
-    @property
-    def noise_scale2(self) -> float:
-        """Predictive noise scale (residual_quadratic + 2 b) / df."""
-        return self._predictive_t_scale()[1]
-
-    @property
-    def scale(self) -> np.ndarray:
-        """Scale matrix of the coefficient t posterior."""
-        return self.noise_scale2 * self.precision_inverse
 
 
 @dataclass(frozen=True)
@@ -142,11 +112,11 @@ class PredictiveT:
 class LaplacePosterior:
     """Mode of the ridge-penalized logistic log-posterior and how it was found.
 
-    The mode is taken over read-only (see ``read_only``).
+    The prior variance it was fitted under is the model's. The mode is
+    taken over read-only (see ``read_only``).
     """
 
     mode: np.ndarray
-    prior_variance: float
     grad_norm: float
     n_iter: int
 
@@ -154,25 +124,19 @@ class LaplacePosterior:
         object.__setattr__(self, "mode", read_only(self.mode))
         if not np.isfinite(self.mode).all():
             raise ValueError("mode holds non-finite values")
-        positive_finite(self.prior_variance, "prior_variance")
         if not 0.0 <= self.grad_norm < math.inf:
             raise ValueError(f"grad_norm {self.grad_norm!r} is not finite and >= 0")
         if self.n_iter < 0:
             raise ValueError(f"n_iter must be >= 0, got {self.n_iter}")
 
 
-def fit_gaussian(
-    Z_design: np.ndarray,
-    y: np.ndarray,
-    a_sigma: float = DEFAULT_A_SIGMA,
-    b_sigma: float = DEFAULT_B_SIGMA,
-) -> GaussianPosterior:
+def fit_gaussian(Z_design: np.ndarray, y: np.ndarray) -> GaussianPosterior:
     """Exact conjugate fit of the compressed model y = Z theta + e.
 
     The response is assumed centered. All m x m solves go through one
     Cholesky factorization of Z'Z + I, which is positive definite by
-    construction. Priors that overflow the predictive t raise ValueError
-    (see ``GaussianPosterior``).
+    construction. The fit does not depend on the inverse-gamma priors: they
+    enter only the predictive t.
     """
     Z_design = np.asarray(Z_design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -182,7 +146,7 @@ def fit_gaussian(
         )
     if not (np.all(np.isfinite(Z_design)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in compressed design or response")
-    n, m = Z_design.shape
+    m = Z_design.shape[1]
     gram = Z_design.T @ Z_design + np.eye(m)
     zy = Z_design.T @ y
     location, precision_inverse = _spd_solve(gram, zy, np.eye(m))
@@ -193,28 +157,26 @@ def fit_gaussian(
         location=location,
         precision_inverse=precision_inverse,
         residual_quadratic=residual_quadratic,
-        a_sigma=a_sigma,
-        b_sigma=b_sigma,
-        n_obs=n,
     )
 
 
-def predictive(post: GaussianPosterior, Z_new: np.ndarray) -> PredictiveT:
+def predictive(
+    post: GaussianPosterior, Z_new: np.ndarray, df: float, noise_scale2: float
+) -> PredictiveT:
     """Predictive t distribution at compressed points Z_new.
 
-    Marginal scale for point i is s2 * (1 + z_i' (Z'Z+I)^-1 z_i) with
-    s2 = (residual_quadratic + 2 b) / df, so it never drops below the pure
-    noise term s2.
+    ``df`` and ``noise_scale2`` are the fit's ``predictive_t_scale``. The
+    marginal scale for point i is s2 * (1 + z_i' (Z'Z+I)^-1 z_i) with
+    s2 = ``noise_scale2``, so it never drops below the pure noise term s2.
     """
     Z_new = np.asarray(Z_new, dtype=np.float64)
     if Z_new.ndim != 2 or Z_new.shape[1] != post.m:
         raise ValueError(f"Z_new has shape {Z_new.shape}, expected (*, {post.m})")
     location = Z_new @ post.location
-    s2 = post.noise_scale2
     proj = Z_new @ post.precision_inverse
     quad = np.einsum("ij,ij->i", proj, Z_new)
-    scale_diag = s2 * (1.0 + np.maximum(quad, 0.0))
-    return PredictiveT(df=post.df, location=location, scale_diag=scale_diag)
+    scale_diag = noise_scale2 * (1.0 + np.maximum(quad, 0.0))
+    return PredictiveT(df=df, location=location, scale_diag=scale_diag)
 
 
 def _spd_solve(matrix, *rhs):
@@ -319,12 +281,7 @@ def fit_bernoulli_laplace(
         # the 2-norm of a real vector, as np.linalg.norm computes it
         grad_norm = math.sqrt(grad @ grad)
         if grad_norm < NEWTON_TOL:
-            return LaplacePosterior(
-                mode=theta,
-                prior_variance=sigma_theta2,
-                grad_norm=grad_norm,
-                n_iter=iteration - 1,
-            )
+            return LaplacePosterior(mode=theta, grad_norm=grad_norm, n_iter=iteration - 1)
         # Zs = sqrt(w) Z with the weights w = prob (1 - prob)
         np.multiply(prob, np.subtract(1.0, prob, out=work), out=work)
         np.multiply(np.sqrt(work, out=work)[:, None], Z, out=weighted)

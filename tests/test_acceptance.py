@@ -24,6 +24,7 @@ from tarp.metrics import evaluate_classification, evaluate_regression
 from tarp.posterior import (
     fit_gaussian,
     predictive,
+    predictive_t_scale,
 )
 from tarp.projection import (
     compute_ris_pcr,
@@ -54,13 +55,17 @@ def test_criterion_1_conjugate_posterior_oracle():
         X = rng.standard_normal((n, p))
         R = rng.standard_normal((m, p))
         y = rng.standard_normal(n)
-        post = fit_gaussian(X @ R.T, y, a_sigma=0.02, b_sigma=0.02)
+        post = fit_gaussian(X @ R.T, y)
+        a_sigma = b_sigma = 0.02
 
         mu_alt = location_via_gram_inverse(X, R, y)
         np.testing.assert_allclose(post.location, mu_alt, atol=1e-10)
 
-        # composition sampler: sigma^2 ~ IG(shape, rate), theta | sigma^2 normal
-        sigma2 = post.ig_rate / rng.gamma(post.ig_shape, 1.0, size=draws)
+        # composition sampler: sigma^2 ~ IG(a + n/2, b + r/2), theta | sigma^2
+        # normal
+        ig_shape = a_sigma + 0.5 * n
+        ig_rate = b_sigma + 0.5 * post.residual_quadratic
+        sigma2 = ig_rate / rng.gamma(ig_shape, 1.0, size=draws)
         L = cholesky(post.precision_inverse, lower=True)
         theta = post.location + np.sqrt(sigma2)[:, None] * (
             rng.standard_normal((draws, m)) @ L.T
@@ -70,7 +75,10 @@ def test_criterion_1_conjugate_posterior_oracle():
         assert np.all(mean_dev < 3.0)
         worst = max(worst, float(mean_dev.max()))
 
-        analytic_cov = post.scale * post.df / (post.df - 2.0)
+        # the coefficient t: df = n + 2a, scale (r + 2b) / df (Z'Z + I)^-1
+        df = n + 2.0 * a_sigma
+        scale = (post.residual_quadratic + 2.0 * b_sigma) / df * post.precision_inverse
+        analytic_cov = scale * df / (df - 2.0)
         centered = theta - theta.mean(axis=0)
         for j in range(m):
             for k in range(j, m):
@@ -96,10 +104,11 @@ def test_criterion_2_well_specified_calibration():
         sigma2 = b_sigma / rng.gamma(a_sigma, 1.0)
         theta = np.sqrt(sigma2) * rng.standard_normal(m)
         y = Z @ theta + np.sqrt(sigma2) * rng.standard_normal(n)
-        post = fit_gaussian(Z, y, a_sigma=a_sigma, b_sigma=b_sigma)
+        post = fit_gaussian(Z, y)
         Z_new = rng.standard_normal((100, m))
         y_new = Z_new @ theta + np.sqrt(sigma2) * rng.standard_normal(100)
-        lo, hi = central_interval(predictive(post, Z_new), 0.5)
+        t_scale = predictive_t_scale(n, a_sigma, b_sigma, post.residual_quadratic)
+        lo, hi = central_interval(predictive(post, Z_new, *t_scale), 0.5)
         hits += int(np.sum((y_new >= lo) & (y_new <= hi)))
         total += 100
     ecp = hits / total

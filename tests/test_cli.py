@@ -1539,6 +1539,9 @@ class TestCorruptModel:
             (_empty_gamma, "binary"),
             # every random map is drawn from its seed's entry substream
             (_set(*_PROJECTION, "seed", 1, value=2), "ris_rp"),
+            # numpy's reshape would read a -1 as the whole vector
+            (_set("standardization", "column_means", "shape", value=[-1]), "ris_rp"),
+            (_set(*_POSTERIOR, "location", "shape", value=[-1]), "ris_rp"),
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
@@ -1557,6 +1560,7 @@ class TestCorruptModel:
             "mode_short", "mode_nan", "grad_norm_negative", "n_iter_negative",
             "column_names_string", "column_names_integers", "train_data_hash_list",
             "gamma_empty", "binary_gamma_empty", "projection_seed_stream",
+            "column_means_shape_wildcard", "location_shape_wildcard",
         ],
     )
     @ENTRIES
@@ -1610,12 +1614,18 @@ class TestCorruptModel:
             ("projection", "psi", None, "ris_pcr"),
             ("projection", "seed", None, "ris_pcr"),
             ("standardization", "n_obs", ("n_obs",), "ris_rp"),
+            # an array, a triangle and a bit object hold their data and its
+            # extent only
+            ("location", "dtype", None, "ris_rp"),
+            ("precision_inverse", "dtype", None, "ris_rp"),
+            ("gamma", "dtype", None, "ris_rp"),
         ],
         ids=[
             "replicate_config", "posterior_a_sigma", "posterior_b_sigma",
             "posterior_n_obs", "posterior_kind", "posterior_prior_variance",
             "document_format", "document_version", "binary_n_obs", "pcr_psi",
-            "pcr_seed", "standardization_n_obs",
+            "pcr_seed", "standardization_n_obs", "location_dtype",
+            "precision_inverse_dtype", "gamma_dtype",
         ],
     )
     @ENTRIES
@@ -1627,22 +1637,27 @@ class TestCorruptModel:
         doc = self._fit(variant)
         stray = {"config": {"m": 5, "psi": 0.25, "variant": "ris_rp", "seed": 7},
                  "format": "tarp-model", "version": 5, "n_obs": 40,
-                 "psi": 0.25, "seed": [7, 1]}
+                 "psi": 0.25, "seed": [7, 1], "dtype": "<f8"}
         value = _at(doc, copy_of) if copy_of else stray[key]
         parent = {"document": (), "standardization": ("standardization",),
                   "replicate": ("replicates", 0), "projection": _PROJECTION,
-                  "posterior": _POSTERIOR}[where]
+                  "posterior": _POSTERIOR, "location": (*_POSTERIOR, "location"),
+                  "precision_inverse": (*_POSTERIOR, "precision_inverse"),
+                  "gamma": (*_PROJECTION, "gamma")}[where]
         _at(doc, parent)[key] = value
         (workdir / "model.json").write_bytes(as_signed(doc))
         _refused(workdir, capsys, entry,
                  reason=f"malformed model file ({where} has unknown keys ['{key}'])")
 
-    @pytest.mark.parametrize("where", ["replicate", "posterior", "standardization"])
+    @pytest.mark.parametrize(
+        "where", ["replicate", "posterior", "standardization", "projection", "location"]
+    )
     @ENTRIES
     def test_an_object_that_is_a_list_is_data_error(self, workdir, capsys, where, entry):
         doc = self._fit("ris_rp")
         keys = {"replicate": ("replicates", 0), "posterior": _POSTERIOR,
-                "standardization": ("standardization",)}[where]
+                "standardization": ("standardization",), "projection": _PROJECTION,
+                "location": (*_POSTERIOR, "location")}[where]
         _at(doc, keys[:-1])[keys[-1]] = list(_at(doc, keys))
         (workdir / "model.json").write_bytes(as_signed(doc))
         _refused(workdir, capsys, entry,

@@ -407,25 +407,20 @@ class TestModelInvariants:
             (False, lambda model: {"b_sigma": math.nan}, "b_sigma must be a positive"),
             (True, lambda model: {"sigma_theta2": -1.0},
              "sigma_theta2 must be a positive finite"),
-            (False, lambda model: {"a_sigma": 5.0},
-             r"replicate 0 has a_sigma, b_sigma = \(0.02, 0.02\), not the model's "
-             r"\(5.0, 0.02\)"),
-            (False, lambda model: {"b_sigma": 5.0},
-             r"replicate 0 has a_sigma, b_sigma = \(0.02, 0.02\), not the model's "
-             r"\(0.02, 5.0\)"),
-            (False, lambda model: {"replicates": [
-                model.replicates[0],
-                replace(model.replicates[1], posterior=replace(
-                    model.replicates[1].posterior, n_obs=7)),
-            ]}, r"replicates disagree on n_obs: \[7, 60\]"),
-            (True, lambda model: {"sigma_theta2": 3.0},
-             "replicate 0 has prior_variance=1.0, not the model's sigma_theta2=3.0"),
+            (True, lambda model: {"sigma_theta2": 0.0},
+             "sigma_theta2 must be a positive finite"),
+            (False, lambda model: {"n_obs": 0}, "n_obs 0 in a continuous model"),
+            (False, lambda model: {"n_obs": None}, "n_obs None in a continuous model"),
+            (True, lambda model: {"n_obs": 60}, "n_obs 60 in a binary model"),
+            # finite priors whose predictive t overflows for some replicate
+            (False, lambda model: {"a_sigma": 1e308}, "predictive df of inf"),
+            (False, lambda model: {"b_sigma": 1e308}, "predictive noise scale of inf"),
         ],
         ids=["no_replicates", "kind_bogus", "binary_with_mean",
              "continuous_without_mean", "mean_inf", "posterior_kind", "column_names",
-             "gamma_length", "a_sigma", "b_sigma", "sigma_theta2",
-             "a_sigma_not_the_replicates", "b_sigma_not_the_replicates",
-             "n_obs_not_shared", "prior_variance_not_sigma_theta2"],
+             "gamma_length", "a_sigma", "b_sigma", "sigma_theta2", "sigma_theta2_zero",
+             "n_obs_zero", "n_obs_missing", "binary_n_obs", "a_sigma_overflows",
+             "b_sigma_overflows"],
     )
     def test_model(self, binary, change, message):
         model = fitted_model(binary)
@@ -710,7 +705,9 @@ class TestPredictTarp:
         pred = predict_tarp(model, X_new, level=0.5)
         rep = model.replicates[0]
         Xs = model.standardization.transform_design(X_new)
-        single = predictive(rep.posterior, compress(Xs, rep.projection))
+        single = predictive(
+            rep.posterior, compress(Xs, rep.projection), *model.t_scale(rep.posterior)
+        )
         lo, hi = central_interval(single, 0.5)
         shift = model.standardization.response_mean
         np.testing.assert_allclose(pred.lower, lo + shift, atol=1e-7)

@@ -15,7 +15,7 @@ from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import load_model, save_model
 
 from model_files import as_doc, as_signed, each_array, signed
-from oracles import dense_map
+from oracles import dense_map, mixture_t_quantile_via_bisection
 
 # model files (p=20) and the prediction CSVs written for their training rows;
 # each *_pred.csv dates from the model's first format, and the v5_* files
@@ -105,6 +105,45 @@ def test_roundtrip_bit_exact(tmp_path, variant):
     b = predict_tarp(loaded, ds.design[:7], level=0.5)
     np.testing.assert_array_equal(a.point, b.point)
     np.testing.assert_array_equal(a.lower, b.lower)
+
+
+def test_non_default_priors_reach_prediction(tmp_path):
+    # every committed fixture holds the default priors, so no byte pin would
+    # notice a prediction that read the wrong ones
+    ds, default = fitted_model(seed=9)
+    a_sigma, b_sigma = 2.0, 3.0
+    configs = sample_config_grid(ds.n, ds.p, 3, master_seed=9)
+    model = fit_tarp(ds, configs, a_sigma=a_sigma, b_sigma=b_sigma, master_seed=9)
+    X_new = ds.design[:7]
+    pred = predict_tarp(model, X_new, level=0.8)
+    # each replicate's predictive t from the paper's formulas, on a dense map:
+    # df = n + 2a, s^2 = (r + 2b) / df, scale s^2 (1 + z' (Z'Z + I)^-1 z)
+    Xs = model.standardization.transform_design(X_new)
+    dfs, locations, scales = [], [], []
+    for rep in model.replicates:
+        post = rep.posterior
+        Z = Xs @ dense_map(rep.projection).T
+        df = ds.n + 2.0 * a_sigma
+        s2 = (post.residual_quadratic + 2.0 * b_sigma) / df
+        quad = np.einsum("ij,jk,ik->i", Z, post.precision_inverse, Z)
+        dfs.append(df)
+        locations.append(Z @ post.location)
+        scales.append(s2 * (1.0 + quad))
+    shift = model.standardization.response_mean
+    for got, prob in ((pred.lower, 0.1), (pred.upper, 0.9)):
+        expected = mixture_t_quantile_via_bisection(dfs, locations, scales, prob)
+        np.testing.assert_allclose(got, expected + shift, rtol=0, atol=1e-6)
+    # the priors move the intervals but not the posterior-mean point
+    baseline = predict_tarp(default, X_new, level=0.8)
+    np.testing.assert_allclose(pred.point, baseline.point, rtol=1e-12)
+    assert not np.any(pred.lower == baseline.lower)
+    assert not np.any(pred.upper == baseline.upper)
+    path = tmp_path / "model.tarp"
+    save_model(model, path)
+    loaded, _ = load_model(path)
+    again = predict_tarp(loaded, X_new, level=0.8)
+    for name in ("point", "lower", "upper"):
+        assert getattr(again, name).tobytes() == getattr(pred, name).tobytes()
 
 
 def test_projection_rematerializes_exactly(tmp_path):
@@ -316,14 +355,14 @@ def test_triangles_hold_exactly_the_lower_half(tmp_path, binary):
 
 
 def test_laplace_prior_variance_must_be_positive(tmp_path):
-    # every Laplace posterior takes the model's sigma_theta2
+    # the Laplace fits' prior variance is the model's sigma_theta2
     _, model = fitted_model(seed=5, binary=True)
     path = tmp_path / "model.tarp"
     save_model(model, path)
     doc = as_doc(path.read_bytes())
     doc["sigma_theta2"] = 0.0
     path.write_bytes(as_signed(doc))
-    with pytest.raises(DataError, match="prior_variance must be a positive"):
+    with pytest.raises(DataError, match="sigma_theta2 must be a positive"):
         load_model(path)
 
 
