@@ -20,7 +20,7 @@ _EXPORTS = {
     "projection": ("ProjectionMatrix", "RIS_RP", "RIS_PCR", "compress", "compute_ris_pcr",
                    "sample_ris_rp"),
     "posterior": ("ConvergenceError", "GaussianPosterior", "LaplacePosterior",
-                  "PredictiveT", "fit_bernoulli_laplace", "fit_gaussian", "predictive"),
+                  "fit_bernoulli_laplace", "fit_gaussian", "predictive"),
     "ensemble": ("TarpConfig", "TarpModel", "TarpPrediction", "fit_tarp", "predict_tarp",
                  "sample_config_grid"),
     "model_io": ("load_model", "save_model"),

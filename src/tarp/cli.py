@@ -25,6 +25,7 @@ import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -332,13 +333,41 @@ def _blas() -> dict | None:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
+# each package's bundled OpenBLAS, and the symbol that names its kernel set
+_OPENBLAS_CORENAME = {
+    "numpy": "scipy_openblas_get_corename64_",
+    "scipy": "scipy_openblas_get_corename",
+}
+
+
+def _openblas_cores() -> dict:
+    """The kernel set (such as "Haswell") that the OpenBLAS bundled in the
+    numpy and scipy wheels picked on this CPU; None for a package where no
+    such library or symbol is found. Both libraries are loaded by then."""
+    import ctypes  # numpy has imported it already
+
+    cores = {}
+    for package, symbol in _OPENBLAS_CORENAME.items():
+        cores[package] = None
+        libs = Path(import_module(package).__file__).parent.parent / f"{package}.libs"
+        for lib in sorted(libs.glob("libscipy_openblas*.so")):
+            try:
+                corename = getattr(ctypes.CDLL(str(lib)), symbol)
+            except (OSError, AttributeError):
+                continue
+            corename.restype = ctypes.c_char_p
+            cores[package] = corename().decode("ascii", "replace")
+    return cores
+
+
 def _meta(options: dict, command: str) -> dict:
     # the BLAS set-up travels with the outputs: a thread count other than
-    # one may change the last bits of every product
+    # one, or another kernel set, may change the last bits of every product
     return {
         "blas": _blas(),
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
         "command": command,
+        "openblas_core": _openblas_cores(),
         "options": options,
         "tarp_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),

@@ -4,7 +4,8 @@ Each replicate draws its own (m, psi) from the tuning grid and its own
 projection matrix, fits the conjugate (or Laplace-logistic) posterior in the
 compressed space, and predictions are aggregated across replicates: point
 predictions by simple averaging, intervals as quantiles of the equal-weight
-mixture of the replicate predictive distributions. A tuning configuration
+mixture of the replicate predictive distributions. In a continuous model
+those are t distributions that share one df, n + 2a. A tuning configuration
 is fit-time input only: a fitted replicate keeps its delta, its projection
 (which holds the requested m, psi, variant and map seed) and what its
 posterior fit produced. The priors and the training row count are the
@@ -371,15 +372,15 @@ def fit_tarp(
 
 
 def mixture_t_quantile(
-    dfs: np.ndarray,
+    df: float,
     locations: np.ndarray,
     scale_diags: np.ndarray,
     prob: float,
 ) -> np.ndarray:
-    """Quantiles of an equal-weight mixture of t distributions.
+    """Quantiles of an equal-weight mixture of t distributions with one df.
 
     ``locations`` and ``scale_diags`` have shape (N, k): component i of the
-    mixture at point j is t(dfs[i], locations[i, j], scale_diags[i, j]).
+    mixture at point j is t(df, locations[i, j], scale_diags[i, j]).
     A safeguarded Newton solves mixture CDF = ``prob`` at each point. It
     starts at the mean of the component quantiles (at the midpoint of their
     range where that mean overflows) and steps by the CDF residual over the
@@ -393,10 +394,10 @@ def mixture_t_quantile(
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must be in (0,1), got {prob}")
-    dfs = np.asarray(dfs, dtype=np.float64)[:, None]
+    df = float(df)
     locations = np.atleast_2d(np.asarray(locations, dtype=np.float64))
     widths = np.sqrt(np.atleast_2d(np.asarray(scale_diags, dtype=np.float64)))
-    component_q = locations + stdtrit(dfs, prob) * widths
+    component_q = locations + stdtrit(df, prob) * widths
     lo = component_q.min(axis=0)
     hi = component_q.max(axis=0)
     # component quantiles near DBL_MAX can overflow their sum: start such a
@@ -405,13 +406,15 @@ def mixture_t_quantile(
         x = component_q.mean(axis=0)
     x = np.where(np.isfinite(x), x, 0.5 * lo + 0.5 * hi)
     # t density: exp(log_norm - half_df1 * log1p(u^2 / df)) / width
-    half_df1 = 0.5 * (dfs + 1.0)
-    with np.errstate(invalid="ignore"):
-        log_norm = gammaln(half_df1) - gammaln(0.5 * dfs) - 0.5 * np.log(np.pi * dfs)
+    half_df1 = 0.5 * (df + 1.0)
     # the gammaln difference loses ~eps (df/2) ln(df/2) to cancellation, and
     # the Gaussian limit is off by ~1/(4 df); the two cross near df = 1e7.
-    # Past that, and past ~5e305 where both gammaln terms overflow, use the limit
-    log_norm[~np.isfinite(log_norm) | (dfs > 1e7)] = -0.5 * math.log(2.0 * math.pi)
+    # Past that, which includes ~5e305 where both gammaln terms overflow,
+    # use the limit
+    if df > 1e7:
+        log_norm = -0.5 * math.log(2.0 * math.pi)
+    else:
+        log_norm = gammaln(half_df1) - gammaln(0.5 * df) - 0.5 * np.log(np.pi * df)
     out = np.empty_like(x)
     points = np.arange(x.size)
     for _ in range(QUANTILE_MAX_ITER):
@@ -419,7 +422,7 @@ def mixture_t_quantile(
         # or 1 and the density 0: the right values
         with np.errstate(over="ignore"):
             u = (x - locations) / widths
-        cdf = stdtr(dfs, u).mean(axis=0)
+        cdf = stdtr(df, u).mean(axis=0)
         below = cdf < prob
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
@@ -436,7 +439,7 @@ def mixture_t_quantile(
             cdf, u = cdf[keep], u[:, keep]
             locations, widths = locations[:, keep], widths[:, keep]
         with np.errstate(all="ignore"):
-            density = np.exp(log_norm - half_df1 * np.log1p(u * u / dfs)) / widths
+            density = np.exp(log_norm - half_df1 * np.log1p(u * u / df)) / widths
             newton = x + (prob - cdf) / density.mean(axis=0)
         inside = (newton > lo) & (newton < hi)  # false for inf and nan
         # 0.5 * (lo + hi) to the bit, except that lo + hi may overflow
@@ -480,7 +483,7 @@ def _replicate_predictive(model: TarpModel, Xs: np.ndarray, rep: Replicate):
     # row is rejected by number after the map
     with np.errstate(over="ignore", invalid="ignore"):
         Z = compress(Xs, rep.projection)
-        return predictive(rep.posterior, Z, *model.t_scale(rep.posterior))
+        return predictive(rep.posterior, Z, model.t_scale(rep.posterior)[1])
 
 
 def predict_tarp(
@@ -490,11 +493,12 @@ def predict_tarp(
 
     Continuous responses: the point prediction is the mean of the replicate
     posterior-mean predictions, and [lower, upper] is the central interval of
-    the equal-weight mixture of replicate predictive t distributions. Binary
-    responses: mean of the replicate plug-in probabilities
-    expit(x_gamma' R_i' theta_i), summed in replicate order. Each logit is
-    linear in x, so every replicate's comes from one product X W' with row i
-    of W the mapped-back mode R_i' theta_i; no replicate compresses X.
+    the equal-weight mixture of replicate predictive t distributions, which
+    share the model's df. Binary responses: mean of the replicate plug-in
+    probabilities expit(x_gamma' R_i' theta_i), summed in replicate order.
+    Each logit is linear in x, so every replicate's comes from one product
+    X W' with row i of W the mapped-back mode R_i' theta_i; no replicate
+    compresses X.
     A new row whose standardized values overflow, or whose logits (binary)
     or predictive location or scale (continuous) do, raises DataError
     naming the row.
@@ -517,18 +521,19 @@ def predict_tarp(
         probs = expit(logits).mean(axis=0)
         return TarpPrediction(response_kind="binary", probability=probs)
     preds = _map_ordered(partial(_replicate_predictive, model, Xs), model.replicates, 1)
-    dfs = np.asarray([pred.df for pred in preds])
-    locs = np.asarray([pred.location for pred in preds])
-    scales = np.asarray([pred.scale_diag for pred in preds])
+    locs = np.asarray([location for location, _ in preds])
+    scales = np.asarray([scale_diag for _, scale_diag in preds])
     _reject_rows(
         np.isfinite(locs).all(axis=0) & np.isfinite(scales).all(axis=0),
         "predictive location or scale",
     )
     # the predictive location is the posterior-mean point prediction
     point = model.standardization.inverse_response(np.mean(locs, axis=0))
+    # the df, n + 2a, is the model's: no replicate's residual changes it
+    df, _ = model.t_scale(model.replicates[0].posterior)
     lower_prob, upper_prob = _tail_probabilities(level)
-    lower = mixture_t_quantile(dfs, locs, scales, lower_prob)
-    upper = mixture_t_quantile(dfs, locs, scales, upper_prob)
+    lower = mixture_t_quantile(df, locs, scales, lower_prob)
+    upper = mixture_t_quantile(df, locs, scales, upper_prob)
     return TarpPrediction(
         response_kind="continuous",
         point=point,

@@ -62,6 +62,14 @@ def _string(value, name: str) -> str:
     return value
 
 
+def _list(value, name: str) -> list:
+    # iterating a string, an object or a number would read its characters,
+    # its keys or fail without naming the field
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list")
+    return value
+
+
 def _strings(value, name: str) -> list[str]:
     # list() would also take a string's characters, or numbers, as names
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
@@ -117,7 +125,8 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 def _decode_array(obj: dict, name: str) -> np.ndarray:
     _only(obj, name, "shape", "data")
-    shape = [_size(entry, f"{name} shape") for entry in obj["shape"]]
+    extents = _list(obj["shape"], f"{name} shape")
+    shape = [_size(entry, f"{name} shape") for entry in extents]
     return _decode_floats(obj["data"]).reshape(shape)
 
 
@@ -188,7 +197,7 @@ def _decode_projection(obj: dict) -> ProjectionMatrix:
         block = _decode_array(obj["block"], "block")
         return ProjectionMatrix(RIS_PCR, m, gamma, requested_m, dense_block=block)
     if variant == RIS_RP:
-        seed = [_integer(entry, "seed") for entry in obj["seed"]]
+        seed = [_integer(entry, "seed") for entry in _list(obj["seed"], "seed")]
         psi = _real(obj["psi"], "psi")
         return ProjectionMatrix(RIS_RP, m, gamma, requested_m, seed=seed, psi=psi)
     raise ValueError(f"unknown projection variant {variant!r}")
@@ -369,7 +378,7 @@ def _decode_model(doc: dict) -> TarpModel:
           "train_data_hash", "a_sigma", "b_sigma", "sigma_theta2", "standardization",
           "replicates", "extra", *(("n_obs",) if continuous else ()))
     replicates = []
-    for rep in doc["replicates"]:
+    for rep in _list(doc["replicates"], "replicates"):
         _only(rep, "replicate", "delta", "projection", "posterior")
         projection = _decode_projection(rep["projection"])
         posterior = _decode_posterior(rep["posterior"], projection.m, continuous)

@@ -9,9 +9,10 @@ Laplace approximation); probabilities are plug-in at the mode.
 
 A posterior holds only what its own fit produced. The priors and the
 training row count are shared by every replicate of an ensemble, so they
-are passed in where they are used: the Gaussian predictive t takes its df
-and noise scale from ``predictive_t_scale``, and the logistic fit takes its
-prior variance.
+are passed in where they are used: ``predictive_t_scale`` gives the
+Gaussian predictive t's df, n + 2a, which every replicate shares, and a
+replicate's noise scale, which ``predictive`` takes; the logistic fit takes
+its prior variance.
 """
 
 from __future__ import annotations
@@ -100,15 +101,6 @@ class GaussianPosterior:
 
 
 @dataclass(frozen=True)
-class PredictiveT:
-    """Multivariate-t predictive: df, per-point location and marginal scale."""
-
-    df: float
-    location: np.ndarray
-    scale_diag: np.ndarray
-
-
-@dataclass(frozen=True)
 class LaplacePosterior:
     """Mode of the ridge-penalized logistic log-posterior and how it was found.
 
@@ -161,12 +153,13 @@ def fit_gaussian(Z_design: np.ndarray, y: np.ndarray) -> GaussianPosterior:
 
 
 def predictive(
-    post: GaussianPosterior, Z_new: np.ndarray, df: float, noise_scale2: float
-) -> PredictiveT:
-    """Predictive t distribution at compressed points Z_new.
+    post: GaussianPosterior, Z_new: np.ndarray, noise_scale2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Location and marginal scale of the predictive t at compressed points
+    Z_new; its df is the model's n + 2a.
 
-    ``df`` and ``noise_scale2`` are the fit's ``predictive_t_scale``. The
-    marginal scale for point i is s2 * (1 + z_i' (Z'Z+I)^-1 z_i) with
+    ``noise_scale2`` is the fit's from ``predictive_t_scale``. The marginal
+    scale for point i is s2 * (1 + z_i' (Z'Z+I)^-1 z_i) with
     s2 = ``noise_scale2``, so it never drops below the pure noise term s2.
     """
     Z_new = np.asarray(Z_new, dtype=np.float64)
@@ -176,7 +169,7 @@ def predictive(
     proj = Z_new @ post.precision_inverse
     quad = np.einsum("ij,ij->i", proj, Z_new)
     scale_diag = noise_scale2 * (1.0 + np.maximum(quad, 0.0))
-    return PredictiveT(df=df, location=location, scale_diag=scale_diag)
+    return location, scale_diag
 
 
 def _spd_solve(matrix, *rhs):

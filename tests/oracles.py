@@ -146,16 +146,19 @@ def binary_probability_per_replicate(model, X_new: np.ndarray) -> np.ndarray:
     )
 
 
-def central_interval(pred, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric central interval of one replicate's predictive t.
+def central_interval(
+    df: float, location, scale_diag, level: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric central interval of one predictive t(df, location, scale_diag).
 
     ``location +- t-quantile * sqrt(scale)``: the one-replicate case of the
     mixture interval in ``tarp.ensemble.predict_tarp``.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0,1), got {level}")
-    half = stdtrit(pred.df, 0.5 * (1.0 + level)) * np.sqrt(pred.scale_diag)
-    return pred.location - half, pred.location + half
+    location = np.asarray(location, dtype=np.float64)
+    half = stdtrit(df, 0.5 * (1.0 + level)) * np.sqrt(scale_diag)
+    return location - half, location + half
 
 
 def write_csv_via_csv_writer(dataset, path, target: str = "y") -> None:

@@ -21,11 +21,7 @@ from tarp.ensemble import (
     sample_config_grid,
 )
 from tarp.metrics import evaluate_classification, evaluate_regression
-from tarp.posterior import (
-    fit_gaussian,
-    predictive,
-    predictive_t_scale,
-)
+from tarp.posterior import fit_gaussian, predictive
 from tarp.projection import (
     compute_ris_pcr,
     sample_ris_rp,
@@ -107,8 +103,10 @@ def test_criterion_2_well_specified_calibration():
         post = fit_gaussian(Z, y)
         Z_new = rng.standard_normal((100, m))
         y_new = Z_new @ theta + np.sqrt(sigma2) * rng.standard_normal(100)
-        t_scale = predictive_t_scale(n, a_sigma, b_sigma, post.residual_quadratic)
-        lo, hi = central_interval(predictive(post, Z_new, *t_scale), 0.5)
+        # the paper's predictive t: df = n + 2a, s^2 = (r + 2b) / df
+        df = n + 2.0 * a_sigma
+        s2 = (post.residual_quadratic + 2.0 * b_sigma) / df
+        lo, hi = central_interval(df, *predictive(post, Z_new, s2), 0.5)
         hits += int(np.sum((y_new >= lo) & (y_new <= hi)))
         total += 100
     ecp = hits / total

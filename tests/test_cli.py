@@ -1664,6 +1664,33 @@ class TestCorruptModel:
                  reason=f"malformed model file ({where} is not an object)")
 
     @pytest.mark.parametrize(
+        "keys, value, name",
+        [
+            (("replicates",), 5, "replicates"),
+            (("replicates",), {}, "replicates"),
+            (("replicates",), "ab", "replicates"),
+            ((*_PROJECTION, "seed"), 5, "seed"),
+            ((*_PROJECTION, "seed"), "ab", "seed"),
+            ((*_POSTERIOR, "location", "shape"), 5, "location shape"),
+            (("standardization", "column_means", "shape"), "ab", "column_means shape"),
+        ],
+        ids=["replicates_number", "replicates_object", "replicates_string",
+             "seed_number", "seed_string", "location_shape_number",
+             "column_means_shape_string"],
+    )
+    @ENTRIES
+    def test_a_list_that_is_not_a_list_is_data_error(
+        self, workdir, capsys, keys, value, name, entry
+    ):
+        # iterating a number fails without naming the field, and a string or
+        # an object would be read as its characters or its keys
+        doc = self._fit("ris_rp")
+        _at(doc, keys[:-1])[keys[-1]] = value
+        (workdir / "model.json").write_bytes(as_signed(doc))
+        _refused(workdir, capsys, entry,
+                 reason=f"malformed model file ({name} must be a list)")
+
+    @pytest.mark.parametrize(
         "keys, variant",
         [
             (("replicates", 0, "projection", "m"), "ris_rp"),
@@ -1897,6 +1924,10 @@ class TestBlasThreads:
         }
         # None only where numpy cannot report its build (before 1.26)
         assert doc["blas"] is None or set(doc["blas"]) == {"name", "version"}
+        # the kernel set of each wheel's OpenBLAS, None where none is found
+        assert set(doc["openblas_core"]) == {"numpy", "scipy"}
+        for core in doc["openblas_core"].values():
+            assert core is None or isinstance(core, str)
 
     @pytest.mark.skipif(
         (os.cpu_count() or 1) < 2,

@@ -431,50 +431,45 @@ class TestModelInvariants:
 
 class TestMixtureQuantile:
     def test_single_component_matches_t_quantile(self):
-        q = mixture_t_quantile(
-            np.array([7.0]), np.array([[1.0, 2.0]]), np.array([[4.0, 9.0]]), 0.25
-        )
+        q = mixture_t_quantile(7.0, np.array([[1.0, 2.0]]), np.array([[4.0, 9.0]]), 0.25)
         expected = np.array([1.0, 2.0]) + t_dist.ppf(0.25, 7.0) * np.array([2.0, 3.0])
         np.testing.assert_allclose(q, expected, atol=1e-8)
 
     def test_identical_components_collapse(self):
         locs = np.tile([[0.5, -1.0]], (4, 1))
         scales = np.tile([[1.0, 2.0]], (4, 1))
-        dfs = np.full(4, 10.0)
-        q = mixture_t_quantile(dfs, locs, scales, 0.75)
-        expected = mixture_t_quantile(dfs[:1], locs[:1], scales[:1], 0.75)
+        q = mixture_t_quantile(10.0, locs, scales, 0.75)
+        expected = mixture_t_quantile(10.0, locs[:1], scales[:1], 0.75)
         np.testing.assert_allclose(q, expected, atol=1e-10)
 
     def test_cdf_at_solution_hits_target(self):
         rng = np.random.default_rng(0)
         N, k = 6, 9
-        dfs = rng.uniform(4, 40, N)
+        df = rng.uniform(4, 40)
         locs = rng.standard_normal((N, k))
         scales = rng.uniform(0.5, 3.0, (N, k))
         for prob in (0.25, 0.5, 0.75):
-            q = mixture_t_quantile(dfs, locs, scales, prob)
-            cdf = t_dist.cdf(
-                (q[None, :] - locs) / np.sqrt(scales), dfs[:, None]
-            ).mean(axis=0)
+            q = mixture_t_quantile(df, locs, scales, prob)
+            cdf = t_dist.cdf((q[None, :] - locs) / np.sqrt(scales), df).mean(axis=0)
             np.testing.assert_allclose(cdf, prob, atol=1e-8)
 
     def test_bracketed_by_component_quantiles(self):
         rng = np.random.default_rng(1)
-        dfs = rng.uniform(5, 30, 5)
+        df = rng.uniform(5, 30)
         locs = rng.standard_normal((5, 4))
         scales = rng.uniform(0.5, 2.0, (5, 4))
-        q = mixture_t_quantile(dfs, locs, scales, 0.3)
-        comp = locs + t_dist.ppf(0.3, dfs)[:, None] * np.sqrt(scales)
+        q = mixture_t_quantile(df, locs, scales, 0.3)
+        comp = locs + t_dist.ppf(0.3, df) * np.sqrt(scales)
         assert np.all(q >= comp.min(axis=0) - 1e-12)
         assert np.all(q <= comp.max(axis=0) + 1e-12)
 
     def test_mixture_cdf_monotone_in_prob(self):
         rng = np.random.default_rng(2)
-        dfs = rng.uniform(5, 30, 4)
+        df = rng.uniform(5, 30)
         locs = rng.standard_normal((4, 3))
         scales = rng.uniform(0.5, 2.0, (4, 3))
         quantiles = [
-            mixture_t_quantile(dfs, locs, scales, prob)
+            mixture_t_quantile(df, locs, scales, prob)
             for prob in (0.1, 0.25, 0.5, 0.75, 0.9)
         ]
         for lower, higher in zip(quantiles, quantiles[1:]):
@@ -482,91 +477,90 @@ class TestMixtureQuantile:
 
     def test_invalid_prob(self):
         with pytest.raises(ValueError):
-            mixture_t_quantile(np.ones(1), np.zeros((1, 1)), np.ones((1, 1)), 0.0)
+            mixture_t_quantile(1.0, np.zeros((1, 1)), np.ones((1, 1)), 0.0)
 
 
-def mixture_cdf(dfs, locs, scales, q):
-    return t_dist.cdf((q[None, :] - locs) / np.sqrt(scales), dfs[:, None]).mean(axis=0)
+def mixture_cdf(df, locs, scales, q):
+    return t_dist.cdf((q[None, :] - locs) / np.sqrt(scales), df).mean(axis=0)
 
 
-def mixture_pdf(dfs, locs, scales, q):
+def mixture_pdf(df, locs, scales, q):
     widths = np.sqrt(scales)
-    density = t_dist.pdf((q[None, :] - locs) / widths, dfs[:, None]) / widths
+    density = t_dist.pdf((q[None, :] - locs) / widths, df) / widths
     return density.mean(axis=0)
 
 
 class TestNewtonMatchesBisection:
     """The Newton solver against plain bisection, each within its CDF tol."""
 
-    def check(self, dfs, locs, scales, prob):
+    def check(self, df, locs, scales, prob):
         tol = tarp.ensemble.QUANTILE_TOL
-        newton = mixture_t_quantile(dfs, locs, scales, prob)
+        newton = mixture_t_quantile(df, locs, scales, prob)
+        # the oracle takes a df per component
+        dfs = np.full(len(locs), df)
         oracle = mixture_t_quantile_via_bisection(dfs, locs, scales, prob, tol=tol)
         for q in (newton, oracle):
             np.testing.assert_allclose(
-                mixture_cdf(dfs, locs, scales, q), prob, rtol=0, atol=tol * (1 + 1e-6)
+                mixture_cdf(df, locs, scales, q), prob, rtol=0, atol=tol * (1 + 1e-6)
             )
         # two points whose CDFs both lie within tol of prob are 2 tol / pdf apart
-        bound = 2 * tol / mixture_pdf(dfs, locs, scales, newton)
+        bound = 2 * tol / mixture_pdf(df, locs, scales, newton)
         assert np.all(np.abs(newton - oracle) <= 1.01 * bound)
 
     def test_serving_sized_mixture(self):
         rng = np.random.default_rng(3)
         N, k = 100, 1000
-        dfs = rng.uniform(195.0, 205.0, N)
+        df = rng.uniform(195.0, 205.0)
         locs = rng.normal(0.0, 3.0, k) + 0.5 * rng.standard_normal((N, k))
         scales = rng.uniform(0.5, 2.0, (N, k))
         for prob in (0.25, 0.75):
-            self.check(dfs, locs, scales, prob)
+            self.check(df, locs, scales, prob)
 
     def test_all_cauchy(self):
         rng = np.random.default_rng(4)
         locs = rng.normal(0.0, 5.0, (20, 50))
         scales = rng.uniform(0.1, 3.0, (20, 50))
         for prob in (0.1, 0.5, 0.9):
-            self.check(np.ones(20), locs, scales, prob)
+            self.check(1.0, locs, scales, prob)
 
     @pytest.mark.parametrize("prob", [0.005, 0.995])
     def test_extreme_probabilities(self, prob):
         rng = np.random.default_rng(5)
-        dfs = rng.uniform(3.0, 60.0, 30)
+        df = rng.uniform(3.0, 60.0)
         locs = rng.standard_normal((30, 200))
         scales = rng.uniform(0.2, 4.0, (30, 200))
-        self.check(dfs, locs, scales, prob)
+        self.check(df, locs, scales, prob)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("prob", [0.005, 0.25, 0.75, 0.995])
     def test_bimodal_pdf_underflows_at_midpoint(self, prob):
         # near-normal components at -50 and +50: the mixture pdf is 0.0 in
         # floating point at the bracket midpoint, so Newton must bisect there
-        dfs = np.full(2, 1e6)
         shift = np.linspace(-1.0, 1.0, 5)
         locs = np.stack([shift - 50.0, shift + 50.0])
         scales = np.ones((2, 5))
-        assert np.all(mixture_pdf(dfs, locs, scales, shift) == 0.0)
-        self.check(dfs, locs, scales, prob)
+        assert np.all(mixture_pdf(1e6, locs, scales, shift) == 0.0)
+        self.check(1e6, locs, scales, prob)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("prob", [0.25, 0.75])
     def test_df_whose_gammaln_overflows(self, prob):
-        # gammaln(df / 2) is inf past df ~5e305, so that component's density
-        # normaliser is the Gaussian limit instead of inf - inf
+        # gammaln(df / 2) is inf past df ~5e305, so the density normaliser
+        # is the Gaussian limit instead of inf - inf
         rng = np.random.default_rng(6)
-        dfs = np.array([1e307, 200.0])
         locs = rng.standard_normal((2, 40))
         scales = rng.uniform(0.5, 2.0, (2, 40))
-        self.check(dfs, locs, scales, prob)
+        self.check(1e307, locs, scales, prob)
 
     @pytest.mark.parametrize("prob", [0.25, 0.75])
     def test_one_component_far_wider_than_the_rest(self, prob):
         # widths 1, 1, 1 and 1.5e153: Newton leaves the bracket, and
         # bisection needs ~510 halvings to close it
-        dfs = np.full(4, 200.0)
         locs = np.zeros((4, 1))
         scales = np.array([[1.0], [1.0], [1.0], [1.5e153**2]])
-        q = mixture_t_quantile(dfs, locs, scales, prob)
+        q = mixture_t_quantile(200.0, locs, scales, prob)
         np.testing.assert_allclose(
-            mixture_cdf(dfs, locs, scales, q), prob, rtol=0,
+            mixture_cdf(200.0, locs, scales, q), prob, rtol=0,
             atol=tarp.ensemble.QUANTILE_TOL,
         )
 
@@ -586,13 +580,12 @@ class TestNewtonMatchesBisection:
         # bounds. The answer is finite, and the mixture CDF crosses prob
         # within the rounding width around it
         locs, scales = np.array(locs)[:, None], np.array(scales)[:, None]
-        dfs = np.full(locs.shape[0], 200.0)
-        q = mixture_t_quantile(dfs, locs, scales, prob)
+        q = mixture_t_quantile(200.0, locs, scales, prob)
         assert np.isfinite(q).all()
         step = 1e-13 * (1.0 + np.abs(q))
         tol = tarp.ensemble.QUANTILE_TOL
-        assert np.all(mixture_cdf(dfs, locs, scales, q - step) <= prob + tol)
-        assert np.all(mixture_cdf(dfs, locs, scales, q + step) >= prob - tol)
+        assert np.all(mixture_cdf(200.0, locs, scales, q - step) <= prob + tol)
+        assert np.all(mixture_cdf(200.0, locs, scales, q + step) >= prob - tol)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bound", [1e308, 1.7e308])
@@ -602,8 +595,7 @@ class TestNewtonMatchesBisection:
         # standardized distance is then infinite, with CDF 0 or 1 and density
         # 0. Each tail quantile is the median of its own component, up to the
         # search's rounding width, and the middle one the midpoint of the gap
-        dfs = np.full(2, 200.0)
-        q = mixture_t_quantile(dfs, np.array([[-bound], [bound]]), np.ones((2, 1)), prob)
+        q = mixture_t_quantile(200.0, np.array([[-bound], [bound]]), np.ones((2, 1)), prob)
         np.testing.assert_allclose(q, [side * bound], rtol=1e-12, atol=0)
 
     def test_huge_finite_df_takes_few_cdf_evaluations(self, monkeypatch):
@@ -617,14 +609,13 @@ class TestNewtonMatchesBisection:
             return stdtr(*args)
 
         rng = np.random.default_rng(7)
-        dfs = np.full(20, 1e15)
         locs = rng.standard_normal((20, 500))
         scales = rng.uniform(0.5, 2.0, (20, 500))
         monkeypatch.setattr(tarp.ensemble, "stdtr", counted)
-        mixture_t_quantile(dfs, locs, scales, 0.25)
+        mixture_t_quantile(1e15, locs, scales, 0.25)
         assert len(evaluations) <= 10
         monkeypatch.undo()
-        self.check(dfs, locs, scales, 0.25)
+        self.check(1e15, locs, scales, 0.25)
 
 
 def binary_dataset(seed, n, p):
@@ -705,10 +696,11 @@ class TestPredictTarp:
         pred = predict_tarp(model, X_new, level=0.5)
         rep = model.replicates[0]
         Xs = model.standardization.transform_design(X_new)
-        single = predictive(
-            rep.posterior, compress(Xs, rep.projection), *model.t_scale(rep.posterior)
+        df, noise_scale2 = model.t_scale(rep.posterior)
+        location, scale_diag = predictive(
+            rep.posterior, compress(Xs, rep.projection), noise_scale2
         )
-        lo, hi = central_interval(single, 0.5)
+        lo, hi = central_interval(df, location, scale_diag, 0.5)
         shift = model.standardization.response_mean
         np.testing.assert_allclose(pred.lower, lo + shift, atol=1e-7)
         np.testing.assert_allclose(pred.upper, hi + shift, atol=1e-7)

@@ -157,18 +157,13 @@ class TestEcpMonotonicity:
     def test_nested_central_intervals(self):
         # nested intervals from one predictive family: coverage is monotone
         from oracles import central_interval
-        from tarp.posterior import PredictiveT
 
         rng = np.random.default_rng(1)
-        pred = PredictiveT(
-            df=12.0, location=rng.standard_normal(200), scale_diag=np.ones(200)
-        )
-        y = pred.location + rng.standard_normal(200)
+        location = rng.standard_normal(200)
+        y = location + rng.standard_normal(200)
         ecps = []
         for level in (0.2, 0.5, 0.8, 0.95):
-            lo, hi = central_interval(pred, level)
-            report = evaluate_regression(
-                pred.location, np.column_stack([lo, hi]), y
-            )
+            lo, hi = central_interval(12.0, location, np.ones(200), level)
+            report = evaluate_regression(location, np.column_stack([lo, hi]), y)
             ecps.append(report.ecp)
         assert all(a <= b for a, b in zip(ecps, ecps[1:]))

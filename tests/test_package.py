@@ -11,7 +11,7 @@ import pytest
 
 import tarp
 
-# the public names of release 0.1.0, each pinned to the module defining it
+# the public names, each pinned to the module defining it
 PUBLIC = {
     "data": ["DataError", "Dataset", "StandardizationParams", "load_csv", "standardize"],
     "screening": ["default_delta", "inclusion_probabilities", "marginal_correlations",
@@ -19,7 +19,7 @@ PUBLIC = {
     "projection": ["ProjectionMatrix", "RIS_RP", "RIS_PCR", "compress",
                    "compute_ris_pcr", "sample_ris_rp"],
     "posterior": ["ConvergenceError", "GaussianPosterior", "LaplacePosterior",
-                  "PredictiveT", "fit_bernoulli_laplace", "fit_gaussian", "predictive"],
+                  "fit_bernoulli_laplace", "fit_gaussian", "predictive"],
     "ensemble": ["TarpConfig", "TarpModel", "TarpPrediction", "fit_tarp", "predict_tarp",
                  "sample_config_grid"],
     "model_io": ["load_model", "save_model"],
@@ -31,7 +31,7 @@ NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
 
 
 def test_all_is_the_public_names():
-    assert len(NAMES) == 36
+    assert len(NAMES) == 35
     assert sorted(tarp.__all__) == sorted(["__version__", *(name for _, name in NAMES)])
     assert tarp.__version__ == "0.1.0"
 
