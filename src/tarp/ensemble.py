@@ -162,7 +162,8 @@ class TarpModel:
     The priors and the training row count ``n_obs`` are the ensemble's, held
     here once: every replicate is fitted to the same rows under the same
     priors. ``n_obs`` is None in a binary model, whose logistic fits do not
-    use it.
+    use it, and is the one argument with a default, so that a binary model's
+    file need not name it.
     """
 
     replicates: tuple[Replicate, ...]
@@ -174,7 +175,7 @@ class TarpModel:
     a_sigma: float
     b_sigma: float
     sigma_theta2: float
-    n_obs: Optional[int]
+    n_obs: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "replicates", tuple(self.replicates))

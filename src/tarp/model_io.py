@@ -13,22 +13,20 @@ parsed. Round trips are bit-exact and identical fits write identical bytes
 version 4 file is an unsupported version, and a file without a header line,
 such as a version 1-3 JSON document, is a malformed header.
 
-The document holds each value once, and loading refuses any other key, in
-the document and in every object below it: the model-level fields, with
-``n_obs`` only in a continuous model, and the replicates, each ``{delta,
-projection, posterior}``. The priors and ``n_obs`` are the model's alone;
-a posterior holds what its replicate fitted, and the response kind picks
-its constructor. Every object maps one to one onto its constructor's
-arguments.
-
-Random projections are stored as (seed, psi, gamma), which is all a loaded
-map holds: the signs a fit keeps are not saved, and loading draws none
-(they are drawn from the seed where the map is used). Partial-SVD blocks
-are stored densely, and the symmetric m x m posterior matrices as their
-lower triangle. Loading checks the header and digest, turns each ``data``
-field into its payload slice and decodes the document into the arguments
-of the model's constructors, which check every invariant, for fit and load
-alike; a decode failure or a constructor's rejection raises DataError.
+The tables below are the format's one declaration, and both save_model and
+load_model run from them. Each kind of object has a table that maps every
+key it holds, its constructor's argument of that name, to a codec: a
+(write, read) pair turning the argument into its JSON value and back. The
+response kind picks the model's table (``n_obs`` is a continuous model's
+alone) and its posteriors', a projection's variant its own. Partial-SVD
+blocks are stored densely, symmetric posterior matrices as their lower
+triangle, and a random map as (seed, psi, gamma) alone: its signs are drawn
+from the seed where the map is used. Loading checks the header and digest,
+turns each ``data`` field into its payload slice and reads the document
+into the constructors, which check every invariant, for fit and load alike.
+It refuses what saving never writes: a key missing from an object or not in
+its table, a bit vector's nonzero pad bits, and arrays that do not tile the
+payload back to back in document order. Every failure raises DataError.
 """
 
 from __future__ import annotations
@@ -47,6 +45,11 @@ from .projection import RIS_PCR, RIS_RP, ProjectionMatrix
 FORMAT_TAG = "tarp-model"
 FORMAT_VERSION = 5
 _HEADER = re.compile(FORMAT_TAG.encode("ascii") + rb" (\S+) sha256=([0-9a-f]{64})")
+
+# keys read before their object's table is known: the response kind picks
+# the model's, the variant a projection's; extra is the caller's metadata
+# and every array keeps its bytes under data
+_KIND, _VARIANT, _EXTRA, _DATA = "response_kind", "variant", "extra", "data"
 
 
 def _integer(value, name: str) -> int:
@@ -75,6 +78,10 @@ def _strings(value, name: str) -> list[str]:
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise ValueError(f"{name} must be a list of strings")
     return value
+
+
+def _integers(value, name: str) -> list[int]:
+    return [_integer(entry, name) for entry in _list(value, name)]
 
 
 def _real(value, name: str) -> float:
@@ -118,34 +125,22 @@ def _decode_floats(raw) -> np.ndarray:
     return read_only(np.frombuffer(raw, dtype="<f8").astype(np.float64))
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype=np.float64)
-    return {"shape": list(arr.shape), "data": _encode_floats(arr)}
+def _decode_array(shape, raw, name: str) -> np.ndarray:
+    extents = [_size(entry, f"{name} shape") for entry in _list(shape, f"{name} shape")]
+    return _decode_floats(raw).reshape(extents)
 
 
-def _decode_array(obj: dict, name: str) -> np.ndarray:
-    _only(obj, name, "shape", "data")
-    extents = _list(obj["shape"], f"{name} shape")
-    shape = [_size(entry, f"{name} shape") for entry in extents]
-    return _decode_floats(obj["data"]).reshape(shape)
-
-
-def _encode_triangle(matrix: np.ndarray) -> dict:
+def _encode_triangle(matrix: np.ndarray) -> bytes:
     """A symmetric matrix as its lower triangle, row by row."""
-    order = matrix.shape[0]
-    return {"order": int(order), "data": _encode_floats(matrix[np.tril_indices(order)])}
+    return _encode_floats(matrix[np.tril_indices(matrix.shape[0])])
 
 
-def _decode_triangle(obj: dict, m: int, name: str) -> np.ndarray:
-    _only(obj, name, "order", "data")
-    order = _integer(obj["order"], "order")
-    if order != m:
-        raise ValueError(f"{name} has order {order!r}, expected m={m}")
-    packed = _decode_floats(obj["data"])
+def _decode_triangle(order, raw, name: str) -> np.ndarray:
+    # the posterior checks the order against its location's length
+    m = _size(order, f"{name} order")
+    packed = _decode_floats(raw)
     if packed.size != m * (m + 1) // 2:
-        raise ValueError(
-            f"{name} holds {packed.size} values, expected {m * (m + 1) // 2}"
-        )
+        raise ValueError(f"{name} holds {packed.size} values, expected {m * (m + 1) // 2}")
     rows, cols = np.tril_indices(m)
     full = np.empty((m, m))
     full[rows, cols] = packed
@@ -153,120 +148,140 @@ def _decode_triangle(obj: dict, m: int, name: str) -> np.ndarray:
     return full
 
 
-def _encode_bits(mask: np.ndarray) -> dict:
-    mask = np.asarray(mask, dtype=bool)
-    packed = np.packbits(mask)
-    return {"length": int(mask.size), "data": packed.tobytes()}
+def _encode_bits(mask: np.ndarray) -> bytes:
+    return np.packbits(np.asarray(mask, dtype=bool)).tobytes()
 
 
-def _decode_bits(obj: dict, name: str) -> np.ndarray:
-    _only(obj, name, "length", "data")
-    length = _size(obj["length"], "length")
-    packed = np.frombuffer(obj["data"], dtype=np.uint8)
+def _decode_bits(length, raw, name: str) -> np.ndarray:
+    length = _size(length, f"{name} length")
+    packed = np.frombuffer(raw, dtype=np.uint8)
     # unpackbits zero-pads a short buffer, so check the byte count first
     if packed.size != (length + 7) // 8:
         raise ValueError(f"{name} packs {packed.size} bytes for {length} bits")
-    return np.unpackbits(packed, count=length).astype(bool)
+    bits = np.unpackbits(packed)
+    # packbits pads with zeros; other pad bits would re-save as other bytes
+    if bits[length:].any():
+        raise ValueError(f"{name} sets pad bits past its {length} bits")
+    return bits[:length].astype(bool)
 
 
-def _encode_projection(proj: ProjectionMatrix) -> dict:
-    out = {
-        "variant": proj.variant,
-        "m": int(proj.m),
-        "requested_m": int(proj.requested_m),
-        "gamma": _encode_bits(proj.gamma),
+def _packed(extent: str, measure, encode, decode) -> tuple:
+    """The codec of an array stored as ``{extent, data}``, whose bytes
+    save_model places in the payload; ``decode(extent, raw, name)`` reads it."""
+
+    def write(arr):
+        return {extent: measure(arr), _DATA: encode(arr)}
+
+    def read(obj, name):
+        _only(obj, name, extent, _DATA)
+        return decode(obj[extent], obj[_DATA], name)
+
+    return write, read
+
+
+def _nested(cls, table: dict) -> tuple:
+    """The codec of an object with its own table, built by ``cls``."""
+    return (lambda obj: _fields(obj, table),
+            lambda obj, name: cls(**_arguments(obj, name, table)))
+
+
+def _each(codec: tuple, item: str) -> tuple:
+    """The codec of a list whose entries, each named ``item``, use ``codec``."""
+    write, read = codec
+    return (lambda values: [write(value) for value in values],
+            lambda value, name: [read(entry, item) for entry in _list(value, name)])
+
+
+def _fields(obj, table: dict) -> dict:
+    """The document object of ``obj``: each key written from the attribute
+    of that name."""
+    return {key: write(getattr(obj, key)) for key, (write, _) in table.items()}
+
+
+def _arguments(obj, name: str, table: dict) -> dict:
+    """The constructor arguments held by the document object ``obj`` (named
+    ``name`` in messages), each read from its key; every key of the table is
+    required and no other is allowed."""
+    _only(obj, name, *table)
+    return {key: read(obj[key], key) for key, (_, read) in table.items()}
+
+
+_INTEGER = (int, _integer)
+_REAL = (float, _real)
+_STRING = (str, _string)
+_ARRAY = _packed("shape", lambda arr: list(arr.shape), _encode_floats, _decode_array)
+_TRIANGLE = _packed("order", lambda matrix: matrix.shape[0], _encode_triangle,
+                    _decode_triangle)
+_BITS = _packed("length", lambda mask: mask.size, _encode_bits, _decode_bits)
+
+_STANDARDIZATION = _nested(StandardizationParams, {
+    "column_means": _ARRAY,
+    "column_scales": _ARRAY,
+    "constant_mask": _BITS,
+    # null in a binary model, which is never centred
+    "response_mean": (lambda mean: None if mean is None else float(mean),
+                      lambda mean, name: None if mean is None else _real(mean, name)),
+})
+
+# the keys both projection variants hold
+_MAP = {_VARIANT: _STRING, "m": _INTEGER, "requested_m": _INTEGER, "gamma": _BITS}
+_PROJECTIONS = {
+    RIS_RP: {**_MAP, "seed": (list, _integers), "psi": _REAL},
+    RIS_PCR: {**_MAP, "block": _ARRAY},
+}
+
+
+def _read_projection(obj, name: str) -> ProjectionMatrix:
+    variant = _string(_object(obj, name)[_VARIANT], _VARIANT)
+    if variant not in _PROJECTIONS:
+        raise ValueError(f"unknown projection variant {variant!r}")
+    return ProjectionMatrix(**_arguments(obj, name, _PROJECTIONS[variant]))
+
+
+_PROJECTION = (lambda proj: _fields(proj, _PROJECTIONS[proj.variant]), _read_projection)
+
+_GAUSSIAN = _nested(GaussianPosterior, {
+    "location": _ARRAY,
+    "precision_inverse": _TRIANGLE,
+    "residual_quadratic": _REAL,
+})
+_LAPLACE = _nested(LaplacePosterior, {
+    "mode": _ARRAY,
+    "grad_norm": _REAL,
+    "n_iter": _INTEGER,
+})
+
+
+def _model_table(kind) -> dict:
+    """The keys of a model document besides extra. The response kind picks
+    the posterior, and only a continuous model has n_obs."""
+    continuous = kind == "continuous"
+    replicate = _nested(Replicate, {
+        "delta": _REAL,
+        "projection": _PROJECTION,
+        "posterior": _GAUSSIAN if continuous else _LAPLACE,
+    })
+    table = {
+        _KIND: _STRING,
+        "master_seed": _INTEGER,
+        "column_names": (list, _strings),
+        "train_data_hash": _STRING,
+        "a_sigma": _REAL,
+        "b_sigma": _REAL,
+        "sigma_theta2": _REAL,
+        "standardization": _STANDARDIZATION,
+        "replicates": _each(replicate, "replicate"),
     }
-    if proj.variant == RIS_PCR:
-        out["block"] = _encode_array(proj.dense_block)
-    else:
-        out["seed"] = list(proj.seed)
-        out["psi"] = float(proj.psi)
-    return out
-
-
-def _decode_projection(obj: dict) -> ProjectionMatrix:
-    # the variant, read once the projection is known to be an object, picks
-    # the keys the projection may hold
-    variant = _object(obj, "projection")["variant"]
-    own = ("block",) if variant == RIS_PCR else ("seed", "psi")
-    _only(obj, "projection", "variant", "m", "requested_m", "gamma", *own)
-    gamma = _decode_bits(obj["gamma"], "gamma")
-    m = _integer(obj["m"], "m")
-    requested_m = _integer(obj["requested_m"], "requested_m")
-    if variant == RIS_PCR:
-        block = _decode_array(obj["block"], "block")
-        return ProjectionMatrix(RIS_PCR, m, gamma, requested_m, dense_block=block)
-    if variant == RIS_RP:
-        seed = [_integer(entry, "seed") for entry in _list(obj["seed"], "seed")]
-        psi = _real(obj["psi"], "psi")
-        return ProjectionMatrix(RIS_RP, m, gamma, requested_m, seed=seed, psi=psi)
-    raise ValueError(f"unknown projection variant {variant!r}")
-
-
-def _encode_posterior(post) -> dict:
-    if isinstance(post, GaussianPosterior):
-        return {
-            "location": _encode_array(post.location),
-            "precision_inverse": _encode_triangle(post.precision_inverse),
-            "residual_quadratic": float(post.residual_quadratic),
-        }
-    if isinstance(post, LaplacePosterior):
-        return {
-            "mode": _encode_array(post.mode),
-            "grad_norm": float(post.grad_norm),
-            "n_iter": int(post.n_iter),
-        }
-    raise TypeError(f"cannot serialize posterior of type {type(post)!r}")
-
-
-def _decode_posterior(obj: dict, m: int, continuous: bool):
     if continuous:
-        _only(obj, "posterior", "location", "precision_inverse", "residual_quadratic")
-        return GaussianPosterior(
-            location=_decode_array(obj["location"], "location"),
-            precision_inverse=_decode_triangle(
-                obj["precision_inverse"], m, "precision_inverse"
-            ),
-            residual_quadratic=_real(obj["residual_quadratic"], "residual_quadratic"),
-        )
-    _only(obj, "posterior", "mode", "grad_norm", "n_iter")
-    return LaplacePosterior(
-        mode=_decode_array(obj["mode"], "mode"),
-        grad_norm=_real(obj["grad_norm"], "grad_norm"),
-        n_iter=_integer(obj["n_iter"], "n_iter"),
-    )
+        table["n_obs"] = _INTEGER
+    return table
 
 
 def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
     """Write a fitted model as a signed version 5 file; ``extra`` holds
     caller metadata (JSON values, no bytes)."""
-    std = model.standardization
-    doc = {
-        "response_kind": model.response_kind,
-        "master_seed": int(model.master_seed),
-        "column_names": list(model.column_names),
-        "train_data_hash": model.train_data_hash,
-        "a_sigma": float(model.a_sigma),
-        "b_sigma": float(model.b_sigma),
-        "sigma_theta2": float(model.sigma_theta2),
-        "standardization": {
-            "column_means": _encode_array(std.column_means),
-            "column_scales": _encode_array(std.column_scales),
-            "constant_mask": _encode_bits(std.constant_mask),
-            "response_mean": std.response_mean,
-        },
-        "replicates": [
-            {
-                "delta": float(rep.delta),
-                "projection": _encode_projection(rep.projection),
-                "posterior": _encode_posterior(rep.posterior),
-            }
-            for rep in model.replicates
-        ],
-        "extra": extra or {},
-    }
-    if model.n_obs is not None:
-        doc["n_obs"] = int(model.n_obs)
+    doc = _fields(model, _model_table(model.response_kind))
+    doc[_EXTRA] = extra or {}
     chunks = []
     size = 0
 
@@ -321,17 +336,31 @@ def _payload_slice(payload: memoryview, field) -> memoryview:
     return payload[offset : offset + nbytes]
 
 
-def _resolve_arrays(node, payload: memoryview) -> None:
-    """Replace each ``data`` field below ``node`` with its payload slice."""
+def _resolve_arrays(node, payload: memoryview, fields: list) -> None:
+    """Replace each ``data`` field below ``node`` with its payload slice,
+    appending the field to ``fields`` in document order."""
     if isinstance(node, dict):
         for key, value in node.items():
-            if key == "data":
+            if key == _DATA:
                 node[key] = _payload_slice(payload, value)
+                fields.append(value)
             else:
-                _resolve_arrays(value, payload)
+                _resolve_arrays(value, payload, fields)
     elif isinstance(node, list):
         for value in node:
-            _resolve_arrays(value, payload)
+            _resolve_arrays(value, payload, fields)
+
+
+def _check_tiling(fields: list, size: int) -> None:
+    # save_model writes the arrays back to back in document order, so a gap,
+    # an overlap or a trailing byte is refused
+    end = 0
+    for offset, nbytes in fields:
+        if offset != end:
+            raise ValueError(f"array data {[offset, nbytes]} does not start at byte {end}")
+        end += nbytes
+    if end != size:
+        raise ValueError(f"the arrays end at byte {end} of the {size}-byte payload")
 
 
 def load_model(path) -> tuple[TarpModel, dict]:
@@ -353,50 +382,18 @@ def load_model(path) -> tuple[TarpModel, dict]:
     if not isinstance(doc, dict):
         raise DataError(f"{path}: malformed model file (the document is not an object)")
     try:
+        fields = []
         for key, value in doc.items():
             # extra is caller metadata: the CLI's options name a data file
-            if key != "extra":
-                _resolve_arrays(value, payload)
-        model = _decode_model(doc)
+            if key != _EXTRA:
+                _resolve_arrays(value, payload, fields)
+        table = _model_table(doc[_KIND])
+        arguments = _arguments(doc, "document", {**table, _EXTRA: (dict, _object)})
+        extra = arguments.pop(_EXTRA)
+        model = TarpModel(**arguments)
+        _check_tiling(fields, len(payload))
     except KeyError as exc:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc
-    extra = doc.get("extra", {})
-    if not isinstance(extra, dict):
-        raise DataError(f"{path}: malformed model file (extra is not an object)")
     return model, extra
-
-
-def _decode_model(doc: dict) -> TarpModel:
-    std_doc = _only(doc["standardization"], "standardization", "column_means",
-                    "column_scales", "constant_mask", "response_mean")
-    mean = std_doc["response_mean"]
-    # the response kind picks the posterior and whether the model has n_obs
-    continuous = doc["response_kind"] == "continuous"
-    _only(doc, "document", "response_kind", "master_seed", "column_names",
-          "train_data_hash", "a_sigma", "b_sigma", "sigma_theta2", "standardization",
-          "replicates", "extra", *(("n_obs",) if continuous else ()))
-    replicates = []
-    for rep in _list(doc["replicates"], "replicates"):
-        _only(rep, "replicate", "delta", "projection", "posterior")
-        projection = _decode_projection(rep["projection"])
-        posterior = _decode_posterior(rep["posterior"], projection.m, continuous)
-        replicates.append(Replicate(_real(rep["delta"], "delta"), projection, posterior))
-    return TarpModel(
-        replicates=replicates,
-        standardization=StandardizationParams(
-            column_means=_decode_array(std_doc["column_means"], "column_means"),
-            column_scales=_decode_array(std_doc["column_scales"], "column_scales"),
-            constant_mask=_decode_bits(std_doc["constant_mask"], "constant_mask"),
-            response_mean=None if mean is None else _real(mean, "response_mean"),
-        ),
-        response_kind=doc["response_kind"],
-        master_seed=_integer(doc["master_seed"], "master_seed"),
-        column_names=_strings(doc["column_names"], "column_names"),
-        train_data_hash=_string(doc["train_data_hash"], "train_data_hash"),
-        a_sigma=_real(doc["a_sigma"], "a_sigma"),
-        b_sigma=_real(doc["b_sigma"], "b_sigma"),
-        sigma_theta2=_real(doc["sigma_theta2"], "sigma_theta2"),
-        n_obs=_integer(doc["n_obs"], "n_obs") if continuous else None,
-    )

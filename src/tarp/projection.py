@@ -48,7 +48,7 @@ class ProjectionMatrix:
     length of ``gamma``, p_gamma that of ``indices``. The map is applied to
     rows by :func:`compress` and mapped back by :meth:`adjoint`. A random
     map keeps the seed and psi that generate its m x p_gamma block; the
-    partial-SVD map keeps the block itself as ``dense_block``. ``m`` is the
+    partial-SVD map keeps the block itself, as ``block``. ``m`` is the
     effective row count, which for the partial-SVD map may be below
     ``requested_m`` when the selected columns are rank deficient.
 
@@ -60,7 +60,7 @@ class ProjectionMatrix:
     signs from the seed at each use.
 
     ``seed`` is an int or a sequence of non-negative ints, kept as a tuple.
-    Every array the map holds is read-only: ``gamma``, ``dense_block`` and
+    Every array the map holds is read-only: ``gamma``, ``block`` and
     ``signs`` are taken over (see ``read_only``).
     """
 
@@ -68,7 +68,7 @@ class ProjectionMatrix:
     m: int
     gamma: np.ndarray
     requested_m: int
-    dense_block: Optional[np.ndarray] = None
+    block: Optional[np.ndarray] = None
     seed: Optional[tuple[int, ...]] = None
     psi: Optional[float] = None
     signs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
@@ -80,7 +80,7 @@ class ProjectionMatrix:
             raise ValueError("gamma must be a 1-d bit vector")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "indices", read_only(np.flatnonzero(gamma)))
-        for name in ("dense_block", "signs"):
+        for name in ("block", "signs"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, read_only(getattr(self, name)))
         if self.m < 1:
@@ -106,7 +106,7 @@ class ProjectionMatrix:
                 raise ValueError(f"seed entries must be non-negative, got {self.seed}")
             if self.psi is None or not 0.0 < self.psi < 0.5:
                 raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
-            if self.dense_block is not None:
+            if self.block is not None:
                 raise ValueError("random map holds a dense block")
             # unpackbits would zero-pad short planes into another block
             planes = (2, -(-self.m * self.p_gamma // 8))
@@ -116,7 +116,7 @@ class ProjectionMatrix:
                     f"signs are {signs.dtype} {signs.shape}, expected uint8 {planes}"
                 )
         elif self.variant == RIS_PCR:
-            block = self.dense_block
+            block = self.block
             if block is None:
                 raise ValueError("partial-SVD map has no block")
             if self.seed is not None or self.psi is not None or self.signs is not None:
@@ -140,7 +140,7 @@ class ProjectionMatrix:
         # m x p_gamma block over the selected columns; a random one is its
         # kept signs, or its seed's, unpacked
         if self.variant == RIS_PCR:
-            return self.dense_block
+            return self.block
         size = self.m * self.p_gamma
         signs = self.signs
         if signs is None:
@@ -248,7 +248,7 @@ def compute_ris_pcr(
     block *= signs[:, None]
     Z = top * (s * signs) if wide else _compress_columns(X, active, block)
     projection = ProjectionMatrix(
-        variant=RIS_PCR, m=m_eff, gamma=gamma, dense_block=block, requested_m=m
+        variant=RIS_PCR, m=m_eff, gamma=gamma, block=block, requested_m=m
     )
     return projection, Z
 

@@ -37,7 +37,7 @@ def dense_map(R) -> np.ndarray:
         magnitude = 1.0 / math.sqrt(2.0 * R.psi)
         block = magnitude * ((u < R.psi).astype(np.float64) - (u >= 1.0 - R.psi))
     else:
-        block = R.dense_block
+        block = R.block
     full = np.zeros((R.m, R.p))
     full[:, np.flatnonzero(R.gamma)] = block
     return full

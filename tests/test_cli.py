@@ -31,6 +31,7 @@ from tarp.posterior import ConvergenceError, positive_finite
 from tarp.screening import default_delta
 from tarp.simgen import SchemeSpec
 
+from golden import assert_same_bytes
 from model_files import as_doc, as_signed, body_of, each_array, signed
 
 
@@ -227,8 +228,7 @@ class TestBenchmarkHooks:
         assert run("predict", "--model", str(DATA / "v5_continuous.tarp"),
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 0
         assert sorted(calls) == ["load_model", "load_table", "predict_tarp"]
-        assert (workdir / "preds.csv").read_bytes() == (
-            DATA / "v1_continuous_pred.csv").read_bytes()
+        assert_same_bytes(workdir / "preds.csv", DATA / "v1_continuous_pred.csv")
 
 
 class TestBaseline:

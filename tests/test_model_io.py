@@ -1,7 +1,10 @@
 import base64
+import copy
 import hashlib
 import json
 import re
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from tarp.data import DataError, Dataset
 from tarp.ensemble import VARIANTS, fit_tarp, predict_tarp, sample_config_grid
 from tarp.model_io import load_model, save_model
 
+from golden import assert_same_bytes
 from model_files import as_doc, as_signed, each_array, signed
 from oracles import dense_map, mixture_t_quantile_via_bisection
 
@@ -63,7 +67,7 @@ GOLDEN_FITS = {
 def assert_predicts_committed_csv(out, kind):
     committed = DATA / f"v1_{kind}_pred.csv"
     if kind == "continuous":
-        assert out.read_bytes() == committed.read_bytes()
+        assert_same_bytes(out, committed)
         return
     new_lines = out.read_text().splitlines()
     old_lines = committed.read_text().splitlines()
@@ -201,7 +205,7 @@ def held_arrays(model) -> dict:
               for name in ("column_means", "column_scales", "constant_mask")}
     for i, rep in enumerate(model.replicates):
         for owner, names in (
-            (rep.projection, ("gamma", "indices", "dense_block", "signs")),
+            (rep.projection, ("gamma", "indices", "block", "signs")),
             (rep.posterior, ("location", "precision_inverse", "mode")),
         ):
             for name in names:
@@ -236,7 +240,7 @@ def test_every_array_of_a_model_is_read_only(tmp_path, variant, binary):
         held[source] = {name.rsplit(".", 1)[-1] for name in arrays}
     expected = {"column_means", "column_scales", "constant_mask", "gamma", "indices"}
     expected |= {"mode"} if binary else {"location", "precision_inverse"}
-    expected |= {"dense_block"} if variant == "ris_pcr" else set()
+    expected |= {"block"} if variant == "ris_pcr" else set()
     # only a fit keeps the signs of its random blocks
     kept = {"signs"} if variant == "ris_rp" else set()
     assert held == {"fitted": expected | kept, "loaded": expected}
@@ -317,7 +321,7 @@ def test_baseline_fixture_loads_as_ris_rp_at_delta_zero(tmp_path):
     out = tmp_path / "pred.csv"
     assert main(["predict", "--model", str(BASELINE_FIXTURE),
                  "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "v3_plain_rp_baseline_pred.csv").read_bytes()
+    assert_same_bytes(out, DATA / "v3_plain_rp_baseline_pred.csv")
 
 
 def test_mode_shape_is_checked(tmp_path):
@@ -489,8 +493,7 @@ def test_refit_writes_the_golden_file(tmp_path, monkeypatch, golden, threads):
     (tmp_path / data).write_bytes((DATA / data).read_bytes())
     monkeypatch.chdir(tmp_path)
     assert main(["fit", *options, "--threads", str(threads)]) == 0
-    out = tmp_path / options[options.index("--out") + 1]
-    assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert_same_bytes(tmp_path / options[options.index("--out") + 1], DATA / golden)
 
 
 def _fails_in_one_line(path, capsys, cli):
@@ -595,3 +598,87 @@ def test_bad_signed_file_is_data_error(tmp_path, edit, message):
     path.write_bytes(edit(FIXTURES_BY_KIND["binary"].read_bytes()))
     with pytest.raises(DataError, match=message):
         load_model(path)
+
+
+# what save_model never writes is refused, though the file is signed
+
+
+def test_bytes_after_the_last_array_are_data_error(tmp_path):
+    body = FIXTURES_BY_KIND["binary"].read_bytes().split(b"\n", 1)[1]
+    path = tmp_path / "model.tarp"
+    path.write_bytes(signed(body + bytes(16)))
+    with pytest.raises(DataError, match=r"end at byte \d+ of the \d+-byte payload\)$"):
+        load_model(path)
+
+
+def test_an_array_read_twice_is_data_error(tmp_path):
+    # the second replicate's gamma names the first one's bytes, leaving its
+    # own unread
+    _, text, payload = FIXTURES_BY_KIND["binary"].read_bytes().split(b"\n", 2)
+    doc = json.loads(text)
+    first, second = (rep["projection"]["gamma"] for rep in doc["replicates"][:2])
+    second["data"] = first["data"]
+    path = tmp_path / "model.tarp"
+    path.write_bytes(signed(json.dumps(doc).encode() + b"\n" + payload))
+    with pytest.raises(DataError, match=r"array data \[\d+, 3\] does not start at byte"):
+        load_model(path)
+
+
+def test_gamma_pad_bits_are_data_error(tmp_path):
+    # packbits pads with zeros: a set pad bit once loaded, and the model
+    # then re-saved to other bytes
+    doc = as_doc(FIXTURES_BY_KIND["binary"].read_bytes())
+    gamma = doc["replicates"][0]["projection"]["gamma"]
+    assert (gamma["length"], len(gamma["data"])) == (20, 3)
+    gamma["data"] = gamma["data"][:2] + bytes([gamma["data"][2] | 0x01])
+    path = tmp_path / "model.tarp"
+    path.write_bytes(as_signed(doc))
+    with pytest.raises(DataError, match=r"gamma sets pad bits past its 20 bits\)$"):
+        load_model(path)
+
+
+def test_a_document_without_extra_is_data_error(tmp_path, capsys):
+    doc = as_doc(FIXTURES_BY_KIND["continuous"].read_bytes())
+    del doc["extra"]
+    path = tmp_path / "model.tarp"
+    path.write_bytes(as_signed(doc))
+    message = _fails_in_one_line(path, capsys, cli=True)
+    assert message.endswith("malformed model file (missing key 'extra')")
+
+
+def objects_below(node, path=()):
+    """The path of every object in a document, extra's contents aside."""
+    if isinstance(node, dict):
+        yield path
+        for key, value in node.items():
+            if path or key != "extra":
+                yield from objects_below(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from objects_below(value, (*path, index))
+
+
+def test_every_key_of_every_object_is_required_and_alone(tmp_path):
+    # in every fixture, each key of each object is deleted in turn, and each
+    # object gains a stale sibling key; save_model writes neither, and
+    # loading must refuse each edit
+    path = tmp_path / "model.tarp"
+    edits = 0
+    for name in FIXTURES:
+        doc = as_doc((DATA / name).read_bytes())
+        for where in objects_below(doc):
+            keys = list(reduce(getitem, where, doc))
+            cases = [(key, f"missing key '{key}'\\)$") for key in keys]
+            cases.append((None, "has unknown keys \\['stale'\\]\\)$"))
+            for key, message in cases:
+                edited = copy.deepcopy(doc)
+                obj = reduce(getitem, where, edited)
+                if key is None:
+                    obj["stale"] = 0
+                else:
+                    del obj[key]
+                path.write_bytes(as_signed(edited))
+                with pytest.raises(DataError, match=message):
+                    load_model(path)
+                edits += 1
+    assert edits > 600

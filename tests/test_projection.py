@@ -164,7 +164,7 @@ class TestRisPcr:
             proj, _ = compute_ris_pcr(X, gamma, m=m)
             reference = ris_pcr_block_via_svd(X, np.flatnonzero(gamma), m)
             assert proj.m == reference.shape[0] == min(m, 3)
-            np.testing.assert_allclose(proj.dense_block, reference, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(proj.block, reference, rtol=0, atol=1e-10)
 
     def test_graded_spectrum_down_to_1e_3(self):
         # singular values from s_0 = 1 down to 1e-3: every direction is kept
@@ -347,7 +347,7 @@ class TestProjectionInvariants:
     # gamma selects 3 of 4 columns; a fit and a model file build maps
     # through the same constructor
     RANDOM = dict(variant=RIS_RP, m=2, requested_m=2, seed=(1,), psi=0.3)
-    PCR = dict(variant=RIS_PCR, m=2, requested_m=2, dense_block=np.zeros((2, 3)))
+    PCR = dict(variant=RIS_PCR, m=2, requested_m=2, block=np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -357,9 +357,9 @@ class TestProjectionInvariants:
             ({**RANDOM, "requested_m": 3}, "random map has requested_m=3, m=2"),
             ({**RANDOM, "psi": 0.5}, "psi must lie in"),
             ({**RANDOM, "psi": None}, "psi must lie in"),
-            ({**PCR, "dense_block": np.zeros((2, 4))},
+            ({**PCR, "block": np.zeros((2, 4))},
              "block shape \\(2, 4\\) is not \\(m, p_gamma\\)"),
-            ({**RANDOM, "dense_block": np.ones((2, 3))}, "random map holds a dense block"),
+            ({**RANDOM, "block": np.ones((2, 3))}, "random map holds a dense block"),
             ({**PCR, "signs": np.zeros((2, 1), np.uint8)},
              "partial-SVD map has a seed, psi or signs"),
             ({**RANDOM, "signs": np.zeros((2, 0), np.uint8)},
@@ -368,11 +368,11 @@ class TestProjectionInvariants:
             ({**RANDOM, "signs": np.zeros(2, np.uint8)},
              "signs are uint8 \\(2,\\), expected"),
             ({**RANDOM, "seed": (1, -2)}, "seed entries must be non-negative"),
-            ({**PCR, "dense_block": np.full((2, 3), np.nan)}, "block holds non-finite"),
+            ({**PCR, "block": np.full((2, 3), np.nan)}, "block holds non-finite"),
             ({**RANDOM, "variant": "ris_sparse"},
              "unknown projection variant 'ris_sparse'"),
             ({**RANDOM, "seed": None}, "random map has no seed"),
-            ({**PCR, "dense_block": None}, "partial-SVD map has no block"),
+            ({**PCR, "block": None}, "partial-SVD map has no block"),
             ({**PCR, "seed": (1,), "psi": 0.3}, "partial-SVD map has a seed, psi or signs"),
         ],
         ids=["m_zero", "requested_m_below_m", "random_requested_m_above_m",
@@ -392,7 +392,7 @@ class TestProjectionInvariants:
             ProjectionMatrix(gamma=gamma, **fields)
 
     @pytest.mark.parametrize(
-        "fields", [RANDOM, {**PCR, "dense_block": np.zeros((2, 0))}],
+        "fields", [RANDOM, {**PCR, "block": np.zeros((2, 0))}],
         ids=["random", "pcr"],
     )
     def test_gamma_must_select_a_column(self, fields):
