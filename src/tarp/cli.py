@@ -65,7 +65,7 @@ from .posterior import (
     ConvergenceError,
     positive_finite,
 )
-from .screening import default_delta
+from .screening import check_delta, default_delta
 from .simgen import DEFAULT_NOISE_SD, SCHEMES, SchemeSpec, generate
 
 THREADS_ENV_VAR = "TARP_THREADS"
@@ -120,6 +120,7 @@ _ROWS = _ranged(int, ">= 2", lambda v: v >= 2)
 _COUNT = _ranged(int, ">= 1", lambda v: v >= 1)
 _SEED = _ranged(int, ">= 0", lambda v: v >= 0)
 _NONNEGATIVE = _ranged(float, "finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+_DELTA = _ranged(float, "finite and >= 0", _passes(check_delta))
 _PRIOR = _ranged(float, "a positive finite number",
                  _passes(partial(positive_finite, name="prior")))
 _LEVEL = _ranged(float, LEVEL_RANGE, _passes(check_level))
@@ -135,8 +136,9 @@ def _build_parser() -> tuple[_Parser, dict]:
     built anew with each parser: a config file's values become the defaults
     of those shared actions. ``--threads`` is a ``fit`` and ``bench`` flag:
     ``predict`` runs its replicates on one worker and reads neither it nor
-    ``$TARP_THREADS``. An unset ``--delta`` is resolved by ``_resolve_grid``,
-    and bench's meta JSON records that value as fit's model file does.
+    ``$TARP_THREADS``. An unset ``--delta`` is ``default_delta(n, p)`` of
+    the training rows, and bench's meta JSON records the value its fits
+    used as fit's model file does.
     """
     parser = _Parser(
         prog="tarp",
@@ -166,7 +168,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     grid.add_argument("--variant", choices=CLI_VARIANTS, default=RIS_RP,
                       help=f"projection variant; {PLAIN_RP_BASELINE} is {RIS_RP} "
                            "at delta 0 [%(default)s]")
-    grid.add_argument("--delta", type=_NONNEGATIVE,
+    grid.add_argument("--delta", type=_DELTA,
                       help="screening exponent [max{0,(1+ln(p/n))/2}]")
     grid.add_argument("--threads", type=_COUNT,
                       help=f"worker threads [${THREADS_ENV_VAR} or 1]; "
@@ -279,27 +281,21 @@ def _read_config_file(path, parser: _Parser, known) -> dict:
     return values
 
 
-def _check_delta(options: dict) -> None:
-    """Refuse a ``--delta`` other than 0 beside the baseline, before any file is read."""
+def _resolve_grid(options: dict) -> tuple[str, float | None]:
+    """The library variant and delta (None where unset) of the options.
+
+    The baseline is ris_rp at delta 0; any other ``--delta`` beside it is a
+    usage error, raised before any file is read.
+    """
     variant, delta = options["variant"], options["delta"]
-    if variant == PLAIN_RP_BASELINE and delta not in (None, 0):
+    if variant != PLAIN_RP_BASELINE:
+        return variant, delta
+    if delta not in (None, 0):
         raise _UsageError(
             f"--delta {delta} cannot be used with --variant {variant}, "
             f"which is {RIS_RP} at delta 0"
         )
-
-
-def _resolve_grid(options: dict, n: int, p: int) -> tuple[str, dict]:
-    """The library variant, and ``options`` with the delta of a grid for n x p data.
-
-    The baseline is ris_rp at delta 0; an unset ``--delta`` is ``default_delta(n, p)``.
-    """
-    variant, delta = options["variant"], options["delta"]
-    if variant == PLAIN_RP_BASELINE:
-        variant, delta = RIS_RP, 0.0
-    elif delta is None:
-        delta = default_delta(n, p)
-    return variant, dict(options, delta=delta)
+    return RIS_RP, 0.0
 
 
 def _scheme_spec(command: str, options: dict, n: int) -> SchemeSpec:
@@ -413,16 +409,16 @@ def _cmd_simulate(options: dict, outputs: list) -> int:
 
 
 def _cmd_fit(options: dict, outputs: list) -> int:
-    _check_delta(options)
+    variant, delta = _resolve_grid(options)
     threads = _resolve_threads(options["threads"])
     train = load_csv(options["data"], options["target"])
-    variant, options = _resolve_grid(options, train.n, train.p)
     started = time.perf_counter()
     configs = sample_config_grid(train.n, train.p, options["replicates"], variant=variant,
-                                 delta=options["delta"], master_seed=options["seed"])
+                                 master_seed=options["seed"])
     model = fit_tarp(
         train,
         configs,
+        delta=delta,
         a_sigma=options["a_sigma"],
         b_sigma=options["b_sigma"],
         sigma_theta2=options["sigma_theta2"],
@@ -431,8 +427,10 @@ def _cmd_fit(options: dict, outputs: list) -> int:
     )
     elapsed = time.perf_counter() - started
     out = _output(outputs, options["out"])
-    # the worker count is wall-time only, never model content; the model
-    # document's keys are sorted when it is written, as the meta JSON's are
+    # the options record the delta the fit screened at; the worker count is
+    # wall-time only, never model content. The model document's keys are
+    # sorted when it is written, as the meta JSON's are
+    options = dict(options, delta=model.delta)
     resolved = {k: v for k, v in options.items() if k != "threads"}
     save_model(model, out, extra={"command": "fit", "options": resolved})
     ms = [rep.projection.requested_m for rep in model.replicates]
@@ -445,21 +443,18 @@ def _cmd_fit(options: dict, outputs: list) -> int:
     return EXIT_OK
 
 
-def _load_design_for_model(path, model: TarpModel, target_hint: str | None):
+def _load_design_for_model(path, model: TarpModel):
     expected = model.column_names
 
     def response_column(names):
-        # the column to drop so the rest are the model's, from the header
+        # the column to drop so the rest are the model's, from the header;
+        # both hold each name once, so only the one name the model lacks can go
         if names == expected:
             return None
         expected_set = set(expected)
         extra = [name for name in names if name not in expected_set]
         if len(extra) == 1 and [n for n in names if n != extra[0]] == expected:
             return names.index(extra[0])
-        if target_hint and target_hint in names:
-            drop = names.index(target_hint)
-            if names[:drop] + names[drop + 1 :] == expected:
-                return drop
         raise DataError(
             f"{path}: columns do not match the model's training columns "
             f"({len(names)} given, {len(expected)} expected)"
@@ -469,12 +464,8 @@ def _load_design_for_model(path, model: TarpModel, target_hint: str | None):
 
 
 def _cmd_predict(options: dict, outputs: list) -> int:
-    model, extra = load_model(options["model"])
-    fit_options = extra.get("options", {})
-    if not isinstance(fit_options, dict):
-        raise DataError(f"{options['model']}: malformed model file (bad extra options)")
-    target_hint = fit_options.get("target")
-    X_new = _load_design_for_model(options["data"], model, target_hint)
+    model, _ = load_model(options["model"])
+    X_new = _load_design_for_model(options["data"], model)
     prediction = predict_tarp(model, X_new, level=options["level"])
     out = Path(options["out"])
     if prediction.response_kind == "binary":
@@ -493,7 +484,7 @@ def _derive_seed(*parts: int) -> int:
 
 
 def _bench_one(spec: SchemeSpec, variant: str, options: dict, rep: int) -> dict:
-    # variant and options["delta"] come from _resolve_grid
+    # variant and options["delta"] come from _cmd_bench
     dataset, _ = generate(replace(spec, seed=_derive_seed(options["seed"], rep, 0)))
     train, test = (
         Dataset(dataset.design[rows], dataset.response[rows],
@@ -502,9 +493,9 @@ def _bench_one(spec: SchemeSpec, variant: str, options: dict, rep: int) -> dict:
     )
     master_seed = _derive_seed(options["seed"], rep, 1)
     configs = sample_config_grid(train.n, train.p, options["ensemble_size"],
-                                 variant=variant, delta=options["delta"],
-                                 master_seed=master_seed)
-    model = fit_tarp(train, configs, master_seed=master_seed, threads=1)
+                                 variant=variant, master_seed=master_seed)
+    model = fit_tarp(train, configs, delta=options["delta"], master_seed=master_seed,
+                     threads=1)
     prediction = predict_tarp(model, test.design, level=options["level"])
     report = evaluate_regression(
         prediction.point,
@@ -521,9 +512,11 @@ def _bench_one(spec: SchemeSpec, variant: str, options: dict, rep: int) -> dict:
 
 def _cmd_bench(options: dict, outputs: list) -> int:
     spec = _scheme_spec("bench", options, options["n"] + options["test_size"])
-    _check_delta(options)
+    variant, delta = _resolve_grid(options)
     # every experiment trains on n rows of the same p, so one delta serves all
-    variant, options = _resolve_grid(options, options["n"], options["p"])
+    if delta is None:
+        delta = default_delta(options["n"], options["p"])
+    options = dict(options, delta=delta)
     threads = _resolve_threads(options["threads"])
     started = time.perf_counter()
     rows = _map_ordered(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,8 +171,9 @@ def load_table(path, drop=None) -> tuple[list[str], np.ndarray]:
     count or a non-finite value, the file is re-read cell by cell with
     Python's ``float()``: that scan accepts what ``float()`` accepts and
     numpy does not (whitespace-only lines, ``1_000``) and otherwise reports
-    the first bad cell with its row number and column name. The text is
-    UTF-8, with or without a byte-order mark.
+    the first bad cell with its row number and column name. Both parsers
+    take the one header read here, which may not name a column twice. The
+    text is UTF-8, with or without a byte-order mark.
 
     ``drop``, if given, is called with the header's names and returns the
     index of a column to leave out, or None. Both parsers still count that
@@ -185,10 +187,14 @@ def load_table(path, drop=None) -> tuple[list[str], np.ndarray]:
     try:
         with fh:
             try:
-                header = next(csv.reader(fh))
+                header = [h.strip() for h in next(csv.reader(fh))]
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
-            header = [h.strip() for h in header]
+            # columns are picked by name: a second response column, say,
+            # would stay in the design
+            twice = [name for name, count in Counter(header).items() if count > 1]
+            if twice:
+                raise DataError(f"{path}: column {twice[0]!r} appears twice in the header")
             skip = None if drop is None else drop(header)
             # usecols would also pass rows with cells past the last one used;
             # a converter keeps the parser's check that every row is as long
@@ -209,7 +215,7 @@ def load_table(path, drop=None) -> tuple[list[str], np.ndarray]:
             or table.shape[1] != len(header)
             or not np.isfinite(table).all()
         ):
-            return _scan_table(path, skip)
+            return _scan_table(path, header, skip)
     except UnicodeDecodeError as exc:
         raise DataError(not_utf8(path, exc)) from None
     if skip is not None:
@@ -218,17 +224,13 @@ def load_table(path, drop=None) -> tuple[list[str], np.ndarray]:
     return header, table
 
 
-def _scan_table(path, skip=None) -> tuple[list[str], np.ndarray]:
-    # one float() per cell but column skip's: the parser of record for every
-    # input that the C parser rejects, and the source of every row/column
-    # error message
+def _scan_table(path, header, skip=None) -> tuple[list[str], np.ndarray]:
+    # one float() per cell but column skip's, under the header load_table
+    # read: the parser of record for every input that the C parser rejects,
+    # and the source of every row/column error message
     with open(path, "r", newline="", encoding=TEXT_ENCODING) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
+        next(reader, None)  # the header, read by load_table
         rows: list[list[float]] = []
         for row_number, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -258,9 +260,8 @@ def _scan_table(path, skip=None) -> tuple[list[str], np.ndarray]:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    if skip is not None:
-        del header[skip]
-    return header, np.asarray(rows, dtype=np.float64)
+    names = [name for j, name in enumerate(header) if j != skip]
+    return names, np.asarray(rows, dtype=np.float64)
 
 
 def load_csv(path, target: str) -> Dataset:

@@ -6,10 +6,10 @@ compressed space, and predictions are aggregated across replicates: point
 predictions by simple averaging, intervals as quantiles of the equal-weight
 mixture of the replicate predictive distributions. In a continuous model
 those are t distributions that share one df, n + 2a. A tuning configuration
-is fit-time input only: a fitted replicate keeps its delta, its projection
-(which holds the requested m, psi, variant and map seed) and what its
-posterior fit produced. The priors and the training row count are the
-model's, shared by every replicate and held once.
+is fit-time input only: a fitted replicate keeps its projection (which holds
+the requested m, psi, variant and map seed) and what its posterior fit
+produced. The screening exponent delta, the priors and the training row
+count are the model's, shared by every replicate and held once.
 
 Replicates are embarrassingly parallel; every replicate owns independent
 seeded substreams, so results are identical for any worker-pool size.
@@ -50,6 +50,7 @@ from .projection import (
     sample_ris_rp,
 )
 from .screening import (
+    check_delta,
     default_delta,
     inclusion_probabilities,
     marginal_correlations,
@@ -106,17 +107,10 @@ def _map_ordered(fn, jobs, threads: int) -> list:
         return list(pool.map(run, jobs))
 
 
-def _check_delta(delta: float) -> None:
-    # the screening-threshold rule of a fit's configs and of its replicates
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
-
-
 @dataclass(frozen=True)
 class TarpConfig:
     m: int
     psi: Optional[float]
-    delta: float
     variant: str
     seed: int
 
@@ -125,7 +119,6 @@ class TarpConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        _check_delta(self.delta)
         if self.variant != RIS_PCR:
             if self.psi is None or not 0.0 < self.psi < 0.5:
                 raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
@@ -133,16 +126,14 @@ class TarpConfig:
 
 @dataclass(frozen=True)
 class Replicate:
-    """One fitted replicate: the screening threshold its inclusion vector was
-    drawn at, its projection and its compressed-space posterior. The fit's
-    requested m, psi, variant and map seed are the projection's."""
+    """One fitted replicate: its projection and its compressed-space
+    posterior. The fit's requested m, psi, variant and map seed are the
+    projection's."""
 
-    delta: float
     projection: ProjectionMatrix
     posterior: Union[GaussianPosterior, LaplacePosterior]
 
     def __post_init__(self):
-        _check_delta(self.delta)
         proj = self.projection
         # the fit draws each random map from this substream of its seed
         if proj.variant == RIS_RP and proj.seed[1:] != (_ENTRY_STREAM,):
@@ -159,11 +150,13 @@ class Replicate:
 class TarpModel:
     """A fitted ensemble; ``replicates`` is kept as a tuple.
 
-    The priors and the training row count ``n_obs`` are the ensemble's, held
-    here once: every replicate is fitted to the same rows under the same
-    priors. ``n_obs`` is None in a binary model, whose logistic fits do not
-    use it, and is the one argument with a default, so that a binary model's
-    file need not name it.
+    The screening exponent ``delta``, the priors and the training row count
+    ``n_obs`` are the ensemble's, held here once: every replicate draws its
+    inclusion vector from one screen and is fitted to the same rows under
+    the same priors. ``column_names`` are distinct, since prediction matches
+    new columns by name. ``n_obs`` is None in a binary model, whose logistic
+    fits do not use it, and is the one argument with a default, so that a
+    binary model's file need not name it.
     """
 
     replicates: tuple[Replicate, ...]
@@ -172,6 +165,7 @@ class TarpModel:
     master_seed: int
     column_names: list[str]
     train_data_hash: str
+    delta: float
     a_sigma: float
     b_sigma: float
     sigma_theta2: float
@@ -192,6 +186,9 @@ class TarpModel:
             raise ValueError(f"n_obs {self.n_obs!r} in a {kind} model")
         if len(self.column_names) != p:
             raise ValueError(f"{len(self.column_names)} column names for {p} columns")
+        if len(set(self.column_names)) != p:
+            raise ValueError("column names must be distinct")
+        check_delta(self.delta)
         for name in ("a_sigma", "b_sigma", "sigma_theta2"):
             positive_finite(getattr(self, name), name)
         for rep in self.replicates:
@@ -250,19 +247,15 @@ def sample_config_grid(
     p: int,
     count: int,
     variant: str = RIS_RP,
-    delta: Optional[float] = None,
     master_seed: int = 0,
 ) -> list[TarpConfig]:
     """Draw ``count`` tuning configurations from the default grid.
 
     m is uniform on the integer range from :func:`m_range`, psi uniform on
-    (0.1, 0.4); delta defaults to the (n, p)-driven value and is shared by
-    the whole grid. Per-replicate seeds are derived from ``master_seed``.
+    (0.1, 0.4). Per-replicate seeds are derived from ``master_seed``.
     """
     if count < 1:
         raise ValueError(f"need at least one configuration, got {count}")
-    if delta is None:
-        delta = default_delta(n, p)
     lo, hi = m_range(n, p)
     rng = np.random.default_rng([master_seed, _GRID_STREAM])
     configs = []
@@ -270,7 +263,7 @@ def sample_config_grid(
         m = int(rng.integers(lo, hi + 1))
         psi = None if variant == RIS_PCR else float(rng.uniform(0.1, 0.4))
         seed = int(rng.integers(0, 2**63))
-        configs.append(TarpConfig(m=m, psi=psi, delta=delta, variant=variant, seed=seed))
+        configs.append(TarpConfig(m=m, psi=psi, variant=variant, seed=seed))
     return configs
 
 
@@ -287,12 +280,11 @@ def _dataset_hash(dataset: Dataset) -> str:
 def _fit_replicate(
     design: np.ndarray,
     response: np.ndarray,
-    inclusion: dict[float, np.ndarray],
+    q: np.ndarray,
     response_kind: str,
     sigma_theta2: float,
     cfg: TarpConfig,
 ) -> Replicate:
-    q = inclusion[cfg.delta]
     gamma = sample_inclusion(q, np.random.default_rng([cfg.seed, _GAMMA_STREAM]))
     if cfg.variant == RIS_PCR:
         # the eigendecomposition already holds the compressed training rows
@@ -304,12 +296,13 @@ def _fit_replicate(
         post = fit_gaussian(Z, response)
     else:
         post = fit_bernoulli_laplace(Z, response, sigma_theta2=sigma_theta2)
-    return Replicate(delta=cfg.delta, projection=projection, posterior=post)
+    return Replicate(projection=projection, posterior=post)
 
 
 def fit_tarp(
     train: Dataset,
     configs: list[TarpConfig],
+    delta: Optional[float] = None,
     a_sigma: float = DEFAULT_A_SIGMA,
     b_sigma: float = DEFAULT_B_SIGMA,
     sigma_theta2: float = DEFAULT_SIGMA_THETA2,
@@ -318,13 +311,15 @@ def fit_tarp(
 ) -> TarpModel:
     """Standardize, screen once, and fit every replicate.
 
-    Marginal correlations are computed a single time, and inclusion
-    probabilities once for each distinct delta of the grid; the replicates
-    share them. All three priors are checked for either response kind, and a
+    Marginal correlations and the inclusion probabilities at ``delta``
+    (unset: ``default_delta(n, p)`` of the training rows) are computed a
+    single time; every replicate draws its inclusion vector from them. The
+    delta and all three priors are checked for either response kind, and a
     design whose every column is constant, or (continuous) priors that
     leave the predictive t unusable, are rejected, before any replicate runs.
     ``threads`` caps the worker pool; outputs never change.
     """
+    delta = default_delta(train.n, train.p) if delta is None else check_delta(delta)
     a_sigma = positive_finite(a_sigma, "a_sigma")
     b_sigma = positive_finite(b_sigma, "b_sigma")
     sigma_theta2 = positive_finite(sigma_theta2, "sigma_theta2")
@@ -347,14 +342,9 @@ def fit_tarp(
     correlations = marginal_correlations(
         std_train.design, std_train.response, constant_mask=params.constant_mask,
     )
-    # the inclusion probabilities of each delta the grid uses, shared by
-    # its replicates (a grid from sample_config_grid has one delta)
-    inclusion = {
-        delta: inclusion_probabilities(correlations, delta, params.constant_mask)
-        for delta in {cfg.delta for cfg in configs}
-    }
+    q = inclusion_probabilities(correlations, delta, params.constant_mask)
     fit_one = partial(
-        _fit_replicate, std_train.design, std_train.response, inclusion,
+        _fit_replicate, std_train.design, std_train.response, q,
         train.response_kind, sigma_theta2,
     )
     replicates = _map_ordered(fit_one, configs, threads)
@@ -365,6 +355,7 @@ def fit_tarp(
         master_seed=master_seed,
         column_names=list(train.column_names),
         train_data_hash=_dataset_hash(train),
+        delta=delta,
         a_sigma=a_sigma,
         b_sigma=b_sigma,
         sigma_theta2=sigma_theta2,

@@ -1,32 +1,35 @@
 """Self-describing single-file model persistence.
 
 A model file is a signed JSON header over raw array bytes. Line 1 is
-``tarp-model 5 sha256=<64 hex>``, the format tag and version and the
-SHA-256 of everything after that line. Line 2 is the model document as
-compact JSON with sorted keys, in which each array's ``data`` is
-``[offset, nbytes]`` into the payload. The payload follows line 2: every
-array's little-endian bytes, concatenated in the order the document names
-them. The file is not JSON text, and any edit of it, even one that keeps
-every value in range, fails the digest check, which runs before anything is
-parsed. Round trips are bit-exact and identical fits write identical bytes
-(no timestamps, no compression). Version 5 is the only format read: a
-version 4 file is an unsupported version, and a file without a header line,
-such as a version 1-3 JSON document, is a malformed header.
+``tarp-model 6 sha256=<64 hex>``, the format tag and version and the SHA-256
+of everything after that line. Line 2 is the model document as compact JSON
+with sorted keys, in which each array's ``data`` is ``[offset, nbytes]``
+into the payload. The payload follows line 2: every array's little-endian
+bytes, concatenated in the order the document names them. The file is not
+JSON text, and any edit of it, even one that keeps every value in range,
+fails the digest check, which runs before anything is parsed. Round trips
+are bit-exact and identical fits write identical bytes (no timestamps, no
+compression). Version 6 is the only format read: a version 4 or 5 file
+(version 5 kept a copy of delta in every replicate) is an unsupported
+version, and a file without a header line, such as a version 1-3 JSON
+document, is a malformed header.
 
 The tables below are the format's one declaration, and both save_model and
 load_model run from them. Each kind of object has a table that maps every
-key it holds, its constructor's argument of that name, to a codec: a
-(write, read) pair turning the argument into its JSON value and back. The
-response kind picks the model's table (``n_obs`` is a continuous model's
-alone) and its posteriors', a projection's variant its own. Partial-SVD
-blocks are stored densely, symmetric posterior matrices as their lower
-triangle, and a random map as (seed, psi, gamma) alone: its signs are drawn
-from the seed where the map is used. Loading checks the header and digest,
-turns each ``data`` field into its payload slice and reads the document
-into the constructors, which check every invariant, for fit and load alike.
-It refuses what saving never writes: a key missing from an object or not in
-its table, a bit vector's nonzero pad bits, and arrays that do not tile the
-payload back to back in document order. Every failure raises DataError.
+key it holds, its constructor's argument of that name, to a codec: a (write,
+read) pair turning the argument into its JSON value and back. The response
+kind picks the model's table (``n_obs`` is a continuous model's alone) and
+its posteriors', a projection's variant its own. Each value is held once:
+the screening exponent ``delta``, the priors and ``n_obs`` are keys of the
+model, shared by its replicates. Partial-SVD blocks are stored densely,
+symmetric posterior matrices as their lower triangle, and a random map as
+(seed, psi, gamma) alone: its signs are drawn from the seed where the map is
+used. Loading checks the header and digest, turns each ``data`` field into
+its payload slice and reads the document into the constructors, which check
+every invariant, for fit and load alike. It refuses what saving never
+writes: a key missing from an object or not in its table, a bit vector's
+nonzero pad bits, and arrays that do not tile the payload back to back in
+document order. Every failure raises DataError.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .posterior import GaussianPosterior, LaplacePosterior
 from .projection import RIS_PCR, RIS_RP, ProjectionMatrix
 
 FORMAT_TAG = "tarp-model"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _HEADER = re.compile(FORMAT_TAG.encode("ascii") + rb" (\S+) sha256=([0-9a-f]{64})")
 
 # keys read before their object's table is known: the response kind picks
@@ -106,7 +109,7 @@ def _object(obj, name: str) -> dict:
 
 
 def _only(obj, name: str, *keys: str) -> dict:
-    # a version 5 object holds these keys and no others, so that a stale
+    # a version 6 object holds these keys and no others, so that a stale
     # second copy of a value, such as a replicate's own priors, is refused
     if _object(obj, name).keys() - set(keys):
         raise ValueError(f"{name} has unknown keys {sorted(obj.keys() - set(keys))}")
@@ -257,7 +260,6 @@ def _model_table(kind) -> dict:
     the posterior, and only a continuous model has n_obs."""
     continuous = kind == "continuous"
     replicate = _nested(Replicate, {
-        "delta": _REAL,
         "projection": _PROJECTION,
         "posterior": _GAUSSIAN if continuous else _LAPLACE,
     })
@@ -266,6 +268,7 @@ def _model_table(kind) -> dict:
         "master_seed": _INTEGER,
         "column_names": (list, _strings),
         "train_data_hash": _STRING,
+        "delta": _REAL,
         "a_sigma": _REAL,
         "b_sigma": _REAL,
         "sigma_theta2": _REAL,
@@ -278,7 +281,7 @@ def _model_table(kind) -> dict:
 
 
 def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
-    """Write a fitted model as a signed version 5 file; ``extra`` holds
+    """Write a fitted model as a signed version 6 file; ``extra`` holds
     caller metadata (JSON values, no bytes)."""
     doc = _fields(model, _model_table(model.response_kind))
     doc[_EXTRA] = extra or {}
@@ -364,7 +367,7 @@ def _check_tiling(fields: list, size: int) -> None:
 
 
 def load_model(path) -> tuple[TarpModel, dict]:
-    """Load a signed version 5 model file; returns (model, extra metadata)."""
+    """Load a signed version 6 model file; returns (model, extra metadata)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()

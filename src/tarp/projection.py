@@ -163,19 +163,18 @@ class ProjectionMatrix:
         return full
 
 
-def _compress_columns(
-    X: np.ndarray, indices: np.ndarray, block: np.ndarray
-) -> np.ndarray:
-    """Z = X[:, indices] @ block.T as a C-contiguous (n, m) array.
+def _compress_columns(X_gamma: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Z = X_gamma @ block.T as a C-contiguous (n, m) array, where X_gamma
+    holds the selected columns X[:, indices], gathered once by the caller.
 
     The product is formed as block @ X_gamma' (m x n), then transposed: with
     the short m x p_gamma block on the left, OpenBLAS packs the operands
     better. With OpenBLAS 0.3.31 on one Xeon core, gather included, that is
     1-35% faster at n >= 200 and p_gamma >= 1000 (200 x 2462 x 83: 2.57 ->
     2.12 ms) and at most 0.04 ms slower on small blocks. A column-major X
-    makes the gather copy whole columns.
+    makes the caller's gather copy whole columns.
     """
-    return np.ascontiguousarray((block @ X[:, indices].T).T)
+    return np.ascontiguousarray((block @ X_gamma.T).T)
 
 
 def _three_point_signs(size: int, prob: float, seed) -> np.ndarray:
@@ -246,7 +245,7 @@ def compute_ris_pcr(
     pivots = np.abs(block).argmax(axis=1)
     signs = np.where(block[np.arange(m_eff), pivots] < 0.0, -1.0, 1.0)
     block *= signs[:, None]
-    Z = top * (s * signs) if wide else _compress_columns(X, active, block)
+    Z = top * (s * signs) if wide else _compress_columns(X_act, block)
     projection = ProjectionMatrix(
         variant=RIS_PCR, m=m_eff, gamma=gamma, block=block, requested_m=m
     )
@@ -258,5 +257,5 @@ def compress(X: np.ndarray, R: ProjectionMatrix) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != R.p:
         raise ValueError(f"X has shape {X.shape}, expected (n, {R.p})")
-    return _compress_columns(X, R.indices, R._block())
+    return _compress_columns(X[:, R.indices], R._block())
 

@@ -69,8 +69,7 @@ def inclusion_probabilities(
     columns flagged in ``constant_mask`` get q = 0, since standardization
     makes them all-zero. If no column varies, DataError is raised.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    check_delta(delta)
     r = np.asarray(r, dtype=np.float64)
     if delta == 0:
         return np.ones(r.size)
@@ -103,6 +102,13 @@ def sample_inclusion(q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     gamma = np.zeros(q.size, dtype=bool)
     gamma[int(np.argmax(q))] = True
     return gamma
+
+
+def check_delta(delta) -> float:
+    """The screening-exponent rule: delta is finite and >= 0."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    return float(delta)
 
 
 def default_delta(n: int, p: int) -> float:

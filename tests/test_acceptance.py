@@ -234,10 +234,9 @@ def test_criterion_6_targeted_beats_untargeted():
             )
             train = Dataset(data.design[:n], data.response[:n])
             master = _derive_seed(6, rep, 1)
-            configs = sample_config_grid(
-                n, p, ensemble, variant=variant, delta=delta, master_seed=master
-            )
-            model = fit_tarp(train, configs, master_seed=master, threads=2)
+            configs = sample_config_grid(n, p, ensemble, variant=variant,
+                                         master_seed=master)
+            model = fit_tarp(train, configs, delta=delta, master_seed=master, threads=2)
             pred = predict_tarp(model, data.design[n:], level=0.5)
             result = evaluate_regression(
                 pred.point,
@@ -337,7 +336,7 @@ def test_criterion_9_determinism_across_thread_counts(tmp_path, monkeypatch):
                 (subdir / "model.json").read_bytes(),
                 (subdir / "pred.csv").read_bytes(),
             )
-        assert blobs[1][0].startswith(b"tarp-model 5 sha256="), case
+        assert blobs[1][0].startswith(b"tarp-model 6 sha256="), case
         assert blobs[1] == blobs[2] == blobs[8], case
-    report(9, "byte-identical v5 models and predictions at threads 1, 2, 8 "
+    report(9, "byte-identical v6 models and predictions at threads 1, 2, 8 "
               "(continuous, binary, ris_pcr)")

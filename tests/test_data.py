@@ -90,7 +90,7 @@ class TestLoadTable:
     def test_same_matrix_as_scan(self, tmp_path, text, expected):
         path = write_bytes(tmp_path, text)
         header, table = load_table(path)
-        scan_header, scan_table = _scan_table(path)
+        scan_header, scan_table = _scan_table(path, header)
         assert header == scan_header
         assert table.dtype == np.float64 and table.shape == scan_table.shape
         np.testing.assert_array_equal(table, scan_table)
@@ -115,6 +115,27 @@ class TestLoadTable:
         assert str(excinfo.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
+        "text, repeated",
+        [
+            ("a,b,c,d,e,y,y\n1,2,3,4,5,6,6\n7,8,9,1,2,3,3\n", "y"),
+            ("a,b,c,d,e,y,y\n1,2,3,4,5,6,6\n  \n7,8,9,1,2,3,3\n", "y"),
+            ("a, b ,b\n1,2,3\n", "b"),
+        ],
+        ids=["c_parser", "scan", "after_strip"],
+    )
+    def test_repeated_name_is_data_error(self, tmp_path, text, repeated):
+        # both parsers, and load_csv through them, take the one header that
+        # load_table reads; a second response column would otherwise stay in
+        # the design
+        path = write_bytes(tmp_path, text)
+        for read in (load_table, lambda path: load_csv(path, "y")):
+            with pytest.raises(DataError) as excinfo:
+                read(path)
+            assert str(excinfo.value) == (
+                f"{path}: column {repeated!r} appears twice in the header"
+            )
+
+    @pytest.mark.parametrize(
         "text",
         ["a,y,b\n1,,2\n3,NA,4\n5,nan,6\n", "a,y,b\n1,,2\n  \n3,NA,4\n5,nan,6\n"],
         ids=["c_parser", "scan"],
@@ -129,10 +150,11 @@ class TestLoadTable:
 
         header, table = load_table(path, drop=drop)
         assert seen == [["a", "y", "b"]]
-        assert header == ["a", "b"] == _scan_table(path, 1)[0]
+        scan_header, scan_table = _scan_table(path, ["a", "y", "b"], 1)
+        assert header == ["a", "b"] == scan_header
         assert table.dtype == np.float64
         np.testing.assert_array_equal(table, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(table, _scan_table(path, 1)[1])
+        np.testing.assert_array_equal(table, scan_table)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -169,7 +191,8 @@ class TestLoadTable:
         rng = np.random.default_rng(8)
         design = rng.standard_normal((40, 25)) * np.logspace(-300, 300, 25)
         write_csv(Dataset(design, rng.standard_normal(40)), tmp_path / "d.csv")
-        _, expected = _scan_table(tmp_path / "d.csv")
+        header = (tmp_path / "d.csv").read_text().splitlines()[0].split(",")
+        _, expected = _scan_table(tmp_path / "d.csv", header)
 
         def no_scan(*args):
             raise AssertionError("a clean file fell back to the per-cell scan")

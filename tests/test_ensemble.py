@@ -32,6 +32,7 @@ from tarp.ensemble import (
 from tarp.model_io import save_model
 from tarp.posterior import predictive
 from tarp.projection import compress
+from tarp.screening import default_delta
 from tarp.simgen import SchemeSpec, generate
 
 
@@ -120,23 +121,26 @@ class TestConfigGrid:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TarpConfig(m=0, psi=0.2, delta=1.0, variant="ris_rp", seed=1)
+            TarpConfig(m=0, psi=0.2, variant="ris_rp", seed=1)
         with pytest.raises(ValueError):
-            TarpConfig(m=3, psi=0.7, delta=1.0, variant="ris_rp", seed=1)
+            TarpConfig(m=3, psi=0.7, variant="ris_rp", seed=1)
         with pytest.raises(ValueError):
-            TarpConfig(m=3, psi=0.2, delta=1.0, variant="nope", seed=1)
-
-    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")])
-    def test_delta_must_be_finite_and_nonnegative(self, delta):
-        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
-            TarpConfig(m=3, psi=0.2, delta=delta, variant="ris_rp", seed=1)
+            TarpConfig(m=3, psi=0.2, variant="nope", seed=1)
 
 
 class TestFitTarp:
+    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")])
+    def test_delta_must_be_finite_and_nonnegative(self, monkeypatch, delta):
+        monkeypatch.setattr(tarp.ensemble, "_map_ordered", None)
+        ds = toy_dataset()
+        configs = sample_config_grid(ds.n, ds.p, 2, master_seed=1)
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            fit_tarp(ds, configs, delta=delta)
+
     def test_identical_seeds_identical_posteriors(self):
         ds = toy_dataset()
-        cfg = TarpConfig(m=5, psi=0.2, delta=1.0, variant="ris_rp", seed=99)
-        model = fit_tarp(ds, [cfg, cfg, cfg])
+        cfg = TarpConfig(m=5, psi=0.2, variant="ris_rp", seed=99)
+        model = fit_tarp(ds, [cfg, cfg, cfg], delta=1.0)
         locations = [rep.posterior.location for rep in model.replicates]
         for loc in locations[1:]:
             np.testing.assert_array_equal(loc, locations[0])
@@ -148,21 +152,20 @@ class TestFitTarp:
         design = ds.design.copy()
         design[:, :3] = 2.0
         for train in (ds, Dataset(design, np.full(ds.n, 3.0))):
-            cfg = TarpConfig(m=5, psi=0.2, delta=0.0, variant="ris_rp", seed=3)
+            cfg = TarpConfig(m=5, psi=0.2, variant="ris_rp", seed=3)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                model = fit_tarp(train, [cfg])
+                model = fit_tarp(train, [cfg], delta=0.0)
             assert model.replicates[0].projection.p_gamma == ds.p
 
-    def test_screens_once_per_distinct_delta(self, monkeypatch):
-        # the grid's replicates share each delta's inclusion probabilities,
-        # and each replicate draws the gamma that a fit of its own draws
+    @pytest.mark.parametrize("delta", [None, 0.0, 1.0])
+    def test_screens_once(self, monkeypatch, delta):
+        # one fit screens once, at one delta (unset: the default for the
+        # training rows); every replicate draws the gamma that a fit of its
+        # own draws
         ds = toy_dataset()
-        configs = [
-            TarpConfig(m=5, psi=0.2, delta=delta, variant="ris_rp", seed=seed)
-            for seed, delta in enumerate((0.5, 1.0, 0.5, 0.0, 1.0, 0.5))
-        ]
-        alone = [fit_tarp(ds, [cfg]).replicates[0] for cfg in configs]
+        configs = sample_config_grid(ds.n, ds.p, 6, master_seed=4)
+        alone = [fit_tarp(ds, [cfg], delta=delta).replicates[0] for cfg in configs]
         deltas = []
         screen = tarp.ensemble.inclusion_probabilities
 
@@ -171,8 +174,9 @@ class TestFitTarp:
             return screen(r, delta, constant_mask)
 
         monkeypatch.setattr(tarp.ensemble, "inclusion_probabilities", counted)
-        model = fit_tarp(ds, configs, threads=2)
-        assert sorted(deltas) == [0.0, 0.5, 1.0]
+        model = fit_tarp(ds, configs, delta=delta, threads=2)
+        expected = default_delta(ds.n, ds.p) if delta is None else delta
+        assert deltas == [expected] and model.delta == expected
         for rep, single in zip(model.replicates, alone):
             np.testing.assert_array_equal(rep.projection.gamma, single.projection.gamma)
 
@@ -237,7 +241,7 @@ class TestFitTarp:
     def test_replicate_error_carries_index(self):
         ds = toy_dataset()
         good = sample_config_grid(ds.n, ds.p, 2, master_seed=7)
-        bad = TarpConfig(m=5, psi=0.2, delta=1.0, variant="ris_rp", seed=1)
+        bad = TarpConfig(m=5, psi=0.2, variant="ris_rp", seed=1)
         object.__setattr__(bad, "m", -3)  # corrupt after validation
         with pytest.raises(ReplicateError, match="replicate 2"):
             fit_tarp(ds, [*good, bad])
@@ -282,8 +286,8 @@ class TestFitTarp:
     )
     def test_replicates_keep_at_most_two_bits_per_entry(self, variant, delta):
         ds = toy_dataset(seed=9, n=60, p=203)
-        configs = sample_config_grid(ds.n, ds.p, 6, variant=variant, delta=delta)
-        model = fit_tarp(ds, configs)
+        configs = sample_config_grid(ds.n, ds.p, 6, variant=variant)
+        model = fit_tarp(ds, configs, delta=delta)
         for rep in model.replicates:
             R = rep.projection
             if variant == "ris_pcr":
@@ -316,8 +320,8 @@ class TestFitTarp:
         flat = Dataset(np.full_like(ds.design, 0.1), ds.response)
         monkeypatch.setattr(tarp.ensemble, "_map_ordered", None)
         with pytest.raises(DataError, match="^every design column is constant"):
-            fit_tarp(flat, sample_config_grid(ds.n, ds.p, 2, variant=variant,
-                                              delta=delta))
+            fit_tarp(flat, sample_config_grid(ds.n, ds.p, 2, variant=variant),
+                     delta=delta)
 
     def test_runtime_roughly_linear_in_replicates(self):
         # fixed (n, p, m) per replicate: wall time should track the count,
@@ -325,7 +329,7 @@ class TestFitTarp:
         # hundreds of milliseconds, large enough to swamp timer/GC noise
         ds = toy_dataset(n=300, p=3000)
         small = [
-            TarpConfig(m=200, psi=0.3, delta=0.0, variant="ris_rp", seed=i)
+            TarpConfig(m=200, psi=0.3, variant="ris_rp", seed=i)
             for i in range(6)
         ]
         large = small * 5
@@ -335,7 +339,7 @@ class TestFitTarp:
             for _ in range(tries):
                 gc.collect()
                 start = time.perf_counter()
-                fit_tarp(ds, configs)
+                fit_tarp(ds, configs, delta=0.0)
                 times.append(time.perf_counter() - start)
             return min(times)
 
@@ -367,9 +371,8 @@ class TestModelInvariants:
             (False, lambda rep: {"projection": replace(
                 rep.projection, seed=(rep.projection.seed[0], 2))},
              r"projection seed \[\d+, 2\] is not \[s, 1\]"),
-            (False, lambda rep: {"delta": -0.5}, "delta must be finite and >= 0"),
         ],
-        ids=["location_m", "mode_m", "seed_stream", "delta_negative"],
+        ids=["location_m", "mode_m", "seed_stream"],
     )
     def test_replicate(self, binary, change, message):
         rep = fitted_model(binary).replicates[0]
@@ -403,6 +406,10 @@ class TestModelInvariants:
                     model.standardization.response_mean,
                 ),
             }, "gamma has length 25, expected 24"),
+            (False, lambda model: {"column_names": ["x1", *model.column_names[:-1]]},
+             "column names must be distinct"),
+            (False, lambda model: {"delta": -0.5}, "delta must be finite and >= 0"),
+            (False, lambda model: {"delta": math.inf}, "delta must be finite and >= 0"),
             (False, lambda model: {"a_sigma": 0.0}, "a_sigma must be a positive"),
             (False, lambda model: {"b_sigma": math.nan}, "b_sigma must be a positive"),
             (True, lambda model: {"sigma_theta2": -1.0},
@@ -418,7 +425,8 @@ class TestModelInvariants:
         ],
         ids=["no_replicates", "kind_bogus", "binary_with_mean",
              "continuous_without_mean", "mean_inf", "posterior_kind", "column_names",
-             "gamma_length", "a_sigma", "b_sigma", "sigma_theta2", "sigma_theta2_zero",
+             "gamma_length", "column_names_repeated", "delta_negative", "delta_inf",
+             "a_sigma", "b_sigma", "sigma_theta2", "sigma_theta2_zero",
              "n_obs_zero", "n_obs_missing", "binary_n_obs", "a_sigma_overflows",
              "b_sigma_overflows"],
     )
@@ -666,9 +674,8 @@ class TestBinaryPrediction:
         for seed in range(6):
             ds = binary_dataset(seed, 140, 300)
             train = Dataset(ds.design[:100], ds.response[:100], response_kind="binary")
-            configs = sample_config_grid(100, 300, 10, variant="ris_rp", delta=0.0,
-                                         master_seed=seed)
-            model = fit_tarp(train, configs, master_seed=seed)
+            configs = sample_config_grid(100, 300, 10, variant="ris_rp", master_seed=seed)
+            model = fit_tarp(train, configs, delta=0.0, master_seed=seed)
             probs = predict_tarp(model, ds.design[100:]).probability
             oracle = binary_probability_per_replicate(model, ds.design[100:])
             assert np.abs(probs - oracle).max() <= 8 * np.finfo(float).eps

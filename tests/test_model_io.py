@@ -22,8 +22,10 @@ from model_files import as_doc, as_signed, each_array, signed
 from oracles import dense_map, mixture_t_quantile_via_bisection
 
 # model files (p=20) and the prediction CSVs written for their training rows;
-# each *_pred.csv dates from the model's first format, and the v5_* files
-# are the same models in the current one
+# each *_pred.csv dates from the model's first format, and the v6_* files
+# are the same models in the current one: each is its version 5 file with
+# the replicates' one delta moved to the model, re-signed, its payload
+# unchanged
 DATA = Path(__file__).parent / "data"
 
 # binary probabilities come from one product X W', which rounds differently
@@ -42,23 +44,23 @@ RIS_PCR_FIXTURE_RTOL = 1e-13
 # baseline was a config variant of its own, re-saved with its configs as
 # ris_rp at delta 0, and the predictions written for its training rows when
 # it was fitted
-BASELINE_FIXTURE = DATA / "v5_plain_rp_baseline.tarp"
+BASELINE_FIXTURE = DATA / "v6_plain_rp_baseline.tarp"
 
 # signed files that must keep predicting the committed CSVs
-FIXTURES_BY_KIND = {"continuous": DATA / "v5_continuous.tarp",
-                    "binary": DATA / "v5_binary.tarp"}
+FIXTURES_BY_KIND = {"continuous": DATA / "v6_continuous.tarp",
+                    "binary": DATA / "v6_binary.tarp"}
 
 # signed files that `tarp fit` wrote, run in a directory holding the data
 # file, with these options: a refit must write each byte for byte, at any
 # thread count. The fit records its options, --out included, so each refit
 # keeps the name its file was first written under;
-# v5_binary.tarp differs from a refit at rounding level and is no golden file
+# v6_binary.tarp differs from a refit at rounding level and is no golden file
 GOLDEN_FITS = {
-    "v5_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
+    "v6_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
                            "--seed", "7", "--out", "v1_continuous.json"],
-    "v5_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
+    "v6_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
                            "--seed", "11", "--out", "v4_binary_fit.tarp"],
-    "v5_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
+    "v6_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
                             "--replicates", "3", "--seed", "13",
                             "--out", "v4_ris_pcr_fit.tarp"],
 }
@@ -90,10 +92,8 @@ def fitted_model(variant="ris_rp", seed=0, binary=False, threads=1):
     delta = None
     if variant == "plain_rp_baseline":
         variant, delta = "ris_rp", 0.0
-    configs = sample_config_grid(
-        ds.n, ds.p, 3, variant=variant, delta=delta, master_seed=seed
-    )
-    return ds, fit_tarp(ds, configs, master_seed=seed, threads=threads)
+    configs = sample_config_grid(ds.n, ds.p, 3, variant=variant, master_seed=seed)
+    return ds, fit_tarp(ds, configs, delta=delta, master_seed=seed, threads=threads)
 
 
 @pytest.mark.parametrize("variant", ["ris_rp", "ris_pcr", "plain_rp_baseline"])
@@ -301,10 +301,10 @@ def assert_same_predictions(a, b):
 
 
 def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
-    model, _ = load_model(DATA / "v5_ris_pcr.tarp")
+    model, _ = load_model(DATA / "v6_ris_pcr.tarp")
     assert {rep.projection.variant for rep in model.replicates} == {"ris_pcr"}
     out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(DATA / "v5_ris_pcr.tarp"),
+    assert main(["predict", "--model", str(DATA / "v6_ris_pcr.tarp"),
                  "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
     committed = DATA / "v3_ris_pcr_pred.csv"
     assert out.read_text().splitlines()[0] == committed.read_text().splitlines()[0]
@@ -315,8 +315,9 @@ def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
 
 def test_baseline_fixture_loads_as_ris_rp_at_delta_zero(tmp_path):
     model, _ = load_model(BASELINE_FIXTURE)
+    assert model.delta == 0.0
     for rep in model.replicates:
-        assert (rep.projection.variant, rep.delta) == ("ris_rp", 0.0)
+        assert rep.projection.variant == "ris_rp"
         assert rep.projection.p_gamma == model.p
     out = tmp_path / "pred.csv"
     assert main(["predict", "--model", str(BASELINE_FIXTURE),
@@ -405,10 +406,10 @@ def test_roundtrip_property(tmp_path, n, p, count, variant, binary, seed):
     )
 
 
-# the keys of format 5: each value is written once, the header holds the
+# the keys of format 6: each value is written once, the header holds the
 # format's tag and version, and the document holds everything else
 MODEL_KEYS = {"response_kind", "master_seed", "column_names", "train_data_hash",
-              "a_sigma", "b_sigma", "sigma_theta2", "standardization",
+              "delta", "a_sigma", "b_sigma", "sigma_theta2", "standardization",
               "replicates", "extra"}
 PROJECTION_KEYS = {
     "ris_rp": {"variant", "m", "requested_m", "gamma", "seed", "psi"},
@@ -418,18 +419,20 @@ PROJECTION_KEYS = {
 
 @pytest.mark.parametrize("variant, binary", [("ris_rp", False), ("ris_pcr", False),
                                              ("ris_rp", True)])
-def test_v5_layout(tmp_path, variant, binary):
+def test_v6_layout(tmp_path, variant, binary):
     _, model = fitted_model(variant, seed=3, binary=binary)
     path = tmp_path / "model.tarp"
     save_model(model, path, extra={"options": {"data": "train.csv"}})
     data = path.read_bytes()
     header, body = data.split(b"\n", 1)
-    assert header == b"tarp-model 5 sha256=" + hashlib.sha256(body).hexdigest().encode()
+    assert header == b"tarp-model 6 sha256=" + hashlib.sha256(body).hexdigest().encode()
     text, payload = body.split(b"\n", 1)
     doc = json.loads(text)
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() == text
-    # n_obs is the continuous model's, shared by its replicates
+    # delta and n_obs (continuous only) are the model's, shared by its
+    # replicates
     assert set(doc) == MODEL_KEYS | (set() if binary else {"n_obs"})
+    assert doc["delta"] == model.delta
     assert doc["extra"] == {"options": {"data": "train.csv"}}
     assert set(doc["standardization"]) == {
         "column_means", "column_scales", "constant_mask", "response_mean"
@@ -439,7 +442,7 @@ def test_v5_layout(tmp_path, variant, binary):
         else {"location", "precision_inverse", "residual_quadratic"}
     )
     for rep in doc["replicates"]:
-        assert set(rep) == {"delta", "projection", "posterior"}
+        assert set(rep) == {"projection", "posterior"}
         assert set(rep["projection"]) == PROJECTION_KEYS[variant]
         assert set(rep["posterior"]) == posterior_keys
     # the arrays tile the payload in the order the document names them
@@ -525,7 +528,7 @@ def test_every_byte_flip_of_a_model_file_is_data_error(tmp_path, capsys):
     path = tmp_path / "flipped.tarp"
     messages = set()
     # every byte inverted, and the header's bytes also with their low bit
-    # flipped: 5 -> 4, a hex digit to another or to a non-digit
+    # flipped: 6 -> 7, a hex digit to another or to a non-digit
     flips = [(index, 0xFF) for index in range(len(data))]
     flips += [(index, 0x01) for index in range(header)]
     assert sum(index < header for index, _ in flips) == 170
@@ -585,13 +588,15 @@ def test_bad_array_reference_is_data_error(tmp_path, data, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda data: data.replace(b"tarp-model 5", b"tarp-model 6", 1),
-         "unsupported model version 6$"),
+        (lambda data: data.replace(b"tarp-model 6", b"tarp-model 5", 1),
+         "unsupported model version 5$"),
+        (lambda data: data.replace(b"tarp-model 6", b"tarp-model 7", 1),
+         "unsupported model version 7$"),
         (lambda data: data.replace(b"sha256=", b"sha512=", 1), "malformed model header$"),
         (lambda data: data[: data.index(b"\n")], "malformed model header$"),
         (lambda data: signed(b"{}"), "no payload line"),
     ],
-    ids=["version_6", "other_digest", "header_only", "one_line_body"],
+    ids=["version_5", "version_7", "other_digest", "header_only", "one_line_body"],
 )
 def test_bad_signed_file_is_data_error(tmp_path, edit, message):
     path = tmp_path / "model.tarp"

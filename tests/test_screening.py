@@ -114,9 +114,10 @@ class TestInclusionProbabilities:
                 np.zeros(3), 2.0, constant_mask=np.ones(3, dtype=bool)
             )
 
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            inclusion_probabilities(np.array([0.5]), delta=-1.0)
+    @pytest.mark.parametrize("delta", [-1.0, float("nan"), float("inf")])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        with pytest.raises(ValueError, match="^delta must be finite and >= 0, got "):
+            inclusion_probabilities(np.array([0.5]), delta=delta)
 
     @given(st.integers(0, 1000), st.floats(0.0, 8.0))
     @settings(max_examples=40, deadline=None)
