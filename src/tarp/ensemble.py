@@ -89,7 +89,8 @@ def _map_ordered(fn, jobs, threads: int) -> list:
     Results come back in job order whatever order the jobs finish in, so the
     thread count never changes an output; with one worker the jobs run
     inline. A failure of job i is raised as ``ReplicateError(i, exc)``; when
-    several jobs fail, the first in job order is raised.
+    several jobs fail, the first in job order is raised. A worker thread the
+    system refuses to start is an ``OSError`` naming the pool's size.
     """
 
     def run(indexed):
@@ -104,7 +105,12 @@ def _map_ordered(fn, jobs, threads: int) -> list:
     if workers <= 1:
         return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, jobs))
+        try:  # map submits every job, starting the threads, before it returns
+            results = pool.map(run, jobs)
+        except RuntimeError as exc:
+            pool.shutdown(cancel_futures=True)
+            raise OSError(f"cannot start {workers} worker threads ({exc})") from exc
+        return list(results)
 
 
 @dataclass(frozen=True)

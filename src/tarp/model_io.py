@@ -1,18 +1,19 @@
 """Self-describing single-file model persistence.
 
 A model file is a signed JSON header over raw array bytes. Line 1 is
-``tarp-model 6 sha256=<64 hex>``, the format tag and version and the SHA-256
+``tarp-model 7 sha256=<64 hex>``, the format tag and version and the SHA-256
 of everything after that line. Line 2 is the model document as compact JSON
-with sorted keys, in which each array's ``data`` is ``[offset, nbytes]``
-into the payload. The payload follows line 2: every array's little-endian
-bytes, concatenated in the order the document names them. The file is not
-JSON text, and any edit of it, even one that keeps every value in range,
-fails the digest check, which runs before anything is parsed. Round trips
-are bit-exact and identical fits write identical bytes (no timestamps, no
-compression). Version 6 is the only format read: a version 4 or 5 file
-(version 5 kept a copy of delta in every replicate) is an unsupported
-version, and a file without a header line, such as a version 1-3 JSON
-document, is a malformed header.
+with sorted keys, in which each array's ``data`` is its byte count. The
+payload follows line 2: every array's little-endian bytes, back to back in
+the order the document names them, so each array starts where the one
+before it ends. The file is not JSON text, and any edit of it, even one that
+keeps every value in range, fails the digest check, which runs before
+anything is parsed. Round trips are bit-exact and identical fits write
+identical bytes (no timestamps, no compression). Version 7 is the only
+format read: a version 4, 5 or 6 file (version 5 kept a copy of delta in
+every replicate, version 6 an offset beside each byte count) is an
+unsupported version, and a file without a header line, such as a version 1-3
+JSON document, is a malformed header.
 
 The tables below are the format's one declaration, and both save_model and
 load_model run from them. Each kind of object has a table that maps every
@@ -24,12 +25,12 @@ the screening exponent ``delta``, the priors and ``n_obs`` are keys of the
 model, shared by its replicates. Partial-SVD blocks are stored densely,
 symmetric posterior matrices as their lower triangle, and a random map as
 (seed, psi, gamma) alone: its signs are drawn from the seed where the map is
-used. Loading checks the header and digest, turns each ``data`` field into
-its payload slice and reads the document into the constructors, which check
-every invariant, for fit and load alike. It refuses what saving never
-writes: a key missing from an object or not in its table, a bit vector's
-nonzero pad bits, and arrays that do not tile the payload back to back in
-document order. Every failure raises DataError.
+used. Loading checks the header and digest, reads the arrays off the payload
+in one ordered pass, each ``data`` count becoming its bytes, and reads the
+document into the constructors, which check every invariant, for fit and
+load alike. It refuses what saving never writes: a key missing from an
+object or not in its table, a bit vector's nonzero pad bits, and arrays that
+run past the payload or end before it does. Every failure raises DataError.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .posterior import GaussianPosterior, LaplacePosterior
 from .projection import RIS_PCR, RIS_RP, ProjectionMatrix
 
 FORMAT_TAG = "tarp-model"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _HEADER = re.compile(FORMAT_TAG.encode("ascii") + rb" (\S+) sha256=([0-9a-f]{64})")
 
 # keys read before their object's table is known: the response kind picks
@@ -109,7 +110,7 @@ def _object(obj, name: str) -> dict:
 
 
 def _only(obj, name: str, *keys: str) -> dict:
-    # a version 6 object holds these keys and no others, so that a stale
+    # a version 7 object holds these keys and no others, so that a stale
     # second copy of a value, such as a replicate's own priors, is refused
     if _object(obj, name).keys() - set(keys):
         raise ValueError(f"{name} has unknown keys {sorted(obj.keys() - set(keys))}")
@@ -281,21 +282,18 @@ def _model_table(kind) -> dict:
 
 
 def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
-    """Write a fitted model as a signed version 6 file; ``extra`` holds
+    """Write a fitted model as a signed version 7 file; ``extra`` holds
     caller metadata (JSON values, no bytes)."""
     doc = _fields(model, _model_table(model.response_kind))
     doc[_EXTRA] = extra or {}
     chunks = []
-    size = 0
 
-    def place(raw: bytes) -> list[int]:
+    def place(raw: bytes) -> int:
         # json calls this for each array's bytes, in the order it writes them
-        nonlocal size
         if not isinstance(raw, bytes):
             raise TypeError(f"Object of type {type(raw).__name__} is not JSON serializable")
         chunks.append(raw)
-        size += len(raw)
-        return [size - len(raw), len(raw)]
+        return len(raw)
 
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=place)
     body = [text.encode("ascii"), b"\n", *chunks]
@@ -327,47 +325,29 @@ def _signed_parts(data: bytes, path) -> tuple[bytes, memoryview]:
     return data[end + 1 : split], body[split - end :]
 
 
-def _payload_slice(payload: memoryview, field) -> memoryview:
-    # an array's bytes: a JSON [offset, nbytes] pair inside the payload
-    if not (
-        isinstance(field, list) and len(field) == 2 and all(type(v) is int for v in field)
-    ):
-        raise ValueError("array data is not an [offset, nbytes] pair of integers")
-    offset, nbytes = field
-    if offset < 0 or nbytes < 0 or offset + nbytes > len(payload):
-        raise ValueError(f"array data {field} lies outside the {len(payload)}-byte payload")
-    return payload[offset : offset + nbytes]
-
-
-def _resolve_arrays(node, payload: memoryview, fields: list) -> None:
-    """Replace each ``data`` field below ``node`` with its payload slice,
-    appending the field to ``fields`` in document order."""
+def _resolve_arrays(node, payload: memoryview, start: int) -> int:
+    """Replace each ``data`` field below ``node``, a byte count, with the
+    next that many payload bytes from byte ``start`` on, in document order;
+    returns the byte after the last of them."""
     if isinstance(node, dict):
         for key, value in node.items():
             if key == _DATA:
-                node[key] = _payload_slice(payload, value)
-                fields.append(value)
+                end = start + _size(value, "array data")
+                if end > len(payload):
+                    raise ValueError(f"array data of {value} bytes at byte {start} runs "
+                                     f"past the {len(payload)}-byte payload")
+                node[key] = payload[start:end]
+                start = end
             else:
-                _resolve_arrays(value, payload, fields)
+                start = _resolve_arrays(value, payload, start)
     elif isinstance(node, list):
         for value in node:
-            _resolve_arrays(value, payload, fields)
-
-
-def _check_tiling(fields: list, size: int) -> None:
-    # save_model writes the arrays back to back in document order, so a gap,
-    # an overlap or a trailing byte is refused
-    end = 0
-    for offset, nbytes in fields:
-        if offset != end:
-            raise ValueError(f"array data {[offset, nbytes]} does not start at byte {end}")
-        end += nbytes
-    if end != size:
-        raise ValueError(f"the arrays end at byte {end} of the {size}-byte payload")
+            start = _resolve_arrays(value, payload, start)
+    return start
 
 
 def load_model(path) -> tuple[TarpModel, dict]:
-    """Load a signed version 6 model file; returns (model, extra metadata)."""
+    """Load a signed version 7 model file; returns (model, extra metadata)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -385,16 +365,17 @@ def load_model(path) -> tuple[TarpModel, dict]:
     if not isinstance(doc, dict):
         raise DataError(f"{path}: malformed model file (the document is not an object)")
     try:
-        fields = []
+        end = 0
         for key, value in doc.items():
             # extra is caller metadata: the CLI's options name a data file
             if key != _EXTRA:
-                _resolve_arrays(value, payload, fields)
+                end = _resolve_arrays(value, payload, end)
         table = _model_table(doc[_KIND])
         arguments = _arguments(doc, "document", {**table, _EXTRA: (dict, _object)})
         extra = arguments.pop(_EXTRA)
         model = TarpModel(**arguments)
-        _check_tiling(fields, len(payload))
+        if end != len(payload):
+            raise ValueError(f"the arrays end at byte {end} of the {len(payload)}-byte payload")
     except KeyError as exc:
         raise DataError(f"{path}: malformed model file (missing key {exc})") from exc
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:

@@ -1,6 +1,7 @@
 """Test-session setup shared by every test module."""
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -29,5 +30,29 @@ def record_pool(monkeypatch):
 
         monkeypatch.setattr(module, "ThreadPoolExecutor", Recording)
         return sizes
+
+    return install
+
+
+@pytest.fixture()
+def refuse_thread(monkeypatch):
+    """``refuse_thread(call)`` makes the ``call``-th ``threading.Thread.start``
+    raise as the system does when it has no thread to give. The threads
+    asked for before it start only then, so that none can finish a job and
+    sit idle, which would let a pool skip the refused start; starts no
+    thread it is not asked for."""
+
+    def install(call):
+        held = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            held.append(thread)
+            if len(held) == call:
+                for earlier in held[:-1]:
+                    real_start(earlier)
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
 
     return install

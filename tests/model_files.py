@@ -6,7 +6,6 @@ file into its document with each array's data as raw bytes, and
 checks stay reachable behind the digest.
 """
 
-import copy
 import hashlib
 import json
 
@@ -38,25 +37,29 @@ def as_doc(data: bytes) -> dict:
     _, _, body = data.partition(b"\n")
     text, _, payload = body.partition(b"\n")
     doc = json.loads(text)
-    each_array(doc, lambda field: payload[field[0] : field[0] + field[1]])
+    start = 0
+
+    def take(nbytes):
+        # the arrays lie back to back in the order the document names them
+        nonlocal start
+        start += nbytes
+        return payload[start - nbytes : start]
+
+    each_array(doc, take)
     return doc
 
 
 def body_of(doc: dict) -> bytes:
     """What follows line 1 of the signed file of ``doc`` (arrays as bytes),
     which the caller leaves untouched."""
-    doc = copy.deepcopy(doc)
     chunks = []
-    size = 0
 
     def place(raw):
-        nonlocal size
+        # json calls this for each array's bytes, in the order it writes them
         chunks.append(raw)
-        size += len(raw)
-        return [size - len(raw), len(raw)]
+        return len(raw)
 
-    each_array(doc, place)
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=place)
     return text.encode("ascii") + b"\n" + b"".join(chunks)
 
 

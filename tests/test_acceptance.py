@@ -336,7 +336,7 @@ def test_criterion_9_determinism_across_thread_counts(tmp_path, monkeypatch):
                 (subdir / "model.json").read_bytes(),
                 (subdir / "pred.csv").read_bytes(),
             )
-        assert blobs[1][0].startswith(b"tarp-model 6 sha256="), case
+        assert blobs[1][0].startswith(b"tarp-model 7 sha256="), case
         assert blobs[1] == blobs[2] == blobs[8], case
-    report(9, "byte-identical v6 models and predictions at threads 1, 2, 8 "
+    report(9, "byte-identical v7 models and predictions at threads 1, 2, 8 "
               "(continuous, binary, ris_pcr)")

@@ -147,7 +147,7 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_bad_level_is_usage_error(self, workdir, capsys, kind):
-        assert run("predict", "--model", str(DATA / f"v6_{kind}.tarp"),
+        assert run("predict", "--model", str(DATA / f"v7_{kind}.tarp"),
                    "--data", str(DATA / f"{kind}.csv"), "--level", "7",
                    "--out", "preds.csv") == 1
         assert capsys.readouterr().err == (
@@ -155,7 +155,7 @@ class TestFitPredict:
         )
         assert not list(workdir.iterdir())
 
-    @pytest.mark.parametrize("model", ["v6_continuous", "v6_ris_pcr"])
+    @pytest.mark.parametrize("model", ["v7_continuous", "v7_ris_pcr"])
     def test_largest_level_predicts_a_finite_interval(self, workdir, model):
         # (1 + level) / 2 is the largest double below 1
         assert run("predict", "--model", str(DATA / f"{model}.tarp"),
@@ -168,7 +168,7 @@ class TestFitPredict:
     def test_unconverged_mixture_quantile_is_exit_3(self, workdir, capsys, monkeypatch):
         # one Newton-or-bisection step cannot settle every point
         monkeypatch.setattr(tarp.ensemble, "QUANTILE_MAX_ITER", 1)
-        assert run("predict", "--model", str(DATA / "v6_continuous.tarp"),
+        assert run("predict", "--model", str(DATA / "v7_continuous.tarp"),
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 3
         assert re.fullmatch(
             r"error: mixture quantile search left [1-9]\d* points unconverged\n",
@@ -223,7 +223,7 @@ class TestBenchmarkHooks:
 
         for name in ("predict_tarp", "load_table", "load_model"):
             counted(name)
-        assert run("predict", "--model", str(DATA / "v6_continuous.tarp"),
+        assert run("predict", "--model", str(DATA / "v7_continuous.tarp"),
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 0
         assert sorted(calls) == ["load_model", "load_table", "predict_tarp"]
         assert_same_bytes(workdir / "preds.csv", DATA / "v1_continuous_pred.csv")
@@ -554,10 +554,10 @@ class TestBench:
 _REQUIRED_OPTIONS = [
     ("simulate", "scheme", "I", ["--n", "30", "--p", "40", "--out", "data.csv"]),
     ("fit", "data", str(DATA / "continuous.csv"), ["--replicates", "2"]),
-    ("predict", "model", str(DATA / "v6_continuous.tarp"),
+    ("predict", "model", str(DATA / "v7_continuous.tarp"),
      ["--data", str(DATA / "continuous.csv")]),
     ("predict", "data", str(DATA / "continuous.csv"),
-     ["--model", str(DATA / "v6_continuous.tarp")]),
+     ["--model", str(DATA / "v7_continuous.tarp")]),
     ("bench", "scheme", "I", ["--n", "30", "--test-size", "5", "--p", "40",
                               "--replicates", "1", "--ensemble-size", "2"]),
 ]
@@ -772,7 +772,7 @@ def _pool(threads):
 
 @functools.cache
 def _model(kind):
-    return load_model(DATA / f"v6_{kind}.tarp")[0]
+    return load_model(DATA / f"v7_{kind}.tarp")[0]
 
 
 def _check_level(level):
@@ -1306,7 +1306,7 @@ class TestExitCodes:
         lines[2] = ",".join(["1e308", "-1e308"] * (width // 2) + ["1"])
         (workdir / "new.csv").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run("predict", "--model", str(DATA / "v6_binary.tarp"),
+        assert run("predict", "--model", str(DATA / "v7_binary.tarp"),
                    "--data", "new.csv", "--out", "pred.csv") == 2
         assert capsys.readouterr().err == (
             "error: new row 2 is too large: its logits overflow\n"
@@ -1613,12 +1613,13 @@ class TestCorruptModel:
                    "--out", "preds.csv") == 0
 
     @ENTRIES
-    @pytest.mark.parametrize("version", [4, 5])
+    @pytest.mark.parametrize("version", [4, 5, 6])
     def test_older_version_is_unsupported(self, workdir, capsys, entry, version):
         # a file signed as version 4, the format that kept each replicate's
-        # config and priors, or 5, which kept each replicate's delta: the
-        # header check refuses it before the document is parsed, so the
-        # body's format does not matter
+        # config and priors, 5, which kept each replicate's delta, or 6,
+        # which stored each array's offset beside its byte count: the header
+        # check refuses it before the document is parsed, so the body's
+        # format does not matter
         self._fit("ris_rp")
         body = (workdir / "model.json").read_bytes().split(b"\n", 1)[1]
         (workdir / "model.json").write_bytes(signed(body, version=version))
@@ -1667,11 +1668,11 @@ class TestCorruptModel:
     def test_a_key_the_format_does_not_hold_is_data_error(
         self, workdir, capsys, where, key, copy_of, variant, entry
     ):
-        # version 6 holds each value once, so a second copy is refused even
+        # version 7 holds each value once, so a second copy is refused even
         # when it agrees with the first, and so is a key another kind holds
         doc = self._fit(variant)
         stray = {"config": {"m": 5, "psi": 0.25, "variant": "ris_rp", "seed": 7},
-                 "format": "tarp-model", "version": 6, "n_obs": 40,
+                 "format": "tarp-model", "version": 7, "n_obs": 40,
                  "psi": 0.25, "seed": [7, 1], "dtype": "<f8"}
         value = _at(doc, copy_of) if copy_of else stray[key]
         parent = {"document": (), "standardization": ("standardization",),
@@ -1816,7 +1817,7 @@ class TestStartup:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_predict_skips_scipy_stats_and_linalg(self, tmp_path, kind):
-        argv = ["predict", "--model", str(DATA / f"v6_{kind}.tarp"),
+        argv = ["predict", "--model", str(DATA / f"v7_{kind}.tarp"),
                 "--data", str(DATA / f"{kind}.csv"), "--out", str(tmp_path / "p.csv")]
         code = (
             f"import sys, tarp.cli; code = tarp.cli.main({argv!r}); "
@@ -1898,6 +1899,38 @@ class TestThreadsEnvVar:
         monkeypatch.setenv("TARP_THREADS", "0")
         assert run("fit", "--data", "missing.csv") == 1
         assert capsys.readouterr().err == "error: TARP_THREADS: must be >= 1, got 0\n"
+
+
+class TestThreadStart:
+    # the system refuses the first worker thread, or the third after two
+    # others are asked for: exit 1 and one line naming the pool's size,
+    # whether the count came from the flag or the environment, and no output
+    # file. Patching Thread.start starts no thread it is not asked for
+    @pytest.mark.parametrize("call", [1, 3])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["fit", "bench"])
+    def test_a_thread_that_cannot_start_is_one_line(
+        self, workdir, capsys, monkeypatch, refuse_thread, command, source, call
+    ):
+        if command == "fit":
+            run("simulate", "--scheme", "I", "--n", "40", "--p", "30", "--seed", "2",
+                "--out", "data.csv")
+            argv = ["fit", "--data", "data.csv", "--replicates", "4", "--out", "model.tarp"]
+        else:
+            argv = ["bench", "--scheme", "I", "--n", "40", "--test-size", "10", "--p", "30",
+                    "--replicates", "4", "--ensemble-size", "2", "--out-prefix", "b"]
+        if source == "flag":
+            argv += ["--threads", "3"]
+        else:
+            monkeypatch.setenv("TARP_THREADS", "3")
+        before = set(workdir.iterdir())
+        capsys.readouterr()
+        refuse_thread(call)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot start 3 worker threads (can't start new thread)\n"
+        )
+        assert set(workdir.iterdir()) == before
 
 
 def _fresh_python(args, cwd, blas_env):

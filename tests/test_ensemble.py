@@ -81,6 +81,18 @@ class TestMapOrdered:
         assert info.value.index == 2
         assert isinstance(info.value.original, ValueError)
 
+    @pytest.mark.parametrize("call", [1, 3])
+    def test_a_thread_that_cannot_start_names_the_pool(self, refuse_thread, call):
+        # the system refuses the first thread, or the third after two others
+        # are asked for: one OSError naming the pool's size, and no job
+        # after the one whose thread was refused runs
+        done = []
+        refuse_thread(call)
+        with pytest.raises(OSError, match=r"^cannot start 4 worker threads "
+                                          r"\(can't start new thread\)$"):
+            _map_ordered(done.append, range(6), 4)
+        assert len(done) <= call
+
 
 class TestConfigGrid:
     def test_documented_range(self):

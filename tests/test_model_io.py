@@ -1,8 +1,12 @@
 import base64
+import contextlib
 import copy
 import hashlib
+import io
+import math
 import json
 import re
+import tempfile
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -22,10 +26,10 @@ from model_files import as_doc, as_signed, each_array, signed
 from oracles import dense_map, mixture_t_quantile_via_bisection
 
 # model files (p=20) and the prediction CSVs written for their training rows;
-# each *_pred.csv dates from the model's first format, and the v6_* files
-# are the same models in the current one: each is its version 5 file with
-# the replicates' one delta moved to the model, re-signed, its payload
-# unchanged
+# each *_pred.csv dates from the model's first format, and the v7_* files
+# are the same models in the current one: each is its version 6 file with
+# every array's [offset, nbytes] pair replaced by its byte count, re-signed,
+# its payload unchanged
 DATA = Path(__file__).parent / "data"
 
 # binary probabilities come from one product X W', which rounds differently
@@ -44,23 +48,23 @@ RIS_PCR_FIXTURE_RTOL = 1e-13
 # baseline was a config variant of its own, re-saved with its configs as
 # ris_rp at delta 0, and the predictions written for its training rows when
 # it was fitted
-BASELINE_FIXTURE = DATA / "v6_plain_rp_baseline.tarp"
+BASELINE_FIXTURE = DATA / "v7_plain_rp_baseline.tarp"
 
 # signed files that must keep predicting the committed CSVs
-FIXTURES_BY_KIND = {"continuous": DATA / "v6_continuous.tarp",
-                    "binary": DATA / "v6_binary.tarp"}
+FIXTURES_BY_KIND = {"continuous": DATA / "v7_continuous.tarp",
+                    "binary": DATA / "v7_binary.tarp"}
 
 # signed files that `tarp fit` wrote, run in a directory holding the data
 # file, with these options: a refit must write each byte for byte, at any
 # thread count. The fit records its options, --out included, so each refit
 # keeps the name its file was first written under;
-# v6_binary.tarp differs from a refit at rounding level and is no golden file
+# v7_binary.tarp differs from a refit at rounding level and is no golden file
 GOLDEN_FITS = {
-    "v6_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
+    "v7_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
                            "--seed", "7", "--out", "v1_continuous.json"],
-    "v6_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
+    "v7_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
                            "--seed", "11", "--out", "v4_binary_fit.tarp"],
-    "v6_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
+    "v7_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
                             "--replicates", "3", "--seed", "13",
                             "--out", "v4_ris_pcr_fit.tarp"],
 }
@@ -301,10 +305,10 @@ def assert_same_predictions(a, b):
 
 
 def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
-    model, _ = load_model(DATA / "v6_ris_pcr.tarp")
+    model, _ = load_model(DATA / "v7_ris_pcr.tarp")
     assert {rep.projection.variant for rep in model.replicates} == {"ris_pcr"}
     out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(DATA / "v6_ris_pcr.tarp"),
+    assert main(["predict", "--model", str(DATA / "v7_ris_pcr.tarp"),
                  "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
     committed = DATA / "v3_ris_pcr_pred.csv"
     assert out.read_text().splitlines()[0] == committed.read_text().splitlines()[0]
@@ -406,7 +410,7 @@ def test_roundtrip_property(tmp_path, n, p, count, variant, binary, seed):
     )
 
 
-# the keys of format 6: each value is written once, the header holds the
+# the keys of format 7: each value is written once, the header holds the
 # format's tag and version, and the document holds everything else
 MODEL_KEYS = {"response_kind", "master_seed", "column_names", "train_data_hash",
               "delta", "a_sigma", "b_sigma", "sigma_theta2", "standardization",
@@ -419,13 +423,13 @@ PROJECTION_KEYS = {
 
 @pytest.mark.parametrize("variant, binary", [("ris_rp", False), ("ris_pcr", False),
                                              ("ris_rp", True)])
-def test_v6_layout(tmp_path, variant, binary):
+def test_v7_layout(tmp_path, variant, binary):
     _, model = fitted_model(variant, seed=3, binary=binary)
     path = tmp_path / "model.tarp"
     save_model(model, path, extra={"options": {"data": "train.csv"}})
     data = path.read_bytes()
     header, body = data.split(b"\n", 1)
-    assert header == b"tarp-model 6 sha256=" + hashlib.sha256(body).hexdigest().encode()
+    assert header == b"tarp-model 7 sha256=" + hashlib.sha256(body).hexdigest().encode()
     text, payload = body.split(b"\n", 1)
     doc = json.loads(text)
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() == text
@@ -445,14 +449,12 @@ def test_v6_layout(tmp_path, variant, binary):
         assert set(rep) == {"projection", "posterior"}
         assert set(rep["projection"]) == PROJECTION_KEYS[variant]
         assert set(rep["posterior"]) == posterior_keys
-    # the arrays tile the payload in the order the document names them
-    fields = []
-    each_array(doc, lambda field: fields.append(field) or field)
-    end = 0
-    for offset, nbytes in fields:
-        assert offset == end and nbytes >= 0
-        end += nbytes
-    assert end == len(payload)
+    # each array's data is its byte count, and the arrays lie back to back
+    # in the order the document names them, filling the payload
+    counts = []
+    each_array(doc, lambda count: counts.append(count) or count)
+    assert all(type(count) is int and count >= 0 for count in counts)
+    assert sum(counts) == len(payload)
 
 
 @pytest.mark.parametrize("kind", ["continuous", "binary"])
@@ -528,7 +530,7 @@ def test_every_byte_flip_of_a_model_file_is_data_error(tmp_path, capsys):
     path = tmp_path / "flipped.tarp"
     messages = set()
     # every byte inverted, and the header's bytes also with their low bit
-    # flipped: 6 -> 7, a hex digit to another or to a non-digit
+    # flipped: 7 -> 6, a hex digit to another or to a non-digit
     flips = [(index, 0xFF) for index in range(len(data))]
     flips += [(index, 0x01) for index in range(header)]
     assert sum(index < header for index, _ in flips) == 170
@@ -559,27 +561,29 @@ def test_every_truncation_of_a_model_file_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data, message",
+    "count, message",
     [
-        ([0.0, 8], "not an \\[offset, nbytes\\] pair of integers"),
-        ([True, 8], "not an \\[offset, nbytes\\] pair of integers"),
-        ([0, 8, 8], "not an \\[offset, nbytes\\] pair of integers"),
-        ("AAAAAAAAAAA=", "not an \\[offset, nbytes\\] pair of integers"),
-        ([-8, 8], "array data \\[-8, 8\\] lies outside the \\d+-byte payload"),
-        ([0, -8], "array data \\[0, -8\\] lies outside"),
-        ([0, 10**9], "array data \\[0, 1000000000\\] lies outside"),
-        ([0, 12], "float data of 12 bytes is not a whole number of doubles"),
+        (8.0, "array data must be an integer, got 8.0"),
+        (True, "array data must be an integer, got True"),
+        (None, "array data must be an integer, got None"),
+        ([0, 8], "array data must be an integer, got \\[0, 8\\]"),
+        ("AAAAAAAAAAA=", "array data must be an integer, got 'AAAAAAAAAAA='"),
+        (-8, "array data must be >= 0, got -8"),
+        (10**9, "array data of 1000000000 bytes at byte \\d+ runs past the \\d+-byte payload"),
+        (7, "float data of 7 bytes is not a whole number of doubles"),
     ],
-    ids=["float_offset", "bool_offset", "triple", "base64", "negative_offset",
-         "negative_size", "past_the_end", "partial_double"],
+    ids=["float", "bool", "null", "offset_pair", "base64", "negative", "past_the_end",
+         "partial_double"],
 )
-def test_bad_array_reference_is_data_error(tmp_path, data, message):
+def test_bad_array_reference_is_data_error(tmp_path, count, message):
+    # column_means is the first array read into the model, so a short count
+    # fails there before the arrays after it, now shifted, are read
     _, model = fitted_model(seed=2)
     path = tmp_path / "model.tarp"
     save_model(model, path)
     _, text, payload = path.read_bytes().split(b"\n", 2)
     doc = json.loads(text)
-    doc["replicates"][0]["posterior"]["location"]["data"] = data
+    doc["standardization"]["column_means"]["data"] = count
     path.write_bytes(signed(json.dumps(doc).encode() + b"\n" + payload))
     with pytest.raises(DataError, match=message):
         load_model(path)
@@ -588,15 +592,15 @@ def test_bad_array_reference_is_data_error(tmp_path, data, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda data: data.replace(b"tarp-model 6", b"tarp-model 5", 1),
-         "unsupported model version 5$"),
-        (lambda data: data.replace(b"tarp-model 6", b"tarp-model 7", 1),
-         "unsupported model version 7$"),
+        (lambda data: data.replace(b"tarp-model 7", b"tarp-model 6", 1),
+         "unsupported model version 6$"),
+        (lambda data: data.replace(b"tarp-model 7", b"tarp-model 8", 1),
+         "unsupported model version 8$"),
         (lambda data: data.replace(b"sha256=", b"sha512=", 1), "malformed model header$"),
         (lambda data: data[: data.index(b"\n")], "malformed model header$"),
         (lambda data: signed(b"{}"), "no payload line"),
     ],
-    ids=["version_5", "version_7", "other_digest", "header_only", "one_line_body"],
+    ids=["version_6", "version_8", "other_digest", "header_only", "one_line_body"],
 )
 def test_bad_signed_file_is_data_error(tmp_path, edit, message):
     path = tmp_path / "model.tarp"
@@ -616,16 +620,17 @@ def test_bytes_after_the_last_array_are_data_error(tmp_path):
         load_model(path)
 
 
-def test_an_array_read_twice_is_data_error(tmp_path):
-    # the second replicate's gamma names the first one's bytes, leaving its
-    # own unread
+def test_a_count_one_byte_too_long_is_data_error(tmp_path):
+    # the first replicate's gamma claims one byte more than it packs: every
+    # array after it starts a byte late, and the last runs past the payload
     _, text, payload = FIXTURES_BY_KIND["binary"].read_bytes().split(b"\n", 2)
     doc = json.loads(text)
-    first, second = (rep["projection"]["gamma"] for rep in doc["replicates"][:2])
-    second["data"] = first["data"]
+    gamma = doc["replicates"][0]["projection"]["gamma"]
+    assert gamma["data"] == 3
+    gamma["data"] += 1
     path = tmp_path / "model.tarp"
     path.write_bytes(signed(json.dumps(doc).encode() + b"\n" + payload))
-    with pytest.raises(DataError, match=r"array data \[\d+, 3\] does not start at byte"):
+    with pytest.raises(DataError, match=rf"runs past the {len(payload)}-byte payload\)$"):
         load_model(path)
 
 
@@ -687,3 +692,77 @@ def test_every_key_of_every_object_is_required_and_alone(tmp_path):
                     load_model(path)
                 edits += 1
     assert edits > 600
+
+
+def leaves_below(node, path=()):
+    """The path of every value in a document that is neither an object nor
+    a list (an array's bytes included), extra's contents aside."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if path or key != "extra":
+                yield from leaves_below(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from leaves_below(value, (*path, index))
+    else:
+        yield path
+
+
+# a value of each JSON type, for a leaf that is retyped
+_RETYPED = st.one_of(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.lists(st.integers(-2, 25), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+def _scaled(value, k: int):
+    # an integer stays one when k >= 0; a float past its range is inf
+    if isinstance(value, int) and k >= 0:
+        return value * 10**k
+    return value * float(f"1e{k}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_re_signed_retype_or_value_edit_loads_or_is_data_error(data):
+    # ROADMAP item 4: one leaf of a fixture's document is retyped, scaled by
+    # a power of ten or made NaN or infinite, and the document re-signed, so
+    # the digest no longer stops it. Loading returns a model or raises
+    # DataError; predicting the fixture's rows exits 0 with finite outputs,
+    # or 2 with one line, never 1 or 3 and never a traceback
+    name = data.draw(st.sampled_from(FIXTURES), label="fixture")
+    doc = as_doc((DATA / name).read_bytes())
+    where = data.draw(st.sampled_from(list(leaves_below(doc))), label="leaf")
+    value = reduce(getitem, where, doc)
+    edits = ["retype", "non_finite"]
+    if type(value) in (int, float):
+        edits.append("scale")
+    edit = data.draw(st.sampled_from(edits), label="edit")
+    if edit == "retype":
+        new = data.draw(_RETYPED, label="value")
+    elif edit == "scale":
+        new = _scaled(value, data.draw(st.integers(-400, 400), label="k"))
+    else:
+        new = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    reduce(getitem, where[:-1], doc)[where[-1]] = new
+    kind = "binary" if "binary" in name else "continuous"
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "model.tarp"), Path(tmp, "pred.csv")
+        path.write_bytes(as_signed(doc))
+        try:
+            load_model(path)
+        except DataError as exc:
+            assert "\n" not in str(exc)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["predict", "--model", str(path), "--data",
+                         str(DATA / f"{kind}.csv"), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+        else:
+            assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.exists()
