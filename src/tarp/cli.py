@@ -433,7 +433,7 @@ def _cmd_fit(options: dict, outputs: list) -> int:
     options = dict(options, delta=model.delta)
     resolved = {k: v for k, v in options.items() if k != "threads"}
     save_model(model, out, extra={"command": "fit", "options": resolved})
-    ms = [rep.projection.requested_m for rep in model.replicates]
+    ms = [cfg.m for cfg in configs]
     print(
         f"fitted {model.n_replicates} replicates "
         f"(variant={options['variant']}, m in [{min(ms)}, {max(ms)}], "

@@ -7,9 +7,10 @@ predictions by simple averaging, intervals as quantiles of the equal-weight
 mixture of the replicate predictive distributions. In a continuous model
 those are t distributions that share one df, n + 2a. A tuning configuration
 is fit-time input only: a fitted replicate keeps its projection (which holds
-the requested m, psi, variant and map seed) and what its posterior fit
-produced. The screening exponent delta, the priors and the training row
-count are the model's, shared by every replicate and held once.
+the variant, and a random map's psi and seed or a partial-SVD map's requested
+m) and what its posterior fit produced. The screening exponent delta, the
+priors and the training row count are the model's, shared by every replicate
+and held once.
 
 Replicates are embarrassingly parallel; every replicate owns independent
 seeded substreams, so results are identical for any worker-pool size.
@@ -17,7 +18,6 @@ seeded substreams, so results are identical for any worker-pool size.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -133,8 +133,8 @@ class TarpConfig:
 @dataclass(frozen=True)
 class Replicate:
     """One fitted replicate: its projection and its compressed-space
-    posterior. The fit's requested m, psi, variant and map seed are the
-    projection's."""
+    posterior. The fit's variant, psi and map seed, and a partial-SVD fit's
+    requested m, are the projection's."""
 
     projection: ProjectionMatrix
     posterior: Union[GaussianPosterior, LaplacePosterior]
@@ -170,7 +170,6 @@ class TarpModel:
     response_kind: str
     master_seed: int
     column_names: list[str]
-    train_data_hash: str
     delta: float
     a_sigma: float
     b_sigma: float
@@ -273,16 +272,6 @@ def sample_config_grid(
     return configs
 
 
-def _dataset_hash(dataset: Dataset) -> str:
-    digest = hashlib.sha256()
-    digest.update(str(dataset.design.shape).encode())
-    digest.update(dataset.response_kind.encode())
-    # hashing the buffer itself: a C-ordered design is not copied
-    digest.update(np.ascontiguousarray(dataset.design))
-    digest.update(dataset.response.tobytes())
-    return digest.hexdigest()
-
-
 def _fit_replicate(
     design: np.ndarray,
     response: np.ndarray,
@@ -323,7 +312,8 @@ def fit_tarp(
     delta and all three priors are checked for either response kind, and a
     design whose every column is constant, or (continuous) priors that
     leave the predictive t unusable, are rejected, before any replicate runs.
-    ``threads`` caps the worker pool; outputs never change.
+    ``threads`` caps the worker pool; outputs never change. ``master_seed``
+    is only recorded in the model: the configs' seeds decide every output.
     """
     delta = default_delta(train.n, train.p) if delta is None else check_delta(delta)
     a_sigma = positive_finite(a_sigma, "a_sigma")
@@ -360,7 +350,6 @@ def fit_tarp(
         response_kind=train.response_kind,
         master_seed=master_seed,
         column_names=list(train.column_names),
-        train_data_hash=_dataset_hash(train),
         delta=delta,
         a_sigma=a_sigma,
         b_sigma=b_sigma,

@@ -1,7 +1,7 @@
 """Self-describing single-file model persistence.
 
 A model file is a signed JSON header over raw array bytes. Line 1 is
-``tarp-model 7 sha256=<64 hex>``, the format tag and version and the SHA-256
+``tarp-model 8 sha256=<64 hex>``, the format tag and version and the SHA-256
 of everything after that line. Line 2 is the model document as compact JSON
 with sorted keys, in which each array's ``data`` is its byte count. The
 payload follows line 2: every array's little-endian bytes, back to back in
@@ -9,11 +9,12 @@ the order the document names them, so each array starts where the one
 before it ends. The file is not JSON text, and any edit of it, even one that
 keeps every value in range, fails the digest check, which runs before
 anything is parsed. Round trips are bit-exact and identical fits write
-identical bytes (no timestamps, no compression). Version 7 is the only
-format read: a version 4, 5 or 6 file (version 5 kept a copy of delta in
-every replicate, version 6 an offset beside each byte count) is an
-unsupported version, and a file without a header line, such as a version 1-3
-JSON document, is a malformed header.
+identical bytes (no timestamps, no compression). Version 8 is the only
+format read: a version 4 to 7 file (version 5 kept a copy of delta in every
+replicate, version 6 an offset beside each byte count, version 7 a SHA-256
+of the training rows and a random map's requested m, which always equalled
+its m, both read by nothing) is an unsupported version, and a file without a
+header line, such as a version 1-3 JSON document, is a malformed header.
 
 The tables below are the format's one declaration, and both save_model and
 load_model run from them. Each kind of object has a table that maps every
@@ -47,7 +48,7 @@ from .posterior import GaussianPosterior, LaplacePosterior
 from .projection import RIS_PCR, RIS_RP, ProjectionMatrix
 
 FORMAT_TAG = "tarp-model"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _HEADER = re.compile(FORMAT_TAG.encode("ascii") + rb" (\S+) sha256=([0-9a-f]{64})")
 
 # keys read before their object's table is known: the response kind picks
@@ -110,7 +111,7 @@ def _object(obj, name: str) -> dict:
 
 
 def _only(obj, name: str, *keys: str) -> dict:
-    # a version 7 object holds these keys and no others, so that a stale
+    # a version 8 object holds these keys and no others, so that a stale
     # second copy of a value, such as a replicate's own priors, is refused
     if _object(obj, name).keys() - set(keys):
         raise ValueError(f"{name} has unknown keys {sorted(obj.keys() - set(keys))}")
@@ -228,10 +229,10 @@ _STANDARDIZATION = _nested(StandardizationParams, {
 })
 
 # the keys both projection variants hold
-_MAP = {_VARIANT: _STRING, "m": _INTEGER, "requested_m": _INTEGER, "gamma": _BITS}
+_MAP = {_VARIANT: _STRING, "m": _INTEGER, "gamma": _BITS}
 _PROJECTIONS = {
     RIS_RP: {**_MAP, "seed": (list, _integers), "psi": _REAL},
-    RIS_PCR: {**_MAP, "block": _ARRAY},
+    RIS_PCR: {**_MAP, "requested_m": _INTEGER, "block": _ARRAY},
 }
 
 
@@ -268,7 +269,6 @@ def _model_table(kind) -> dict:
         _KIND: _STRING,
         "master_seed": _INTEGER,
         "column_names": (list, _strings),
-        "train_data_hash": _STRING,
         "delta": _REAL,
         "a_sigma": _REAL,
         "b_sigma": _REAL,
@@ -282,7 +282,7 @@ def _model_table(kind) -> dict:
 
 
 def save_model(model: TarpModel, path, extra: dict | None = None) -> None:
-    """Write a fitted model as a signed version 7 file; ``extra`` holds
+    """Write a fitted model as a signed version 8 file; ``extra`` holds
     caller metadata (JSON values, no bytes)."""
     doc = _fields(model, _model_table(model.response_kind))
     doc[_EXTRA] = extra or {}
@@ -347,7 +347,7 @@ def _resolve_arrays(node, payload: memoryview, start: int) -> int:
 
 
 def load_model(path) -> tuple[TarpModel, dict]:
-    """Load a signed version 7 model file; returns (model, extra metadata)."""
+    """Load a signed version 8 model file; returns (model, extra metadata)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -48,9 +48,10 @@ class ProjectionMatrix:
     length of ``gamma``, p_gamma that of ``indices``. The map is applied to
     rows by :func:`compress` and mapped back by :meth:`adjoint`. A random
     map keeps the seed and psi that generate its m x p_gamma block; the
-    partial-SVD map keeps the block itself, as ``block``. ``m`` is the
-    effective row count, which for the partial-SVD map may be below
-    ``requested_m`` when the selected columns are rank deficient.
+    partial-SVD map keeps the block itself, as ``block``, and the m it was
+    asked for, as ``requested_m``. ``m`` is the effective row count, which
+    for the partial-SVD map may be below ``requested_m`` when the selected
+    columns are rank deficient.
 
     ``signs`` keeps a random block that :func:`sample_ris_rp` has drawn, as
     a (2, ceil(m * p_gamma / 8)) uint8 array: row 0 packs (``np.packbits``)
@@ -67,8 +68,8 @@ class ProjectionMatrix:
     variant: str
     m: int
     gamma: np.ndarray
-    requested_m: int
     block: Optional[np.ndarray] = None
+    requested_m: Optional[int] = None
     seed: Optional[tuple[int, ...]] = None
     psi: Optional[float] = None
     signs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
@@ -89,13 +90,7 @@ class ProjectionMatrix:
         # compresses to zero and the replicate predicts its prior
         if self.p_gamma < 1:
             raise ValueError("gamma selects no column")
-        if self.requested_m < self.m:
-            raise ValueError(f"requested_m={self.requested_m} is below m={self.m}")
         if self.variant == RIS_RP:
-            if self.requested_m != self.m:
-                raise ValueError(
-                    f"random map has requested_m={self.requested_m}, m={self.m}"
-                )
             # without a seed, every use would draw another block; it is
             # checked here because the generator is only built where R is used
             if self.seed is None:
@@ -106,8 +101,8 @@ class ProjectionMatrix:
                 raise ValueError(f"seed entries must be non-negative, got {self.seed}")
             if self.psi is None or not 0.0 < self.psi < 0.5:
                 raise ValueError(f"psi must lie in (0, 0.5), got {self.psi}")
-            if self.block is not None:
-                raise ValueError("random map holds a dense block")
+            if self.block is not None or self.requested_m is not None:
+                raise ValueError("random map holds a dense block or requested_m")
             # unpackbits would zero-pad short planes into another block
             planes = (2, -(-self.m * self.p_gamma // 8))
             signs = self.signs
@@ -117,10 +112,12 @@ class ProjectionMatrix:
                 )
         elif self.variant == RIS_PCR:
             block = self.block
-            if block is None:
-                raise ValueError("partial-SVD map has no block")
+            if block is None or self.requested_m is None:
+                raise ValueError("partial-SVD map has no block or requested_m")
             if self.seed is not None or self.psi is not None or self.signs is not None:
                 raise ValueError("partial-SVD map has a seed, psi or signs")
+            if self.requested_m < self.m:
+                raise ValueError(f"requested_m={self.requested_m} is below m={self.m}")
             if block.shape != (self.m, self.p_gamma):
                 raise ValueError(f"block shape {block.shape} is not (m, p_gamma)")
             if not np.isfinite(block).all():
@@ -190,7 +187,7 @@ def sample_ris_rp(gamma: np.ndarray, m: int, psi: float, seed) -> ProjectionMatr
 
     The block is drawn here, once, and kept as packed signs.
     """
-    projection = ProjectionMatrix(RIS_RP, m, gamma, m, seed=seed, psi=psi)
+    projection = ProjectionMatrix(RIS_RP, m, gamma, seed=seed, psi=psi)
     signs = _three_point_signs(m * projection.p_gamma, psi, projection.seed)
     return replace(projection, signs=signs)
 

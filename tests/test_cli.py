@@ -130,6 +130,32 @@ class TestFitPredict:
         np.testing.assert_array_equal(got[:, 1], expected.lower)
         np.testing.assert_array_equal(got[:, 2], expected.upper)
 
+    @pytest.mark.parametrize("variant", ["ris_pcr", "ris_rp"])
+    def test_fit_summary_reports_the_requested_m_range(self, workdir, capsys, variant):
+        # Scheme III's design has rank 3, below the grid's least m (8 at
+        # p=50), so every partial-SVD map is cut to fewer rows than its
+        # config asked for: the line reports the configs' m, not the maps'
+        run("simulate", "--scheme", "III", "--n", "60", "--p", "50",
+            "--seed", "5", "--out", "data.csv")
+        capsys.readouterr()
+        assert run("fit", "--data", "data.csv", "--variant", variant,
+                   "--replicates", "4", "--seed", "9", "--out", "model.tarp") == 0
+        train = load_csv("data.csv", "y")
+        ms = [cfg.m for cfg in sample_config_grid(train.n, train.p, 4, variant=variant,
+                                                  master_seed=9)]
+        model, _ = load_model("model.tarp")
+        maps = [rep.projection for rep in model.replicates]
+        if variant == "ris_pcr":
+            assert [proj.requested_m for proj in maps] == ms
+            assert all(proj.m < proj.requested_m for proj in maps)
+        else:
+            assert [proj.m for proj in maps] == ms
+        summary, wrote = capsys.readouterr().out.splitlines()
+        prefix = (f"fitted 4 replicates (variant={variant}, m in [{min(ms)}, {max(ms)}], "
+                  f"delta={model.delta:.4g}) in ")
+        assert re.fullmatch(re.escape(prefix) + r"\d+\.\d\ds", summary), summary
+        assert wrote == "wrote model to model.tarp"
+
     def test_model_metadata_records_options(self, workdir):
         self.make_data(workdir)
         run("fit", "--data", "data.csv", "--replicates", "2", "--seed", "11",
@@ -147,7 +173,7 @@ class TestFitPredict:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_bad_level_is_usage_error(self, workdir, capsys, kind):
-        assert run("predict", "--model", str(DATA / f"v7_{kind}.tarp"),
+        assert run("predict", "--model", str(DATA / f"v8_{kind}.tarp"),
                    "--data", str(DATA / f"{kind}.csv"), "--level", "7",
                    "--out", "preds.csv") == 1
         assert capsys.readouterr().err == (
@@ -155,7 +181,7 @@ class TestFitPredict:
         )
         assert not list(workdir.iterdir())
 
-    @pytest.mark.parametrize("model", ["v7_continuous", "v7_ris_pcr"])
+    @pytest.mark.parametrize("model", ["v8_continuous", "v8_ris_pcr"])
     def test_largest_level_predicts_a_finite_interval(self, workdir, model):
         # (1 + level) / 2 is the largest double below 1
         assert run("predict", "--model", str(DATA / f"{model}.tarp"),
@@ -168,7 +194,7 @@ class TestFitPredict:
     def test_unconverged_mixture_quantile_is_exit_3(self, workdir, capsys, monkeypatch):
         # one Newton-or-bisection step cannot settle every point
         monkeypatch.setattr(tarp.ensemble, "QUANTILE_MAX_ITER", 1)
-        assert run("predict", "--model", str(DATA / "v7_continuous.tarp"),
+        assert run("predict", "--model", str(DATA / "v8_continuous.tarp"),
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 3
         assert re.fullmatch(
             r"error: mixture quantile search left [1-9]\d* points unconverged\n",
@@ -223,7 +249,7 @@ class TestBenchmarkHooks:
 
         for name in ("predict_tarp", "load_table", "load_model"):
             counted(name)
-        assert run("predict", "--model", str(DATA / "v7_continuous.tarp"),
+        assert run("predict", "--model", str(DATA / "v8_continuous.tarp"),
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 0
         assert sorted(calls) == ["load_model", "load_table", "predict_tarp"]
         assert_same_bytes(workdir / "preds.csv", DATA / "v1_continuous_pred.csv")
@@ -554,10 +580,10 @@ class TestBench:
 _REQUIRED_OPTIONS = [
     ("simulate", "scheme", "I", ["--n", "30", "--p", "40", "--out", "data.csv"]),
     ("fit", "data", str(DATA / "continuous.csv"), ["--replicates", "2"]),
-    ("predict", "model", str(DATA / "v7_continuous.tarp"),
+    ("predict", "model", str(DATA / "v8_continuous.tarp"),
      ["--data", str(DATA / "continuous.csv")]),
     ("predict", "data", str(DATA / "continuous.csv"),
-     ["--model", str(DATA / "v7_continuous.tarp")]),
+     ["--model", str(DATA / "v8_continuous.tarp")]),
     ("bench", "scheme", "I", ["--n", "30", "--test-size", "5", "--p", "40",
                               "--replicates", "1", "--ensemble-size", "2"]),
 ]
@@ -772,7 +798,7 @@ def _pool(threads):
 
 @functools.cache
 def _model(kind):
-    return load_model(DATA / f"v7_{kind}.tarp")[0]
+    return load_model(DATA / f"v8_{kind}.tarp")[0]
 
 
 def _check_level(level):
@@ -1306,7 +1332,7 @@ class TestExitCodes:
         lines[2] = ",".join(["1e308", "-1e308"] * (width // 2) + ["1"])
         (workdir / "new.csv").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run("predict", "--model", str(DATA / "v7_binary.tarp"),
+        assert run("predict", "--model", str(DATA / "v8_binary.tarp"),
                    "--data", "new.csv", "--out", "pred.csv") == 2
         assert capsys.readouterr().err == (
             "error: new row 2 is too large: its logits overflow\n"
@@ -1368,12 +1394,6 @@ def _set(*keys, value):
         for key in keys[:-1]:
             doc = doc[key]
         doc[keys[-1]] = value
-    return corrupt
-
-
-def _delete(*keys):
-    def corrupt(doc):
-        del _at(doc, keys[:-1])[keys[-1]]
     return corrupt
 
 
@@ -1504,8 +1524,6 @@ class TestCorruptModel:
             (_halve_gamma, "ris_rp"),
             (_psi_out_of_range, "ris_rp"),
             (_requested_m_below_m, "ris_pcr"),
-            (_set(*_PROJECTION, "requested_m", value=10**9), "ris_rp"),
-            (_delete(*_PROJECTION, "requested_m"), "ris_rp"),
             (_set("response_kind", value="binary"), "ris_rp"),
             (_set("response_kind", value="bogus"), "ris_rp"),
             (_set("replicates", value=[]), "ris_rp"),
@@ -1556,11 +1574,10 @@ class TestCorruptModel:
             (_set_float(*_POSTERIOR, "mode", value=float("nan")), "binary"),
             (_set(*_POSTERIOR, "grad_norm", value=-1.0), "binary"),
             (_set(*_POSTERIOR, "n_iter", value=-1), "binary"),
-            # column_names takes a list of strings, train_data_hash a string
+            # column_names takes a list of strings
             (_column_names_as(lambda names: "".join(name[-1] for name in names)),
              "ris_rp"),
             (_column_names_as(lambda names: list(range(len(names)))), "ris_rp"),
-            (_set("train_data_hash", value=[1, 2]), "ris_rp"),
             # sample_inclusion never draws an empty gamma
             (_empty_gamma, "ris_rp"),
             (_empty_gamma, "binary"),
@@ -1572,7 +1589,6 @@ class TestCorruptModel:
         ],
         ids=[
             "missing_psi", "gamma_length", "psi_range", "pcr_requested_m",
-            "rp_requested_m_huge", "rp_requested_m_missing",
             "kind_binary_on_continuous", "kind_bogus", "no_replicates",
             "response_mean_text", "extra_list", "negative_n_obs", "gamma_truncated",
             "constant_mask_truncated", "location_nan", "column_scale_zero",
@@ -1587,7 +1603,7 @@ class TestCorruptModel:
             "kind_continuous_on_binary",
             "projection_m_zero", "pcr_block_rows", "location_short",
             "mode_short", "mode_nan", "grad_norm_negative", "n_iter_negative",
-            "column_names_string", "column_names_integers", "train_data_hash_list",
+            "column_names_string", "column_names_integers",
             "gamma_empty", "binary_gamma_empty", "projection_seed_stream",
             "column_means_shape_wildcard", "location_shape_wildcard",
         ],
@@ -1613,13 +1629,14 @@ class TestCorruptModel:
                    "--out", "preds.csv") == 0
 
     @ENTRIES
-    @pytest.mark.parametrize("version", [4, 5, 6])
+    @pytest.mark.parametrize("version", [4, 5, 6, 7])
     def test_older_version_is_unsupported(self, workdir, capsys, entry, version):
         # a file signed as version 4, the format that kept each replicate's
-        # config and priors, 5, which kept each replicate's delta, or 6,
-        # which stored each array's offset beside its byte count: the header
-        # check refuses it before the document is parsed, so the body's
-        # format does not matter
+        # config and priors, 5, which kept each replicate's delta, 6, which
+        # stored each array's offset beside its byte count, or 7, which kept
+        # a digest of the training rows and each random map's requested_m:
+        # the header check refuses it before the document is parsed, so the
+        # body's format does not matter
         self._fit("ris_rp")
         body = (workdir / "model.json").read_bytes().split(b"\n", 1)[1]
         (workdir / "model.json").write_bytes(signed(body, version=version))
@@ -1644,6 +1661,10 @@ class TestCorruptModel:
             ("replicate", "delta", ("delta",), "ris_rp"),
             ("document", "format", None, "ris_rp"),
             ("document", "version", None, "ris_rp"),
+            # what version 7 kept and nothing read: a digest of the training
+            # rows, and a random map's requested_m, always its m
+            ("document", "train_data_hash", None, "ris_rp"),
+            ("projection", "requested_m", (*_PROJECTION, "m"), "ris_rp"),
             # keys that belong to another kind of model or projection
             ("document", "n_obs", None, "binary"),
             ("projection", "psi", None, "ris_pcr"),
@@ -1658,7 +1679,8 @@ class TestCorruptModel:
         ids=[
             "replicate_config", "posterior_a_sigma", "posterior_b_sigma",
             "posterior_n_obs", "posterior_kind", "posterior_prior_variance",
-            "replicate_delta", "document_format", "document_version", "binary_n_obs",
+            "replicate_delta", "document_format", "document_version", "train_data_hash",
+            "rp_requested_m", "binary_n_obs",
             "pcr_psi",
             "pcr_seed", "standardization_n_obs", "location_dtype",
             "precision_inverse_dtype", "gamma_dtype",
@@ -1668,11 +1690,12 @@ class TestCorruptModel:
     def test_a_key_the_format_does_not_hold_is_data_error(
         self, workdir, capsys, where, key, copy_of, variant, entry
     ):
-        # version 7 holds each value once, so a second copy is refused even
+        # version 8 holds each value once, so a second copy is refused even
         # when it agrees with the first, and so is a key another kind holds
         doc = self._fit(variant)
         stray = {"config": {"m": 5, "psi": 0.25, "variant": "ris_rp", "seed": 7},
                  "format": "tarp-model", "version": 7, "n_obs": 40,
+                 "train_data_hash": "0" * 64,
                  "psi": 0.25, "seed": [7, 1], "dtype": "<f8"}
         value = _at(doc, copy_of) if copy_of else stray[key]
         parent = {"document": (), "standardization": ("standardization",),
@@ -1730,7 +1753,6 @@ class TestCorruptModel:
         "keys, variant",
         [
             (("replicates", 0, "projection", "m"), "ris_rp"),
-            (("replicates", 0, "projection", "requested_m"), "ris_rp"),
             (("replicates", 0, "projection", "seed", 0), "ris_rp"),
             (("replicates", 0, "projection", "seed", 1), "ris_rp"),
             (("replicates", 0, "projection", "gamma", "length"), "ris_rp"),
@@ -1771,7 +1793,7 @@ class TestCorruptModel:
     def test_huge_m_is_rejected_without_drawing_a_block(
         self, workdir, capsys, monkeypatch
     ):
-        # the projection's m and requested_m both claim 1e9 over a small
+        # the projection's m claims 1e9 over a small
         # posterior: loading must reject the file before drawing any block
         run("simulate", "--scheme", "I", "--n", "40", "--p", "80",
             "--seed", "4", "--out", "data.csv")
@@ -1779,7 +1801,7 @@ class TestCorruptModel:
                    "--out", "model.json") == 0
         doc = as_doc((workdir / "model.json").read_bytes())
         rep = doc["replicates"][0]
-        rep["projection"]["m"] = rep["projection"]["requested_m"] = 10**9
+        rep["projection"]["m"] = 10**9
         (workdir / "model.json").write_bytes(as_signed(doc))
 
         def no_draw(*args):
@@ -1817,7 +1839,7 @@ class TestStartup:
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])
     def test_predict_skips_scipy_stats_and_linalg(self, tmp_path, kind):
-        argv = ["predict", "--model", str(DATA / f"v7_{kind}.tarp"),
+        argv = ["predict", "--model", str(DATA / f"v8_{kind}.tarp"),
                 "--data", str(DATA / f"{kind}.csv"), "--out", str(tmp_path / "p.csv")]
         code = (
             f"import sys, tarp.cli; code = tarp.cli.main({argv!r}); "

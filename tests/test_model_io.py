@@ -26,10 +26,10 @@ from model_files import as_doc, as_signed, each_array, signed
 from oracles import dense_map, mixture_t_quantile_via_bisection
 
 # model files (p=20) and the prediction CSVs written for their training rows;
-# each *_pred.csv dates from the model's first format, and the v7_* files
-# are the same models in the current one: each is its version 6 file with
-# every array's [offset, nbytes] pair replaced by its byte count, re-signed,
-# its payload unchanged
+# each *_pred.csv dates from the model's first format, and the v8_* files
+# are the same models in the current one: each is its version 7 file with
+# train_data_hash and every random map's requested_m deleted, re-signed, its
+# payload unchanged
 DATA = Path(__file__).parent / "data"
 
 # binary probabilities come from one product X W', which rounds differently
@@ -48,23 +48,23 @@ RIS_PCR_FIXTURE_RTOL = 1e-13
 # baseline was a config variant of its own, re-saved with its configs as
 # ris_rp at delta 0, and the predictions written for its training rows when
 # it was fitted
-BASELINE_FIXTURE = DATA / "v7_plain_rp_baseline.tarp"
+BASELINE_FIXTURE = DATA / "v8_plain_rp_baseline.tarp"
 
 # signed files that must keep predicting the committed CSVs
-FIXTURES_BY_KIND = {"continuous": DATA / "v7_continuous.tarp",
-                    "binary": DATA / "v7_binary.tarp"}
+FIXTURES_BY_KIND = {"continuous": DATA / "v8_continuous.tarp",
+                    "binary": DATA / "v8_binary.tarp"}
 
 # signed files that `tarp fit` wrote, run in a directory holding the data
 # file, with these options: a refit must write each byte for byte, at any
 # thread count. The fit records its options, --out included, so each refit
 # keeps the name its file was first written under;
-# v7_binary.tarp differs from a refit at rounding level and is no golden file
+# v8_binary.tarp differs from a refit at rounding level and is no golden file
 GOLDEN_FITS = {
-    "v7_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
+    "v8_continuous.tarp": ["--data", "continuous.csv", "--replicates", "3",
                            "--seed", "7", "--out", "v1_continuous.json"],
-    "v7_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
+    "v8_binary_fit.tarp": ["--data", "binary.csv", "--replicates", "3",
                            "--seed", "11", "--out", "v4_binary_fit.tarp"],
-    "v7_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
+    "v8_ris_pcr_fit.tarp": ["--data", "continuous.csv", "--variant", "ris_pcr",
                             "--replicates", "3", "--seed", "13",
                             "--out", "v4_ris_pcr_fit.tarp"],
 }
@@ -305,10 +305,10 @@ def assert_same_predictions(a, b):
 
 
 def test_ris_pcr_fixture_predicts_committed_csv(tmp_path):
-    model, _ = load_model(DATA / "v7_ris_pcr.tarp")
+    model, _ = load_model(DATA / "v8_ris_pcr.tarp")
     assert {rep.projection.variant for rep in model.replicates} == {"ris_pcr"}
     out = tmp_path / "pred.csv"
-    assert main(["predict", "--model", str(DATA / "v7_ris_pcr.tarp"),
+    assert main(["predict", "--model", str(DATA / "v8_ris_pcr.tarp"),
                  "--data", str(DATA / "continuous.csv"), "--out", str(out)]) == 0
     committed = DATA / "v3_ris_pcr_pred.csv"
     assert out.read_text().splitlines()[0] == committed.read_text().splitlines()[0]
@@ -410,26 +410,25 @@ def test_roundtrip_property(tmp_path, n, p, count, variant, binary, seed):
     )
 
 
-# the keys of format 7: each value is written once, the header holds the
+# the keys of format 8: each value is written once, the header holds the
 # format's tag and version, and the document holds everything else
-MODEL_KEYS = {"response_kind", "master_seed", "column_names", "train_data_hash",
-              "delta", "a_sigma", "b_sigma", "sigma_theta2", "standardization",
-              "replicates", "extra"}
+MODEL_KEYS = {"response_kind", "master_seed", "column_names", "delta", "a_sigma",
+              "b_sigma", "sigma_theta2", "standardization", "replicates", "extra"}
 PROJECTION_KEYS = {
-    "ris_rp": {"variant", "m", "requested_m", "gamma", "seed", "psi"},
+    "ris_rp": {"variant", "m", "gamma", "seed", "psi"},
     "ris_pcr": {"variant", "m", "requested_m", "gamma", "block"},
 }
 
 
 @pytest.mark.parametrize("variant, binary", [("ris_rp", False), ("ris_pcr", False),
                                              ("ris_rp", True)])
-def test_v7_layout(tmp_path, variant, binary):
+def test_v8_layout(tmp_path, variant, binary):
     _, model = fitted_model(variant, seed=3, binary=binary)
     path = tmp_path / "model.tarp"
     save_model(model, path, extra={"options": {"data": "train.csv"}})
     data = path.read_bytes()
     header, body = data.split(b"\n", 1)
-    assert header == b"tarp-model 7 sha256=" + hashlib.sha256(body).hexdigest().encode()
+    assert header == b"tarp-model 8 sha256=" + hashlib.sha256(body).hexdigest().encode()
     text, payload = body.split(b"\n", 1)
     doc = json.loads(text)
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() == text
@@ -592,15 +591,17 @@ def test_bad_array_reference_is_data_error(tmp_path, count, message):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda data: data.replace(b"tarp-model 7", b"tarp-model 6", 1),
+        (lambda data: data.replace(b"tarp-model 8", b"tarp-model 6", 1),
          "unsupported model version 6$"),
-        (lambda data: data.replace(b"tarp-model 7", b"tarp-model 8", 1),
-         "unsupported model version 8$"),
+        (lambda data: data.replace(b"tarp-model 8", b"tarp-model 7", 1),
+         "unsupported model version 7$"),
+        (lambda data: data.replace(b"tarp-model 8", b"tarp-model 9", 1),
+         "unsupported model version 9$"),
         (lambda data: data.replace(b"sha256=", b"sha512=", 1), "malformed model header$"),
         (lambda data: data[: data.index(b"\n")], "malformed model header$"),
         (lambda data: signed(b"{}"), "no payload line"),
     ],
-    ids=["version_6", "version_8", "other_digest", "header_only", "one_line_body"],
+    ids=["version_6", "version_7", "version_9", "other_digest", "header_only", "one_line_body"],
 )
 def test_bad_signed_file_is_data_error(tmp_path, edit, message):
     path = tmp_path / "model.tarp"
@@ -691,7 +692,9 @@ def test_every_key_of_every_object_is_required_and_alone(tmp_path):
                 with pytest.raises(DataError, match=message):
                     load_model(path)
                 edits += 1
-    assert edits > 600
+    # one edit per key and one per object of the fixtures: the count moves
+    # only with the format
+    assert edits == 594
 
 
 def leaves_below(node, path=()):

@@ -346,20 +346,22 @@ class TestCompress:
 class TestProjectionInvariants:
     # gamma selects 3 of 4 columns; a fit and a model file build maps
     # through the same constructor
-    RANDOM = dict(variant=RIS_RP, m=2, requested_m=2, seed=(1,), psi=0.3)
+    RANDOM = dict(variant=RIS_RP, m=2, seed=(1,), psi=0.3)
     PCR = dict(variant=RIS_PCR, m=2, requested_m=2, block=np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({**RANDOM, "m": 0, "requested_m": 0}, "m must be >= 1"),
+            ({**RANDOM, "m": 0}, "m must be >= 1"),
             ({**PCR, "requested_m": 1}, "requested_m=1 is below m=2"),
-            ({**RANDOM, "requested_m": 3}, "random map has requested_m=3, m=2"),
+            ({**PCR, "requested_m": None}, "partial-SVD map has no block or requested_m"),
+            ({**RANDOM, "requested_m": 2}, "random map holds a dense block or requested_m"),
             ({**RANDOM, "psi": 0.5}, "psi must lie in"),
             ({**RANDOM, "psi": None}, "psi must lie in"),
             ({**PCR, "block": np.zeros((2, 4))},
              "block shape \\(2, 4\\) is not \\(m, p_gamma\\)"),
-            ({**RANDOM, "block": np.ones((2, 3))}, "random map holds a dense block"),
+            ({**RANDOM, "block": np.ones((2, 3))},
+             "random map holds a dense block or requested_m"),
             ({**PCR, "signs": np.zeros((2, 1), np.uint8)},
              "partial-SVD map has a seed, psi or signs"),
             ({**RANDOM, "signs": np.zeros((2, 0), np.uint8)},
@@ -372,10 +374,11 @@ class TestProjectionInvariants:
             ({**RANDOM, "variant": "ris_sparse"},
              "unknown projection variant 'ris_sparse'"),
             ({**RANDOM, "seed": None}, "random map has no seed"),
-            ({**PCR, "block": None}, "partial-SVD map has no block"),
+            ({**PCR, "block": None}, "partial-SVD map has no block or requested_m"),
             ({**PCR, "seed": (1,), "psi": 0.3}, "partial-SVD map has a seed, psi or signs"),
         ],
-        ids=["m_zero", "requested_m_below_m", "random_requested_m_above_m",
+        ids=["m_zero", "requested_m_below_m", "pcr_requested_m_missing",
+             "random_requested_m",
              "psi_half", "psi_missing",
              "block_columns", "random_dense_block", "pcr_signs", "short_signs",
              "int8_signs", "flat_signs", "negative_seed", "block_nan",
