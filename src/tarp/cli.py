@@ -460,13 +460,15 @@ def _load_design_for_model(path, model: TarpModel):
             f"({len(names)} given, {len(expected)} expected)"
         )
 
-    return load_table(path, drop=response_column)[1]
+    # predict standardizes these rows in place, which needs them column-major
+    return np.asfortranarray(load_table(path, drop=response_column)[1])
 
 
 def _cmd_predict(options: dict, outputs: list) -> int:
     model, _ = load_model(options["model"])
     X_new = _load_design_for_model(options["data"], model)
-    prediction = predict_tarp(model, X_new, level=options["level"])
+    # nothing reads the rows' values again, so they are standardized in place
+    prediction = predict_tarp(model, X_new, level=options["level"], overwrite_rows=True)
     out = Path(options["out"])
     if prediction.response_kind == "binary":
         _write_rows(outputs, out, ("probability",),

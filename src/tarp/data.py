@@ -133,11 +133,15 @@ class StandardizationParams:
         if not (scales > 0.0).all():
             raise ValueError("column_scales must be positive")
 
-    def transform_design(self, X: np.ndarray) -> np.ndarray:
-        """(X - means) / scales as a new column-major array.
+    def transform_design(self, X: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """(X - means) / scales as a column-major array.
 
         Column-major, so each replicate's X[:, gamma] gather copies whole
-        columns; both steps run in place on the one copy.
+        columns; both steps run in place on one array. By default that array
+        is a new copy and X is left as it was. With ``overwrite``, a
+        writable, float64, column-major X is that array: it is standardized
+        in place and returned. Any other X is copied as by default, so
+        row-major rows are never standardized in place.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.column_means.shape[0]:
@@ -145,7 +149,8 @@ class StandardizationParams:
                 f"matrix has {X.shape[1]} columns, params expect "
                 f"{self.column_means.shape[0]}"
             )
-        out = np.array(X, order="F")
+        in_place = overwrite and X.flags.f_contiguous and X.flags.writeable
+        out = X if in_place else np.array(X, order="F")
         out -= self.column_means
         out /= self.column_scales
         return out
@@ -178,7 +183,9 @@ def load_table(path, drop=None) -> tuple[list[str], np.ndarray]:
     ``drop``, if given, is called with the header's names and returns the
     index of a column to leave out, or None. Both parsers still count that
     column's cells in every row, but neither parses them, and it is missing
-    from the names and the matrix returned.
+    from the names and the matrix returned. The C parser's matrix is then
+    the one copy made without that column, written column-major; every
+    other matrix is row-major.
     """
     try:
         fh = open(path, "r", newline="", encoding=TEXT_ENCODING)
@@ -220,7 +227,10 @@ def load_table(path, drop=None) -> tuple[list[str], np.ndarray]:
         raise DataError(not_utf8(path, exc)) from None
     if skip is not None:
         header = header[:skip] + header[skip + 1 :]
-        table = np.delete(table, skip, axis=1)
+        kept = np.empty((table.shape[0], len(header)), order="F")
+        kept[:, :skip] = table[:, :skip]
+        kept[:, skip:] = table[:, skip + 1 :]
+        table = kept
     return header, table
 
 

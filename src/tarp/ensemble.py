@@ -474,7 +474,10 @@ def _replicate_predictive(model: TarpModel, Xs: np.ndarray, rep: Replicate):
 
 
 def predict_tarp(
-    model: TarpModel, X_new: np.ndarray, level: float = DEFAULT_LEVEL
+    model: TarpModel,
+    X_new: np.ndarray,
+    level: float = DEFAULT_LEVEL,
+    overwrite_rows: bool = False,
 ) -> TarpPrediction:
     """Aggregate replicate predictions on new rows (original units).
 
@@ -489,6 +492,12 @@ def predict_tarp(
     A new row whose standardized values overflow, or whose logits (binary)
     or predictive location or scale (continuous) do, raises DataError
     naming the row.
+    Every replicate reads one column-major standardized copy of the rows.
+    By default that is a new array and ``X_new`` is left as it was. With
+    ``overwrite_rows``, a writable, float64, column-major ``X_new`` is
+    standardized in place and becomes that copy, so the rows are held once;
+    its values are undefined after the call. Any other ``X_new`` is copied
+    as by default.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != model.p:
@@ -497,7 +506,7 @@ def predict_tarp(
     # a huge finite cell may overflow here or in the predictive scale: such
     # rows are bad data, rejected by number below instead of failing later
     with np.errstate(over="ignore", invalid="ignore"):
-        Xs = model.standardization.transform_design(X_new)
+        Xs = model.standardization.transform_design(X_new, overwrite=overwrite_rows)
     _reject_rows(np.isfinite(Xs).all(axis=1), "standardized values")
     if model.response_kind == "binary":
         W = np.array(_map_ordered(_mapped_back_mode, model.replicates, 1))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -253,6 +254,51 @@ class TestBenchmarkHooks:
                    "--data", str(DATA / "continuous.csv"), "--out", "preds.csv") == 0
         assert sorted(calls) == ["load_model", "load_table", "predict_tarp"]
         assert_same_bytes(workdir / "preds.csv", DATA / "v1_continuous_pred.csv")
+
+
+class TestPredictMemory:
+    # `tarp predict` hands predict_tarp column-major rows that it owns, and
+    # predict_tarp standardizes them in place: what it allocates is then
+    # the finite check's booleans, each replicate's gather of its screened
+    # columns and the small per-replicate arrays, less than one more copy
+    # of the rows
+    @pytest.mark.parametrize("response", [True, False],
+                             ids=["response_column", "design_only"])
+    def test_predict_tarp_allocates_less_than_a_copy_of_the_rows(
+        self, workdir, monkeypatch, response
+    ):
+        rng = np.random.default_rng(7)
+        n, k, p = 30, 200, 400
+        X = rng.standard_normal((n + k, p))
+        y = X[:, :3].sum(axis=1) + rng.standard_normal(n + k)
+        configs = sample_config_grid(n, p, 3, master_seed=7)
+        save_model(fit_tarp(Dataset(X[:n], y[:n]), configs), workdir / "model.tarp")
+        write_csv(Dataset(X[n:], y[n:]), workdir / "new.csv")
+        if not response:
+            lines = (workdir / "new.csv").read_text().splitlines()
+            (workdir / "new.csv").write_text(
+                "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        grown = []
+        predict = tarp.cli.predict_tarp
+
+        def traced(model, X_new, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                return predict(model, X_new, **kwargs)
+            finally:
+                grown.append((tracemalloc.get_traced_memory()[1] - start, X_new.nbytes))
+
+        monkeypatch.setattr(tarp.cli, "predict_tarp", traced)
+        tracemalloc.start()
+        try:
+            assert run("predict", "--model", "model.tarp", "--data", "new.csv",
+                       "--out", "pred.csv") == 0
+        finally:
+            tracemalloc.stop()
+        [(growth, rows)] = grown
+        assert rows == k * p * 8
+        assert growth < rows
 
 
 class TestBaseline:
@@ -1030,6 +1076,63 @@ class TestFitPredictProperty:
             rows = np.loadtxt(preds, delimiter=",", skiprows=1, ndmin=2)
             assert rows.shape == (n, 1 if binary else 3)
             assert np.isfinite(rows).all()
+
+
+# a new row: ordinary cells, a few of them replaced by any finite value up to
+# the float64 limit
+_ORDINARY = st.lists(st.floats(-10.0, 10.0), min_size=20, max_size=20)
+_LARGE = st.floats(-1.7976931348623157e308, 1.7976931348623157e308) | (
+    st.sampled_from([1e154, 1e200, 1e300, 1e308, 1.7976931348623157e308])
+    .flatmap(lambda v: st.sampled_from([v, -v])))
+_EDITS = st.lists(st.tuples(st.integers(0, 19), _LARGE), max_size=3)
+_TOO_LARGE = re.compile(
+    r"error: new row (\d+) is too large: its (standardized values|logits|"
+    r"predictive location or scale) overflow")
+
+
+class TestNewRowsProperty:
+    # random new rows against the committed models, which predict
+    # standardizes in place (ROADMAP item 4): every outcome is exit 0 with
+    # finite outputs, or exit 2 in one line naming a row that holds a cell
+    # beyond the ordinary range
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_new_rows_predict_or_name_a_row(self, data):
+        fixture = data.draw(st.sampled_from(["v8_continuous", "v8_binary"]), label="model")
+        k = data.draw(st.integers(1, 4), label="rows")
+        rows = []
+        for i in range(k):
+            row = data.draw(_ORDINARY, label=f"row {i + 1}")
+            for j, value in data.draw(_EDITS, label=f"edits {i + 1}"):
+                row[j] = value
+            rows.append(row)
+        response = data.draw(st.booleans(), label="response")
+        names = [f"x{j + 1}" for j in range(20)]
+        if response:
+            # a stray response column is dropped unparsed
+            names.append("y")
+            rows = [[*map(repr, row), data.draw(st.sampled_from(["", "1", "1e308"]))]
+                    for row in rows]
+        else:
+            rows = [list(map(repr, row)) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            new, preds = os.path.join(tmp, "new.csv"), os.path.join(tmp, "preds.csv")
+            with open(new, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(",".join(row) for row in [names, *rows]) + "\n")
+            code, err = _run_quietly(["predict", "--model", str(DATA / f"{fixture}.tarp"),
+                                      "--data", new, "--out", preds])
+            if code == 0:
+                assert err == []
+                values = np.loadtxt(preds, delimiter=",", skiprows=1, ndmin=2)
+                assert values.shape == (k, 1 if fixture == "v8_binary" else 3)
+                assert np.isfinite(values).all()
+                return
+            assert code == 2 and len(err) == 1 and not os.path.exists(preds)
+            named = _TOO_LARGE.fullmatch(err[0])
+            assert named, err[0]
+            row = int(named.group(1))
+            assert 1 <= row <= k
+            assert any(abs(float(cell)) > 10.0 for cell in rows[row - 1][:20])
 
 
 class TestExitCodes:

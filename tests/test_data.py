@@ -136,11 +136,12 @@ class TestLoadTable:
             )
 
     @pytest.mark.parametrize(
-        "text",
-        ["a,y,b\n1,,2\n3,NA,4\n5,nan,6\n", "a,y,b\n1,,2\n  \n3,NA,4\n5,nan,6\n"],
+        "text, column_major",
+        [("a,y,b\n1,,2\n3,NA,4\n5,nan,6\n", True),
+         ("a,y,b\n1,,2\n  \n3,NA,4\n5,nan,6\n", False)],
         ids=["c_parser", "scan"],
     )
-    def test_dropped_column_is_not_parsed(self, tmp_path, text):
+    def test_dropped_column_is_not_parsed(self, tmp_path, text, column_major):
         path = write_bytes(tmp_path, text)
         seen = []
 
@@ -153,6 +154,8 @@ class TestLoadTable:
         scan_header, scan_table = _scan_table(path, ["a", "y", "b"], 1)
         assert header == ["a", "b"] == scan_header
         assert table.dtype == np.float64
+        # the C parser's one copy without the column is column-major
+        assert table.flags.f_contiguous == column_major
         np.testing.assert_array_equal(table, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         np.testing.assert_array_equal(table, scan_table)
 
@@ -321,18 +324,38 @@ class TestStandardize:
         assert np.isfinite(params.column_scales).all()
         np.testing.assert_allclose(std.design.std(axis=0, ddof=1), 1.0)
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_transform_design_is_a_column_major_copy(self, order):
+    @pytest.mark.parametrize(
+        "order, dtype, writeable, overwrite",
+        [
+            ("C", np.float64, True, False),
+            ("F", np.float64, True, False),
+            ("C", np.float64, True, True),
+            ("F", np.float64, False, True),
+            ("F", np.float32, True, True),
+            ("F", np.float64, True, True),
+        ],
+        ids=["C", "F", "overwrite_C", "overwrite_read_only", "overwrite_float32",
+             "overwrite_F"],
+    )
+    def test_transform_design_is_a_column_major_copy(
+        self, order, dtype, writeable, overwrite
+    ):
+        # unless told to overwrite a writable float64 column-major X, which
+        # it standardizes in place; the values are the same bytes either way
         rng = np.random.default_rng(3)
         train = Dataset(rng.standard_normal((30, 5)) * 4.0 + 2.0, rng.standard_normal(30))
         _, params = standardize(train)
-        X = np.asarray(rng.standard_normal((12, 5)) * 3.0, order=order)
+        X = np.asarray(rng.standard_normal((12, 5)) * 3.0, dtype=dtype, order=order)
+        X.flags.writeable = writeable
         before = X.copy()
-        out = params.transform_design(X)
+        out = params.transform_design(X, overwrite=overwrite)
         assert out.flags.f_contiguous
-        expected = (X - params.column_means) / params.column_scales
+        expected = (before.astype(np.float64) - params.column_means) / params.column_scales
         assert out.tobytes() == expected.tobytes()
-        np.testing.assert_array_equal(X, before)
+        in_place = overwrite and order == "F" and dtype == np.float64 and writeable
+        assert (out is X) == in_place
+        if not in_place:
+            assert X.dtype == before.dtype and X.tobytes() == before.tobytes()
 
 
 class TestStandardizationParams:

@@ -766,6 +766,39 @@ class TestPredictTarp:
         assert np.all((pred.probability >= 0) & (pred.probability <= 1))
         assert pred.point is None
 
+    @pytest.mark.parametrize("binary", [False, True], ids=["continuous", "binary"])
+    @pytest.mark.parametrize(
+        "rows, overwrite",
+        [("column_major", False), ("row_major", False), ("row_major", True),
+         ("read_only", True), ("float32", True), ("column_major", True)],
+    )
+    def test_rows_are_kept_unless_overwritten(self, binary, rows, overwrite):
+        # overwrite_rows standardizes a writable float64 column-major X_new
+        # in place; any other is copied and kept, and predicts the same bytes
+        ds = toy_dataset()
+        if binary:
+            ds = Dataset(ds.design, (ds.response > 0).astype(float),
+                         response_kind="binary")
+        model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 3, master_seed=23))
+        X = np.random.default_rng(24).standard_normal((9, ds.p))
+        X = {
+            "column_major": np.asfortranarray(X),
+            "row_major": X,
+            "read_only": np.asfortranarray(X),
+            "float32": np.asfortranarray(X, dtype=np.float32),
+        }[rows]
+        X.flags.writeable = rows != "read_only"
+        before = X.copy()
+        expected = predict_tarp(model, before.copy())
+        prediction = predict_tarp(model, X, overwrite_rows=overwrite)
+        for name in ("point", "lower", "upper", "probability"):
+            assert _bits(getattr(prediction, name)) == _bits(getattr(expected, name))
+        if rows == "column_major" and overwrite:
+            standardized = model.standardization.transform_design(before)
+            assert X.tobytes() == standardized.tobytes()
+        else:
+            assert X.dtype == before.dtype and X.tobytes() == before.tobytes()
+
     def test_dimension_mismatch(self):
         ds = toy_dataset()
         model = fit_tarp(ds, sample_config_grid(ds.n, ds.p, 2, master_seed=21))
@@ -811,6 +844,17 @@ def _bits(arr):
 # more column, though never selected, may round them differently, by 2 ulp
 # at 1.0 at most (2.2e-16 in 3,500 draws of the property below)
 APPENDED_COLUMN_TOL = 4.5e-16
+
+
+# the largest gap, relative to max(1, |value|), that each relation of the
+# second property below may leave in any output: about 2.5x the largest of
+# six 1,000-example runs of it (8.0e-14, 8.7e-14, 2.3e-15 and 2.4e-14)
+METAMORPHIC_TOL = {
+    "scale": 2e-13,
+    "shift": 2e-13,
+    "twice": 1e-14,
+    "response_shift": 1e-13,
+}
 
 
 class TestMetamorphicRelations:
@@ -872,3 +916,69 @@ class TestMetamorphicRelations:
                     assert _bits(theirs) == _bits(ours)
                 else:
                     assert np.abs(theirs - ours).max() <= APPENDED_COLUMN_TOL
+
+    # a positive factor per column, a shift per column, the config list
+    # given twice and a continuous response plus b change no column that
+    # screening picks and no map. Standardization removes the first two,
+    # and the fourth, up to rounding; a component given twice leaves an
+    # equal-weight mixture as it was, up to the order of its sums. The
+    # outputs move by b in the fourth relation and by nothing in the rest
+    @pytest.mark.filterwarnings("ignore:response is constant")
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_column_scales_and_shifts_configs_twice_and_response_shift(self, data):
+        n = data.draw(st.integers(4, 30), label="n")
+        p = data.draw(st.integers(1, 40), label="p")
+        count = data.draw(st.integers(1, 4), label="count")
+        variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+        binary = data.draw(st.booleans(), label="binary")
+        cells = data.draw(st.sampled_from(["normal", "integers"]), label="cells")
+        delta = data.draw(st.sampled_from([0.0, 0.7, 3.0]), label="delta")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        X = (rng.standard_normal((n + 5, p)) if cells == "normal"
+             else rng.integers(-1, 2, (n + 5, p)).astype(float))
+        y = rng.integers(0, 2, n).astype(float) if binary else rng.standard_normal(n)
+        kind = "binary" if binary else "continuous"
+        configs = sample_config_grid(n, p, count, variant=variant, master_seed=seed)
+        b = 10.0 * rng.standard_normal()
+        # a column constant in the training rows is centred only, so a new
+        # row's value there keeps that column's units; delta 0 screens it in
+        factors = np.where(np.ptp(X[:n], axis=0) > 0,
+                           np.exp(3.0 * rng.standard_normal(p)), 1.0)
+        # each relation's design, response and configs, and how far its
+        # outputs move
+        relations = {
+            "scale": (X * factors, y, configs, 0.0),
+            "shift": (X + 10.0 * rng.standard_normal(p), y, configs, 0.0),
+            "twice": (X, y, configs + configs, 0.0),
+        }
+        if not binary:
+            relations["response_shift"] = (X, y + b, configs, b)
+
+        def fit_predict(design, response, configs):
+            try:
+                model = fit_tarp(Dataset(design[:n], response, response_kind=kind),
+                                 configs, delta=delta)
+            except (DataError, ReplicateError) as exc:
+                return type(exc), str(exc)
+            return model, predict_tarp(model, design[n:], level=0.8)
+
+        model, prediction = fit_predict(X, y, configs)
+        for relation, (design, response, related_configs, moved) in relations.items():
+            other_model, other_prediction = fit_predict(design, response, related_configs)
+            if isinstance(model, type):
+                # a fit that fails must fail alike on the related inputs
+                assert (other_model, other_prediction) == (model, prediction), relation
+                continue
+            replicates = model.replicates * (len(related_configs) // count)
+            for rep, other in zip(replicates, other_model.replicates, strict=True):
+                assert _bits(other.projection.gamma) == _bits(rep.projection.gamma)
+                assert other.projection.m == rep.projection.m
+            for name in ("point", "lower", "upper", "probability"):
+                ours, theirs = getattr(prediction, name), getattr(other_prediction, name)
+                if ours is None:
+                    continue
+                ours = ours + moved
+                gap = (np.abs(theirs - ours) / np.maximum(1.0, np.abs(ours))).max()
+                assert gap <= METAMORPHIC_TOL[relation], (relation, name, gap)
